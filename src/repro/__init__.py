@@ -40,7 +40,6 @@ from .core import (
     MiningSession,
     mine,
     mine_closed_cliques,
-    mine_closed_quasi_cliques,
     mine_frequent_cliques,
     mine_sharded,
     parse_support,
@@ -70,7 +69,6 @@ __all__ = [
     "__version__",
     "mine",
     "mine_closed_cliques",
-    "mine_closed_quasi_cliques",
     "mine_frequent_cliques",
     "mine_sharded",
     "paper_example_database",

@@ -82,7 +82,6 @@ from .quasiclique import (
     QuasiEmbeddingStore,
     QuasiTaskStrategy,
     is_quasi_clique,
-    mine_closed_quasi_cliques,
     quasi_cliques_in_graph,
     required_degree,
 )
@@ -196,7 +195,6 @@ __all__ = [
     "mine_closed_cliques",
     "mine_maximal_cliques",
     "mine_closed_cliques_parallel",
-    "mine_closed_quasi_cliques",
     "mine_frequent_cliques",
     "partition_roots",
     "mine_top_k_closed_cliques",

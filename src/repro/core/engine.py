@@ -6,8 +6,8 @@ the *task* — which prefixes become output patterns, which subtrees can
 be cut — is supplied by a small :class:`TaskStrategy` object instead of
 being hard-wired.  Every mining task then rides the same machinery:
 
-* the :class:`~repro.core.config.MinerConfig` kernels (``set`` or
-  ``bitset``) and embedding strategies,
+* the :class:`~repro.core.config.MinerConfig` kernels (``set``,
+  ``bitset``, or ``slab``) and embedding strategies,
 * root partitioning and level-2 splitting
   (:meth:`MiningEngine.root_extension_plan`,
   ``first_extensions``/``include_root``) for the work-stealing
@@ -104,9 +104,11 @@ class TaskStrategy:
     ``begin_root``/``end_root`` bracket each DFS root so strategies may
     keep per-root state; ``finalize`` runs once per ``mine`` call.
     Class attributes declare how the stack above may treat the task:
-    ``splittable`` gates level-2 root splitting (the executor), and
+    ``splittable`` gates level-2 root splitting (the executor),
     ``supports_sweep`` gates the cache's support-monotone sweep tier
-    (sound only when the output is support-filterable, Lemma 4.3).
+    (sound only when the output is support-filterable, Lemma 4.3), and
+    ``inline_rule`` names a built-in emission rule the search loop runs
+    in place of :meth:`visit`.
     """
 
     task: str = "closed"
@@ -114,6 +116,12 @@ class TaskStrategy:
     splittable: bool = True
     #: May the cache derive this task's results from lower-support runs?
     supports_sweep: bool = False
+    #: The emission rule the search loop inlines instead of calling
+    #: :meth:`visit`: ``"closed"`` (no extension ties the support),
+    #: ``"frequent"`` (every prefix), or ``"maximal"`` (no frequent
+    #: extension).  Honoured only while :meth:`visit` is not overridden,
+    #: so a subclass that overrides it gets the dispatching path.
+    inline_rule: Optional[str] = None
 
     def begin_root(self, label: Label) -> None:
         """Reset any per-root state before a DFS root is mined."""
@@ -177,7 +185,10 @@ class TaskStrategy:
         stats: MinerStatistics,
         hooks: Optional["SearchHooks"],
     ) -> None:
-        """Decide whether this prefix is an output pattern."""
+        """Decide whether this prefix is an output pattern.
+
+        Not called for strategies that set :attr:`inline_rule`.
+        """
         raise NotImplementedError  # pragma: no cover - abstract
 
     def descend(
@@ -209,13 +220,7 @@ class ClosedStrategy(TaskStrategy):
 
     task = "closed"
     supports_sweep = True
-
-    def visit(self, engine, labels, store, frequent_extensions, blocked, result, stats, hooks):
-        # Lines 06-07: closure check (Lemma 4.3) and output.
-        if not blocked:
-            engine._emit(labels, store, result, stats, hooks)
-        else:
-            stats.closure_rejections += 1
+    inline_rule = "closed"
 
 
 class FrequentStrategy(TaskStrategy):
@@ -223,9 +228,7 @@ class FrequentStrategy(TaskStrategy):
 
     task = "frequent"
     supports_sweep = True
-
-    def visit(self, engine, labels, store, frequent_extensions, blocked, result, stats, hooks):
-        engine._emit(labels, store, result, stats, hooks)
+    inline_rule = "frequent"
 
 
 class MaximalStrategy(TaskStrategy):
@@ -239,12 +242,7 @@ class MaximalStrategy(TaskStrategy):
     """
 
     task = "maximal"
-
-    def visit(self, engine, labels, store, frequent_extensions, blocked, result, stats, hooks):
-        if not frequent_extensions:
-            engine._emit(labels, store, result, stats, hooks)
-        else:
-            stats.closure_rejections += 1
+    inline_rule = "maximal"
 
 
 class TopKStrategy(TaskStrategy):
@@ -355,32 +353,6 @@ class _TopKHeap:
             entry[2]
             for entry in sorted(self._heap, key=lambda e: (e[0], e[1]), reverse=True)
         ]
-
-
-#: Strategy ``visit`` functions the search loop knows how to inline.
-#: The hot loop resolves ``type(strategy).visit`` against this table
-#: once per root: the three stateless emission rules (closed, frequent,
-#: maximal) become straight-line code with no method dispatch, while
-#: stateful strategies (top-k, quasi, user subclasses) keep the full
-#: ``visit`` call.  Keyed by the *function* object, so a subclass that
-#: overrides ``visit`` automatically falls back to the dispatching path.
-_INLINE_VISITS = {
-    ClosedStrategy.visit: 1,
-    FrequentStrategy.visit: 2,
-    MaximalStrategy.visit: 3,
-}
-
-
-def _extension_multiplicity_bound(
-    store: EmbeddingStore, valid_labels: List[Label]
-) -> int:
-    """Soft-legacy alias of :meth:`EmbeddingStore.multiplicity_bound`.
-
-    The bound became a store method so each kernel can implement it in
-    its own representation (the slab kernel's is a vectorized column
-    sum); kept as a wrapper for existing importers.
-    """
-    return store.multiplicity_bound(valid_labels)
 
 
 # ----------------------------------------------------------------------
@@ -616,8 +588,10 @@ class MiningEngine:
         the one mined with ``include_root=True``.  Callers (the
         work-stealing executor, :mod:`repro.core.executor`) must only
         split roots that are frequent and not Lemma-4.4 pruned, and
-        must hand each frequent valid extension to exactly one task.
-        Only strategies with ``splittable`` set may be split
+        must hand each frequent valid extension to exactly one task; a
+        pruned split root, an extension sorting below the root, or an
+        infrequent extension raises :class:`MiningError`.  Only
+        strategies with ``splittable`` set may be split
         (:meth:`root_extension_plan` returns ``[]`` otherwise).
 
         ``hooks`` is the session layer's instrumentation object (see
@@ -631,7 +605,6 @@ class MiningEngine:
         started = time.perf_counter()
         abs_sup = self.database.absolute_support(min_sup)
         config = self.config
-        strategy = self.strategy
         if root_labels is not None and not config.structural_redundancy_pruning:
             raise MiningError(
                 "root_labels partitioning requires structural redundancy pruning"
@@ -684,38 +657,18 @@ class MiningEngine:
         pool: list = []
         context["store_pool"] = pool
 
-        if first_extensions is None:
-            # The whole root sweep runs inside one _search call: the
-            # hoisted dispatch/config preamble is paid per mine call,
-            # not per root (market sweeps have thousands of tiny roots).
-            self._search(
-                abs_sup, result, stats, seen_forms, hooks, pool,
-                roots=roots, pseudo=pseudo, context=context,
-            )
-        else:
-            for label in roots:
-                if label_supports[label] < abs_sup:
-                    stats.infrequent_extensions += 1
-                    continue
-                strategy.begin_root(label)
-                store = strategy.root_store(self, pseudo, label, context)
-                self._mine_restricted(
-                    (label,),
-                    store,
-                    abs_sup,
-                    result,
-                    stats,
-                    seen_forms,
-                    hooks,
-                    tuple(first_extensions),
-                    include_root,
-                    pool,
-                )
-                strategy.end_root(self, result, stats, hooks)
+        # The whole root sweep — or the one split root — runs inside one
+        # _search call: the hoisted dispatch/config preamble is paid per
+        # mine call, not per root (market sweeps have thousands of tiny
+        # roots).
+        self._search(
+            abs_sup, result, stats, seen_forms, hooks, pool, roots, pseudo,
+            context, first_extensions, include_root,
+        )
 
         result.elapsed_seconds = time.perf_counter() - started
         stats.cpu_seconds = result.elapsed_seconds
-        return strategy.finalize(result)
+        return self.strategy.finalize(result)
 
     # ------------------------------------------------------------------
     # Root splitting support (the work-stealing executor's primitive)
@@ -768,20 +721,25 @@ class MiningEngine:
         result: MiningResult,
         stats: MinerStatistics,
         seen_forms: Set[Tuple[Label, ...]],
-        hooks: Optional["SearchHooks"] = None,
-        pool: Optional[list] = None,
-        roots: Optional[Sequence[Label]] = None,
-        pseudo=None,
-        context: Optional[dict] = None,
-        start: Optional[Tuple[Tuple[Label, ...], EmbeddingStore]] = None,
+        hooks: Optional["SearchHooks"],
+        pool: list,
+        roots: Sequence[Label],
+        pseudo,
+        context: dict,
+        first_extensions: Optional[Tuple[Label, ...]],
+        include_root: bool,
     ) -> None:
         """Depth-first enumeration, explicit-stack form.
 
-        Drives either a whole root sweep (``roots`` — each frequent
-        root gets ``begin_root``/``root_store``/``end_root`` around its
-        subtree) or one prebuilt subtree (``start=(labels, store)``,
-        the split-task path).  This is the engine's hot loop;
-        everything per-node is kept allocation-free:
+        Drives a whole root sweep: each frequent root gets
+        ``begin_root``/``root_store``/``end_root`` around its subtree.
+        A split task (``first_extensions``, one root — see :meth:`mine`)
+        is handled only where its root opens and where the root's frame
+        is pushed, never per node: with ``include_root`` the root runs
+        the normal node step and its frame keeps only the requested
+        extensions; without it the root node is skipped and its frame is
+        seeded with those extensions directly.  This is the engine's hot
+        loop; everything per-node is kept allocation-free:
 
         * prefixes travel as bare label tuples — ``CanonicalForm`` /
           ``CliquePattern`` / witnesses materialise only at emission;
@@ -816,7 +774,10 @@ class MiningEngine:
         # pre-bound so the loop never walks the MRO.
         inline_prune = cls.prune_subtree is TaskStrategy.prune_subtree
         inline_descend = cls.descend is TaskStrategy.descend
-        visit_kind = _INLINE_VISITS.get(cls.visit, 0)
+        rule = cls.inline_rule if cls.visit is TaskStrategy.visit else None
+        emit_every = rule == "frequent"
+        emit_unblocked = rule == "closed"
+        emit_leaves = rule == "maximal"
         visit = strategy.visit
         prune = strategy.prune_subtree
         descend = strategy.descend
@@ -854,11 +815,10 @@ class MiningEngine:
         depth = 0
         by_size: Dict[int, int] = {}
 
-        if pool is None:
-            pool = []
         # Root sweeping: the per-root ceremony stays out of the node
         # loop, entered only when the stack drains.
-        root_iter = iter(roots) if roots is not None else None
+        root_iter = iter(roots)
+        wanted = None if first_extensions is None else set(first_extensions)
         label_supports = self._label_supports
         begin_root = (
             None if cls.begin_root is TaskStrategy.begin_root else strategy.begin_root
@@ -874,12 +834,8 @@ class MiningEngine:
         # descent allocates nothing.
         frames: List[list] = []
         top = -1
-        if start is not None:
-            labels, store = start
-            pending = True  # ``labels``/``store`` hold an unprocessed node
-        else:
-            labels = store = None  # type: ignore[assignment]
-            pending = False
+        labels = store = None  # type: ignore[assignment]
+        pending = False  # do ``labels``/``store`` hold an unprocessed node?
 
         try:
             while True:
@@ -925,36 +881,37 @@ class MiningEngine:
                     # Lines 04-05: the subtree cut (Lemma 4.4 inline
                     # for the default, the strategy's own otherwise).
                     if inline_prune:
+                        reason = None
                         if (
                             nonclosed_pruning
                             and store.nonclosed_extension_label(labels[-1]) is not None
                         ):
-                            n_prunes += 1
-                            if sinks_armed:
-                                hooks.pruned(labels, "nonclosed_prefix")
-                            if redundancy and len(pool) < 64:
-                                pool.append(store)
-                            labels = store = None  # type: ignore[assignment]
-                            continue
+                            reason = "nonclosed_prefix"
                     else:
                         reason = prune(self, labels, store, abs_sup)
-                        if reason is not None:
-                            n_prunes += 1
-                            if hooks is not None:
-                                hooks.pruned(labels, reason)
-                            if redundancy and len(pool) < 64:
-                                pool.append(store)
-                            labels = store = None  # type: ignore[assignment]
-                            continue
+                    if reason is not None:
+                        if wanted is not None and size == 1:
+                            raise MiningError(
+                                f"split task for root {wrap_form(labels)} reached "
+                                f"a subtree prune; the splitter must not split "
+                                f"pruned roots"
+                            )
+                        n_prunes += 1
+                        if sinks_armed:
+                            hooks.pruned(labels, reason)
+                        if redundancy and len(pool) < 64:
+                            pool.append(store)
+                        labels = store = None  # type: ignore[assignment]
+                        continue
 
-                    # Lines 06-07: the emission rule.  The three
-                    # built-ins run inline; the pattern, its form, and
-                    # its witness map materialise only here.
-                    if visit_kind:
+                    # Lines 06-07: the emission rule.  The strategy's
+                    # ``inline_rule`` runs inline; the pattern, its
+                    # form, and its witness map materialise only here.
+                    if rule is not None:
                         if (
-                            (visit_kind == 2)
-                            or (visit_kind == 1 and not blocked)
-                            or (visit_kind == 3 and not frequent_extensions)
+                            emit_every
+                            or (emit_unblocked and not blocked)
+                            or (emit_leaves and not frequent_extensions)
                         ):
                             if size >= min_size and (
                                 max_size is None or size <= max_size
@@ -972,7 +929,7 @@ class MiningEngine:
                                     n_closed += 1
                                 if hooks is not None:
                                     hooks.pattern(pattern)
-                        elif visit_kind != 2:
+                        else:
                             n_rejected += 1
                     else:
                         visit(
@@ -1016,6 +973,11 @@ class MiningEngine:
                         continue
                     top += 1
                     if top == len(frames):
+                        if wanted is not None and top == 0:
+                            # A split task's one root pushes the first
+                            # frame of the call: keep its requested
+                            # extensions only.
+                            extensions = [e for e in extensions if e[0] in wanted]
                         frames.append([labels, store, extensions, 0])
                     else:
                         frame = frames[top]
@@ -1034,8 +996,6 @@ class MiningEngine:
                         in_root = False
                         if end_root is not None:
                             end_root(self, result, stats, hooks)
-                    if root_iter is None:
-                        break
                     root = next(root_iter, None)
                     while root is not None and label_supports[root] < abs_sup:
                         n_infrequent += 1
@@ -1047,7 +1007,23 @@ class MiningEngine:
                     store = make_root_store(self, pseudo, root, context)
                     labels = (root,)
                     in_root = True
-                    pending = True
+                    if include_root:
+                        pending = True
+                    elif max_size is None or max_size > 1:
+                        # A sibling split task owns the root node: seed
+                        # its frame with the requested extensions, their
+                        # supports unknown (``None``) until materialised.
+                        for label in first_extensions:
+                            if label < root:
+                                raise MiningError(
+                                    f"split extension {label!r} sorts below root "
+                                    f"{root!r}; structural redundancy pruning "
+                                    f"forbids it"
+                                )
+                        top = 0
+                        frames.append(
+                            [labels, store, [(label, None) for label in first_extensions], 0]
+                        )
                     continue
                 frame = frames[top]
                 extensions = frame[2]
@@ -1070,12 +1046,19 @@ class MiningEngine:
                 else:
                     store = frame[1].extend_unordered(label)
                     labels = tuple(sorted(parent_labels + (label,)))
-                if store.support != ext_support:  # pragma: no cover - invariant
-                    raise MiningError(
-                        f"extension scan predicted support {ext_support} for "
-                        f"{wrap_form(labels)} but materialisation found "
-                        f"{store.support}"
-                    )
+                if store.support != ext_support:
+                    if ext_support is not None:  # pragma: no cover - invariant
+                        raise MiningError(
+                            f"extension scan predicted support {ext_support} for "
+                            f"{wrap_form(labels)} but materialisation found "
+                            f"{store.support}"
+                        )
+                    if store.support < abs_sup:
+                        raise MiningError(
+                            f"split task extension {wrap_form(labels)} is "
+                            f"infrequent ({store.support} < {abs_sup}); the "
+                            f"splitter must only hand out frequent extensions"
+                        )
                 pending = True
         finally:
             # One additive flush per call: exact under aborts, and
@@ -1099,139 +1082,3 @@ class MiningEngine:
             if hooks is not None and enter is None:
                 hooks.total_prefixes += n_nodes
                 hooks.root_prefixes += n_nodes
-
-    # ------------------------------------------------------------------
-    def _mine_restricted(
-        self,
-        labels: Tuple[Label, ...],
-        store: EmbeddingStore,
-        abs_sup: int,
-        result: MiningResult,
-        stats: MinerStatistics,
-        seen_forms: Set[Tuple[Label, ...]],
-        hooks: Optional["SearchHooks"],
-        first_extensions: Tuple[Label, ...],
-        include_root: bool,
-        pool: Optional[list] = None,
-    ) -> None:
-        """One split task: selected level-2 subtrees of one DFS root.
-
-        Mirrors :meth:`_search`'s node step at the root level, then
-        descends only into ``first_extensions``.  Exactness is the
-        root-partitioning argument one level down: under structural
-        redundancy pruning the subtree rooted at ``root ◇ β`` consults
-        only its own embeddings, so level-2 subtrees are independent.
-        Root-level work — the prefix/frequent/scan statistics, the
-        root's events, Lemma 4.4, the root's own pattern — happens
-        exactly once across a root's split tasks, in the one with
-        ``include_root=True``; sibling tasks extend straight into their
-        subtrees.  Summing the split tasks' statistics therefore
-        reproduces the serial root's counters exactly.  Only splittable
-        strategies reach this path (the splitter respects
-        :meth:`root_extension_plan`), and every splittable strategy
-        descends unconditionally.
-        """
-        config = self.config
-        strategy = self.strategy
-        last_label = labels[-1]
-        if include_root:
-            stats.record_prefix(len(labels))
-            stats.record_embeddings(store.embedding_count)
-            if hooks is not None:
-                hooks.enter_prefix(labels, store)
-            if config.max_embeddings is not None and store.embedding_count > config.max_embeddings:
-                raise MiningError(
-                    f"prefix {CanonicalForm.wrap(labels)} materialised "
-                    f"{store.embedding_count} embeddings, exceeding the "
-                    f"max_embeddings bound of {config.max_embeddings}"
-                )
-            stats.record_frequent(len(labels))
-            frequent_extensions, n_infrequent, blocked = store.extension_plan(abs_sup)
-            stats.database_scans += 1
-            if (
-                strategy.prune_subtree(self, labels, store, abs_sup) is not None
-            ):  # pragma: no cover - splitter precondition
-                raise MiningError(
-                    f"split task for root {CanonicalForm.wrap(labels)} reached a "
-                    f"subtree prune; the splitter must not split pruned roots"
-                )
-            strategy.visit(
-                self, labels, store, frequent_extensions, blocked, result, stats, hooks
-            )
-            if config.max_size is not None and len(labels) >= config.max_size:
-                return
-            stats.infrequent_extensions += n_infrequent
-            wanted = set(first_extensions)
-            for label, ext_support in frequent_extensions:
-                if label < last_label:
-                    stats.redundancy_skips += 1
-                    continue
-                if label not in wanted:
-                    continue
-                child_store = store.extend(label, last_label)
-                child_labels = labels + (label,)
-                if child_store.support != ext_support:  # pragma: no cover - invariant
-                    raise MiningError(
-                        f"extension scan predicted support {ext_support} for "
-                        f"{CanonicalForm.wrap(child_labels)} but materialisation "
-                        f"found {child_store.support}"
-                    )
-                self._search(
-                    abs_sup, result, stats, seen_forms, hooks, pool,
-                    start=(child_labels, child_store),
-                )
-            return
-        if config.max_size is not None and len(labels) >= config.max_size:
-            return
-        for label in first_extensions:
-            if label < last_label:  # pragma: no cover - splitter precondition
-                raise MiningError(
-                    f"split extension {label!r} sorts below root {last_label!r}; "
-                    f"structural redundancy pruning forbids it"
-                )
-            child_store = store.extend(label, last_label)
-            child_labels = labels + (label,)
-            if child_store.support < abs_sup:  # pragma: no cover - splitter precondition
-                raise MiningError(
-                    f"split task extension {CanonicalForm.wrap(child_labels)} is "
-                    f"infrequent ({child_store.support} < {abs_sup}); the splitter "
-                    f"must only hand out frequent extensions"
-                )
-            self._search(
-                abs_sup, result, stats, seen_forms, hooks, pool,
-                start=(child_labels, child_store),
-            )
-
-    # ------------------------------------------------------------------
-    def _emit(
-        self,
-        labels: Tuple[Label, ...],
-        store: EmbeddingStore,
-        result: MiningResult,
-        stats: MinerStatistics,
-        hooks: Optional["SearchHooks"] = None,
-    ) -> None:
-        """Report one pattern, honouring the size window.
-
-        ``labels`` is the bare canonical label tuple the search loop
-        carries; the :class:`CanonicalForm`, transaction tuple, and
-        witness map materialise here, at emission time, and nowhere
-        earlier.
-        """
-        config = self.config
-        size = len(labels)
-        if size < config.min_size:
-            return
-        if config.max_size is not None and size > config.max_size:
-            return
-        pattern = CliquePattern(
-            form=CanonicalForm.wrap(labels),
-            support=store.support,
-            transactions=store.transactions(),
-            witnesses=store.witnesses() if config.collect_witnesses else {},
-        )
-        result.add(pattern)
-        if config.closed_only:
-            stats.closed_cliques += 1
-        if hooks is not None:
-            hooks.pattern(pattern)

@@ -55,9 +55,8 @@ from ..graphdb.bitset import popcount
 from ..graphdb.database import GraphDatabase
 from ..graphdb.graph import Graph
 from .canonical import CanonicalForm, Label
-from .config import MinerConfig
 from .embeddings import BITSET, SET, SLAB
-from .engine import MiningEngine, TaskStrategy, engine_for_task, finalize_patterns
+from .engine import MiningEngine, TaskStrategy, finalize_patterns
 from .pattern import CliquePattern
 from .results import MiningResult
 
@@ -718,42 +717,3 @@ class QuasiTaskStrategy(TaskStrategy):
         for pattern in ordered:
             final.add(pattern)
         return final
-
-
-# ----------------------------------------------------------------------
-# Deprecated entry point
-# ----------------------------------------------------------------------
-def mine_closed_quasi_cliques(
-    database: GraphDatabase,
-    min_sup: float,
-    gamma: float,
-    min_size: int = 2,
-    max_size: int = 6,
-    closed_only: bool = True,
-) -> MiningResult:
-    """Removed entry point for γ-quasi-clique mining.
-
-    Per the deprecation policy (CONTRIBUTING.md) this wrapper, having
-    warned for a release, now raises a :class:`MiningError` with the
-    migration recipe instead of mining.  It stays importable so old
-    ``from repro import mine_closed_quasi_cliques`` lines fail at the
-    call, with a useful message, rather than at import time.
-
-    Use instead::
-
-        from repro import MiningRequest, mine
-        mine(db, MiningRequest.from_options(
-            min_sup, task="quasi", gamma=gamma, max_size=max_size))
-
-    and for the historical ``closed_only=False`` variant, drive the
-    engine directly with
-    ``MiningEngine(db, MinerConfig.all_frequent(min_size=..., max_size=...),
-    strategy=QuasiTaskStrategy(gamma, closed=False))``.
-    """
-    raise MiningError(
-        "mine_closed_quasi_cliques() has been removed; use "
-        "repro.mine(database, MiningRequest.from_options(min_sup, "
-        "task='quasi', gamma=..., max_size=...)) — or, for "
-        "closed_only=False, run MiningEngine with "
-        "QuasiTaskStrategy(gamma, closed=False) directly"
-    )

@@ -900,7 +900,7 @@ class MiningSession:
 
         roots = tuple(self.database.frequent_labels(self.abs_sup))
         pending = tuple(root for root in roots if root not in self._completed)
-        self._emit(
+        self._publish(
             SearchStarted(
                 task=self.task,
                 min_sup=self.abs_sup,
@@ -916,7 +916,7 @@ class MiningSession:
             else:
                 reason = self._run_serial(pending, deadline_at)
             result = self._build_result(reason, started)
-            self._emit(
+            self._publish(
                 SearchFinished(
                     patterns=len(result),
                     truncated=result.truncated,
@@ -949,7 +949,7 @@ class MiningSession:
             deadline_at=deadline_at,
         )
         for index, root in enumerate(pending):
-            self._emit(RootStarted(root=root, index=index, n_pending=len(pending)))
+            self._publish(RootStarted(root=root, index=index, n_pending=len(pending)))
             hooks.begin_root(root)
             if self.cache is not None:
                 entry = self.cache.lookup(
@@ -965,7 +965,7 @@ class MiningSession:
                 if entry is not None:
                     # Replay: the stored substream is exactly what a
                     # cold mine of this root would have emitted.
-                    self._emit_batch(tuple(entry.events or ()))
+                    self._publish_batch(tuple(entry.events or ()))
                     part = entry.result(self.config.closed_only)
                     # Budgets are enforced lazily at the next expanded
                     # prefix; advancing the run-wide counters here makes
@@ -1051,8 +1051,8 @@ class MiningSession:
                 capture_events=True,
             )
             for index, (root, part, events) in enumerate(arrivals):
-                self._emit(RootStarted(root=root, index=index, n_pending=len(pending)))
-                self._emit_batch(events)
+                self._publish(RootStarted(root=root, index=index, n_pending=len(pending)))
+                self._publish_batch(events)
                 self._finish_root(root, index, len(pending), part)
                 produced += len(part)
                 expanded += part.statistics.prefixes_visited
@@ -1088,7 +1088,7 @@ class MiningSession:
     ) -> None:
         self._completed[root] = list(part)
         self._statistics.merge(part.statistics)
-        self._emit(
+        self._publish(
             RootFinished(
                 root=root,
                 index=index,
@@ -1114,11 +1114,11 @@ class MiningSession:
         result.elapsed_seconds = time.perf_counter() - started
         return result
 
-    def _emit(self, event: MiningEvent) -> None:
+    def _publish(self, event: MiningEvent) -> None:
         for sink in self.sinks:
             sink.emit(event)
 
-    def _emit_batch(self, events: Sequence[MiningEvent]) -> None:
+    def _publish_batch(self, events: Sequence[MiningEvent]) -> None:
         """Forward a pre-ordered event batch (cache replay, workers)."""
         if events:
             for sink in self.sinks:

@@ -2,10 +2,14 @@
 
 Out-of-core counterpart of the serial engine: the database is split
 into contiguous transaction ranges, each shard is mined independently
-for *candidate* forms at a shard-local threshold, and a single
-streaming counting pass over the full database then assigns every
-candidate its exact global support, transactions, and witnesses before
-the task's merge rule decides what is reported.  The result is
+for *candidate* forms at a shard-local threshold, and a counting pass
+over the full database then assigns every candidate its exact global
+support, transactions, and witnesses before the task's merge rule
+decides what is reported.  The counting pass is root-major, not one
+streaming scan: it builds one embedding-store chain per candidate
+root, and each chain reads every transaction holding that root's label,
+so a store larger than its decode cache is decoded about once per
+candidate root.  The result is
 byte-identical to the serial engine's patterns (see
 ``tests/test_sharded.py`` and the exactness note in
 ``docs/ALGORITHM.md``) while no stage ever needs more than one shard
@@ -393,7 +397,9 @@ def mine_sharded(
     per-shard candidate mines, not a replay of the serial counters.
 
     ``request.processes > 1`` mines shard candidates on a process
-    pool; the counting pass is a single streaming scan either way.
+    pool.  The counting pass runs in the calling process either way,
+    and builds one store chain per candidate root, so it reads the
+    database once per root rather than in a single scan.
     """
     if request.budget is not None or request.sample_every:
         raise MiningError(

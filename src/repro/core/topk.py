@@ -35,7 +35,7 @@ what keeps serial and warm-cache runs byte-identical.
 from __future__ import annotations
 
 from ..graphdb.database import GraphDatabase
-from .engine import _TopKHeap, _extension_multiplicity_bound  # noqa: F401 - soft-legacy re-export
+from .engine import _TopKHeap  # noqa: F401 - soft-legacy re-export
 from .results import MiningResult
 
 

@@ -23,7 +23,8 @@ from repro.core.executor import (
     _replay_substreams,
     estimate_root_costs,
 )
-from repro.core.session import PatternEmitted, PrefixVisited
+from repro.core.engine import engine_for_task, finalize_patterns
+from repro.core.session import PatternEmitted, PrefixVisited, RingBufferSink, SearchHooks
 from repro.exceptions import MiningError
 from tests.conftest import make_random_database
 
@@ -126,29 +127,63 @@ class TestRootExtensionPlan:
         # The exactness argument behind cost-guided splitting: mining a
         # root's level-2 subtrees independently (root-level work on the
         # first task only) reproduces the whole-root subtree exactly —
-        # patterns and deterministic counters.
+        # patterns, deterministic counters, and the every-prefix event
+        # stream — for every splittable task on every kernel.
         db = make_random_database(seed)
-        miner = ClanMiner(db).prepare()
+        for task, gamma, max_size in (
+            ("closed", None, None),
+            ("frequent", None, None),
+            ("maximal", None, None),
+            ("quasi", 0.75, 4),
+        ):
+            for kernel in ("set", "bitset", "slab"):
+                config = MinerConfig.for_task(task, max_size=max_size, kernel=kernel)
+                miner = engine_for_task(db, config, task, gamma=gamma).prepare()
+                self._assert_split_union_exact(miner, db)
+
+    @staticmethod
+    def _assert_split_union_exact(miner, db):
+        def mine_recorded(root, **split):
+            sink = RingBufferSink(capacity=None)
+            hooks = SearchHooks(sinks=(sink,), sample_every=1)
+            hooks.begin_root(root)
+            result = miner.mine(2, root_labels=(root,), hooks=hooks, **split)
+            hooks.flush()
+            return result, tuple(sink.events)
+
         for root in db.frequent_labels(2):
-            whole = miner.mine(2, root_labels=(root,))
+            whole, whole_events = mine_recorded(root)
             plan = miner.root_extension_plan(2, root)
             if len(plan) < 2:
                 continue
-            merged = MiningResult(min_sup=2, closed_only=True)
+            merged = MiningResult(min_sup=2, closed_only=whole.closed_only)
             collected = []
+            substreams = []
             for index, (label, _sup) in enumerate(plan):
-                part = miner.mine(
-                    2,
-                    root_labels=(root,),
-                    first_extensions=(label,),
-                    include_root=index == 0,
+                part, events = mine_recorded(
+                    root, first_extensions=(label,), include_root=index == 0
                 )
                 merged.statistics.merge(part.statistics)
                 collected.extend(part)
-            for pattern in sorted(collected, key=lambda p: p.form.labels):
+                substreams.append(events)
+            for pattern in finalize_patterns(miner.task, collected):
                 merged.add(pattern)
             assert keys(merged) == keys(whole)
             assert merged.statistics.snapshot() == whole.statistics.snapshot()
+            assert _replay_substreams(substreams, 1) == whole_events
+
+    def test_split_task_rejects_bad_extensions(self, paper_db):
+        # The split-task preconditions the executor's planner upholds,
+        # exercised directly: an extension sorting below the root, an
+        # infrequent one (no 'a' vertex is adjacent to an 'e'), and a
+        # root Lemma 4.4 prunes ('c' always sits beside a 'b').
+        miner = ClanMiner(paper_db)
+        with pytest.raises(MiningError, match="sorts below root"):
+            miner.mine(2, root_labels=("b",), first_extensions=("a",), include_root=False)
+        with pytest.raises(MiningError, match="infrequent"):
+            miner.mine(2, root_labels=("a",), first_extensions=("e",), include_root=False)
+        with pytest.raises(MiningError, match="subtree prune"):
+            miner.mine(2, root_labels=("c",), first_extensions=("d",))
 
 
 # ======================================================================

@@ -11,7 +11,6 @@ from repro.core import (
     is_quasi_clique,
     mine,
     mine_closed_cliques,
-    mine_closed_quasi_cliques,
     quasi_cliques_in_graph,
     required_degree,
 )
@@ -176,13 +175,15 @@ class TestMining:
             for tid, witness in pattern.witnesses.items():
                 assert is_quasi_clique(paper_db[tid], frozenset(witness), 0.75)
 
-    def test_removed_shim_raises_with_migration_hint(self, paper_db):
-        # Graduated per the deprecation policy in CONTRIBUTING.md: the
-        # function stays importable but now fails loudly with the recipe.
-        with pytest.raises(MiningError, match="task='quasi'"):
-            mine_closed_quasi_cliques(
-                paper_db, 2, gamma=0.75, min_size=2, max_size=4
-            )
+    def test_removed_entry_point_is_gone(self):
+        # Stage three of the deprecation policy (CONTRIBUTING.md): the
+        # stub that raised with a migration hint is deleted outright.
+        import repro
+        import repro.core.quasiclique
+
+        for module in (repro, repro.core, repro.core.quasiclique):
+            with pytest.raises(AttributeError):
+                module.mine_closed_quasi_cliques
 
 
 class TestEngineStrategyProperties:
