@@ -1,20 +1,18 @@
 """Partition-parallel mining over transaction-range shards.
 
 Out-of-core counterpart of the serial engine: the database is split
-into contiguous transaction ranges, each shard is mined independently
-for *candidate* forms at a shard-local threshold, and a counting pass
-over the full database then assigns every candidate its exact global
-support, transactions, and witnesses before the task's merge rule
-decides what is reported.  The counting pass is root-major, not one
-streaming scan: it builds one embedding-store chain per candidate
-root, and each chain reads every transaction holding that root's label,
-so a store larger than its decode cache is decoded about once per
-candidate root.  The result is
-byte-identical to the serial engine's patterns (see
-``tests/test_sharded.py`` and the exactness note in
-``docs/ALGORITHM.md``) while no stage ever needs more than one shard
-of transactions resident — which is what makes mining directly from a
-:class:`~repro.graphdb.storage.SqliteGraphSource` practical.
+into contiguous transaction ranges and read in two shard-major passes,
+each of which decodes every transaction once.  The *candidate* pass
+mines each shard independently for candidate forms at a shard-local
+threshold.  The *counting* pass walks the candidate trie over each
+shard again and sums the per-shard supports, transactions, and
+witnesses into exact global ones before the task's merge rule decides
+what is reported.  Both passes run on a process pool when
+``processes > 1``.  The result is byte-identical to the serial
+engine's patterns (see ``tests/test_sharded.py`` and the exactness
+note in ``docs/ALGORITHM.md``) while no stage ever needs more than one
+shard of transactions resident — which is what makes mining directly
+from a :class:`~repro.graphdb.storage.SqliteGraphSource` practical.
 
 The exactness argument is the Savasere–Omiecinski–Navathe partition
 argument specialised to label-multiset clique patterns:
@@ -26,12 +24,14 @@ argument specialised to label-multiset clique patterns:
   support would be at most ``Σ_i (s_i - 1) < S`` (pigeonhole over the
   floor division), so every globally frequent form is locally frequent
   somewhere and therefore appears in the candidate union.
-* *Exact merge.*  Clique supports are determined by the canonical
-  label multiset alone, so the counting pass recovers the exact global
-  support of each candidate; closure ("no equal-support superset") and
-  maximality ("no frequent superset") are then decided on the merged
-  counts, one superset level up — the same level the serial engine's
-  extension plan consults.
+* *Exact counts.*  Support, transaction membership, witnesses, and
+  quasi feasibility are per-transaction predicates of the canonical
+  label multiset, so they add up over any partition: summing the
+  per-shard counts recovers the exact global ones.
+* *Exact merge.*  With exact global supports in hand, closure ("no
+  equal-support superset") and maximality ("no frequent superset") are
+  decided on the merged counts, one superset level up — the same level
+  the serial engine's extension plan consults.
 """
 
 from __future__ import annotations
@@ -119,9 +119,11 @@ def shard_database(
     at most one range resident.
     """
     for lo, hi in shard_bounds(len(database), shards=shards, shard_size=shard_size):
-        yield lo, hi, database.subset(
-            range(lo, hi), name=f"{database.name}[{lo}:{hi}]"
-        )
+        yield lo, hi, _shard(database, lo, hi)
+
+
+def _shard(database: GraphDatabase, lo: int, hi: int) -> GraphDatabase:
+    return database.subset(range(lo, hi), name=f"{database.name}[{lo}:{hi}]")
 
 
 def local_threshold(global_sup: int, shard_size: int, n_transactions: int) -> int:
@@ -167,6 +169,25 @@ def _candidate_config(resolved: MinerConfig, task: str) -> MinerConfig:
     )
 
 
+def _map_shards(fn, jobs: Sequence[tuple], processes: int) -> Iterator:
+    """``fn(*job)`` for every job, yielded in job order.
+
+    Runs on a process pool when ``processes > 1`` and there is more
+    than one job (``fn`` must be module-level to be picklable);
+    otherwise serially, in the calling process.
+    """
+    if processes > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        with ProcessPoolExecutor(max_workers=min(processes, len(jobs))) as pool:
+            futures = [pool.submit(fn, *job) for job in jobs]
+            for future in futures:
+                yield future.result()
+        return
+    for job in jobs:
+        yield fn(*job)
+
+
 def _shard_candidates(
     database: GraphDatabase,
     lo: int,
@@ -176,8 +197,8 @@ def _shard_candidates(
     config: MinerConfig,
     gamma: Optional[float],
 ) -> Tuple[Tuple[Form, ...], MinerStatistics]:
-    """Mine one shard's candidate forms (module-level: pool-picklable)."""
-    shard = database.subset(range(lo, hi), name=f"{database.name}[{lo}:{hi}]")
+    """Mine one shard's candidate forms."""
+    shard = _shard(database, lo, hi)
     if task == "quasi":
         engine = MiningEngine(
             shard, config, strategy=QuasiTaskStrategy(gamma, closed=False)
@@ -185,6 +206,12 @@ def _shard_candidates(
     else:
         engine = engine_for_task(shard, config, "frequent")
     result = engine.mine(local_sup)
+    del shard, engine
+    # Engine state forms reference cycles; waiting for the cyclic
+    # collector would let several shards' worth pile up (here or in a
+    # pool worker), defeating the bounded residency this path exists
+    # for.  The counting pass frees its shards by reference counting.
+    gc.collect()
     return tuple(pattern.form.labels for pattern in result), result.statistics
 
 
@@ -199,42 +226,27 @@ def _collect_candidates(
 ) -> Tuple[set, MinerStatistics]:
     n_transactions = len(database)
     jobs = [
-        (lo, hi, local_threshold(global_sup, hi - lo, n_transactions))
+        (
+            database,
+            lo,
+            hi,
+            local_threshold(global_sup, hi - lo, n_transactions),
+            task,
+            config,
+            gamma,
+        )
         for lo, hi in bounds
     ]
     stats = MinerStatistics()
     forms: set = set()
-    if processes > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(processes, len(jobs))) as pool:
-            futures = [
-                pool.submit(
-                    _shard_candidates, database, lo, hi, sup, task, config, gamma
-                )
-                for lo, hi, sup in jobs
-            ]
-            for future in futures:
-                shard_forms, shard_stats = future.result()
-                forms.update(shard_forms)
-                stats.merge(shard_stats)
-    else:
-        for lo, hi, sup in jobs:
-            shard_forms, shard_stats = _shard_candidates(
-                database, lo, hi, sup, task, config, gamma
-            )
-            forms.update(shard_forms)
-            stats.merge(shard_stats)
-            # Decoded transactions and engine state form reference
-            # cycles; waiting for the cyclic collector would let
-            # several shards' worth pile up, defeating the bounded
-            # residency this path exists for.
-            gc.collect()
+    for shard_forms, shard_stats in _map_shards(_shard_candidates, jobs, processes):
+        forms.update(shard_forms)
+        stats.merge(shard_stats)
     return forms, stats
 
 
 # ----------------------------------------------------------------------
-# Phase B: exact global counts via canonical store chains
+# Phase B: exact global counts, summed over shards
 # ----------------------------------------------------------------------
 def _form_trie(forms: set) -> Dict:
     trie: Dict = {}
@@ -245,29 +257,54 @@ def _form_trie(forms: set) -> Dict:
     return trie
 
 
-def _count_candidates(
+def _descend(labels: Form, store, node: Dict, forms: set, record) -> None:
+    """``record`` every candidate at or below ``labels`` in the trie.
+
+    Module-level, not a closure: a recursive closure is a reference
+    cycle, which would keep each shard's counts alive until the cyclic
+    collector ran.
+    """
+    if labels in forms:
+        record(labels, store)
+    last = labels[-1]
+    for label in sorted(node):
+        child = store.extend(label, last)
+        # Feasible-embedding emptiness is inherited by every extension,
+        # so the subtree below an empty store counts 0.
+        if child.embedding_count:
+            _descend(labels + (label,), child, node[label], forms, record)
+
+
+def _shard_counts(
     database: GraphDatabase,
+    lo: int,
+    hi: int,
     forms: set,
     resolved: MinerConfig,
     task: str,
     gamma: Optional[float],
-    report_max: Optional[int],
 ) -> Dict[Form, _Counted]:
-    """Exact global (support, transactions, witnesses) per candidate.
+    """One shard's (support, transactions, witnesses) per candidate.
 
     Candidates are organised into a prefix trie and counted by chaining
-    embedding stores along canonical prefixes — each shared prefix's
-    store is built exactly once, and each store is the one the serial
-    engine would hold at the same prefix, so supports, transactions,
-    and witness tuples are byte-identical to a serial mine.  Witnesses
-    are only materialised for forms inside the reporting window
-    (helper candidates one level above ``max_size`` never need them).
+    embedding stores along canonical prefixes over the in-memory shard
+    — each shared prefix's store is built exactly once, and each store
+    is the one the serial engine would hold at the same prefix, so
+    supports, transactions, and witness tuples match a serial mine of
+    the shard.  Transaction ids are returned global (offset by ``lo``).
+    Witnesses are only materialised for forms inside the reporting
+    window (helper candidates one level above ``max_size`` never need
+    them).  Candidates whose prefix has no embedding in the shard are
+    absent: they count 0 here.
     """
-    counted: Dict[Form, _Counted] = {}
-    if not forms:
-        return counted
+    shard = _shard(database, lo, hi)
     trie = _form_trie(forms)
     collect = resolved.collect_witnesses
+    report_max = resolved.max_size
+    # One int object per transaction, shared by every candidate's tuple
+    # and witness dict (``lo + tid`` would allocate one per entry).
+    global_ids = list(range(lo, hi))
+    counted: Dict[Form, _Counted] = {}
 
     def record(labels: Form, store) -> None:
         if task == "quasi":
@@ -280,24 +317,17 @@ def _count_candidates(
             witnesses = {}
             if collect and support and (report_max is None or len(labels) <= report_max):
                 witnesses = store.witnesses()
-        counted[labels] = (support, tids, witnesses)
-
-    def descend(labels: Form, store, node: Dict) -> None:
-        if labels in forms:
-            record(labels, store)
-        last = labels[-1]
-        for label in sorted(node):
-            child = store.extend(label, last)
-            # Feasible-embedding emptiness is inherited by every
-            # extension, so the subtree below an empty store counts 0.
-            if child.embedding_count:
-                descend(labels + (label,), child, node[label])
+        counted[labels] = (
+            support,
+            tuple([global_ids[tid] for tid in tids]),
+            {global_ids[tid]: vertices for tid, vertices in witnesses.items()},
+        )
 
     context: Dict = {}
     for root in sorted(trie):
         if task == "quasi":
             store = QuasiEmbeddingStore.for_label(
-                database,
+                shard,
                 root,
                 kernel=resolved.kernel,
                 gamma=gamma,
@@ -306,7 +336,7 @@ def _count_candidates(
             )
         else:
             store = EmbeddingStore.for_label(
-                database,
+                shard,
                 None,
                 root,
                 resolved.embedding_strategy,
@@ -314,7 +344,39 @@ def _count_candidates(
                 context,
             )
         if store.embedding_count or (root,) in forms:
-            descend((root,), store, trie[root])
+            _descend((root,), store, trie[root], forms, record)
+    return counted
+
+
+def _count_candidates(
+    database: GraphDatabase,
+    bounds: Sequence[Tuple[int, int]],
+    forms: set,
+    resolved: MinerConfig,
+    task: str,
+    gamma: Optional[float],
+    processes: int,
+) -> Dict[Form, _Counted]:
+    """Exact global (support, transactions, witnesses) per candidate.
+
+    Each shard is counted on its own (:func:`_shard_counts`) and the
+    results are merged in shard order: supports are summed, transaction
+    tuples concatenated, and witness dicts unioned.  All three are
+    per-transaction predicates, so the sums are exact over any
+    partition, and each transaction is decoded once.
+    """
+    counted: Dict[Form, _Counted] = {}
+    if not forms:
+        return counted
+    jobs = [(database, lo, hi, forms, resolved, task, gamma) for lo, hi in bounds]
+    for shard_counted in _map_shards(_shard_counts, jobs, processes):
+        for labels, (support, tids, witnesses) in shard_counted.items():
+            known = counted.get(labels)
+            if known is None:
+                counted[labels] = (support, tids, witnesses)
+            else:
+                known[2].update(witnesses)
+                counted[labels] = (known[0] + support, known[1] + tids, known[2])
     return counted
 
 
@@ -396,10 +458,11 @@ def mine_sharded(
     embeddings resident.  Statistics are honest *aggregates* of the
     per-shard candidate mines, not a replay of the serial counters.
 
-    ``request.processes > 1`` mines shard candidates on a process
-    pool.  The counting pass runs in the calling process either way,
-    and builds one store chain per candidate root, so it reads the
-    database once per root rather than in a single scan.
+    Two passes read the database shard by shard, each decoding every
+    transaction once: the candidate pass mines each shard for
+    candidate forms, and the counting pass counts every candidate in
+    each shard and sums the per-shard counts.  ``request.processes >
+    1`` runs both passes on a process pool.
     """
     if request.budget is not None or request.sample_every:
         raise MiningError(
@@ -421,7 +484,7 @@ def mine_sharded(
         request.processes,
     )
     counted = _count_candidates(
-        database, forms, resolved, task, request.gamma, resolved.max_size
+        database, bounds, forms, resolved, task, request.gamma, request.processes
     )
     patterns = _merge_candidates(counted, global_sup, resolved, task, request.k)
     result = MiningResult(

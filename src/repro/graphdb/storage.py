@@ -322,13 +322,10 @@ class SqliteGraphSource(GraphSource):
         return batch[tid]
 
     def iter_range(self, lo: int, hi: int) -> Iterator[Graph]:
-        cursor = self._connect().execute(
-            "SELECT tid, encoding FROM graphs WHERE tid >= ? AND tid < ? "
-            "ORDER BY tid",
-            (lo, hi),
-        )
-        for tid, encoding in cursor:
-            yield decode_graph(encoding, tid)
+        # Through the batch cache: a scan of a store that fits the cache
+        # decodes each transaction once, however often it is repeated.
+        for tid in range(max(lo, 0), min(hi, len(self))):
+            yield self.get(tid)
 
     def append(self, graph: Graph) -> int:
         conn = self._connect()

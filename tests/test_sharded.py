@@ -7,6 +7,9 @@ shard-and-merge path — produces byte-identical canonical envelopes
 (patterns, supports, transactions, witnesses).
 """
 
+import dataclasses
+import gc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,6 +23,8 @@ from repro.core.sharding import (
 )
 from repro.exceptions import MiningError
 from repro.graphdb import GraphDatabase, import_graphs, open_source, random_database
+from repro.graphdb import storage
+from repro.graphdb.schema import decode_graph
 
 from .strategies import graph_databases
 
@@ -43,10 +48,15 @@ def seeded_db() -> GraphDatabase:
 
 
 @pytest.fixture(scope="module")
-def sqlite_db(seeded_db, tmp_path_factory) -> GraphDatabase:
+def store_path(seeded_db, tmp_path_factory):
     path = tmp_path_factory.mktemp("stores") / "diff60.sqlite"
-    import_graphs(path, iter(seeded_db), name=seeded_db.name)
-    return GraphDatabase(source=open_source(path))
+    import_graphs(path, iter(seeded_db), name=seeded_db.name).close()
+    return path
+
+
+@pytest.fixture(scope="module")
+def sqlite_db(store_path) -> GraphDatabase:
+    return GraphDatabase(source=open_source(store_path))
 
 
 class TestShardBounds:
@@ -131,6 +141,52 @@ class TestDifferentialSuite:
         serial = canonical(request, execute_request(seeded_db, request))
         sharded = canonical(request, mine_sharded(sqlite_db, request, shards=5))
         assert sharded == serial
+
+    @pytest.mark.parametrize("task,options", TASKS, ids=[t for t, _ in TASKS])
+    def test_each_pass_decodes_a_transaction_once(
+        self, seeded_db, store_path, monkeypatch, task, options
+    ):
+        # A 16-transaction decode cache over a 60-transaction store:
+        # anything but a shard-major scan would decode far more.
+        decoded = []
+
+        def counting_decode(encoding, tid):
+            decoded.append(tid)
+            return decode_graph(encoding, tid)
+
+        monkeypatch.setattr(storage, "decode_graph", counting_decode)
+        source = open_source(store_path, batch_size=4, max_batches=4)
+        request = MiningRequest.from_options(2, task=task, **options)
+        try:
+            sharded = mine_sharded(GraphDatabase(source=source), request, shards=4)
+        finally:
+            source.close()
+        assert len(source) >= 40
+        assert len(decoded) <= 2 * len(source)
+        serial = canonical(request, execute_request(seeded_db, request))
+        assert canonical(request, sharded) == serial
+
+    @pytest.mark.parametrize("task,options", TASKS, ids=[t for t, _ in TASKS])
+    def test_pool_matches_serial_over_sqlite(self, sqlite_db, task, options):
+        request = MiningRequest.from_options(2, task=task, **options)
+        serial = mine_sharded(sqlite_db, request, shards=4)
+        pooled = mine_sharded(
+            sqlite_db, dataclasses.replace(request, processes=2), shards=4
+        )
+        # Compared under one request: the envelope echoes ``processes``.
+        assert canonical(request, pooled) == canonical(request, serial)
+
+    def test_counting_pass_leaves_no_cyclic_garbage(self, seeded_db):
+        # Shards must be freed as soon as they are counted; garbage in
+        # cycles would wait for the collector, several shards at once.
+        request = MiningRequest.from_options(2, task="closed", kernel="bitset")
+        gc.collect()
+        gc.disable()
+        try:
+            mine_sharded(seeded_db, request, shards=4)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
     def test_size_windows_survive_the_merge(self, seeded_db):
         for task, options in [

@@ -12,6 +12,7 @@ import pickle
 import pytest
 
 from repro.chem import ca_like_database
+from repro.core.api import MiningRequest, MiningResultEnvelope, execute_request
 from repro.exceptions import DatabaseError
 from repro.graphdb import (
     Graph,
@@ -26,6 +27,7 @@ from repro.graphdb import (
     random_database,
     transaction_digest,
 )
+from repro.graphdb import storage
 from repro.graphdb.schema import decode_graph, encode_graph
 from repro.io import gspan_format, json_format
 from repro.io.runlog import database_fingerprint
@@ -127,6 +129,33 @@ class TestSqliteSource:
         clone = pickle.loads(pickle.dumps(source))
         assert len(clone) == len(db)
         assert clone.get(3) == db[3]
+
+    def test_iter_range_clips_to_the_store(self, store):
+        db, source = store
+        assert list(source.iter_range(-3, 2)) == [db[0], db[1]]
+        assert list(source.iter_range(23, 99)) == [db[23], db[24]]
+        assert list(source.iter_range(9, 9)) == []
+
+    def test_serial_mine_decodes_each_transaction_once(self, store, monkeypatch):
+        # Every root's store scans the database; a store that fits the
+        # decode cache must still decode each transaction only once.
+        db, source = store
+        decoded = []
+
+        def counting_decode(encoding, tid):
+            decoded.append(tid)
+            return decode_graph(encoding, tid)
+
+        monkeypatch.setattr(storage, "decode_graph", counting_decode)
+        request = MiningRequest(min_sup=2)
+        result = execute_request(GraphDatabase(source=source), request)
+        assert sorted(decoded) == list(range(len(source)))
+        assert (
+            MiningResultEnvelope.from_result(request, result).canonical_json()
+            == MiningResultEnvelope.from_result(
+                request, execute_request(db, request)
+            ).canonical_json()
+        )
 
     def test_no_aligned_or_slab_space(self, store):
         # Aligning an out-of-core store would materialise it.
