@@ -1,10 +1,10 @@
-"""Extension benchmark — static chunking vs the work-stealing executor.
+"""Extension benchmark — static scheduling vs the work-stealing executor.
 
 Not a paper figure: the paper predates multi-core ubiquity.  CLAN's DFS
 subtrees are independent under structural redundancy pruning, so root
 labels partition the work — but *unevenly*: on dense databases the
 lowest-alphabet "hub" roots own most of the search, and a static
-chunking's makespan degenerates to the heaviest root.  This benchmark
+schedule's makespan degenerates to the heaviest root.  This benchmark
 builds a deliberately skewed hub database, then compares the static
 scheduler against the work-stealing executor (cost-guided root
 splitting) at 1/2/4/8 workers.
@@ -34,7 +34,6 @@ from repro.core import (
     MiningExecutor,
     estimate_root_costs,
     mine_closed_cliques,
-    partition_roots,
 )
 from repro.core.executor import DEFAULT_SPLIT_FACTOR, STATIC, STEALING
 from repro.graphdb import Graph, GraphDatabase
@@ -45,7 +44,6 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 WORKER_COUNTS = (1, 2, 4, 8)
 REAL_WORKER_COUNTS = (2, 4)
 MIN_SUP = 3
-CHUNKS_PER_PROCESS = 4
 
 #: Scale knobs: graphs, hub label count, copies of each hub label (the
 #: front-loaded profile is the skew), hub edge density, tail labels,
@@ -139,8 +137,9 @@ class TaskTimer:
 def simulate(timer, processes, scheduler):
     """Greedy list-scheduling over measured task times.
 
-    Mirrors the executor's policy: static pops round-robin chunks in
-    submission order; stealing pops whole roots heaviest-first (by the
+    Mirrors the executor's policy: static pops one whole root per task
+    in canonical order and never splits; stealing pops whole roots
+    heaviest-first (by the
     static cost estimate) and splits a popped root into its measured
     level-2 subtasks when its estimate exceeds the fair share of the
     remaining estimated work — the executor's own split rule at
@@ -148,16 +147,9 @@ def simulate(timer, processes, scheduler):
     earliest-free worker.  Returns makespan, straggler ratio, splits.
     """
     if scheduler == STATIC:
-        chunks = partition_roots(timer.roots, processes * CHUNKS_PER_PROCESS)
         pending = [
-            (
-                0.0,
-                index,
-                sum(timer.estimates[root] for root in chunk),
-                sum(timer.root_seconds[root] for root in chunk),
-                None,
-            )
-            for index, chunk in enumerate(chunks)
+            (0.0, index, timer.estimates[root], timer.root_seconds[root], None)
+            for index, root in enumerate(timer.roots)
         ]
     else:
         pending = [

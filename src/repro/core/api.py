@@ -26,7 +26,8 @@ caller now shares:
   the :meth:`MiningRequest.from_options` builder but emits a
   ``DeprecationWarning``.
 * :func:`execute_request` — the dispatcher underneath :func:`mine`,
-  the CLI, and the service: session / cache / pool / serial engine.
+  the CLI, and the service: a session, the serial engine, or one
+  executor call for cached and/or pooled runs.
 
 Dispatch table::
 
@@ -646,9 +647,11 @@ def execute_request(
     """Dispatch a :class:`MiningRequest` to the right execution path.
 
     The single dispatcher behind :func:`mine`, the CLI subcommands, and
-    the service's job runner: session (budgets/sinks/resume/streaming),
-    cached mine, worker pool, or the serial engine — in that order of
-    precedence.
+    the service's job runner: a session (budgets/sinks/resume/
+    streaming), else the serial engine when neither a cache nor a pool
+    is asked for, else one :meth:`MiningExecutor.mine
+    <repro.core.executor.MiningExecutor.mine>` call (cached and/or
+    pooled).
     """
     resolved = request.resolved_config()
     min_sup = parse_support(request.min_sup)
@@ -661,11 +664,6 @@ def execute_request(
         or resume_from is not None
         or request.budget is not None
     )
-    if cache is not None and root_labels is not None:
-        raise MiningError(
-            "root_labels cannot be combined with cache; cached mining "
-            "covers every frequent root"
-        )
     if wants_session:
         if root_labels is not None:
             raise MiningError(
@@ -680,39 +678,28 @@ def execute_request(
             cache=cache,
         )
         return session if stream else session.run()
-    if cache is not None:
-        from .cache import mine_with_cache
-
-        return mine_with_cache(
-            database,
-            min_sup,
-            cache=cache,
-            config=resolved,
-            processes=request.processes,
-            scheduler=request.scheduler if request.processes > 1 else None,
-            task=request.task,
-            k=request.k,
-            gamma=request.gamma,
+    if cache is None and request.processes == 1:
+        return engine_for_task(
+            database, resolved, request.task, request.k, request.gamma
+        ).mine(min_sup, root_labels=root_labels)
+    if root_labels is not None:
+        raise MiningError(
+            "root_labels cannot be combined with cache or processes>1; "
+            "cached and pooled mining cover every frequent root"
         )
-    if request.processes > 1:
-        from .executor import MiningExecutor
+    from .executor import MiningExecutor
 
-        if root_labels is not None:
-            raise MiningError("root_labels and processes>1 cannot be combined")
-        with MiningExecutor(
-            database,
-            resolved,
-            processes=request.processes,
-            scheduler=request.scheduler,
-            task=request.task,
-            k=request.k,
-            gamma=request.gamma,
-        ) as executor:
-            return executor.mine(min_sup)
-
-    return engine_for_task(
-        database, resolved, request.task, request.k, request.gamma
-    ).mine(min_sup, root_labels=root_labels)
+    with MiningExecutor(
+        database,
+        resolved,
+        processes=request.processes,
+        scheduler=request.scheduler,
+        cache=cache,
+        task=request.task,
+        k=request.k,
+        gamma=request.gamma,
+    ) as executor:
+        return executor.mine(min_sup)
 
 
 def _resolve_budget(

@@ -29,13 +29,21 @@ tiers:
 2. **sweep hits** — no exact entry, but an entry at a lower threshold
    exists: its patterns are filtered to ``support ≥ s`` (exact by the
    argument above) and the derived entry is memoized.  Derived entries
-   carry no statistics or events — callers that must replay those
-   (sessions, :meth:`MiningExecutor.mine`) use the exact tier only,
-   and maximal / top-k runs never consult this tier at all (their
-   outputs are not support-filterable across thresholds);
+   carry no statistics or events, so sessions, which must replay
+   those, use the exact tier only; batch mines
+   (:meth:`MiningExecutor.mine`, :func:`mine_with_cache`,
+   ``repro.mine(..., cache=...)``) accept them.  Maximal / top-k /
+   quasi runs never consult this tier at all (their outputs are not
+   support-filterable across thresholds);
 3. **persistence** — :func:`repro.io.runlog.save_cache` /
    :func:`repro.io.runlog.open_cache` round-trip the whole cache as
    JSON, so a CLI sweep or a restarted service warms from disk.
+
+Outside the append engine, one place reads and writes entries:
+:meth:`MiningExecutor.iter_roots
+<repro.core.executor.MiningExecutor.iter_roots>`, the root runner that
+sessions, :func:`mine_with_cache`, and pooled or cached
+:func:`repro.mine` calls all drive.
 
 Invalidation is structural: the database fingerprint covers every
 vertex, label, and edge, so any change misses cleanly.  Appends are
@@ -49,12 +57,10 @@ invalidate anything — they are what the sweep tier feeds on.
 
 from __future__ import annotations
 
-import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
-    List,
     Mapping,
     Optional,
     Sequence,
@@ -67,7 +73,6 @@ from ..exceptions import MiningError
 from ..graphdb.database import GraphDatabase
 from .canonical import CanonicalForm, Label
 from .config import MinerConfig
-from .engine import engine_digest, engine_for_task, finalize_patterns, make_strategy
 from .pattern import CliquePattern
 from .results import MiningResult
 from .session import MiningEvent, event_from_dict, event_to_dict
@@ -446,20 +451,22 @@ def mine_with_cache(
     ``quasi``) runs here; entries are keyed by
     :func:`~repro.core.engine.engine_digest`, so tasks never collide
     in a shared cache (and closed/frequent keys stay byte-compatible
-    with caches persisted before the engine refactor).  The pattern
-    set is byte-identical to an uncached serial
-    :meth:`MiningEngine.mine` — cached roots replay their stored
-    patterns, missing roots are mined fresh (serially, or through a
-    :class:`~repro.core.executor.MiningExecutor` when ``processes >
-    1``) and stored.  Statistics are replayed exactly for exact-tier
-    hits; sweep-derived roots contribute patterns but no search
-    counters, so after a sweep hit the statistics describe only the
-    roots actually mined.  The sweep tier itself only serves closed
-    and frequent runs: maximal, top-k, and quasi outputs are not
-    support-filterable across thresholds, so those tasks use the
-    exact-replay tier alone.  ``statistics.roots_from_cache`` /
-    ``cache_hits`` / ``cache_misses`` report the reuse (kept out of the
-    deterministic snapshot, like ``cpu_seconds``).
+    with caches persisted before the engine refactor).  One
+    :meth:`MiningExecutor.mine <repro.core.executor.MiningExecutor.mine>`
+    call does the work: cached roots replay their stored patterns,
+    missing roots are mined fresh — inline with ``processes=1``, on the
+    executor's pool otherwise — and stored.  The pattern set and,
+    for exact-tier hits, the statistics are byte-identical to an
+    uncached serial :meth:`MiningEngine.mine`.  Sweep-derived roots
+    contribute patterns but no search counters, so after a sweep hit
+    the statistics describe only the roots actually mined or replayed
+    exactly.  The sweep tier itself only serves closed and frequent
+    runs: maximal, top-k, and quasi outputs are not support-filterable
+    across thresholds, so those tasks use the exact-replay tier alone.
+    ``statistics.roots_from_cache`` / ``cache_hits`` / ``cache_misses``
+    report the reuse (kept out of the deterministic snapshot, like
+    ``cpu_seconds``).  ``scheduler`` applies only with ``processes >
+    1``.
 
     ``fingerprint`` lets a caller that already computed
     :func:`~repro.io.runlog.database_fingerprint` for *this exact
@@ -467,107 +474,22 @@ def mine_with_cache(
     threshold).  Passing a fingerprint of a different database serves
     stale patterns — leave it ``None`` unless the provenance is certain.
     """
-    from ..io.runlog import database_fingerprint
+    if scheduler is not None and processes <= 1:
+        raise MiningError("scheduler only applies when processes > 1")
+    from .executor import STEALING, MiningExecutor
 
-    started = time.perf_counter()
-    # Raises MiningError for unknown tasks / topk without k / quasi
-    # without gamma, and tells us whether the sweep tier is sound for
-    # this task's output.
-    strategy = make_strategy(task, k, gamma)
-    if config is None:
-        config = (
-            MinerConfig() if task != "frequent" else MinerConfig.all_frequent()
-        )
-    if config.closed_only != (task != "frequent"):
-        raise MiningError(
-            f"config.closed_only={config.closed_only} contradicts task {task!r}"
-        )
-    if not config.structural_redundancy_pruning:
-        raise MiningError(
-            "cached mining reuses per-root subtrees and requires structural "
-            "redundancy pruning"
-        )
-    abs_sup = database.absolute_support(min_sup)
-    if fingerprint is None:
-        fingerprint = database_fingerprint(database)
-    digest = engine_digest(task, config, k, gamma)
-    roots = tuple(database.frequent_labels(abs_sup))
-
-    stats = MinerStatistics()
-    collected: List[CliquePattern] = []
-    hits = 0
-    if processes > 1:
-        from .executor import STEALING, MiningExecutor
-
-        executor = MiningExecutor(
-            database,
-            config,
-            processes=processes,
-            scheduler=scheduler if scheduler is not None else STEALING,
-            cache=cache,
-            task=task,
-            k=k,
-            gamma=gamma,
-        )
-        try:
-            for _root, part, _events in executor.iter_roots(
-                abs_sup, roots, allow_sweep=True
-            ):
-                stats.merge(part.statistics)
-                collected.extend(part)
-            report = executor.last_report
-            hits = report.roots_from_cache if report is not None else 0
-        finally:
-            executor.close()
-    else:
-        if scheduler is not None:
-            raise MiningError("scheduler only applies when processes > 1")
-        missing: List[Label] = []
-        for root in roots:
-            entry = cache.lookup(
-                fingerprint,
-                digest,
-                abs_sup,
-                root,
-                allow_sweep=strategy.supports_sweep,
-            )
-            if entry is None:
-                missing.append(root)
-                continue
-            hits += 1
-            collected.extend(entry.patterns)
-            if entry.statistics is not None:
-                stats.merge(MinerStatistics.from_snapshot(dict(entry.statistics)))
-        if missing:
-            miner = engine_for_task(database, config, task, k, gamma).prepare()
-            for root in missing:
-                part = miner.mine(abs_sup, root_labels=(root,))
-                cache.store(
-                    fingerprint,
-                    digest,
-                    CachedRoot(
-                        root=root,
-                        abs_sup=abs_sup,
-                        patterns=tuple(part),
-                        statistics=part.statistics.snapshot(),
-                    ),
-                )
-                stats.merge(part.statistics)
-                collected.extend(part)
-
-    result = MiningResult(
-        min_sup=abs_sup, closed_only=config.closed_only, statistics=stats
-    )
-    for pattern in finalize_patterns(task, collected, k):
-        result.add(pattern)
-    # Parity with the uncached serial miner, whose lazy label-support
-    # scan counts one database scan (the executor does the same).
-    stats.database_scans += 1
-    stats.roots_from_cache += hits
-    stats.cache_hits += hits
-    stats.cache_misses += len(roots) - hits
-    result.elapsed_seconds = time.perf_counter() - started
-    return result
+    with MiningExecutor(
+        database,
+        config,
+        processes=processes,
+        scheduler=scheduler if scheduler is not None else STEALING,
+        cache=cache,
+        task=task,
+        k=k,
+        gamma=gamma,
+    ) as executor:
+        executor._fingerprint = fingerprint
+        return executor.mine(min_sup)
 
 
 def sweep(

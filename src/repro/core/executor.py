@@ -1,12 +1,14 @@
-"""Adaptive parallel execution of CLAN's root-partitioned search.
+"""The one root runner: CLAN's root-partitioned search, inline or pooled.
 
-Static round-robin chunking (the original
-:func:`mine_closed_cliques_parallel` scheduler, which now lives in
-this module) divides DFS roots up front, so one heavy low-alphabet root — the norm
-in the paper's dense stock-market graphs, where structural redundancy
-pruning concentrates work in the smallest labels — leaves every other
-worker idle.  :class:`MiningExecutor` replaces that with a
-work-stealing design:
+Structural redundancy pruning makes every DFS root's subtree
+independent (paper §4), so a run is an ordered walk over roots.
+:meth:`MiningExecutor.iter_roots` is the only loop that walks them:
+:meth:`MiningExecutor.mine`, :func:`~repro.core.cache.mine_with_cache`
+and :class:`~repro.core.session.MiningSession` all drive roots through
+it.  Per root it either replays a :class:`~repro.core.cache.MiningCache`
+entry or mines the root — in the parent with ``processes=1`` (inline
+mode: no pool, and live :class:`~repro.core.session.SearchHooks` keep
+per-prefix budgets and cancellation), or on a work-stealing pool:
 
 * a **work queue of tasks** (initially one whole subtree per frequent
   root) that idle workers pull from, heaviest first, one task at a
@@ -19,13 +21,15 @@ work-stealing design:
   re-enqueues it as its independent level-2 subtrees
   (``first_extensions`` tasks of :meth:`ClanMiner.mine`), which the
   root-partitioning property makes exact one level down;
-* **shared index warm-up** — the parent builds the label supports,
-  the :class:`~repro.graphdb.core_index.PseudoDatabase`, and the
-  per-graph bitset masks once (:meth:`ClanMiner.prepare`) *before*
-  creating the pool, so under the ``fork`` start method every worker
-  inherits the finished indexes copy-on-write instead of rebuilding
-  them; under ``spawn`` the workers rebuild from the pickled database
-  (the initargs double as the fallback payload);
+* **shared index warm-up** — on a run's first cache miss the parent
+  builds the label supports, the
+  :class:`~repro.graphdb.core_index.PseudoDatabase`, and the per-graph
+  bitset masks once (:meth:`ClanMiner.prepare`) *before* creating the
+  pool, so under the ``fork`` start method every worker inherits the
+  finished indexes copy-on-write instead of rebuilding them; under
+  ``spawn`` the workers rebuild from the pickled database (the
+  initargs double as the fallback payload).  A fully cached run builds
+  no index at all;
 * a **persistent pool**: the executor keeps its workers alive across
   :meth:`mine` calls, so repeated mining of the same database (support
   sweeps, benchmark loops) pays process start-up once.
@@ -33,11 +37,11 @@ work-stealing design:
 Correctness contract: for every scheduler and any interleaving, the
 merged :class:`MiningResult` — patterns, order, and statistics — is
 byte-identical to the serial :class:`ClanMiner`'s, and the per-root
-event substreams replayed by :class:`~repro.core.session.MiningSession`
-in canonical task order are byte-identical to a serial session's.
-Split tasks record *every* prefix (``sample_every=1``) and the parent
-re-derives the serial sampling while renumbering ordinals during
-replay, so even sampled streams match.
+event substreams replayed in canonical task order are byte-identical
+to a serial session's.  Split tasks record *every* prefix
+(``sample_every=1``) and the parent re-derives the serial sampling
+while renumbering ordinals during replay, so even sampled streams
+match.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import multiprocessing
 import os
 import queue
 import time
+import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -59,6 +64,7 @@ from .config import MinerConfig
 from .engine import MiningEngine, engine_digest, engine_for_task, finalize_patterns
 from .results import MiningResult
 from .session import MiningEvent, PrefixVisited, SearchHooks, _ListSink
+from .statistics import MinerStatistics
 
 __all__ = [
     "DEFAULT_SPLIT_FACTOR",
@@ -73,7 +79,7 @@ __all__ = [
     "partition_roots",
 ]
 
-#: Scheduler names: static round-robin chunks vs the adaptive queue.
+#: Scheduler names: canonical-order submission vs the adaptive queue.
 STATIC = "static"
 STEALING = "stealing"
 SCHEDULERS = (STATIC, STEALING)
@@ -86,7 +92,7 @@ DEFAULT_SPLIT_FACTOR = 1.0
 
 
 def partition_roots(labels: Sequence[Label], chunks: int) -> List[Tuple[Label, ...]]:
-    """Split root labels into round-robin chunks (the static scheduler).
+    """Split root labels into round-robin chunks.
 
     Round-robin (rather than contiguous blocks) spreads the typically
     heavy low-alphabet roots across workers.
@@ -134,8 +140,8 @@ class MiningTask:
     """One unit of schedulable work: a subtree (or sub-subtree) mine.
 
     ``roots``
-        The DFS root labels this task mines (one root per task under
-        the stealing scheduler; a chunk under static).
+        The DFS root labels this task mines (the executor schedules one
+        root per task).
     ``first_extensions``
         ``None`` mines the whole subtree(s); a tuple restricts the
         task to the level-2 subtrees ``root ◇ β`` for those β (split
@@ -173,7 +179,7 @@ class ExecutorReport:
     splits: int = 0
     elapsed_seconds: float = 0.0
     #: Roots answered from the executor's :class:`MiningCache` instead
-    #: of entering the work queue at all.
+    #: of being mined at all.
     roots_from_cache: int = 0
     #: Summed in-worker mining time (the statistics' ``cpu_seconds``).
     cpu_seconds: float = 0.0
@@ -204,7 +210,7 @@ class ExecutorReport:
 
 
 # ----------------------------------------------------------------------
-# Worker plumbing
+# Task execution (inline and in workers)
 # ----------------------------------------------------------------------
 #: Parent-side registry of prepared engines, set *before* the pool is
 #: created so fork-started workers inherit the entry (and the already
@@ -232,40 +238,64 @@ def _init_executor_worker(
     _WORKER_STATE["miner"] = miner
 
 
+def _run_task(
+    miner: MiningEngine,
+    abs_sup: int,
+    task: MiningTask,
+    sample_every: int,
+    record: bool,
+    hooks: Optional[SearchHooks] = None,
+) -> Tuple[MiningResult, Tuple[MiningEvent, ...]]:
+    """Mine one task; with ``record``, also return its event substream.
+
+    ``hooks`` are live instrumentation (an inline session run): their
+    sinks see every event as it happens, and the recorder rides along
+    beside them.  Without live hooks a recording run samples through
+    private ones, as pool workers do.
+    """
+    recorder: Optional[_ListSink] = None
+    if record:
+        recorder = _ListSink()
+        if hooks is None:
+            hooks = SearchHooks(sample_every=sample_every)
+        live_sinks = hooks.sinks
+        hooks.sinks = live_sinks + (recorder,)
+    try:
+        part = miner.mine(
+            abs_sup,
+            root_labels=task.roots,
+            hooks=hooks,
+            first_extensions=task.first_extensions,
+            include_root=task.include_root,
+        )
+    finally:
+        # Drain the hook buffer while the recorder is still wired in —
+        # aborted searches included — so the live sinks and the cache
+        # both see the full substream.
+        if hooks is not None:
+            hooks.flush()
+            if recorder is not None:
+                hooks.sinks = live_sinks
+    return part, tuple(recorder.events) if recorder is not None else ()
+
+
 def _execute_task(
-    payload: Tuple[
-        int, int, Tuple[Label, ...], Optional[Tuple[Label, ...]], bool, int, int, bool
-    ],
-) -> Tuple[int, Tuple[Label, ...], int, MiningResult, Tuple[MiningEvent, ...], float, int]:
+    payload: Tuple[int, int, MiningTask, int, bool],
+) -> Tuple[int, MiningTask, MiningResult, Tuple[MiningEvent, ...], float, int]:
     """Run one :class:`MiningTask` in a worker; the result channel.
 
-    Returns the task identity, its :class:`MiningResult`, the recorded
-    event substream (when capturing), the measured mining seconds (the
-    live feedback that recalibrates cost estimates), and the worker
-    pid (straggler accounting).
+    Returns the task, its :class:`MiningResult`, the recorded event
+    substream (when capturing), the measured mining seconds (the live
+    feedback that recalibrates cost estimates), and the worker pid
+    (straggler accounting).
     """
-    generation, abs_sup, roots, first_extensions, include_root, seq, sample_every, capture = payload
-    miner: MiningEngine = _WORKER_STATE["miner"]
+    generation, abs_sup, task, sample_every, capture = payload
     started = time.perf_counter()
-    hooks = None
-    recorder = None
-    if capture:
-        recorder = _ListSink()
-        hooks = SearchHooks(sinks=(recorder,), sample_every=sample_every)
-        hooks.begin_root(roots[0])
-    result = miner.mine(
-        abs_sup,
-        root_labels=roots,
-        hooks=hooks,
-        first_extensions=first_extensions,
-        include_root=include_root,
+    part, events = _run_task(
+        _WORKER_STATE["miner"], abs_sup, task, sample_every, capture
     )
-    events: Tuple[MiningEvent, ...] = ()
-    if recorder is not None:
-        hooks.flush()
-        events = tuple(recorder.events)
     elapsed = time.perf_counter() - started
-    return generation, roots, seq, result, events, elapsed, os.getpid()
+    return generation, task, part, events, elapsed, os.getpid()
 
 
 def _replay_substreams(
@@ -297,7 +327,7 @@ def _replay_substreams(
 # The executor
 # ----------------------------------------------------------------------
 class MiningExecutor:
-    """A persistent worker pool mining CLAN's DFS roots adaptively.
+    """Mines CLAN's DFS roots inline or on a persistent worker pool.
 
     Examples
     --------
@@ -310,39 +340,42 @@ class MiningExecutor:
     ----------
     database, config:
         As for :class:`~repro.core.engine.MiningEngine`; structural
-        redundancy pruning must be on (root partitioning).
+        redundancy pruning must be on (root partitioning).  ``None``
+        resolves to the task's default config.
     processes:
-        Pool size (default: CPU count).
-    task / k:
+        Pool size (default: CPU count).  ``1`` mines every root inline,
+        in the calling process, and never starts a pool.
+    task / k / gamma:
         The engine task to run (any of
-        :data:`repro.core.engine.ENGINE_TASKS`; ``k`` for ``"topk"``).
-        Defaults to closed/frequent following ``config.closed_only``.
-        Top-k roots are never split (the branch-and-bound state is
-        root-wide), but distribute across workers like any other.
+        :data:`repro.core.engine.ENGINE_TASKS`; ``k`` for ``"topk"``,
+        ``gamma`` for ``"quasi"``).  Defaults to closed/frequent
+        following ``config.closed_only``.  Top-k roots are never split
+        (the branch-and-bound state is root-wide), but distribute across
+        workers like any other.
     scheduler:
         ``"stealing"`` (default): one task per root, pulled heaviest
         first, heavy roots split into level-2 subtrees when they
-        dominate the remaining queue.  ``"static"``: the legacy
-        round-robin chunks, kept as the comparison baseline.
+        dominate the remaining queue.  ``"static"``: one task per root
+        submitted in canonical order with no splitting, kept as the
+        comparison baseline.
     split_factor:
         Split threshold multiplier over the fair share
         (:data:`DEFAULT_SPLIT_FACTOR`); ``0.0`` splits every splittable
         root (used by the equivalence tests), large values never split.
     chunks_per_process:
-        Static scheduler's chunk multiplicity (ignored by stealing).
+        Accepted for compatibility and ignored: the static scheduler
+        now submits one task per root.
     cache:
         Optional :class:`~repro.core.cache.MiningCache`.  Roots it can
-        answer skip the work queue entirely (their stored patterns,
-        statistics, and event substreams are replayed), and every root
-        actually mined by :meth:`iter_roots` is stored back.
-        :meth:`mine`'s legacy static chunk path ignores it (chunks are
-        not per-root units).
+        answer are replayed instead of mined, and every root
+        :meth:`iter_roots` mines is stored back.
 
-    The pool is created lazily on first use and survives across
-    :meth:`mine` calls; :meth:`close` (or the context manager) tears it
-    down.  After each run, :attr:`last_report` holds an
-    :class:`ExecutorReport` with task/split counts and per-worker busy
-    time.
+    The pool is created lazily on the first root a run must mine and
+    survives across :meth:`mine` calls; :meth:`close` (or the context
+    manager) tears it down.  Like the engine, the executor snapshots
+    the database (indexes, cache fingerprint) at first use.  After each
+    run, :attr:`last_report` holds an :class:`ExecutorReport` with
+    task/split counts and per-worker busy time.
     """
 
     def __init__(
@@ -362,35 +395,34 @@ class MiningExecutor:
             raise MiningError(
                 f"unknown scheduler {scheduler!r}; use one of {SCHEDULERS}"
             )
-        if config is None:
-            config = MinerConfig()
-        if not config.structural_redundancy_pruning:
-            raise MiningError(
-                "parallel mining partitions DFS roots and requires structural "
-                "redundancy pruning"
-            )
         if processes is None:
             processes = multiprocessing.cpu_count()
         if processes < 1:
             raise MiningError(f"processes must be >= 1, got {processes}")
         if split_factor < 0:
             raise MiningError(f"split_factor must be >= 0, got {split_factor}")
+        if task is None:
+            task = "closed" if config is None or config.closed_only else "frequent"
+        # Validates the task, its k/gamma, and the config against the
+        # task; indexes are built on the first root a run must mine.
+        self._miner = engine_for_task(database, config, task, k, gamma)
+        if not self._miner.config.structural_redundancy_pruning:
+            raise MiningError(
+                "root-partitioned mining requires structural redundancy pruning"
+            )
         self.database = database
-        self.config = config
+        self.config = self._miner.config
         self.processes = processes
         self.scheduler = scheduler
         self.split_factor = split_factor
         self.chunks_per_process = chunks_per_process
         self.cache = cache
-        if task is None:
-            task = "closed" if config.closed_only else "frequent"
         self.task = task
         self.k = k
         self.gamma = gamma
         self.last_report: Optional[ExecutorReport] = None
-        # Shared index warm-up: build every index in the parent now, so
-        # the forked workers inherit them copy-on-write.
-        self._miner = engine_for_task(database, config, task, k, gamma).prepare()
+        self._prepared = False
+        self._fingerprint: Optional[str] = None
         self._token = next(_TOKENS)
         self._pool: Optional[Any] = None
         self._generation = 0
@@ -414,9 +446,15 @@ class MiningExecutor:
             self._pool.join()
             self._pool = None
 
+    def _prepare(self) -> None:
+        # Shared index warm-up, once: before the pool forks, so workers
+        # inherit the indexes copy-on-write, and before any inline mine,
+        # so no per-root mine counts the label-support scan.
+        if not self._prepared:
+            self._miner.prepare()
+            self._prepared = True
+
     def _ensure_pool(self) -> Any:
-        if self._closed:
-            raise MiningError("this MiningExecutor is closed; create a new one")
         if self._pool is None:
             # Registered before Pool() so the forked children see it.
             _PARENT_MINERS[self._token] = self._miner
@@ -439,22 +477,19 @@ class MiningExecutor:
     def mine(self, min_sup: float) -> MiningResult:
         """Mine the whole database; byte-identical to serial ClanMiner.
 
-        Statistics are summed across tasks, ``elapsed_seconds`` is
+        Statistics are summed across roots, ``elapsed_seconds`` is
         wall-clock, and ``statistics.cpu_seconds`` is the summed
-        in-worker mining time.
+        in-worker mining time.  With a :attr:`cache`, closed/frequent
+        roots cached only at a lower threshold are answered by the
+        sweep tier (:func:`~repro.core.cache.mine_with_cache`): their
+        patterns are exact, but they contribute no search counters.
         """
         started = time.perf_counter()
         abs_sup = self.database.absolute_support(min_sup)
         roots = tuple(self.database.frequent_labels(abs_sup))
         merged = MiningResult(min_sup=abs_sup, closed_only=self.config.closed_only)
         collected: List[Any] = []
-        if self.scheduler == STATIC:
-            parts = self._run_static(abs_sup, roots)
-        else:
-            parts = (
-                part for _root, part, _events in self.iter_roots(abs_sup, roots)
-            )
-        for part in parts:
+        for _root, part, _events in self.iter_roots(abs_sup, roots, allow_sweep=True):
             merged.statistics.merge(part.statistics)
             collected.extend(part)
         # Restore the serial engine's deterministic order (and, for
@@ -462,28 +497,33 @@ class MiningExecutor:
         # the same selection the serial engine's finalize applies).
         for pattern in finalize_patterns(self.task, collected, self.k):
             merged.add(pattern)
-        # The parent's frequent_labels() root scan stands in for the
-        # serial miner's label-support scan, so parallel database_scans
-        # equals serial (workers inherit prepared indexes and never
-        # rescan for label supports).
-        merged.statistics.database_scans += 1
-        # The serial root loop also counts each infrequent root label it
-        # skips; those labels never become tasks here, so account for
-        # them once to keep statistics parity with the serial engine.
-        merged.statistics.infrequent_extensions += (
-            len(self.database.label_supports()) - len(roots)
-        )
-        if self.cache is not None and self.last_report is not None:
-            hits = self.last_report.roots_from_cache
-            merged.statistics.roots_from_cache += hits
-            merged.statistics.cache_hits += hits
-            merged.statistics.cache_misses += len(roots) - hits
+        self._charge_run(merged.statistics, len(roots))
         merged.elapsed_seconds = time.perf_counter() - started
         if self.last_report is not None:
             self.last_report.elapsed_seconds = merged.elapsed_seconds
         return merged
 
-    # -- the streaming entry point (session integration) ---------------
+    def _charge_run(self, statistics: MinerStatistics, n_frequent: int) -> None:
+        """Add the last run's launcher work, which no root owns.
+
+        The parent's ``frequent_labels()`` root scan stands in for the
+        serial engine's label-support scan, and the serial root loop
+        counts every infrequent root label it skips; charging both here
+        makes every path's statistics equal the serial engine's.  The
+        cache counters report the run's reuse.
+        """
+        statistics.database_scans += 1
+        statistics.infrequent_extensions += (
+            len(self.database.label_supports()) - n_frequent
+        )
+        report = self.last_report
+        if self.cache is not None and report is not None:
+            hits = report.roots_from_cache
+            statistics.roots_from_cache += hits
+            statistics.cache_hits += hits
+            statistics.cache_misses += report.roots - hits
+
+    # -- the root runner ------------------------------------------------
     def iter_roots(
         self,
         min_sup: float,
@@ -491,49 +531,54 @@ class MiningExecutor:
         sample_every: int = 0,
         capture_events: bool = False,
         allow_sweep: bool = False,
+        hooks: Optional[SearchHooks] = None,
     ) -> Iterator[Tuple[Label, MiningResult, Tuple[MiningEvent, ...]]]:
         """Mine the given roots, yielding each in canonical order.
 
-        Yields ``(root, merged_result, events)`` for every root, in the
-        order given (the canonical serial order), regardless of the
-        order workers finish in — split tasks are merged and their
-        event substreams replayed in canonical task order first, which
-        is what preserves the serial==parallel byte-identity contract.
+        Yields ``(root, result, events)`` for every root, in the order
+        given (the canonical serial order), regardless of the order
+        workers finish in — split tasks are merged and their event
+        substreams replayed in canonical task order first, which is
+        what preserves the serial==parallel byte-identity contract.
         The consumer may stop iterating at any root boundary (budgets,
         cancellation); in-flight work is then simply abandoned.
 
-        With a :attr:`cache`, roots answered from it never enter the
-        work queue; every mined root is stored back.  By default only
-        exact-tier entries (with replayable statistics, and events when
+        With a :attr:`cache`, roots answered from it are never mined;
+        every mined root is stored back.  By default only exact-tier
+        entries (with replayable statistics, and events when
         ``capture_events``) are accepted, keeping the byte-identity
         contract; ``allow_sweep=True`` additionally accepts
-        patterns-only entries derived from a lower cached threshold
-        (:func:`~repro.core.cache.mine_with_cache`'s sweep tier).
+        patterns-only entries derived from a lower cached threshold.
+
+        ``hooks`` is a live :class:`~repro.core.session.SearchHooks`
+        (the session's).  Each root opens with ``hooks.begin_root``.
+        Inline, mined roots run under it: per-prefix budgets and
+        cancellation raise :class:`~repro.core.session.SearchAborted`
+        out of this iterator, and its sinks see events as they happen
+        (yielded only when a cache records them).  Cached and pool-mined
+        roots replay their substreams to its sinks and advance its
+        run-wide counters, so budgets count them too.
         """
+        if self._closed:
+            raise MiningError("this MiningExecutor is closed; create a new one")
         abs_sup = self.database.absolute_support(min_sup)
         roots = tuple(roots)
-        report = ExecutorReport(scheduler=self.scheduler, processes=self.processes)
-        report.roots = len(roots)
+        report = ExecutorReport(
+            scheduler=self.scheduler, processes=self.processes, roots=len(roots)
+        )
         self.last_report = report
-        if not roots:
-            return
         started = time.perf_counter()
-
         # The sweep tier derives patterns by support-filtering (Lemma
         # 4.3's monotonicity); only strategies whose output is support-
-        # filterable may use it — maximal/top-k stay exact-replay only.
+        # filterable may use it — maximal/top-k/quasi stay exact-replay.
         allow_sweep = allow_sweep and self._miner.strategy.supports_sweep
         cached: Dict[Label, CachedRoot] = {}
-        fingerprint = config_digest = ""
         if self.cache is not None:
-            from ..io.runlog import database_fingerprint
-
-            fingerprint = database_fingerprint(self.database)
-            config_digest = engine_digest(self.task, self.config, self.k, self.gamma)
+            fingerprint, digest = self._cache_keys()
             for root in roots:
                 entry = self.cache.lookup(
                     fingerprint,
-                    config_digest,
+                    digest,
                     abs_sup,
                     root,
                     need_statistics=not allow_sweep,
@@ -545,24 +590,101 @@ class MiningExecutor:
                     cached[root] = entry
         report.roots_from_cache = len(cached)
         to_mine = tuple(root for root in roots if root not in cached)
+        if to_mine:
+            self._prepare()
+        pooled = None
+        if self.processes > 1 and to_mine:
+            pooled = self._mine_pooled(
+                abs_sup, to_mine, sample_every, capture_events, report
+            )
+        # Inline live runs deliver events to the hooks' sinks directly,
+        # so they record only what a cache stores.
+        record = capture_events and (hooks is None or self.cache is not None)
 
-        # Everything cached: replay without ever touching the pool.
-        pool = self._ensure_pool() if to_mine else None
+        for root in roots:
+            if hooks is not None:
+                hooks.begin_root(root)
+            entry = cached.get(root)
+            if entry is not None:
+                part = entry.result(self.config.closed_only)
+                events: Tuple[MiningEvent, ...] = ()
+                if capture_events and entry.events is not None:
+                    events = entry.events
+            elif pooled is not None:
+                part, events = next(pooled)
+            else:
+                part, events = _run_task(
+                    self._miner,
+                    abs_sup,
+                    MiningTask(roots=(root,)),
+                    sample_every,
+                    record,
+                    hooks,
+                )
+                report.record(os.getpid(), part.elapsed_seconds)
+            if entry is None:
+                self._store(abs_sup, root, part, events, capture_events, sample_every)
+            if hooks is not None and (entry is not None or pooled is not None):
+                hooks.replay(events, len(part), part.statistics.prefixes_visited)
+            report.elapsed_seconds = time.perf_counter() - started
+            yield root, part, events
+
+    def _cache_keys(self) -> Tuple[str, str]:
+        if self._fingerprint is None:
+            from ..io.runlog import database_fingerprint
+
+            self._fingerprint = database_fingerprint(self.database)
+        return self._fingerprint, engine_digest(self.task, self.config, self.k, self.gamma)
+
+    def _store(
+        self,
+        abs_sup: int,
+        root: Label,
+        part: MiningResult,
+        events: Tuple[MiningEvent, ...],
+        capture_events: bool,
+        sample_every: int,
+    ) -> None:
+        if self.cache is None:
+            return
+        self.cache.store(
+            *self._cache_keys(),
+            CachedRoot(
+                root=root,
+                abs_sup=abs_sup,
+                patterns=tuple(part),
+                statistics=part.statistics.snapshot(),
+                events=events if capture_events else None,
+                events_sample_every=sample_every if capture_events else 0,
+            ),
+        )
+
+    # -- the pool -------------------------------------------------------
+    def _mine_pooled(
+        self,
+        abs_sup: int,
+        roots: Tuple[Label, ...],
+        sample_every: int,
+        capture_events: bool,
+        report: ExecutorReport,
+    ) -> Iterator[Tuple[MiningResult, Tuple[MiningEvent, ...]]]:
+        """Mine ``roots`` on the pool; yield ``(result, events)`` in order."""
+        pool = self._ensure_pool()
         self._generation += 1
         generation = self._generation
         arrivals: "queue.Queue[Any]" = queue.Queue()
 
         if self.scheduler == STEALING:
-            estimates = estimate_root_costs(self.database, to_mine)
+            estimates = estimate_root_costs(self.database, roots)
         else:
-            estimates = {root: 1.0 for root in to_mine}
+            estimates = {root: 1.0 for root in roots}
         #: root -> its task plan, in replay (seq) order.  A plan grows
         #: from one whole-subtree task to the split tasks at most once.
         plan: Dict[Label, List[MiningTask]] = {
-            root: [MiningTask(roots=(root,), cost=estimates[root])] for root in to_mine
+            root: [MiningTask(roots=(root,), cost=estimates[root])] for root in roots
         }
         finished: Dict[Label, Dict[int, Tuple[MiningResult, Tuple[MiningEvent, ...]]]] = {
-            root: {} for root in to_mine
+            root: {} for root in roots
         }
 
         # Pending tasks: a heap ordered heaviest-first under stealing,
@@ -582,7 +704,7 @@ class MiningExecutor:
             outstanding[(task.roots[0], task.seq)] = task
             heapq.heappush(pending, (priority, next(tiebreak), task))
 
-        for root in to_mine:
+        for root in roots:
             push(plan[root][0])
 
         # Live calibration: measured worker seconds per estimated cost
@@ -631,26 +753,14 @@ class MiningExecutor:
             return subtasks
 
         def submit(task: MiningTask) -> None:
-            root = task.roots[0]
             task_sample = sample_every
-            if capture_events and len(plan[root]) > 1:
+            if capture_events and len(plan[task.roots[0]]) > 1:
                 # Split tasks record every prefix; the parent re-derives
                 # the sampling during canonical-order replay.
                 task_sample = 1 if sample_every else 0
             pool.apply_async(
                 _execute_task,
-                (
-                    (
-                        generation,
-                        abs_sup,
-                        task.roots,
-                        task.first_extensions,
-                        task.include_root,
-                        task.seq,
-                        task_sample,
-                        capture_events,
-                    ),
-                ),
+                ((generation, abs_sup, task, task_sample, capture_events),),
                 callback=arrivals.put,
                 error_callback=arrivals.put,
             )
@@ -660,90 +770,50 @@ class MiningExecutor:
         # lose their chance to split.
         high_water = self.processes + 2
         in_flight = 0
-        flush_index = 0
 
-        while flush_index < len(roots):
-            next_root = roots[flush_index]
+        for next_root in roots:
+            # Block until every task of the front root has arrived,
+            # keeping the queue fed meanwhile.
+            while len(finished[next_root]) < len(plan[next_root]):
+                while pending and in_flight < high_water:
+                    _, _, task = heapq.heappop(pending)
+                    if (
+                        self.scheduler == STEALING
+                        and task.splittable
+                        and calibrated(task)
+                        > self.split_factor * (remaining_work() / self.processes)
+                    ):
+                        subtasks = try_split(task)
+                        if subtasks is not None:
+                            report.splits += 1
+                            plan[task.roots[0]] = subtasks
+                            del outstanding[(task.roots[0], task.seq)]
+                            for subtask in subtasks:
+                                push(subtask)
+                            continue
+                    submit(task)
+                    in_flight += 1
 
-            # Cache hit: replay the stored result in place of mining.
-            entry = cached.get(next_root)
-            if entry is not None:
-                part = entry.result(self.config.closed_only)
-                entry_events: Tuple[MiningEvent, ...] = ()
-                if capture_events and entry.events is not None:
-                    entry_events = entry.events
-                report.elapsed_seconds = time.perf_counter() - started
-                flush_index += 1
-                yield next_root, part, entry_events
-                continue
+                arrival = arrivals.get()
+                if isinstance(arrival, BaseException):
+                    raise MiningError(f"parallel worker failed: {arrival}") from arrival
+                task_generation, done, part, events, seconds, pid = arrival
+                if task_generation != generation:  # pragma: no cover - stale run
+                    continue
+                in_flight -= 1
+                root = done.roots[0]
+                del outstanding[(root, done.seq)]
+                measured_total += seconds
+                estimated_total += done.cost
+                root_measured[root] = root_measured.get(root, 0.0) + seconds
+                root_estimated[root] = root_estimated.get(root, 0.0) + done.cost
+                report.record(pid, seconds)
+                finished[root][done.seq] = (part, events)
 
-            # Mined root whose tasks all arrived: merge, store, yield.
-            tasks = plan[next_root]
-            done = finished[next_root]
-            if len(done) == len(tasks):
-                merged_part, merged_events = self._merge_root(
-                    tasks, done, sample_every, capture_events
-                )
-                if self.cache is not None:
-                    self.cache.store(
-                        fingerprint,
-                        config_digest,
-                        CachedRoot(
-                            root=next_root,
-                            abs_sup=abs_sup,
-                            patterns=tuple(merged_part),
-                            statistics=merged_part.statistics.snapshot(),
-                            events=merged_events if capture_events else None,
-                            events_sample_every=sample_every if capture_events else 0,
-                        ),
-                    )
-                report.elapsed_seconds = time.perf_counter() - started
-                flush_index += 1
-                yield next_root, merged_part, merged_events
-                continue
+            yield self._merge_root(
+                plan[next_root], finished[next_root], sample_every, capture_events
+            )
 
-            # The front root is still mining: keep the queue fed, then
-            # block on the next arrival (the outer loop re-checks the
-            # front afterwards).
-            while pending and in_flight < high_water:
-                _, _, task = heapq.heappop(pending)
-                if (
-                    self.scheduler == STEALING
-                    and task.splittable
-                    and calibrated(task)
-                    > self.split_factor * (remaining_work() / self.processes)
-                ):
-                    subtasks = try_split(task)
-                    if subtasks is not None:
-                        report.splits += 1
-                        plan[task.roots[0]] = subtasks
-                        del outstanding[(task.roots[0], task.seq)]
-                        for subtask in subtasks:
-                            push(subtask)
-                        continue
-                submit(task)
-                in_flight += 1
-
-            arrival = arrivals.get()
-            if isinstance(arrival, BaseException):
-                raise MiningError(f"parallel worker failed: {arrival}") from arrival
-            task_generation, task_roots, seq, part, events, seconds, pid = arrival
-            if task_generation != generation:  # pragma: no cover - stale run
-                continue
-            in_flight -= 1
-            root = task_roots[0]
-            task_cost = plan[root][seq].cost
-            del outstanding[(root, seq)]
-            measured_total += seconds
-            estimated_total += task_cost
-            root_measured[root] = root_measured.get(root, 0.0) + seconds
-            root_estimated[root] = root_estimated.get(root, 0.0) + task_cost
-            report.record(pid, seconds)
-            finished[root][seq] = (part, events)
-
-        report.elapsed_seconds = time.perf_counter() - started
-
-    # ------------------------------------------------------------------
     def _merge_root(
         self,
         tasks: List[MiningTask],
@@ -775,36 +845,9 @@ class MiningExecutor:
             )
         return merged, events
 
-    def _run_static(
-        self, abs_sup: int, roots: Tuple[Label, ...]
-    ) -> List[MiningResult]:
-        """The legacy baseline: round-robin chunks, no splitting."""
-        report = ExecutorReport(scheduler=self.scheduler, processes=self.processes)
-        report.roots = len(roots)
-        self.last_report = report
-        if not roots:
-            return []
-        pool = self._ensure_pool()
-        self._generation += 1
-        generation = self._generation
-        chunks = partition_roots(roots, self.processes * self.chunks_per_process)
-        handles = [
-            pool.apply_async(
-                _execute_task,
-                ((generation, abs_sup, chunk, None, True, index, 0, False),),
-            )
-            for index, chunk in enumerate(chunks)
-        ]
-        parts: List[MiningResult] = []
-        for handle in handles:
-            _generation, _roots, _seq, part, _events, seconds, pid = handle.get()
-            report.record(pid, seconds)
-            parts.append(part)
-        return parts
-
 
 # ----------------------------------------------------------------------
-# One-call convenience wrapper (formerly repro.core.parallel)
+# Deprecated one-call wrapper (formerly repro.core.parallel)
 # ----------------------------------------------------------------------
 def mine_closed_cliques_parallel(
     database: GraphDatabase,
@@ -814,49 +857,28 @@ def mine_closed_cliques_parallel(
     chunks_per_process: int = 4,
     scheduler: str = STEALING,
 ) -> MiningResult:
-    """Mine closed cliques with a process pool over DFS roots.
+    """Deprecated: use ``repro.mine(db, MiningRequest(min_sup=...,
+    config=..., processes=N))``.
 
-    Results are identical to the serial miner (tested); statistics
-    are summed across workers, with ``cpu_seconds`` aggregating the
-    in-worker mining time and ``elapsed_seconds`` reporting this
-    call's wall clock.  With ``processes=1`` the pool is bypassed
-    entirely, which keeps the call cheap to use in code that sometimes
-    runs small inputs.  The candidate-intersection kernel
-    (``config.kernel``, bitset by default) travels with the pickled
-    config, and the parent warms every kernel index before forking so
-    workers inherit them copy-on-write.  ``scheduler`` selects the
-    adaptive work-stealing executor (default) or the legacy static
-    round-robin chunks.
-
-    Lives here since ``repro.core.parallel`` folded into this module;
-    the old import path has completed the deprecation cycle and no
-    longer exists.
+    Stage 1 of the CONTRIBUTING.md deprecation policy: warns, then runs
+    exactly that request (``processes=None`` means the CPU count;
+    ``chunks_per_process`` is ignored).
     """
-    started = time.perf_counter()
-    if config is None:
-        config = MinerConfig()
-    if not config.structural_redundancy_pruning:
-        raise MiningError(
-            "parallel mining partitions DFS roots and requires structural "
-            "redundancy pruning"
-        )
-    if processes is None:
-        processes = multiprocessing.cpu_count()
+    warnings.warn(
+        "mine_closed_cliques_parallel is deprecated; use "
+        "repro.mine(db, MiningRequest(min_sup=..., config=..., processes=N))",
+        DeprecationWarning,
+        stacklevel=2,
+    )
+    from .api import MiningRequest, mine
 
-    if processes <= 1:
-        from .miner import ClanMiner
-
-        result = ClanMiner(database, config).mine(min_sup)
-        result.elapsed_seconds = time.perf_counter() - started
-        return result
-
-    with MiningExecutor(
+    return mine(
         database,
-        config,
-        processes=processes,
-        scheduler=scheduler,
-        chunks_per_process=chunks_per_process,
-    ) as executor:
-        result = executor.mine(min_sup)
-    result.elapsed_seconds = time.perf_counter() - started
-    return result
+        MiningRequest(
+            min_sup=min_sup,
+            task="frequent" if config is not None and not config.closed_only else "closed",
+            config=config,
+            processes=multiprocessing.cpu_count() if processes is None else processes,
+            scheduler=scheduler,
+        ),
+    )

@@ -27,13 +27,17 @@ flight is discarded and the returned :class:`MiningResult` is flagged
 records the completed roots and their patterns; resuming mines only the
 remainder, and the union is identical to an uninterrupted mine.
 
-Events are deterministic — they carry no wall-clock timestamps — so a
-serial session and a parallel one (``processes > 1``, workers streaming
-per-root heartbeats back through the pool) produce byte-identical
-streams for the same database.  Parallel scheduling — including the
-work-stealing executor's cost-guided root splitting — lives in
-:mod:`repro.core.executor`; the session replays its per-root
-substreams in canonical order, which is what keeps the contract.
+The session drives its roots through the one root runner,
+:meth:`MiningExecutor.iter_roots <repro.core.executor.MiningExecutor.iter_roots>`,
+handing it the run's live :class:`SearchHooks`.  With ``processes=1``
+the runner mines each root in this process under those hooks, so
+budgets and cancellation act at every prefix and sinks see events as
+they happen.  With ``processes > 1`` workers record per-root event
+substreams, and the runner replays them to the sinks in canonical
+order; budgets then act at root boundaries.  Cached roots replay the
+same way on either path.  Events are deterministic — they carry no
+wall-clock timestamps — so serial, pooled, and cached sessions produce
+byte-identical streams for the same database.
 """
 
 from __future__ import annotations
@@ -62,16 +66,10 @@ from typing import (
 
 from ..exceptions import MiningError
 from ..graphdb.database import GraphDatabase
-from .canonical import CanonicalForm, Label
+from .canonical import Label
 from .config import MinerConfig
 from .embeddings import EmbeddingStore
-from .engine import (
-    ENGINE_TASKS,
-    MiningEngine,
-    engine_digest,
-    engine_for_task,
-    finalize_patterns,
-)
+from .engine import finalize_patterns
 from .pattern import CliquePattern
 from .results import MiningResult
 from .statistics import MinerStatistics
@@ -452,8 +450,9 @@ class SearchAborted(Exception):
     """Internal control flow: a budget/cancellation tripped mid-root.
 
     Raised by :class:`SearchHooks` inside the engine's search loop
-    (:meth:`MiningEngine._search`), caught by :class:`MiningSession` —
-    it never escapes to callers.
+    (:meth:`MiningEngine._search`), passed up through the executor's
+    root runner, and caught by :class:`MiningSession` — it never
+    escapes to callers.
     """
 
     def __init__(self, reason: str) -> None:
@@ -578,6 +577,20 @@ class SearchHooks:
     def pruned(self, labels: Tuple[Label, ...], reason: str) -> None:
         if self.sinks:
             self._dispatch(SubtreePruned(form=labels, reason=reason))
+
+    def replay(self, events: Sequence[MiningEvent], patterns: int, prefixes: int) -> None:
+        """Deliver and count a root mined elsewhere (cache or pool).
+
+        Budgets are enforced lazily at the next expanded prefix;
+        advancing the run-wide counters here makes roots mined
+        afterwards trip as if this one had been mined live.
+        """
+        self.flush()
+        if events:
+            for sink in self.sinks:
+                sink.emit_batch(events)
+        self.total_prefixes += prefixes
+        self.total_patterns += patterns
 
     def _dispatch(self, event: MiningEvent) -> None:
         if not self.sinks:
@@ -716,13 +729,14 @@ class MiningSession:
         Emit every N-th prefix of each root as :class:`PrefixVisited`
         (0, the default, disables prefix events).
     processes:
-        ``> 1`` mines roots in a process pool
-        (:class:`repro.core.executor.MiningExecutor`); workers stream
-        per-root heartbeats (and their full event substreams) back
-        through the pool, and the parent replays them in canonical
-        root order, so the observable stream matches the serial one
-        byte for byte.  Budgets and cancellation then act at root
-        granularity.
+        ``1`` (default) mines every root in this process, under the
+        session's hooks.  ``> 1`` mines roots in the
+        :class:`repro.core.executor.MiningExecutor` pool; workers send
+        each root's event substream back, and the runner replays them
+        in canonical root order, so the observable stream matches the
+        serial one byte for byte.  Budgets and cancellation then act
+        at root granularity.  Either way the result's statistics equal
+        the serial engine's, launcher work included.
     scheduler:
         ``"stealing"`` (default) pulls one root at a time, heaviest
         first, splitting dominant roots into their level-2 subtrees;
@@ -737,17 +751,19 @@ class MiningSession:
         A :class:`MiningCheckpoint`; its completed roots are loaded,
         not re-mined.
     cache:
-        Optional :class:`~repro.core.cache.MiningCache`.  Roots it
-        holds exact entries for (with statistics *and* an event
-        substream recorded at this ``sample_every``) are replayed
-        instead of mined — the emitted stream stays byte-identical to
-        a cold run — and every root this session mines is stored back.
-        Sessions never use the sweep tier: their events and per-root
-        statistics cannot be derived by filtering.  Budgets see
-        replayed roots at root granularity: a replay expands no
-        prefixes and is never interrupted, but its pattern/prefix
-        counts still advance the budget counters, so roots mined
-        afterwards respect the budget.
+        Optional :class:`~repro.core.cache.MiningCache`, looked up and
+        fed by the executor's root runner on either ``processes``
+        path.  Roots it holds exact entries for (with statistics *and*
+        an event substream recorded at this ``sample_every``) are
+        replayed instead of mined — the emitted stream stays
+        byte-identical to a cold run — and every root this session
+        mines is stored back.  A fully cached run starts no pool and
+        builds no index.  Sessions never use the sweep tier: their
+        events and per-root statistics cannot be derived by
+        filtering.  Budgets see replayed roots at root granularity: a
+        replay expands no prefixes and is never interrupted, but its
+        pattern/prefix counts still advance the budget counters, so
+        roots mined afterwards respect the budget.
     """
 
     def __init__(
@@ -767,53 +783,30 @@ class MiningSession:
         k: Optional[int] = None,
         gamma: Optional[float] = None,
     ) -> None:
-        if task not in ENGINE_TASKS:
-            raise MiningError(
-                f"MiningSession supports the engine tasks {ENGINE_TASKS}, got "
-                f"{task!r}"
-            )
-        if task == "topk" and k is None:
-            raise MiningError("task='topk' requires k=<number of patterns>")
-        if task == "quasi":
-            if gamma is None:
-                raise MiningError(
-                    "task='quasi' requires gamma=<density in [0.5, 1.0]>"
-                )
-            if not 0.5 <= gamma <= 1.0:
-                raise MiningError(f"gamma must be in [0.5, 1.0], got {gamma}")
-            if config is None or config.max_size is None:
-                raise MiningError(
-                    "task='quasi' requires a config with max_size (the "
-                    "γ-quasi-clique feasibility and c-closure bounds need "
-                    "a finite size ceiling)"
-                )
-        if config is None:
-            config = (
-                MinerConfig() if task != "frequent" else MinerConfig.all_frequent()
-            )
-        if config.closed_only != (task != "frequent"):
-            raise MiningError(
-                f"config.closed_only={config.closed_only} contradicts task {task!r}"
-            )
-        if not config.structural_redundancy_pruning:
-            raise MiningError(
-                "sessions mine root-by-root and require structural redundancy pruning"
-            )
         if sample_every < 0:
             raise MiningError(f"sample_every must be >= 0, got {sample_every}")
-        if processes < 1:
-            raise MiningError(f"processes must be >= 1, got {processes}")
-        from .executor import SCHEDULERS
+        from .executor import MiningExecutor
 
-        if scheduler not in SCHEDULERS:
-            raise MiningError(
-                f"unknown scheduler {scheduler!r}; use one of {SCHEDULERS}"
-            )
+        # The executor validates the task, k/gamma, config, processes,
+        # and scheduler; it starts no pool and builds no index until
+        # run() reaches a root it must mine.
+        options = {} if split_factor is None else {"split_factor": split_factor}
+        self._executor = MiningExecutor(
+            database,
+            config,
+            processes=processes,
+            scheduler=scheduler,
+            cache=cache,
+            task=task,
+            k=k,
+            gamma=gamma,
+            **options,
+        )
         self.database = database
         self.task = task
         self.k = k
         self.gamma = gamma
-        self.config = config
+        self.config = self._executor.config
         self.abs_sup = database.absolute_support(min_sup)
         self.budget = budget
         self.sinks = tuple(sinks)
@@ -910,11 +903,46 @@ class MiningSession:
                 resumed_roots=self._resumed_roots,
             )
         )
+        hooks = SearchHooks(
+            sinks=self.sinks,
+            budget=self.budget,
+            token=self.token,
+            sample_every=self.sample_every,
+            deadline_at=deadline_at,
+        )
+        executor = self._executor
+        reason: Optional[str] = None
         try:
-            if self.processes > 1:
-                reason = self._run_parallel(pending, deadline_at)
-            else:
-                reason = self._run_serial(pending, deadline_at)
+            # RootStarted for root i+1 is published before the runner
+            # resumes to mine it, so live prefix events follow it.
+            if pending:
+                self._publish(RootStarted(root=pending[0], index=0, n_pending=len(pending)))
+            try:
+                runs = executor.iter_roots(
+                    self.abs_sup,
+                    pending,
+                    sample_every=self.sample_every,
+                    capture_events=True,
+                    hooks=hooks,
+                )
+                for index, (root, part, _events) in enumerate(runs):
+                    self._finish_root(root, index, len(pending), part)
+                    more = index + 1 < len(pending)
+                    if executor.processes > 1:
+                        reason = self._pool_stop_reason(hooks, more)
+                        if reason is not None:
+                            break
+                    if more:
+                        self._publish(
+                            RootStarted(
+                                root=pending[index + 1],
+                                index=index + 1,
+                                n_pending=len(pending),
+                            )
+                        )
+            except SearchAborted as stop:
+                reason = stop.reason
+            executor._charge_run(self._statistics, len(roots))
             result = self._build_result(reason, started)
             self._publish(
                 SearchFinished(
@@ -925,162 +953,34 @@ class MiningSession:
                 )
             )
         finally:
+            executor.close()
             for sink in self.sinks:
                 sink.close()
         self.result = result
         return result
 
-    # ------------------------------------------------------------------
-    def _run_serial(
-        self, pending: Tuple[Label, ...], deadline_at: Optional[float]
-    ) -> Optional[str]:
-        fingerprint = config_digest = ""
-        if self.cache is not None:
-            from ..io.runlog import database_fingerprint
+    def _pool_stop_reason(self, hooks: SearchHooks, more: bool) -> Optional[str]:
+        """Budget and cancellation checks at a pool root boundary.
 
-            fingerprint = database_fingerprint(self.database)
-            config_digest = engine_digest(self.task, self.config, self.k, self.gamma)
-        miner: Optional[MiningEngine] = None
-        hooks = SearchHooks(
-            sinks=self.sinks,
-            budget=self.budget,
-            token=self.token,
-            sample_every=self.sample_every,
-            deadline_at=deadline_at,
-        )
-        for index, root in enumerate(pending):
-            self._publish(RootStarted(root=root, index=index, n_pending=len(pending)))
-            hooks.begin_root(root)
-            if self.cache is not None:
-                entry = self.cache.lookup(
-                    fingerprint,
-                    config_digest,
-                    self.abs_sup,
-                    root,
-                    need_statistics=True,
-                    need_events=True,
-                    sample_every=self.sample_every,
-                    allow_sweep=False,
-                )
-                if entry is not None:
-                    # Replay: the stored substream is exactly what a
-                    # cold mine of this root would have emitted.
-                    self._publish_batch(tuple(entry.events or ()))
-                    part = entry.result(self.config.closed_only)
-                    # Budgets are enforced lazily at the next expanded
-                    # prefix; advancing the run-wide counters here makes
-                    # later *mined* roots trip as if this one had been
-                    # mined too.
-                    hooks.total_prefixes += part.statistics.prefixes_visited
-                    hooks.total_patterns += len(part)
-                    self._statistics.roots_from_cache += 1
-                    self._statistics.cache_hits += 1
-                    self._finish_root(root, index, len(pending), part)
-                    continue
-                self._statistics.cache_misses += 1
-            if miner is None:
-                miner = engine_for_task(
-                    self.database, self.config, self.task, self.k, self.gamma
-                ).prepare()
-            recorder: Optional[_ListSink] = None
-            if self.cache is not None:
-                recorder = _ListSink()
-                hooks.sinks = self.sinks + (recorder,)
-            try:
-                part = miner.mine(self.abs_sup, root_labels=(root,), hooks=hooks)
-            except SearchAborted as stop:
-                return stop.reason
-            finally:
-                # Drain the hook buffer while the recorder (if any) is
-                # still wired in — aborted searches included — so both
-                # the live sinks and the cache see the full substream.
-                hooks.flush()
-                if recorder is not None:
-                    hooks.sinks = self.sinks
-            if self.cache is not None and recorder is not None:
-                from .cache import CachedRoot
-
-                self.cache.store(
-                    fingerprint,
-                    config_digest,
-                    CachedRoot(
-                        root=root,
-                        abs_sup=self.abs_sup,
-                        patterns=tuple(part),
-                        statistics=part.statistics.snapshot(),
-                        events=tuple(recorder.events),
-                        events_sample_every=self.sample_every,
-                    ),
-                )
-            self._finish_root(root, index, len(pending), part)
-        return None
-
-    def _run_parallel(
-        self, pending: Tuple[Label, ...], deadline_at: Optional[float]
-    ) -> Optional[str]:
-        if not pending:
-            return None
-        from .executor import STATIC, MiningExecutor
-
+        Pool workers run without the session's hooks, so budgets act at
+        root granularity there; inline runs check every prefix instead.
+        """
+        if self.token.cancelled:
+            return "cancelled"
         budget = self.budget
-        produced = 0
-        expanded = 0
-        processes = self.processes
-        if self.scheduler == STATIC:
-            # No splitting under static, so extra workers would idle.
-            processes = min(processes, len(pending))
-        executor_options = {}
-        if self.split_factor is not None:
-            executor_options["split_factor"] = self.split_factor
-        executor = MiningExecutor(
-            self.database,
-            self.config,
-            processes=processes,
-            scheduler=self.scheduler,
-            cache=self.cache,
-            task=self.task,
-            k=self.k,
-            gamma=self.gamma,
-            **executor_options,
-        )
-        try:
-            arrivals = executor.iter_roots(
-                self.abs_sup,
-                pending,
-                sample_every=self.sample_every,
-                capture_events=True,
-            )
-            for index, (root, part, events) in enumerate(arrivals):
-                self._publish(RootStarted(root=root, index=index, n_pending=len(pending)))
-                self._publish_batch(events)
-                self._finish_root(root, index, len(pending), part)
-                produced += len(part)
-                expanded += part.statistics.prefixes_visited
-                if self.token.cancelled:
-                    return "cancelled"
-                if budget is not None:
-                    if deadline_at is not None and time.monotonic() >= deadline_at:
-                        return "deadline"
-                    if (
-                        budget.max_patterns is not None
-                        and produced >= budget.max_patterns
-                        and index + 1 < len(pending)
-                    ):
-                        return "max_patterns"
-                    if (
-                        budget.max_expanded_prefixes is not None
-                        and expanded >= budget.max_expanded_prefixes
-                        and index + 1 < len(pending)
-                    ):
-                        return "max_prefixes"
-        finally:
-            report = executor.last_report
-            if self.cache is not None and report is not None:
-                hits = report.roots_from_cache
-                self._statistics.roots_from_cache += hits
-                self._statistics.cache_hits += hits
-                self._statistics.cache_misses += len(pending) - hits
-            executor.close()
+        if budget is None:
+            return None
+        if hooks.deadline_at is not None and time.monotonic() >= hooks.deadline_at:
+            return "deadline"
+        if not more:
+            return None
+        if budget.max_patterns is not None and hooks.total_patterns >= budget.max_patterns:
+            return "max_patterns"
+        if (
+            budget.max_expanded_prefixes is not None
+            and hooks.total_prefixes >= budget.max_expanded_prefixes
+        ):
+            return "max_prefixes"
         return None
 
     def _finish_root(
@@ -1117,12 +1017,6 @@ class MiningSession:
     def _publish(self, event: MiningEvent) -> None:
         for sink in self.sinks:
             sink.emit(event)
-
-    def _publish_batch(self, events: Sequence[MiningEvent]) -> None:
-        """Forward a pre-ordered event batch (cache replay, workers)."""
-        if events:
-            for sink in self.sinks:
-                sink.emit_batch(events)
 
     # ------------------------------------------------------------------
     # Checkpointing

@@ -41,6 +41,7 @@ from repro.core import (
     mine_with_cache,
     sweep,
 )
+from repro.core.engine import MiningEngine
 from repro.exceptions import FormatError, MiningError, PatternError
 from repro.graphdb.generators import random_database
 from repro.io.runlog import (
@@ -49,6 +50,7 @@ from repro.io.runlog import (
     open_cache,
     save_cache,
 )
+from repro.stockmarket import stock_market_database
 from tests.conftest import make_random_database
 
 
@@ -349,6 +351,38 @@ class TestMineWithCache:
         result = mine_with_cache(other_db, 2, cache=cache)
         assert result.statistics.roots_from_cache == 0
         assert keys(result) == keys(ClanMiner(other_db).mine(2))
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_launcher_accounting_matches_serial(self, processes):
+        # SM-0.95 at 85% has infrequent root labels: the serial engine
+        # charges them (and its label-support scan) outside any root.
+        market = stock_market_database(0.95, scale="tiny")
+        base = ClanMiner(market).mine("85%")
+        cache = MiningCache()
+        cold = mine_with_cache(market, "85%", cache=cache, processes=processes)
+        warm = mine_with_cache(market, "85%", cache=cache, processes=processes)
+        for result in (cold, warm):
+            assert keys(result) == keys(base)
+            assert result.statistics.snapshot() == base.statistics.snapshot()
+        assert warm.statistics.cache_misses == 0
+
+    def test_warm_pool_run_builds_no_index(self, monkeypatch):
+        market = stock_market_database(0.95, scale="tiny")
+        cache = MiningCache()
+        mine_with_cache(market, "85%", cache=cache, processes=2)
+        calls = []
+        prepare = MiningEngine.prepare
+
+        def counting(engine):
+            calls.append(engine)
+            return prepare(engine)
+
+        monkeypatch.setattr(MiningEngine, "prepare", counting)
+        warm = mine_with_cache(market, "85%", cache=cache, processes=2)
+        assert calls == []
+        assert warm.statistics.roots_from_cache == len(
+            market.frequent_labels(market.absolute_support("85%"))
+        )
 
     def test_requires_structural_redundancy_pruning(self):
         config = MinerConfig().without("structural_redundancy")

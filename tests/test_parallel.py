@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import MiningRequest, mine
 from repro.core import (
     ClanMiner,
     MinerConfig,
@@ -55,22 +56,34 @@ class TestRootRestrictedMining:
             ClanMiner(paper_db, config).mine(2, root_labels=("a",))
 
 
+def pooled(database, min_sup=2, **options):
+    """Mine on a 2-worker pool through the typed request."""
+    options.setdefault("processes", 2)
+    return mine(database, MiningRequest(min_sup=min_sup, **options))
+
+
 class TestParallelMining:
     def test_processes_one_bypasses_pool(self, paper_db):
-        result = mine_closed_cliques_parallel(paper_db, 2, processes=1)
+        result = pooled(paper_db, processes=1)
         assert sorted(p.key() for p in result) == ["abcd:2", "bde:2"]
 
+    def test_legacy_wrapper_warns_and_matches_the_request(self, paper_db):
+        with pytest.warns(DeprecationWarning, match="MiningRequest"):
+            legacy = mine_closed_cliques_parallel(paper_db, 2, processes=2)
+        assert [p.key() for p in legacy] == [p.key() for p in pooled(paper_db)]
+        assert legacy.statistics.snapshot() == pooled(paper_db).statistics.snapshot()
+
     def test_two_processes_match_serial(self, paper_db):
-        result = mine_closed_cliques_parallel(paper_db, 2, processes=2)
+        result = pooled(paper_db)
         assert sorted(p.key() for p in result) == ["abcd:2", "bde:2"]
 
     def test_result_order_is_canonical(self, paper_db):
-        result = mine_closed_cliques_parallel(paper_db, 2, processes=2)
+        result = pooled(paper_db)
         forms = [p.form.labels for p in result]
         assert forms == sorted(forms)
 
     def test_statistics_are_merged(self, paper_db):
-        parallel = mine_closed_cliques_parallel(paper_db, 2, processes=2)
+        parallel = pooled(paper_db)
         serial = mine_closed_cliques(paper_db, 2)
         # Per-subtree work is identical; only the level-1 scan repeats.
         assert parallel.statistics.closed_cliques == serial.statistics.closed_cliques
@@ -85,33 +98,31 @@ class TestParallelMining:
             structural_redundancy_pruning=False,
             nonclosed_prefix_pruning=False,
         )
-        with pytest.raises(MiningError):
-            mine_closed_cliques_parallel(paper_db, 2, processes=2, config=config)
+        with pytest.raises(MiningError, match="structural redundancy"):
+            pooled(paper_db, task="frequent", config=config)
 
     @settings(max_examples=5, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_matches_serial_on_random_databases(self, seed):
         db = make_random_database(seed)
-        parallel = mine_closed_cliques_parallel(db, 2, processes=2)
+        parallel = pooled(db)
         serial = mine_closed_cliques(db, 2)
         assert sorted(p.key() for p in parallel) == sorted(p.key() for p in serial)
 
     def test_witnesses_preserved(self, paper_db):
-        for pattern in mine_closed_cliques_parallel(paper_db, 2, processes=2):
+        for pattern in pooled(paper_db):
             pattern.verify(paper_db)
 
     @pytest.mark.parametrize("scheduler", ["static", "stealing"])
     def test_schedulers_match_serial(self, paper_db, scheduler):
-        result = mine_closed_cliques_parallel(
-            paper_db, 2, processes=2, scheduler=scheduler
-        )
+        result = pooled(paper_db, scheduler=scheduler)
         serial = mine_closed_cliques(paper_db, 2)
         assert sorted(p.key() for p in result) == sorted(p.key() for p in serial)
         assert result.statistics.snapshot() == serial.statistics.snapshot()
 
     def test_unknown_scheduler_rejected(self, paper_db):
         with pytest.raises(MiningError, match="scheduler"):
-            mine_closed_cliques_parallel(paper_db, 2, processes=2, scheduler="fifo")
+            pooled(paper_db, scheduler="fifo")
 
 
 class TestStatisticsMerge:
@@ -125,12 +136,12 @@ class TestStatisticsMerge:
     """
 
     def test_database_scans_equal_serial(self, paper_db):
-        parallel = mine_closed_cliques_parallel(paper_db, 2, processes=2)
+        parallel = pooled(paper_db)
         serial = mine_closed_cliques(paper_db, 2)
         assert parallel.statistics.database_scans == serial.statistics.database_scans
 
     def test_elapsed_is_wall_clock_and_cpu_is_summed(self, paper_db):
-        parallel = mine_closed_cliques_parallel(paper_db, 2, processes=2)
+        parallel = pooled(paper_db)
         assert parallel.elapsed_seconds > 0.0
         assert parallel.statistics.cpu_seconds > 0.0
 

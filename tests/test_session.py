@@ -23,6 +23,7 @@ from repro.core import (
     JsonlTraceSink,
     MinerConfig,
     MiningBudget,
+    MiningCache,
     MiningSession,
     RingBufferSink,
     event_from_dict,
@@ -32,6 +33,7 @@ from repro.core import (
     mine_frequent_cliques,
 )
 from repro.baselines.bruteforce import bruteforce_quasi_cliques
+from repro.core.engine import MiningEngine
 from repro.core.maximal import mine_maximal_cliques
 from repro.core.session import (
     PatternEmitted,
@@ -43,6 +45,7 @@ from repro.core.topk import mine_top_k_closed_cliques
 from repro.exceptions import FormatError, MiningError, ReproError
 from repro.graphdb import paper_example_database, random_database
 from repro.io.runlog import open_checkpoint, open_trace, save_checkpoint
+from repro.stockmarket import stock_market_database
 from tests.conftest import make_random_database
 
 
@@ -252,6 +255,33 @@ class TestEventStream:
         assert keys(r1) == keys(r2)
         assert list(serial.events) == list(stolen.events)
         assert r1.statistics.snapshot() == r2.statistics.snapshot()
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_statistics_match_serial_engine(self, processes):
+        # SM-0.95 at 85% has infrequent root labels, which the serial
+        # engine counts outside every root; sessions must too.
+        market = stock_market_database(0.95, scale="tiny")
+        base = ClanMiner(market).mine("85%")
+        result = MiningSession(market, "85%", processes=processes).run()
+        assert keys(result) == keys(base)
+        assert result.statistics.snapshot() == base.statistics.snapshot()
+
+    def test_warm_pool_session_builds_no_index(self, monkeypatch):
+        market = stock_market_database(0.95, scale="tiny")
+        cache = MiningCache()
+        MiningSession(market, "85%", processes=2, cache=cache).run()
+        calls = []
+        prepare = MiningEngine.prepare
+
+        def counting(engine):
+            calls.append(engine)
+            return prepare(engine)
+
+        monkeypatch.setattr(MiningEngine, "prepare", counting)
+        warm = MiningSession(market, "85%", processes=2, cache=cache).run()
+        assert calls == []
+        assert warm.statistics.cache_misses == 0
+        assert keys(warm) == keys(ClanMiner(market).mine("85%"))
 
     def test_sampled_prefix_events(self, dense_db):
         ring = RingBufferSink(capacity=None)

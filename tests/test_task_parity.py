@@ -88,20 +88,13 @@ def full_signature(result):
 
 
 def comparable_snapshot(result):
-    """The snapshot minus launcher-level accounting.
+    """The full deterministic statistics snapshot.
 
-    Two counters are charged by the *launcher*, not the subtrees: the
-    lazy label-support scan (``database_scans``; pre-paid by
-    ``prepare()`` on pooled/session/cached paths) and infrequent ROOT
-    labels (``infrequent_extensions``; root-restricted mines never see
-    them).  Both quirks predate the engine refactor and affect every
-    task equally — everything counted inside the mined subtrees must
-    be byte-equal across paths.
+    Every path charges the launcher's work — the label-support scan
+    and the infrequent root labels — exactly as the serial engine
+    does, so the whole snapshot must be byte-equal across paths.
     """
-    snapshot = dict(result.statistics.snapshot())
-    snapshot.pop("database_scans")
-    snapshot.pop("infrequent_extensions")
-    return snapshot
+    return dict(result.statistics.snapshot())
 
 
 def oracle_signature(result):
