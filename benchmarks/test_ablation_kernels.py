@@ -7,9 +7,9 @@ are a pure measure of the kernel engineering:
 
 * ``set``    — frozensets of transaction ids (the readable oracle);
 * ``bitset`` — one Python int bitmask per candidate set;
-* ``slab``   — numpy uint64 word slabs, batched level-by-level across
-  the whole DFS forest (vectorised AND + popcount over every sibling
-  at once).
+* ``slab``   — numpy word slabs, batched level-by-level across the
+  whole DFS forest (vectorised AND + popcount over every sibling at
+  once).  The default kernel.
 
 Measured on the Figure 6(a) sweep (six market databases × four
 thresholds) and a Figure 7(b) style replicated workload; the numbers
@@ -22,14 +22,22 @@ run is dominated by the shared engine/emission floor — slab's win
 there is modest.  fig7b_x4 multiplies the transaction axis 4x, which
 is exactly the axis slab vectorises over, and the gap widens.  Slab's
 advantage scales with transaction count, not alphabet size.
+
+Memory sits next to speed, report-only: each cell's tracemalloc peak
+over one run on a fresh database view, so the kernel's database index
+(none for ``set``, the aligned views for ``bitset``, the transposed
+slab for ``slab``) is built inside the measured run.  The graphs'
+own mask indexes are shared by every view and kernel and stay out.
 """
 
 import json
 import time
+import tracemalloc
 from pathlib import Path
 
 from repro.bench import format_table, hardware_context
 from repro.core import BITSET, SET, SLAB, ClanMiner, MinerConfig
+from repro.graphdb import GraphDatabase
 from repro.stockmarket import PAPER_THETAS
 
 from conftest import write_report
@@ -69,6 +77,21 @@ def best_of(measure, *args):
     return best_seconds, keys
 
 
+def fresh(database):
+    """A new database view over the same graphs: no kernel index yet."""
+    return GraphDatabase(list(database), name=database.name)
+
+
+def traced_peak_mib(measure, *args):
+    """tracemalloc peak of one run, in MiB."""
+    tracemalloc.start()
+    try:
+        measure(*args)
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def test_ablation_kernels(benchmark, market_databases, scale):
     benchmark.pedantic(
         lambda: fig6a_sweep(market_databases, BITSET), rounds=1, iterations=1
@@ -87,6 +110,18 @@ def test_ablation_kernels(benchmark, market_databases, scale):
         else:
             # The kernels must be indistinguishable on results.
             assert keys == reference_keys, kernel
+
+    peaks = {
+        kernel: {
+            "fig6a_sweep": traced_peak_mib(
+                fig6a_sweep,
+                {theta: fresh(db) for theta, db in market_databases.items()},
+                kernel,
+            ),
+            "fig7b_x4": traced_peak_mib(fig7b_cell, fresh(replica), kernel),
+        }
+        for kernel in KERNELS
+    }
 
     rows = []
     for workload in ("fig6a_sweep", "fig7b_x4"):
@@ -108,7 +143,15 @@ def test_ablation_kernels(benchmark, market_databases, scale):
         rows,
         title=f"Kernel ablation, best of {ROUNDS} (scale={scale})",
     )
-    write_report("kernels", table)
+    memory = format_table(
+        ["workload", "set (MiB)", "bitset (MiB)", "slab (MiB)"],
+        [
+            [workload] + [f"{peaks[kernel][workload]:.1f}" for kernel in KERNELS]
+            for workload in ("fig6a_sweep", "fig7b_x4")
+        ],
+        title="tracemalloc peak of one cold run, index build included",
+    )
+    write_report("kernels", table + "\n\n" + memory)
 
     record = {
         "benchmark": "kernel ablation (set vs bitset vs slab)",
@@ -134,6 +177,9 @@ def test_ablation_kernels(benchmark, market_databases, scale):
             workload: timings[SET][workload] / timings[SLAB][workload]
             for workload in timings[SET]
         },
+        "peak_mib_note": "report-only: tracemalloc peak of one run on a fresh "
+        "database view (kernel index build included)",
+        "peak_mib": peaks,
     }
     (REPO_ROOT / "BENCH_kernels.json").write_text(
         json.dumps(record, indent=2) + "\n", encoding="utf-8"

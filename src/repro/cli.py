@@ -138,9 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
                       help="parallel root scheduler: adaptive work-stealing "
                            "with cost-guided splitting (default) or static "
                            "round-robin chunks; results are identical")
-    mine.add_argument("--kernel", default="bitset", choices=("bitset", "slab", "set"),
-                      help="candidate-intersection kernel: integer bitmasks "
-                           "(default) or the hashed-set reference")
+    mine.add_argument("--kernel", default=None, choices=("bitset", "slab", "set"),
+                      help="candidate-intersection kernel: numpy slabs "
+                           "(default; int masks where labels repeat), integer "
+                           "bitmasks, or the hashed-set reference")
     mine.add_argument("--require", default=None, metavar="L1,L2",
                       help="only report cliques containing all these labels")
     mine.add_argument("--allow", default=None, metavar="L1,L2",
@@ -180,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep the all-frequent task instead of closed")
     sweep.add_argument("--min-size", type=int, default=1)
     sweep.add_argument("--max-size", type=int, default=None)
-    sweep.add_argument("--kernel", default="bitset", choices=("bitset", "slab", "set"))
+    sweep.add_argument("--kernel", default=None, choices=("bitset", "slab", "set"))
     sweep.add_argument("--processes", type=int, default=1,
                        help="worker processes for the mining calls")
     sweep.add_argument("--scheduler", default="stealing",
@@ -197,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--min-sup", default="2")
     topk.add_argument("-k", type=int, default=5)
     topk.add_argument("--min-size", type=int, default=1)
-    topk.add_argument("--kernel", default="bitset", choices=("bitset", "slab", "set"),
+    topk.add_argument("--kernel", default=None, choices=("bitset", "slab", "set"),
                       help="candidate-intersection kernel (as for 'clan mine')")
     topk.add_argument("--processes", type=int, default=1,
                       help="worker processes for the root search")
@@ -213,7 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     quasi.add_argument("--gamma", type=float, default=0.8)
     quasi.add_argument("--min-size", type=int, default=2)
     quasi.add_argument("--max-size", type=int, default=5)
-    quasi.add_argument("--kernel", default="bitset", choices=("bitset", "slab", "set"),
+    quasi.add_argument("--kernel", default=None, choices=("bitset", "slab", "set"),
                        help="candidate-intersection kernel (as for 'clan mine')")
     quasi.add_argument("--processes", type=int, default=1,
                        help="worker processes for the root search")

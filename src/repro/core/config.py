@@ -44,12 +44,13 @@ class MinerConfig:
         ``"cached"`` (incremental common-neighbour sets, default) or
         ``"rescan"`` (paper-literal database scans).
     kernel:
-        ``"bitset"`` (default) intersects candidate-extension sets as
+        ``"slab"`` (default) keeps candidate-extension sets in numpy
+        unsigned-word slab arrays with vectorized popcount, transposed over
+        transactions; it needs unique per-vertex labels and the
+        ``cached`` strategy, and otherwise runs on the ``"bitset"``
+        int masks.  ``"bitset"`` intersects candidate-extension sets as
         arbitrary-precision integer bitmasks — one ``&`` per
-        intersection; ``"slab"`` lifts the masks into numpy ``uint64``
-        slab arrays with vectorized popcount (transposed over
-        transactions on aligned databases, falling back to int masks
-        otherwise); ``"set"`` is the original hashed-``set``
+        intersection; ``"set"`` is the original hashed-``set``
         implementation, kept for ablation and differential testing.
         All kernels produce identical results under every strategy
         and pruning combination.
@@ -81,7 +82,7 @@ class MinerConfig:
     min_size: int = 1
     max_size: Optional[int] = None
     embedding_strategy: str = CACHED
-    kernel: str = BITSET
+    kernel: str = SLAB
     collect_witnesses: bool = True
     max_embeddings: Optional[int] = None
 

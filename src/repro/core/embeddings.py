@@ -29,7 +29,7 @@ Two candidate-generation strategies are provided:
 
 Orthogonally to the strategy, two *kernels* implement the set algebra:
 
-``bitset`` (default)
+``bitset``
     Vertex sets are arbitrary-precision integer bitmasks over the
     graph's sorted-vertex-id bit order
     (:meth:`repro.graphdb.graph.Graph.bit_index`).  Intersections are
@@ -41,12 +41,12 @@ Orthogonally to the strategy, two *kernels* implement the set algebra:
     The original hashed ``set`` implementation, kept for ablation and
     as the differential-testing reference.
 
-``slab``
-    Numpy ``uint64`` slab arrays with vectorized ``&``/``|``/popcount,
+``slab`` (default)
+    Numpy unsigned-word slab arrays with vectorized ``&``/``|``/popcount,
     transposed so one array row holds a label's supporting-transaction
     mask (:mod:`repro.core.slab_store`).  Engaged when the database has
     an aligned label space and the strategy is ``cached``; otherwise it
-    transparently falls back to the int-mask representation.
+    transparently falls back to the ``bitset`` int-mask representation.
 
 All kernels enumerate embeddings in identical order (ascending vertex
 id within each label group) and produce identical results.

@@ -61,7 +61,7 @@ from ..graphdb.core_index import PseudoDatabase
 from ..graphdb.database import GraphDatabase
 from .canonical import CanonicalForm, Label
 from .config import MinerConfig
-from .embeddings import EmbeddingStore, warm_kernel_indexes
+from .embeddings import RESCAN, EmbeddingStore, warm_kernel_indexes
 from .pattern import CliquePattern
 from .results import MiningResult
 from .statistics import MinerStatistics
@@ -548,10 +548,22 @@ class MiningEngine:
             self._label_supports = self.database.label_supports()
         if self._sorted_labels is None:
             self._sorted_labels = tuple(sorted(self._label_supports))
-        if self._pseudo is None and self.config.low_degree_pruning:
-            self._pseudo = PseudoDatabase(self.database)
+        self._pseudo_database()
         warm_kernel_indexes(self.database, self.config.kernel)
         return self
+
+    def _pseudo_database(self) -> Optional[PseudoDatabase]:
+        """The core-number index, built only where it is read.
+
+        Only ``rescan`` embeddings under low-degree pruning consult it;
+        ``cached`` embeddings carry their candidate sets instead.
+        """
+        config = self.config
+        if not config.low_degree_pruning or config.embedding_strategy != RESCAN:
+            return None
+        if self._pseudo is None:
+            self._pseudo = PseudoDatabase(self.database)
+        return self._pseudo
 
     # ------------------------------------------------------------------
     # Entry point
@@ -623,11 +635,7 @@ class MiningEngine:
         stats = MinerStatistics()
         result = MiningResult(min_sup=abs_sup, closed_only=config.closed_only, statistics=stats)
 
-        pseudo = None
-        if config.low_degree_pruning:
-            if self._pseudo is None:
-                self._pseudo = PseudoDatabase(self.database)
-            pseudo = self._pseudo
+        pseudo = self._pseudo_database()
         if self._label_supports is None:
             self._label_supports = self.database.label_supports()
             stats.database_scans += 1
@@ -661,10 +669,17 @@ class MiningEngine:
         # _search call: the hoisted dispatch/config preamble is paid per
         # mine call, not per root (market sweeps have thousands of tiny
         # roots).
-        self._search(
-            abs_sup, result, stats, seen_forms, hooks, pool, roots, pseudo,
-            context, first_extensions, include_root,
-        )
+        try:
+            self._search(
+                abs_sup, result, stats, seen_forms, hooks, pool, roots, pseudo,
+                context, first_extensions, include_root,
+            )
+        finally:
+            # Slab root stores point back at the context that holds the
+            # pool: break the cycle so the call's stores and forest are
+            # freed by refcount now, not by a later gen-2 collection.
+            pool.clear()
+            context.clear()
 
         result.elapsed_seconds = time.perf_counter() - started
         stats.cpu_seconds = result.elapsed_seconds
@@ -703,8 +718,7 @@ class MiningEngine:
         abs_sup = self.database.absolute_support(min_sup)
         if self._label_supports.get(root, 0) < abs_sup:
             return []
-        pseudo = self._pseudo if config.low_degree_pruning else None
-        store = self.strategy.root_store(self, pseudo, root)
+        store = self.strategy.root_store(self, self._pseudo_database(), root)
         if config.max_embeddings is not None and store.embedding_count > config.max_embeddings:
             return []
         frequent_extensions, _, _ = store.extension_plan(abs_sup)

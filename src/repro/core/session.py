@@ -624,7 +624,8 @@ class MiningCheckpoint:
     the task, the *absolute* support, the full miner config, a
     structural database fingerprint, the completed root labels, and the
     patterns mined from those roots.  Resuming validates the
-    fingerprint, support, and config before skipping any work.
+    fingerprint, support, and config (every field but ``kernel``, which
+    changes no pattern) before skipping any work.
     """
 
     task: str
@@ -681,6 +682,13 @@ class MiningCheckpoint:
         from ..io.json_format import result_from_dict
 
         return result_from_dict(self.result)
+
+
+def _without_kernel(config: Dict[str, Any]) -> Dict[str, Any]:
+    """A config dict minus ``kernel``: no pattern depends on it (the
+    kernel differential suite is that contract), so a checkpoint resumes
+    under any kernel."""
+    return {key: value for key, value in config.items() if key != "kernel"}
 
 
 # ----------------------------------------------------------------------
@@ -1074,7 +1082,7 @@ class MiningSession:
                 f"checkpoint min_sup {checkpoint.min_sup} does not match "
                 f"this session's absolute support {self.abs_sup}"
             )
-        if checkpoint.config != self.config.to_dict():
+        if _without_kernel(checkpoint.config) != _without_kernel(self.config.to_dict()):
             raise MiningError(
                 "checkpoint was mined under a different MinerConfig; "
                 "resume with the same configuration"

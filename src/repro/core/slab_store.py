@@ -4,7 +4,7 @@
 slab kernel: it mirrors :class:`repro.core.embeddings.EmbeddingStore`'s
 engine-facing surface while keeping the whole per-prefix state in the
 transposed slab layout of :mod:`repro.graphdb.slab` — one
-``uint64[n_labels, tx_words]`` candidate slab whose row ``α`` masks the
+``word[n_labels, tx_words]`` candidate slab whose row ``α`` masks the
 transactions where label ``α`` extends the prefix.
 
 Why transposition is exact here: with unique per-vertex labels a prefix
@@ -36,7 +36,7 @@ the engine threads through ``root_store``):
   non-closed test for a *whole level* collapses into one chunked
   ``cand & ~nbr[c]`` pass over the (prefix, tied label) pairs,
   resolved lazily on the first store that asks,
-* forests whose search tree outgrows ``_FOREST_MAX_CELLS`` stop
+* forests whose search tree outgrows ``_FOREST_MAX_BYTES`` stop
   deepening; affected stores fall back to the same batching applied
   per parent (one ``[k, n_labels, tx_words]`` expression over a
   prefix's frequent children), byte-identically.
@@ -71,7 +71,6 @@ from ..graphdb.core_index import PseudoDatabase
 from ..graphdb.database import GraphDatabase
 from ..graphdb.slab import (
     TransposedSlabSpace,
-    int_from_words,
     iter_word_bits,
     popcount_rows,
     popcount_words,
@@ -85,18 +84,28 @@ from .canonical import Label
 #: scan's early exit.
 _PAIR_CHUNK = 256
 
-#: Ceiling on the total ``uint64`` cells a mine call's speculative
-#: forest may hold (~128 MB).  Mine calls whose search tree grows past
-#: it stop deepening the forest and fall back to per-parent batching —
-#: same answers, bounded memory.
-_FOREST_MAX_CELLS = 16 * 1024 * 1024
+#: Ceiling on one chunk temporary, in bytes: wide (multi-word)
+#: databases gather fewer rows per chunk, so no transient outgrows it.
+_CHUNK_BYTES = 1024 * 1024
+
+#: Ceiling on the candidate-slab bytes a mine call's speculative forest
+#: may hold.  Mine calls whose search tree grows past it stop deepening
+#: the forest and fall back to per-parent batching — same answers,
+#: bounded memory.  Eight times this bought nothing on fig7b ×64,
+#: where the forest saturates either way.
+_FOREST_MAX_BYTES = 16 * 1024 * 1024
+
+
+def _chunk_rows(slab: np.ndarray, limit: int) -> int:
+    """Rows of ``slab`` per chunk: at most ``limit`` and ``_CHUNK_BYTES``."""
+    return max(1, min(limit, _CHUNK_BYTES // max(1, slab[0].nbytes)))
 
 
 def _first_blocking(
     rows: np.ndarray,
     tied: np.ndarray,
     cand_source: np.ndarray,
-    nbr_neg: np.ndarray,
+    nbr: np.ndarray,
     tx_nonzero: Optional[np.ndarray],
 ) -> Dict[int, int]:
     """Smallest Lemma 4.4 blocking bit per row, chunk-batched.
@@ -112,7 +121,8 @@ def _first_blocking(
     ~nbr[c]) == count_nonzero(tx)``.  Rows missing from the result
     have no blocking label.  Rows whose answer is found drop out
     between chunks, bounding how far the batch overshoots the
-    sequential scan's early exit.
+    sequential scan's early exit.  ``~nbr`` is formed per chunk, on the
+    gathered rows only.
     """
     answers: Dict[int, int] = {}
     total = int(rows.size)
@@ -122,20 +132,23 @@ def _first_blocking(
         # Single-word layout: drop the word axis up front so the
         # chunk temporaries are 2-D.
         cand_source = cand_source[:, :, 0]
-        nbr_neg = nbr_neg[:, :, 0]
+        nbr = nbr[:, :, 0]
     answered = np.zeros(cand_source.shape[0], dtype=bool)
+    step = _chunk_rows(nbr, _PAIR_CHUNK)
     position = 0
     while position < total:
-        r = rows[position : position + _PAIR_CHUNK]
-        c = tied[position : position + _PAIR_CHUNK]
-        position += _PAIR_CHUNK
+        r = rows[position : position + step]
+        c = tied[position : position + step]
+        position += step
         keep = ~answered[r]
         if not keep.all():
             r = r[keep]
             c = c[keep]
             if not r.size:
                 continue
-        bad = cand_source[r] & nbr_neg[c]
+        bad = nbr[c]
+        np.invert(bad, out=bad)
+        bad &= cand_source[r]
         if tx_nonzero is None:
             nonzero = np.count_nonzero(bad, axis=1)
             hits = np.nonzero(nonzero == 1)[0]
@@ -206,12 +219,12 @@ class _SlabForest:
     through ``root_store``; nothing is shared across mine calls, so
     every call performs (and every benchmark measures) its own work.
 
-    Speculation is bounded by ``_FOREST_MAX_CELLS``: a search tree too
+    Speculation is bounded by ``_FOREST_MAX_BYTES``: a search tree too
     large to keep resident stops deepening and the stores fall back to
     per-parent batching, byte-identically.
     """
 
-    __slots__ = ("slab", "abs_sup", "levels", "cells", "saturated", "root_index", "labels_arr")
+    __slots__ = ("slab", "abs_sup", "levels", "nbytes", "saturated", "root_index", "labels_arr")
 
     def __init__(
         self,
@@ -221,18 +234,19 @@ class _SlabForest:
     ) -> None:
         self.slab = slab
         self.abs_sup = abs_sup
-        self.cells = 0
+        self.nbytes = 0
         self.saturated = False
         self.labels_arr = np.array(slab.space.labels, dtype=object)
         supports = slab.label_tx_counts
         bits = [bit for bit in root_bits if supports[bit] >= abs_sup]
         bits_np = np.array(bits, dtype=np.intp)
+        cand = slab.nbr[bits_np]
         level = self._finish_level(
             bits,
             bits_np,
-            slab.nbr[bits_np],
+            cand,
             slab.presence[bits_np],
-            slab.root_counts()[bits_np],
+            popcount_rows(cand),
             supports[bits_np].tolist(),
         )
         self.levels: List[_ForestLevel] = [level]
@@ -261,7 +275,7 @@ class _SlabForest:
         level.cand = cand
         level.tx = tx
         level.supports = supports
-        self.cells += cand.size
+        self.nbytes += cand.nbytes
 
         n = len(bits)
         freq_mask = counts >= abs_sup
@@ -334,8 +348,8 @@ class _SlabForest:
         parent_rows = level.freq_rows[canon]
         child_bits = level.freq_cols[canon]
         child_sup = level.freq_vals[canon]
-        new_cells = child_bits.size * slab.n_labels * slab.tx_words
-        if self.cells + new_cells > _FOREST_MAX_CELLS:
+        new_bytes = child_bits.size * slab.nbr[0].nbytes
+        if self.nbytes + new_bytes > _FOREST_MAX_BYTES:
             self.saturated = True
             return False
         offsets = np.zeros(len(level.bits) + 1, dtype=np.int64)
@@ -345,7 +359,10 @@ class _SlabForest:
         if not child_bits.size:
             return True
         grown = level.cand[parent_rows]
-        grown &= slab.nbr[child_bits]
+        nbr = slab.nbr
+        step = _chunk_rows(nbr, len(child_bits))
+        for start in range(0, len(child_bits), step):
+            grown[start : start + step] &= nbr[child_bits[start : start + step]]
         tx = level.cand[parent_rows, child_bits]
         grown &= tx[:, None, :]
         pc = popcount_words(grown)
@@ -371,7 +388,7 @@ class _SlabForest:
                 level.tie_rows[mask],
                 level.tie_cols[mask],
                 level.cand,
-                slab.nbr_neg(),
+                slab.nbr,
                 None
                 if slab.tx_words == 1
                 else np.count_nonzero(level.tx, axis=1),
@@ -420,31 +437,49 @@ class SlabEmbeddingStore:
 
     def __init__(
         self,
+        slab: TransposedSlabSpace,
         database: GraphDatabase,
         pseudo: Optional[PseudoDatabase],
-        slab: TransposedSlabSpace,
         size: int,
         member_bits: Tuple[int, ...],
         cand: np.ndarray,
         tx: np.ndarray,
         support: int,
-        counts: Optional[np.ndarray] = None,
     ) -> None:
-        self.database = database
-        self.pseudo = pseudo
         self.strategy = "cached"
         self.kernel = "slab"
-        self.size = size
         self.slab = slab
         #: The aligned label space (same object the bitset kernel uses).
         self.space = slab.space
+        self._refill(database, pseudo, size, member_bits, cand, tx, support)
+
+    def _refill(
+        self,
+        database: GraphDatabase,
+        pseudo: Optional[PseudoDatabase],
+        size: int,
+        member_bits: Tuple[int, ...],
+        cand: np.ndarray,
+        tx: np.ndarray,
+        support: int,
+    ) -> "SlabEmbeddingStore":
+        """Point this store at one prefix and clear every lazy cache.
+
+        The constructor's body, and how the engine's free list recycles
+        a retired store in place (:meth:`for_root`, :meth:`_child`):
+        sound within one mine call, whose database, slab, and aligned
+        space never change.
+        """
+        self.database = database
+        self.pseudo = pseudo
+        self.size = size
+        self._member_bits = member_bits
         self._cand = cand
         self._tx = tx
         self._support = support
-        self._member_bits = member_bits
-        #: Extension supports per label bit, pre-seeded by a parent's
-        #: batched child materialisation, else computed on first plan.
-        self._counts = counts
+        #: Extension supports per label bit, computed on first use
+        #: (stores from a batch arrive with their plan digest instead).
+        self._counts: Optional[np.ndarray] = None
         #: Tied label bits (ascending), seeded by the extension plan;
         #: ``None`` mirrors the int-mask kernel's unseeded tie cache.
         self._tie_bits: Optional[List[int]] = None
@@ -470,6 +505,7 @@ class SlabEmbeddingStore:
         self._children: Optional[Dict[Label, tuple]] = None
         self._tids: Optional[Tuple[int, ...]] = None
         self._by_transaction: Optional[Dict[int, list]] = None
+        return self
 
     # ------------------------------------------------------------------
     # Construction
@@ -486,54 +522,27 @@ class SlabEmbeddingStore:
         """The 1-clique store of one label: two precomputed slab rows.
 
         ``context`` is the engine's per-mine-call dict; when present it
-        hosts the mine call's shared :class:`_SlabForest`.
+        hosts the mine call's shared :class:`_SlabForest`, and its
+        ``store_pool`` free list may hand back a retired store to refill.
         """
         bit = slab.space.bit_of.get(label)
         if bit is None:
             empty = np.zeros((slab.n_labels, slab.tx_words), dtype=slab.presence.dtype)
-            return cls(
-                database, pseudo, slab, 1, (), empty, empty[0], 0
-            )
-        store = None
-        if context is not None:
-            pool = context.get("store_pool")
-            if pool and type(pool[-1]) is cls and pool[-1].slab is slab:
-                # Refill a retired store from the engine's free list —
-                # the root-level mirror of :meth:`_child`.
-                store = pool.pop()
-                store.database = database
-                store.pseudo = pseudo
-                store.size = 1
-                store._member_bits = (bit,)
-                store._cand = slab.nbr[bit]
-                store._tx = slab.presence[bit]
-                store._support = int(slab.label_tx_counts[bit])
-                store._counts = slab.root_counts()[bit]
-                store._tie_bits = None
-                store._plan_digest = None
-                store._plan_abs_sup = None
-                store._forest = None
-                store._level = 0
-                store._row = 0
-                store._block_parent = None
-                store._block_rank = None
-                store._batch = None
-                store._child_blocks = None
-                store._children = None
-                store._tids = None
-                store._by_transaction = None
-        if store is None:
-            store = cls(
-                database,
-                pseudo,
-                slab,
-                1,
-                (bit,),
-                slab.nbr[bit],
-                slab.presence[bit],
-                int(slab.label_tx_counts[bit]),
-                slab.root_counts()[bit],
-            )
+            return cls(slab, database, pseudo, 1, (), empty, empty[0], 0)
+        prefix = (
+            database,
+            pseudo,
+            1,
+            (bit,),
+            slab.nbr[bit],
+            slab.presence[bit],
+            int(slab.label_tx_counts[bit]),
+        )
+        pool = context.get("store_pool") if context is not None else None
+        if pool and type(pool[-1]) is cls and pool[-1].slab is slab:
+            store = pool.pop()._refill(*prefix)
+        else:
+            store = cls(slab, *prefix)
         store._context = context
         return store
 
@@ -557,28 +566,22 @@ class SlabEmbeddingStore:
             tids = self._tids = tuple(iter_word_bits(self._tx))
         return tids
 
-    def witnesses(self) -> Dict[int, Tuple[int, ...]]:
-        """The (single) embedding of each transaction, vertex-sorted.
+    def _embedding_rows(self) -> np.ndarray:
+        """``[support, size]`` vertices of every embedding, label order.
 
-        Below ~32 supporting transactions per-bit dict lookups win; at
-        and above, one fancy index on the slab's cached (transaction,
-        bit) → vertex matrix gathers every witness at once (numpy's
-        per-call dispatch amortises over the transaction axis).
+        One fancy index on the slab's (transaction, bit) → vertex
+        matrix; rows follow :meth:`transactions`.
         """
         tids = self.transactions()
-        member_bits = self._member_bits
-        if len(tids) >= 32:
-            rows = self.slab.vertex_matrix()[list(tids)][:, list(member_bits)]
-            rows.sort(axis=1)
-            return {tid: tuple(row) for tid, row in zip(tids, rows.tolist())}
-        views = self.space.views
-        out: Dict[int, Tuple[int, ...]] = {}
-        for tid in tids:
-            vertex_by_bit = views[tid].vertex_by_bit
-            vertices = [vertex_by_bit[bit] for bit in member_bits]
-            vertices.sort()
-            out[tid] = tuple(vertices)
-        return out
+        if not tids:
+            return np.zeros((0, len(self._member_bits)), dtype=np.int32)
+        return self.slab.vertices[np.ix_(tids, self._member_bits)]
+
+    def witnesses(self) -> Dict[int, Tuple[int, ...]]:
+        """The (single) embedding of each transaction, vertex-sorted."""
+        rows = self._embedding_rows()
+        rows.sort(axis=1)
+        return {tid: tuple(row) for tid, row in zip(self.transactions(), rows.tolist())}
 
     def iter_embeddings(self) -> Iterator[Tuple[int, Tuple[int, ...]]]:
         """Yield ``(transaction id, vertex tuple)`` per embedding.
@@ -586,11 +589,9 @@ class SlabEmbeddingStore:
         Vertices come in canonical (extension) label order, matching
         the int-mask kernels' record tuples.
         """
-        views = self.space.views
-        member_bits = self._member_bits
-        for tid in self.transactions():
-            vertex_by_bit = views[tid].vertex_by_bit
-            yield tid, tuple(vertex_by_bit[bit] for bit in member_bits)
+        rows = self._embedding_rows().tolist()
+        for tid, row in zip(self.transactions(), rows):
+            yield tid, tuple(row)
 
     # ------------------------------------------------------------------
     # Scans of Algorithm 1
@@ -716,14 +717,14 @@ class SlabEmbeddingStore:
             check_equal = True
         cand = self._cand
         tx = self._tx
-        nbr_neg = self.slab.nbr_neg()
+        nbr = self.slab.nbr
         tx_nonzero: Optional[int] = None
         for bit in candidates:
             if check_equal and not np.array_equal(cand[bit], tx):
                 continue
             if tx_nonzero is None:
                 tx_nonzero = int(np.count_nonzero(tx))
-            bad = cand & nbr_neg[bit]
+            bad = cand & ~nbr[bit]
             if int(np.count_nonzero(bad)) == tx_nonzero:
                 return space.labels[int(bit)]
         return None
@@ -735,57 +736,22 @@ class SlabEmbeddingStore:
         tx: np.ndarray,
         support: int,
         reuse: Optional["SlabEmbeddingStore"],
-        counts: Optional[np.ndarray] = None,
     ) -> "SlabEmbeddingStore":
         """Wrap a child's slab rows, recycling ``reuse`` when possible.
 
         The engine's free list hands back stores whose subtree has
-        finished; refilling one in place re-assigns the per-prefix
-        fields and clears every lazy cache, skipping the allocation
-        and the ~25-field constructor.  Sound within one mine call:
-        the database, slab, and aligned space never change (guarded by
-        the ``reuse.slab is self.slab`` check, which also rejects
+        finished; :meth:`_refill` re-points one in place, skipping the
+        allocation (the ``reuse.slab is self.slab`` check also rejects
         foreign store types).
         """
+        prefix = (self.database, self.pseudo, self.size + 1, member_bits, cand, tx, support)
         if (
             reuse is not None
             and type(reuse) is SlabEmbeddingStore
             and reuse.slab is self.slab
         ):
-            reuse.database = self.database
-            reuse.pseudo = self.pseudo
-            reuse.size = self.size + 1
-            reuse._member_bits = member_bits
-            reuse._cand = cand
-            reuse._tx = tx
-            reuse._support = support
-            reuse._counts = counts
-            reuse._tie_bits = None
-            reuse._plan_digest = None
-            reuse._plan_abs_sup = None
-            reuse._context = None
-            reuse._forest = None
-            reuse._level = 0
-            reuse._row = 0
-            reuse._block_parent = None
-            reuse._block_rank = None
-            reuse._batch = None
-            reuse._child_blocks = None
-            reuse._children = None
-            reuse._tids = None
-            reuse._by_transaction = None
-            return reuse
-        return SlabEmbeddingStore(
-            self.database,
-            self.pseudo,
-            self.slab,
-            self.size + 1,
-            member_bits,
-            cand,
-            tx,
-            support,
-            counts,
-        )
+            return reuse._refill(*prefix)
+        return SlabEmbeddingStore(self.slab, *prefix)
 
     def extend(
         self,
@@ -961,7 +927,7 @@ class SlabEmbeddingStore:
                 np.asarray(pair_rows, dtype=np.intp),
                 np.asarray(pair_tied, dtype=np.intp),
                 grown,
-                self.slab.nbr_neg(),
+                self.slab.nbr,
                 tx_nonzero,
             )
             blocks = self._child_blocks = {
@@ -1040,8 +1006,6 @@ class SlabEmbeddingStore:
         return records
 
     def _materialize_records(self) -> Dict[int, list]:
-        views = self.space.views
-        member_bits = self._member_bits
         tids = self.transactions()
         records: Dict[int, list] = {}
         if not tids:
@@ -1049,11 +1013,9 @@ class SlabEmbeddingStore:
         # Column-extract each supporting transaction's candidate mask.
         cand = np.ascontiguousarray(self._cand)
         bits = np.unpackbits(cand.view(np.uint8), axis=-1, bitorder="little")
-        for tid in tids:
-            vertex_by_bit = views[tid].vertex_by_bit
-            vertices = tuple(vertex_by_bit[bit] for bit in member_bits)
+        for tid, vertices in zip(tids, self._embedding_rows().tolist()):
             column = np.packbits(bits[:, tid], bitorder="little")
-            records[tid] = [(vertices, int.from_bytes(column.tobytes(), "little"))]
+            records[tid] = [(tuple(vertices), int.from_bytes(column.tobytes(), "little"))]
         return records
 
     def _candidates(self, tid: int, record) -> Set[int]:
@@ -1090,10 +1052,4 @@ class SlabEmbeddingStore:
         )
 
 
-def candidate_mask_int(store: SlabEmbeddingStore, tid: int) -> int:
-    """A transaction's candidate set as an aligned int mask (tests)."""
-    records = store.by_transaction.get(tid)
-    return records[0][1] if records else 0
-
-
-__all__ = ["SlabEmbeddingStore", "candidate_mask_int", "int_from_words"]
+__all__ = ["SlabEmbeddingStore"]

@@ -233,20 +233,42 @@ class DatabaseLabelSpace:
     the ``i``-th smallest label of the database alphabet, so the mask
     of "labels strictly below β" is the contiguous low mask
     ``(1 << rank(β)) - 1`` — shared by all transactions.
+
+    ``sources`` holds each transaction's :class:`GraphBitIndex` as of
+    the build.  The :attr:`views` are built on first use: the slab
+    kernel reads the sources directly and never needs them.
     """
 
-    __slots__ = ("labels", "bit_of", "graphs", "views", "_sources", "_below")
+    __slots__ = ("labels", "bit_of", "graphs", "sources", "_views", "_below")
 
     def __init__(self, graphs, labels: Tuple[Label, ...]) -> None:
         self.labels = labels
         self.bit_of: Dict[Label, int] = {label: i for i, label in enumerate(labels)}
         self.graphs = list(graphs)
-        self.views: List[AlignedGraphView] = [
-            AlignedGraphView(graph.bit_index(), graph.adjacency_map(), self.bit_of)
-            for graph in self.graphs
-        ]
-        self._sources = [view.source for view in self.views]
+        self.sources: List[GraphBitIndex] = [graph.bit_index() for graph in self.graphs]
+        self._views: Optional[List[AlignedGraphView]] = None
         self._below: Dict[Label, int] = {}
+
+    @property
+    def views(self) -> List[AlignedGraphView]:
+        """One :class:`AlignedGraphView` per transaction, built lazily.
+
+        Transactions that share one graph object (a replicated
+        database) share its view.
+        """
+        views = self._views
+        if views is None:
+            by_graph: Dict[int, AlignedGraphView] = {}
+            views = []
+            for graph, source in zip(self.graphs, self.sources):
+                view = by_graph.get(id(graph))
+                if view is None:
+                    view = by_graph[id(graph)] = AlignedGraphView(
+                        source, graph.adjacency_map(), self.bit_of
+                    )
+                views.append(view)
+            self._views = views
+        return views
 
     def mask_below(self, label: Label) -> int:
         """Mask of every label of the alphabet sorting strictly below."""
@@ -258,13 +280,13 @@ class DatabaseLabelSpace:
 
     def stale(self) -> bool:
         """Whether any transaction mutated since the space was built."""
-        for graph, source in zip(self.graphs, self._sources):
+        for graph, source in zip(self.graphs, self.sources):
             if graph._bit_index is not source:
                 return True
         return False
 
     def __repr__(self) -> str:
-        return f"<DatabaseLabelSpace |L|={len(self.labels)} |D|={len(self.views)}>"
+        return f"<DatabaseLabelSpace |L|={len(self.labels)} |D|={len(self.graphs)}>"
 
 
 def build_label_space(graphs) -> Optional[DatabaseLabelSpace]:

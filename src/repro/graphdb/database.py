@@ -89,7 +89,7 @@ class GraphDatabase:
         return self._source.aligned_space()
 
     def slab_space(self):
-        """The transposed uint64 slab index, or ``None``.
+        """The transposed numpy slab index, or ``None``.
 
         Derived from :meth:`aligned_space` (and therefore ``None``
         whenever alignment is impossible or the backend is

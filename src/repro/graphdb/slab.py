@@ -4,7 +4,7 @@ The bitset kernel (:mod:`repro.graphdb.bitset`) keeps every mask a
 Python arbitrary-precision ``int``: each ``&``/popcount is fast C code,
 but every *operation* still pays interpreter dispatch and a fresh
 bigint allocation.  The slab kernel trades those per-operation costs
-for numpy's per-*array* cost by batching masks into ``uint64`` slab
+for numpy's per-*array* cost by batching masks into unsigned-word slab
 arrays and running ``&``/``|``/popcount vectorized across whole rows.
 
 The payoff comes from the **transposed** layout this module builds for
@@ -14,7 +14,7 @@ vertex — so the full kernel state of a prefix is *per extension label,
 the set of transactions where it extends the prefix*:
 
 ``cand[α]``
-    ``uint64[tx_words]`` — bit ``t`` set iff label ``α`` is a candidate
+    ``word[tx_words]`` — bit ``t`` set iff label ``α`` is a candidate
     extension of the prefix's embedding in transaction ``t``.
 
 Stacked over the whole alphabet this is one ``[n_labels, tx_words]``
@@ -27,9 +27,11 @@ slab, and Algorithm 1's scans become single vectorized expressions:
 ``nbr`` is the transposed adjacency this module precomputes once per
 database: ``nbr[b, a]`` holds, over transactions, where the vertices
 labeled ``b`` and ``a`` are adjacent.  Word layout everywhere:
-little-endian ``uint64`` words, bit ``t`` of word ``w`` standing for
-transaction ``64*w + t`` — the numpy mirror of the int-mask convention,
-so conversions are plain byte reinterpretation.
+little-endian unsigned words of ``B`` bits, bit ``t`` of word ``w``
+standing for transaction ``B*w + t`` — the numpy mirror of the int-mask
+convention, so conversions are plain byte reinterpretation.  ``B`` is
+the narrowest of 8/16/32/64 that holds every transaction in one word
+(:func:`word_dtype`), else 64.
 
 Popcount uses :func:`numpy.bitwise_count` (numpy >= 2.0) and falls
 back to an 8-bit lookup table over the byte view on older numpy.
@@ -37,23 +39,23 @@ back to an 8-bit lookup table over the byte view on older numpy.
 
 from __future__ import annotations
 
-from typing import Iterator, List, Optional
+from typing import Dict, Iterator, Optional
 
 import numpy as np
 
-from .bitset import DatabaseLabelSpace
+from .bitset import DatabaseLabelSpace, GraphBitIndex
 
 #: Little-endian uint64: byte views line up with ``int.to_bytes(...,
-#: "little")`` regardless of host endianness.
+#: "little")`` regardless of host endianness.  The word of databases
+#: with more than 64 transactions.
 WORD_DTYPE = np.dtype("<u8")
 
-#: Bits per slab word.
-WORD_BITS = 64
-
-#: Ceiling on the transposed-build working set (the unpacked
-#: ``[n_tx, n_labels, n_labels]`` bit tensor and its transpose), in
-#: bytes.  Databases above it simply keep the int-mask kernel.
+#: Ceiling on the transposed index's resident ``nbr`` slab, in bytes.
+#: Databases above it simply keep the int-mask kernel.
 DEFAULT_BUILD_BYTES = 256 * 1024 * 1024
+
+#: Vertex ids the ``int32`` vertex matrix can hold.
+_VERTEX_MIN, _VERTEX_MAX = -(2**31), 2**31 - 1
 
 _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 
@@ -61,8 +63,22 @@ _HAS_BITWISE_COUNT = hasattr(np, "bitwise_count")
 _POPCOUNT_LUT = np.array([i.bit_count() for i in range(256)], dtype=np.uint8)
 
 
+def word_dtype(n_transactions: int) -> np.dtype:
+    """The slab word for a database of ``n_transactions``.
+
+    The narrowest little-endian unsigned word that holds every
+    transaction in one word, or ``uint64`` (several words) past 64: an
+    11-transaction database gets ``uint16`` words, so its slabs, forest
+    levels and batches are a quarter of their ``uint64`` size.
+    """
+    for dtype in ("<u1", "<u2", "<u4"):
+        if n_transactions <= np.dtype(dtype).itemsize * 8:
+            return np.dtype(dtype)
+    return WORD_DTYPE
+
+
 def popcount_words(words: np.ndarray) -> np.ndarray:
-    """Per-word popcounts of a ``uint64`` array (same shape, small ints).
+    """Per-word popcounts of an unsigned word array (same shape, small ints).
 
     Uses :func:`numpy.bitwise_count` when available; otherwise an 8-bit
     lookup over the byte view (both return identical values).
@@ -70,14 +86,14 @@ def popcount_words(words: np.ndarray) -> np.ndarray:
     if _HAS_BITWISE_COUNT:
         return np.bitwise_count(words)
     flat = np.ascontiguousarray(words)
-    as_bytes = flat.view(np.uint8).reshape(flat.shape + (8,))
+    as_bytes = flat.view(np.uint8).reshape(flat.shape + (flat.dtype.itemsize,))
     return _POPCOUNT_LUT[as_bytes].sum(axis=-1, dtype=np.uint8)
 
 
 def popcount_rows(rows: np.ndarray) -> np.ndarray:
     """Set-bit totals along the last (word) axis, as ``int64``.
 
-    ``[..., n_words] uint64 -> [...] int64`` — the vectorized analogue
+    ``[..., n_words] words -> [...] int64`` — the vectorized analogue
     of mapping :func:`repro.graphdb.bitset.popcount` over int masks.
     """
     return popcount_words(rows).sum(axis=-1, dtype=np.int64)
@@ -97,25 +113,31 @@ def iter_word_bits(words: np.ndarray) -> Iterator[int]:
     """Yield global set-bit positions of a word array, ascending.
 
     Matches :func:`repro.graphdb.bitset.iter_bits` on the equivalent
-    int mask: position ``64*w + t`` for bit ``t`` of word ``w``.
+    int mask: position ``B*w + t`` for bit ``t`` of ``B``-bit word ``w``.
     """
+    bits = words.dtype.itemsize * 8
     for w, word in enumerate(words.tolist()):
-        base = w * WORD_BITS
+        base = w * bits
         while word:
             low = word & -word
             yield base + low.bit_length() - 1
             word ^= low
 
 
-def _pack_tx_words(bits: np.ndarray, n_words: int) -> np.ndarray:
-    """Pack a trailing transaction-bit axis into ``n_words`` uint64 words."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    pad = n_words * 8 - packed.shape[-1]
-    if pad:
-        packed = np.concatenate(
-            [packed, np.zeros(packed.shape[:-1] + (pad,), dtype=np.uint8)], axis=-1
-        )
-    return np.ascontiguousarray(packed).view(WORD_DTYPE)
+def _local_adjacency(index: GraphBitIndex) -> np.ndarray:
+    """``uint8[n, n]`` adjacency of one transaction in its local bit order."""
+    n = len(index.order)
+    row_bytes = (n + 7) // 8
+    neighbor_masks = index.neighbor_masks
+    packed = b"".join(
+        neighbor_masks[vertex].to_bytes(row_bytes, "little") for vertex in index.order
+    )
+    return np.unpackbits(
+        np.frombuffer(packed, dtype=np.uint8).reshape(n, row_bytes),
+        axis=1,
+        count=n,
+        bitorder="little",
+    )
 
 
 class TransposedSlabSpace:
@@ -125,15 +147,27 @@ class TransposedSlabSpace:
     :class:`~repro.graphdb.bitset.DatabaseLabelSpace` and bit ``t`` of
     the word axis standing for transaction ``t``:
 
-    * ``nbr`` — ``uint64[n_labels, n_labels, tx_words]``; bit ``t`` of
+    * ``nbr`` — ``word[n_labels, n_labels, tx_words]``; bit ``t`` of
       ``nbr[b, a]`` set iff both labels are present in transaction
       ``t`` and their vertices are adjacent there (symmetric, zero
       diagonal: a vertex is not its own neighbour),
-    * ``presence`` — ``uint64[n_labels, tx_words]``; bit ``t`` of
+    * ``presence`` — ``word[n_labels, tx_words]``; bit ``t`` of
       ``presence[b]`` set iff label ``b`` occurs in transaction ``t``,
     * ``label_tx_counts`` — ``int64[n_labels]`` row popcounts of
       ``presence`` (the per-label supports, precomputed so root stores
-      are O(1)).
+      are O(1)),
+    * ``vertices`` — ``int32[n_transactions, n_labels]``; cell
+      ``(t, b)`` is the vertex carrying label bit ``b`` in transaction
+      ``t``, ``-1`` where the label is absent.  Witnesses and
+      embeddings are gathered from it with one fancy index.
+
+    ``word`` is :func:`word_dtype` of the transaction count.  The build
+    streams one transaction word (up to 64 transactions) at a time,
+    straight from each graph's :class:`GraphBitIndex`: its working set
+    is one transaction's local adjacency, and it never builds the space's
+    per-transaction :attr:`~DatabaseLabelSpace.views`.  Transactions
+    of one word that share a graph object (a replicated database) are
+    written together.
 
     ``space`` is the label space the slabs were derived from; holders
     compare it by identity to detect database mutation (a mutated
@@ -148,124 +182,51 @@ class TransposedSlabSpace:
         "nbr",
         "presence",
         "label_tx_counts",
-        "_nbr_neg",
-        "_root_counts",
-        "_presence_nonzero",
-        "_vertex_matrix",
+        "vertices",
     )
 
     def __init__(self, space: DatabaseLabelSpace) -> None:
-        views = space.views
+        bit_of = space.bit_of
+        sources = space.sources
         n_labels = len(space.labels)
-        n_tx = len(views)
-        label_words = (n_labels + WORD_BITS - 1) // WORD_BITS
-        tx_words = max(1, (n_tx + WORD_BITS - 1) // WORD_BITS)
-        row_bytes = label_words * 8
+        n_tx = len(sources)
+        dtype = word_dtype(n_tx)
+        word_bits = dtype.itemsize * 8
+        tx_words = max(1, (n_tx + word_bits - 1) // word_bits)
+        nbr = np.zeros((n_labels, n_labels, tx_words), dtype=dtype)
+        presence = np.zeros((n_labels, tx_words), dtype=dtype)
+        vertices = np.full((n_tx, n_labels), -1, dtype=np.int32)
+        for word in range(tx_words):
+            base = word * word_bits
+            # Group the word's transactions by graph object: one
+            # adjacency unpack and one scatter per distinct graph.
+            groups: Dict[int, list] = {}
+            for tid in range(base, min(base + word_bits, n_tx)):
+                index = sources[tid]
+                group = groups.get(id(index))
+                if group is None:
+                    groups[id(index)] = [index, 1 << (tid - base), [tid]]
+                else:
+                    group[1] |= 1 << (tid - base)
+                    group[2].append(tid)
+            for index, bits, tids in groups.values():
+                positions = np.array(
+                    [bit_of[label] for label in index.labels_by_bit], dtype=np.intp
+                )
+                mask = dtype.type(bits)
+                presence[positions, word] |= mask
+                vertices[np.array(tids, dtype=np.intp)[:, None], positions] = index.order
+                rows, cols = np.nonzero(_local_adjacency(index))
+                nbr[positions[rows], positions[cols], word] |= mask
 
-        # Per-transaction adjacency and presence in label bit order,
-        # assembled from the aligned int masks via their little-endian
-        # bytes — no per-bit python loops.
-        adj = np.zeros((n_tx, n_labels, label_words), dtype=WORD_DTYPE)
-        present = np.zeros((n_tx, max(1, label_words)), dtype=WORD_DTYPE)
-        for tid, view in enumerate(views):
-            buffer = bytearray(n_labels * row_bytes)
-            neighbor_masks = view.neighbor_masks
-            for bit, vertex in view.vertex_by_bit.items():
-                mask = neighbor_masks[vertex]
-                if mask:
-                    start = bit * row_bytes
-                    buffer[start : start + row_bytes] = mask.to_bytes(row_bytes, "little")
-            adj[tid] = np.frombuffer(bytes(buffer), dtype=WORD_DTYPE).reshape(
-                n_labels, label_words
-            )
-            present[tid, :label_words] = np.frombuffer(
-                view.present_mask.to_bytes(row_bytes, "little"), dtype=WORD_DTYPE
-            )
-
-        # [n_tx, n_labels(member), n_labels(other)] adjacency bits, then
-        # transpose the transaction axis innermost and repack over it.
-        bits = np.unpackbits(
-            adj.view(np.uint8).reshape(n_tx, n_labels, row_bytes),
-            axis=-1,
-            bitorder="little",
-        )[:, :, :n_labels]
-        self.nbr = _pack_tx_words(
-            np.ascontiguousarray(bits.transpose(1, 2, 0)), tx_words
-        )
-        present_bits = np.unpackbits(
-            present.view(np.uint8), axis=-1, bitorder="little"
-        )[:, :n_labels]
-        self.presence = _pack_tx_words(
-            np.ascontiguousarray(present_bits.transpose(1, 0)), tx_words
-        )
-        self.label_tx_counts = popcount_rows(self.presence)
-
+        self.nbr = nbr
+        self.presence = presence
+        self.vertices = vertices
+        self.label_tx_counts = popcount_rows(presence)
         self.space = space
         self.n_labels = n_labels
         self.n_transactions = n_tx
         self.tx_words = tx_words
-
-        # Lazy derived slabs (support-independent, shared by every
-        # mine call on this snapshot).
-        self._nbr_neg: Optional[np.ndarray] = None
-        self._root_counts: Optional[np.ndarray] = None
-        self._presence_nonzero: Optional[np.ndarray] = None
-        self._vertex_matrix: Optional[np.ndarray] = None
-
-    def nbr_neg(self) -> np.ndarray:
-        """``~nbr``, cached — the Lemma 4.4 non-adjacency slabs.
-
-        Padding bits beyond the last transaction come back set; callers
-        only ever AND these rows against candidate slabs, whose padding
-        bits are zero, so the junk never reaches a popcount.
-        """
-        neg = self._nbr_neg
-        if neg is None:
-            neg = self._nbr_neg = ~self.nbr
-        return neg
-
-    def root_counts(self) -> np.ndarray:
-        """``int64[n_labels, n_labels]`` root extension supports, cached.
-
-        Row ``b`` holds the popcounts of ``nbr[b]`` — the support of
-        every label as an extension of the 1-clique ``(b,)`` — so a
-        root store's extension scan is a row view, not a popcount.
-        """
-        counts = self._root_counts
-        if counts is None:
-            counts = self._root_counts = popcount_rows(self.nbr)
-        return counts
-
-    def vertex_matrix(self) -> np.ndarray:
-        """``int64[n_transactions, n_labels]`` vertex per (tx, bit), cached.
-
-        Cell ``(t, b)`` is the vertex carrying label bit ``b`` in
-        transaction ``t`` (labels are unique per vertex wherever a slab
-        space exists), ``-1`` where the label is absent.  Lets witness
-        materialisation gather whole embeddings with one fancy index
-        instead of per-bit dict lookups.
-        """
-        matrix = self._vertex_matrix
-        if matrix is None:
-            matrix = np.full(
-                (self.n_transactions, self.n_labels), -1, dtype=np.int64
-            )
-            for tid, view in enumerate(self.space.views):
-                for bit, vertex in view.vertex_by_bit.items():
-                    matrix[tid, bit] = vertex
-            self._vertex_matrix = matrix
-        return matrix
-
-    def presence_nonzero(self) -> np.ndarray:
-        """Per-label count of nonzero ``presence`` words, cached."""
-        nonzero = self._presence_nonzero
-        if nonzero is None:
-            nonzero = self._presence_nonzero = np.count_nonzero(self.presence, axis=1)
-        return nonzero
-
-    def transactions_of(self, row: np.ndarray) -> List[int]:
-        """Transaction ids of a word-mask row, ascending."""
-        return list(iter_word_bits(row))
 
     def __repr__(self) -> str:
         return (
@@ -281,17 +242,23 @@ def build_slab_space(
     """Build the transposed slab index, or ``None`` when ineligible.
 
     Requires an aligned label space (unique per-vertex labels), at
-    least one label and transaction, and a build working set — two
-    transient ``[n_tx, n_labels, n_labels]`` byte tensors — under
-    ``max_build_bytes``.  Ineligible databases keep the int-mask
-    kernel; results are byte-identical either way.
+    least one label and transaction, a resident ``nbr`` slab under
+    ``max_build_bytes``, and vertex ids that fit the ``int32`` vertex
+    matrix.  Ineligible databases keep the int-mask kernel; results
+    are byte-identical either way.
     """
     if space is None:
         return None
     n_labels = len(space.labels)
-    n_tx = len(space.views)
+    n_tx = len(space.sources)
     if not n_labels or not n_tx:
         return None
-    if 2 * n_tx * n_labels * n_labels > max_build_bytes:
+    word_bytes = word_dtype(n_tx).itemsize
+    tx_words = (n_tx + 8 * word_bytes - 1) // (8 * word_bytes)
+    if n_labels * n_labels * tx_words * word_bytes > max_build_bytes:
         return None
+    for index in space.sources:
+        order = index.order
+        if order and (order[0] < _VERTEX_MIN or order[-1] > _VERTEX_MAX):
+            return None
     return TransposedSlabSpace(space)

@@ -95,7 +95,7 @@ class GraphSource:
         return None
 
     def slab_space(self):
-        """The transposed uint64 slab index, or ``None`` (see above)."""
+        """The transposed numpy slab index, or ``None`` (see above)."""
         return None
 
     def close(self) -> None:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import platform
 import time
 from dataclasses import asdict, dataclass
@@ -193,9 +194,17 @@ def open_trace(path: PathLike) -> List[MiningEvent]:
 # Session checkpoints
 # ----------------------------------------------------------------------
 def save_checkpoint(checkpoint: MiningCheckpoint, path: PathLike) -> None:
-    """Write a session checkpoint as JSON."""
-    with open(path, "w", encoding="utf-8") as stream:
+    """Write a session checkpoint as JSON, replacing ``path`` atomically.
+
+    The JSON goes to a fresh file beside ``path`` that then replaces
+    it, so a reader (a service restarted after a crash) sees the
+    previous checkpoint or the new one, never a half-written file.
+    """
+    path = Path(path)
+    partial = path.with_name(f".{path.name}.partial")
+    with open(partial, "w", encoding="utf-8") as stream:
         json.dump(checkpoint.to_dict(), stream, indent=1)
+    os.replace(partial, path)
 
 
 def open_checkpoint(path: PathLike) -> MiningCheckpoint:

@@ -115,14 +115,15 @@ class _JobSink(EventSink):
 
     def emit(self, event: MiningEvent) -> None:
         service, job = self._service, self._job
-        if (
-            isinstance(event, RootFinished)
-            and job.session is not None
-            and not service._killed
-        ):
-            save_checkpoint(
-                job.session.checkpoint(), service._checkpoint_path(job.job_id)
-            )
+        if isinstance(event, RootFinished) and job.session is not None:
+            # Under the lock :meth:`MiningService.kill` takes: no save
+            # is in flight once a kill returns, and none starts after.
+            with service._checkpoint_lock:
+                if not service._killed:
+                    save_checkpoint(
+                        job.session.checkpoint(),
+                        service._checkpoint_path(job.job_id),
+                    )
         service._post(service._publish_event, job, event_to_dict(event))
 
 
@@ -189,6 +190,7 @@ class MiningService:
         self._killed = False
         self._stopping = False
         self._cache_io_lock = threading.Lock()
+        self._checkpoint_lock = threading.Lock()
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[asyncio.AbstractServer] = None
         self._scheduler_task: Optional[asyncio.Task] = None
@@ -291,7 +293,8 @@ class MiningService:
         written — exactly what a power loss would leave behind.  A new
         service on the same ``state_dir`` recovers and resumes.
         """
-        self._killed = True
+        with self._checkpoint_lock:
+            self._killed = True
         self._stopping = True
         for job in self._jobs.values():
             if job.session is not None and not job.finished:

@@ -113,6 +113,53 @@ class TestGenerate:
         assert len(db) == 11
 
 
+class TestKernelDefault:
+    @pytest.fixture
+    def market_file(self, tmp_path):
+        path = tmp_path / "stock.json"
+        assert main([
+            "generate", "stock", str(path), "--scale", "tiny",
+            "--theta", "0.95", "--format", "json",
+        ]) == 0
+        return str(path)
+
+    @pytest.mark.parametrize("command", [
+        ["mine", "--min-sup", "0.9", "--stats"],
+        ["sweep", "--min-sups", "1.0,0.9"],
+        ["topk", "--min-sup", "0.9", "-k", "3"],
+    ])
+    def test_aligned_database_mines_on_the_slab_path(
+        self, market_file, command, monkeypatch, capsys
+    ):
+        # Without --kernel the command defers to MinerConfig's default:
+        # unique ticker labels put every root on the slab store.
+        from repro.core.slab_store import SlabEmbeddingStore
+
+        roots = []
+        for_root = SlabEmbeddingStore.for_root.__func__
+
+        def counting(cls, database, pseudo, label, *args, **kwargs):
+            roots.append(label)
+            return for_root(cls, database, pseudo, label, *args, **kwargs)
+
+        monkeypatch.setattr(SlabEmbeddingStore, "for_root", classmethod(counting))
+        def output():
+            lines = capsys.readouterr().out.splitlines()
+            if name == "sweep":  # drop the wall-clock column
+                lines = [line.rsplit(None, 1)[0] for line in lines]
+            return lines
+
+        name, *options = command
+        argv = [name, market_file, "--format", "json", *options]
+        assert main(argv) == 0
+        default_out = output()
+        assert roots
+        roots.clear()
+        assert main(argv + ["--kernel", "bitset"]) == 0
+        assert not roots
+        assert output() == default_out
+
+
 class TestExperiments:
     def test_experiments_lists_all_artifacts(self, capsys):
         assert main(["experiments"]) == 0

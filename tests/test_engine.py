@@ -145,3 +145,36 @@ class TestParallelShimRemoved:
             mine_closed_cliques_parallel,
             partition_roots,
         )
+
+
+class TestMineFreesItsStores:
+    def test_slab_mine_leaves_no_cyclic_garbage(self):
+        # A slab mine's stores and forest must be freed by refcount when
+        # the call returns; a cycle would hold them until a gen-2
+        # collection, which a long-lived process may rarely run.
+        import gc
+
+        from repro.core.slab_store import SlabEmbeddingStore, _SlabForest
+        from repro.stockmarket import stock_market_database
+
+        market = stock_market_database(0.95, scale="tiny")
+        request = MiningRequest(min_sup="85%")
+        assert MinerConfig().kernel == "slab"
+        assert market.slab_space() is not None
+        mine(market, request)  # builds the indexes the next call reuses
+        gc.collect()
+        gc.disable()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            assert len(mine(market, request))
+            gc.collect()
+            leaked = [
+                type(obj).__name__
+                for obj in gc.garbage
+                if isinstance(obj, (SlabEmbeddingStore, _SlabForest))
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+            gc.enable()
+        assert leaked == []

@@ -278,6 +278,50 @@ class TestKillAndResume:
         assert resumed < cold
 
 
+    def test_kill_waits_for_an_inflight_checkpoint_save(self, tmp_path, monkeypatch):
+        """After ``kill`` returns, no checkpoint save is running or starts.
+
+        A save still running when a restarted service reads the file
+        would hand it a torn checkpoint.
+        """
+        import threading
+        from types import SimpleNamespace
+
+        from repro.core.session import RootFinished
+        from repro.service import server
+
+        order = []
+        started, release = threading.Event(), threading.Event()
+
+        def slow_save(checkpoint, path):
+            started.set()
+            assert release.wait(30)
+            order.append("saved")
+
+        monkeypatch.setattr(server, "save_checkpoint", slow_save)
+        svc = MiningService(paper_example_database(), tmp_path / "state")
+        job = SimpleNamespace(job_id="job-000001", session=SimpleNamespace(checkpoint=dict))
+        sink = server._JobSink(svc, job)
+        event = RootFinished(root="a", index=0, n_pending=1, patterns=0, statistics={})
+
+        def kill():
+            svc.kill()
+            order.append("killed")
+
+        saver = threading.Thread(target=sink.emit, args=(event,))
+        saver.start()
+        assert started.wait(30)
+        killer = threading.Thread(target=kill)
+        killer.start()
+        killer.join(0.5)  # a kill that does not wait for the save ends here
+        release.set()
+        for thread in (saver, killer):
+            thread.join(30)
+            assert not thread.is_alive()
+        sink.emit(event)
+        assert order == ["saved", "killed"]
+
+
 class TestFairness:
     def test_round_robin_queue_interleaves_tenants(self):
         queue = FairJobQueue()

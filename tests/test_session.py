@@ -10,6 +10,7 @@ The contracts here are the PR's acceptance criteria:
 * serial and parallel sessions produce byte-identical event streams.
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -553,6 +554,54 @@ class TestCheckpointResume:
                 config=MinerConfig(min_size=2),
                 resume_from=session.checkpoint(),
             )
+
+    def test_failed_checkpoint_write_keeps_the_previous_file(
+        self, paper_db, tmp_path, monkeypatch
+    ):
+        # A reader (a restarted service) must never see a torn file.
+        session = MiningSession(paper_db, 2)
+        session.run()
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(session.checkpoint(), path)
+        before = path.read_text()
+
+        def torn_dump(payload, stream, **kwargs):
+            stream.write('{"kind": "mining-check')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", torn_dump)
+        with pytest.raises(OSError):
+            save_checkpoint(session.checkpoint(), path)
+        monkeypatch.undo()
+        assert path.read_text() == before
+
+    def test_bitset_checkpoint_resumes_under_the_default_kernel(self, tmp_path):
+        # A job checkpointed under the former default kernel resumes
+        # under the slab default: the kernel changes no pattern.
+        from repro.core.api import MiningResultEnvelope
+
+        market = stock_market_database(0.95, scale="tiny")
+        request = MiningRequest(min_sup="85%")
+        bitset = dataclasses.replace(request, kernel="bitset")
+        truncated = MiningSession.from_request(
+            market, bitset, budget=MiningBudget(max_expanded_prefixes=20)
+        )
+        assert truncated.run().truncated
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(truncated.checkpoint(), path)
+        assert open_checkpoint(path).config["kernel"] == "bitset"
+        resumed = MiningSession.from_request(
+            market, request, resume_from=open_checkpoint(path)
+        )
+        assert resumed.config.kernel == "slab"
+
+        def envelope(result):
+            return json.dumps(
+                MiningResultEnvelope.from_result(request, result).canonical_dict(),
+                sort_keys=True,
+            )
+
+        assert envelope(resumed.run()) == envelope(mine(market, request))
 
     def test_resume_rejects_wrong_task(self, dense_db):
         session = MiningSession(dense_db, 3, budget=MiningBudget(max_patterns=2))
