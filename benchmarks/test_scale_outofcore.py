@@ -1,4 +1,4 @@
-"""Out-of-core scale benchmark — SQLite store + sharded mining vs eager.
+"""Out-of-core scale benchmark — SQLite store vs eager, per kernel.
 
 Not a paper figure: CLAN's experiments fit in 2006-era RAM.  This
 benchmark is the acceptance gate for the GraphSource seam.  It
@@ -11,15 +11,23 @@ and mines it two ways:
   :class:`GraphDatabase` up front (what every pre-seam caller did),
   then run the serial engine;
 * **out-of-core** — mine straight off the store with
-  :func:`repro.core.sharding.mine_sharded`, a small decode cache, and
-  shard-sized passes.
+  :func:`repro.core.sharding.mine_sharded` and a small decode cache.
+
+It does so for two kernels, one record each:
+
+* **bitset** (pinned) — ``mine_sharded`` runs its shard-sized passes.
+  Gated: the out-of-core peak must sit at least ``MEMORY_BAR``× below
+  the eager peak, and its wall clock at most ``WALL_BAR``× above.
+* **slab** (the default) — the store is unique-label, so
+  ``mine_sharded`` streams it once into the slab index and mines
+  serially.  Its target, ``DEFAULT_WALL_TARGET``× eager wall clock at
+  ``MEMORY_BAR``× less memory, is recorded as reached or not, with the
+  measured ratios; it does not gate.
 
 Wall clock and memory come from separate runs: each way is timed
 ``REPEATS`` times without tracemalloc (the median is reported), then
 run once more under tracemalloc for its peak.  Both ways must produce
-byte-identical canonical envelopes, the out-of-core peak must sit at
-least ``MEMORY_BAR``× below the eager peak, and the out-of-core wall
-clock at most ``WALL_BAR``× above eager.  Results land in
+byte-identical canonical envelopes.  Results land in
 ``BENCH_scale.json`` at the repo root as the perf-trajectory record.
 """
 
@@ -47,6 +55,10 @@ MEMORY_BAR = 3.0
 
 #: Ceiling on out-of-core wall clock as a multiple of eager.
 WALL_BAR = 5.0
+
+#: Out-of-core wall-clock target on the default kernel, as a multiple
+#: of eager (recorded, not gated).
+DEFAULT_WALL_TARGET = 1.5
 
 #: Timed runs per way; the median is reported.
 REPEATS = 3
@@ -86,21 +98,8 @@ def _peak_bytes(run) -> int:
         tracemalloc.stop()
 
 
-def test_outofcore_scale(scale, tmp_path):
-    factor, shard_size, batch_size, max_batches = SCALE_PARAMS[scale]
-    base = stock_market_database(0.95, scale="tiny")
-    replicated = base.replicate(factor)
-    n_transactions = len(replicated)
-    store_path = tmp_path / "sm095_replicated.sqlite"
-    import_graphs(store_path, iter(replicated), name=f"SM-0.95-x{factor}").close()
-    store_bytes = store_path.stat().st_size
-    del replicated
-
-    # Witnesses off: the memory under test is the transaction store,
-    # not the per-pattern witness lists both runs would share.
-    request = MiningRequest(
-        min_sup=MIN_SUP, task="closed", kernel="bitset", collect_witnesses=False
-    )
+def _measure(store_path, request, batch_size, max_batches, shard_size):
+    """Eager vs out-of-core on one request: timings, peaks, envelopes."""
 
     def eager():
         source = SqliteGraphSource(store_path)
@@ -124,18 +123,74 @@ def test_outofcore_scale(scale, tmp_path):
     ooc_seconds, ooc_samples, ooc_result = _timed(out_of_core)
     eager_envelope = MiningResultEnvelope.from_result(request, eager_result).canonical_json()
     ooc_envelope = MiningResultEnvelope.from_result(request, ooc_result).canonical_json()
+    assert ooc_envelope == eager_envelope
     patterns = len(ooc_result)
     del eager_result, ooc_result
     eager_peak = _peak_bytes(eager)
     ooc_peak = _peak_bytes(out_of_core)
+    return {
+        "kernel": request.resolved_config().kernel,
+        "eager_peak_bytes": eager_peak,
+        "outofcore_peak_bytes": ooc_peak,
+        "memory_ratio": eager_peak / ooc_peak,
+        "eager_seconds": eager_seconds,
+        "outofcore_seconds": ooc_seconds,
+        "eager_samples": eager_samples,
+        "outofcore_samples": ooc_samples,
+        "wall_ratio": ooc_seconds / eager_seconds,
+        "identical_envelopes": True,
+        "patterns": patterns,
+    }
 
+
+def test_outofcore_scale(scale, tmp_path):
+    factor, shard_size, batch_size, max_batches = SCALE_PARAMS[scale]
+    base = stock_market_database(0.95, scale="tiny")
+    replicated = base.replicate(factor)
+    n_transactions = len(replicated)
+    store_path = tmp_path / "sm095_replicated.sqlite"
+    import_graphs(store_path, iter(replicated), name=f"SM-0.95-x{factor}").close()
+    store_bytes = store_path.stat().st_size
+    del replicated
     assert n_transactions >= 1000
-    assert ooc_envelope == eager_envelope
-    memory_ratio = eager_peak / ooc_peak
-    wall_ratio = ooc_seconds / eager_seconds
+
+    # Witnesses off: the memory under test is the transaction store,
+    # not the per-pattern witness lists both runs would share.
+    bitset = _measure(
+        store_path,
+        MiningRequest(
+            min_sup=MIN_SUP, task="closed", kernel="bitset", collect_witnesses=False
+        ),
+        batch_size,
+        max_batches,
+        shard_size,
+    )
+    bitset.update(
+        path="shard passes",
+        memory_bar=MEMORY_BAR,
+        wall_bar=WALL_BAR,
+        gated=True,
+    )
+    default = _measure(
+        store_path,
+        MiningRequest(min_sup=MIN_SUP, task="closed", collect_witnesses=False),
+        batch_size,
+        max_batches,
+        shard_size,
+    )
+    default.update(
+        path="streamed slab build, serial mine",
+        memory_bar=MEMORY_BAR,
+        wall_target=DEFAULT_WALL_TARGET,
+        gated=False,
+        target_reached=(
+            default["memory_ratio"] >= MEMORY_BAR
+            and default["wall_ratio"] <= DEFAULT_WALL_TARGET
+        ),
+    )
 
     record = {
-        "benchmark": "out-of-core scale (SQLite store + sharded mining vs eager)",
+        "benchmark": "out-of-core scale (SQLite store + mine_sharded vs eager)",
         "workload": f"SM-0.95 (tiny) replicated x{factor}, closed @ {MIN_SUP}",
         "scale": scale,
         "hardware": hardware_context(),
@@ -144,41 +199,49 @@ def test_outofcore_scale(scale, tmp_path):
         "store_bytes": store_bytes,
         "shard_size": shard_size,
         "decode_cache": {"batch_size": batch_size, "max_batches": max_batches},
-        "memory_bar": MEMORY_BAR,
-        "wall_bar": WALL_BAR,
-        "eager_peak_bytes": eager_peak,
-        "outofcore_peak_bytes": ooc_peak,
-        "memory_ratio": memory_ratio,
         "timing": f"median of {REPEATS} runs without tracemalloc",
-        "eager_seconds": eager_seconds,
-        "outofcore_seconds": ooc_seconds,
-        "eager_samples": eager_samples,
-        "outofcore_samples": ooc_samples,
-        "wall_ratio": wall_ratio,
-        "identical_envelopes": True,
-        "patterns": patterns,
+        "records": [bitset, default],
     }
     (REPO_ROOT / "BENCH_scale.json").write_text(
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )
     table = format_table(
-        ("run", "peak MiB", "seconds"),
+        ("kernel", "run", "peak MiB", "seconds", "ratios"),
         [
-            ("eager", f"{eager_peak / 2**20:.2f}", f"{eager_seconds:.2f}"),
-            ("out-of-core", f"{ooc_peak / 2**20:.2f}", f"{ooc_seconds:.2f}"),
+            row
+            for entry in (bitset, default)
+            for row in (
+                (
+                    entry["kernel"],
+                    "eager",
+                    f"{entry['eager_peak_bytes'] / 2**20:.2f}",
+                    f"{entry['eager_seconds']:.2f}",
+                    "",
+                ),
+                (
+                    entry["kernel"],
+                    "out-of-core",
+                    f"{entry['outofcore_peak_bytes'] / 2**20:.2f}",
+                    f"{entry['outofcore_seconds']:.2f}",
+                    f"memory {entry['memory_ratio']:.2f}x, "
+                    f"wall {entry['wall_ratio']:.2f}x",
+                ),
+            )
         ],
         title=(
             f"SM-0.95 x{factor} ({n_transactions} transactions, "
-            f"{store_bytes / 2**20:.2f} MiB store): memory ratio "
-            f"{memory_ratio:.2f}x, wall ratio {wall_ratio:.2f}x"
+            f"{store_bytes / 2**20:.2f} MiB store); default-kernel target "
+            f"{'reached' if default['target_reached'] else 'not reached'}"
         ),
     )
     write_report("scale_outofcore", table)
-    assert memory_ratio >= MEMORY_BAR, (
-        f"out-of-core peak {ooc_peak} is only {memory_ratio:.2f}x below eager "
-        f"peak {eager_peak}; the bar is {MEMORY_BAR}x"
+    assert bitset["memory_ratio"] >= MEMORY_BAR, (
+        f"bitset out-of-core peak {bitset['outofcore_peak_bytes']} is only "
+        f"{bitset['memory_ratio']:.2f}x below eager peak "
+        f"{bitset['eager_peak_bytes']}; the bar is {MEMORY_BAR}x"
     )
-    assert wall_ratio <= WALL_BAR, (
-        f"out-of-core took {ooc_seconds:.2f} s, {wall_ratio:.2f}x eager's "
-        f"{eager_seconds:.2f} s; the bar is {WALL_BAR}x"
+    assert bitset["wall_ratio"] <= WALL_BAR, (
+        f"bitset out-of-core took {bitset['outofcore_seconds']:.2f} s, "
+        f"{bitset['wall_ratio']:.2f}x eager's {bitset['eager_seconds']:.2f} s; "
+        f"the bar is {WALL_BAR}x"
     )

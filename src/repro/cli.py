@@ -120,7 +120,8 @@ def build_parser() -> argparse.ArgumentParser:
                            "store written by 'clan import'")
     mine.add_argument("--shards", type=int, default=None, metavar="N",
                       help="mine via N transaction-range shards and an exact "
-                           "merge (out-of-core; results identical)")
+                           "merge (out-of-core; results identical); a "
+                           "unique-label store mines on the slab index instead")
     mine.add_argument("--shard-size", type=int, default=None, metavar="T",
                       help="like --shards, but sized in transactions per shard")
     mine.add_argument("--min-sup", default="2", help="absolute count, fraction, or percentage")

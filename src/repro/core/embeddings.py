@@ -45,8 +45,9 @@ Orthogonally to the strategy, two *kernels* implement the set algebra:
     Numpy unsigned-word slab arrays with vectorized ``&``/``|``/popcount,
     transposed so one array row holds a label's supporting-transaction
     mask (:mod:`repro.core.slab_store`).  Engaged when the database has
-    an aligned label space and the strategy is ``cached``; otherwise it
-    transparently falls back to the ``bitset`` int-mask representation.
+    a slab index (unique per-vertex labels, resident or in a SQLite
+    store) and the strategy is ``cached``; otherwise it transparently
+    falls back to the ``bitset`` int-mask representation.
 
 All kernels enumerate embeddings in identical order (ascending vertex
 id within each label group) and produce identical results.

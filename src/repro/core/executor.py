@@ -56,11 +56,14 @@ import warnings
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..exceptions import MiningError
 from ..graphdb.database import GraphDatabase
 from .cache import CachedRoot, MiningCache
 from .canonical import Label
 from .config import MinerConfig
+from .embeddings import SLAB
 from .engine import MiningEngine, engine_digest, engine_for_task, finalize_patterns
 from .results import MiningResult
 from .session import MiningEvent, PrefixVisited, SearchHooks, _ListSink
@@ -106,7 +109,7 @@ def partition_roots(labels: Sequence[Label], chunks: int) -> List[Tuple[Label, .
 
 
 def estimate_root_costs(
-    database: GraphDatabase, roots: Sequence[Label]
+    database: GraphDatabase, roots: Sequence[Label], slab=None
 ) -> Dict[Label, float]:
     """Static per-root subtree cost estimates, from one database pass.
 
@@ -118,9 +121,32 @@ def estimate_root_costs(
     (f²/2).  The absolute scale is irrelevant; only the ratios steer
     the heaviest-first ordering and the split decision, and live
     per-task timings recalibrate them as results arrive.
+
+    Given the database's transposed ``slab`` index, the same numbers
+    come from its adjacency rows instead, without touching a graph (an
+    out-of-core store would otherwise decode every transaction again).
     """
     wanted = set(roots)
     costs: Dict[Label, float] = {root: 1.0 for root in roots}
+    if slab is not None:
+        n_tx = slab.n_transactions
+
+        def tx_bits(rows: np.ndarray) -> np.ndarray:
+            unpacked = np.unpackbits(
+                np.ascontiguousarray(rows).view(np.uint8), axis=-1, bitorder="little"
+            )
+            return unpacked[..., :n_tx]
+
+        for root in wanted:
+            bit = slab.bit_of.get(root)
+            if bit is None:
+                continue
+            # Labels are unique per transaction, so every forward
+            # neighbour of the root's vertex carries a label above it.
+            forward = tx_bits(slab.nbr[bit, bit + 1 :]).sum(axis=0, dtype=np.int64)
+            forward = forward[tx_bits(slab.presence[bit]).astype(bool)]
+            costs[root] += float((1.0 + forward + 0.5 * forward * forward).sum())
+        return costs
     for graph in database:
         label_map = graph.label_map()
         adjacency = graph.adjacency_map()
@@ -675,7 +701,8 @@ class MiningExecutor:
         arrivals: "queue.Queue[Any]" = queue.Queue()
 
         if self.scheduler == STEALING:
-            estimates = estimate_root_costs(self.database, roots)
+            slab = self.database.slab_space() if self.config.kernel == SLAB else None
+            estimates = estimate_root_costs(self.database, roots, slab)
         else:
             estimates = {root: 1.0 for root in roots}
         #: root -> its task plan, in replay (seq) order.  A plan grows

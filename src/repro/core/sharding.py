@@ -13,6 +13,8 @@ engine's patterns (see ``tests/test_sharded.py`` and the exactness
 note in ``docs/ALGORITHM.md``) while no stage ever needs more than one
 shard of transactions resident — which is what makes mining directly
 from a :class:`~repro.graphdb.storage.SqliteGraphSource` practical.
+Databases the slab index can hold whole skip both passes and mine on
+the serial engine (:func:`mine_sharded`).
 
 The exactness argument is the Savasere–Omiecinski–Navathe partition
 argument specialised to label-multiset clique patterns:
@@ -43,9 +45,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 from ..exceptions import MiningError
 from ..graphdb.database import GraphDatabase
 from ..graphdb.graph import Label
-from .api import MiningRequest
+from .api import MiningRequest, execute_request
 from .config import MinerConfig
-from .embeddings import EmbeddingStore
+from .embeddings import CACHED, SLAB, EmbeddingStore
 from .engine import MiningEngine, engine_for_task, finalize_patterns
 from .pattern import CliquePattern, make_pattern
 from .quasiclique import QuasiEmbeddingStore, QuasiTaskStrategy
@@ -453,27 +455,43 @@ def mine_sharded(
 
     Produces the same patterns (supports, transactions, witnesses —
     byte-identical after envelope serialisation) as
-    :func:`repro.core.api.execute_request` on the same request, while
-    holding at most one shard of transactions plus the candidate
-    embeddings resident.  Statistics are honest *aggregates* of the
-    per-shard candidate mines, not a replay of the serial counters.
+    :func:`repro.core.api.execute_request` on the same request.
 
-    Two passes read the database shard by shard, each decoding every
-    transaction once: the candidate pass mines each shard for
-    candidate forms, and the counting pass counts every candidate in
-    each shard and sums the per-shard counts.  ``request.processes >
-    1`` runs both passes on a process pool.
+    Where the serial engine would mine on the slab index — kernel
+    ``slab``, ``cached`` embeddings, any task but ``quasi``, and a
+    database whose :meth:`~GraphDatabase.slab_space` is not ``None`` —
+    this *is* :func:`~repro.core.api.execute_request`: the slab holds
+    an aligned database whole (an aligned SQLite store streams into it
+    with each transaction decoded once and no graph kept), so there is
+    nothing to shard, and the result carries the serial engine's full
+    statistics snapshot.
+
+    Elsewhere two passes read the database shard by shard, each
+    decoding every transaction once, while at most one shard of
+    transactions plus the candidate embeddings is resident: the
+    candidate pass mines each shard for candidate forms, and the
+    counting pass counts every candidate in each shard and sums the
+    per-shard counts.  Statistics are then honest *aggregates* of the
+    per-shard candidate mines, not a replay of the serial counters.
+    ``request.processes > 1`` runs both passes on a process pool.
     """
     if request.budget is not None or request.sample_every:
         raise MiningError(
             "sharded mining does not support budgets or sampling; "
             "use execute_request for session features"
         )
-    started = time.perf_counter()
     resolved = request.resolved_config()
     task = request.task
     global_sup = database.absolute_support(parse_support(request.min_sup))
     bounds = shard_bounds(len(database), shards=shards, shard_size=shard_size)
+    if (
+        resolved.kernel == SLAB
+        and resolved.embedding_strategy == CACHED
+        and task != "quasi"
+        and database.slab_space() is not None
+    ):
+        return execute_request(database, request)
+    started = time.perf_counter()
     forms, stats = _collect_candidates(
         database,
         bounds,

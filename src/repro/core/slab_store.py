@@ -236,7 +236,7 @@ class _SlabForest:
         self.abs_sup = abs_sup
         self.nbytes = 0
         self.saturated = False
-        self.labels_arr = np.array(slab.space.labels, dtype=object)
+        self.labels_arr = np.array(slab.labels, dtype=object)
         supports = slab.label_tx_counts
         bits = [bit for bit in root_bits if supports[bit] >= abs_sup]
         bits_np = np.array(bits, dtype=np.intp)
@@ -412,7 +412,6 @@ class SlabEmbeddingStore:
         "strategy",
         "kernel",
         "size",
-        "space",
         "slab",
         "_cand",
         "_tx",
@@ -449,8 +448,6 @@ class SlabEmbeddingStore:
         self.strategy = "cached"
         self.kernel = "slab"
         self.slab = slab
-        #: The aligned label space (same object the bitset kernel uses).
-        self.space = slab.space
         self._refill(database, pseudo, size, member_bits, cand, tx, support)
 
     def _refill(
@@ -467,8 +464,8 @@ class SlabEmbeddingStore:
 
         The constructor's body, and how the engine's free list recycles
         a retired store in place (:meth:`for_root`, :meth:`_child`):
-        sound within one mine call, whose database, slab, and aligned
-        space never change.
+        sound within one mine call, whose database and slab never
+        change.
         """
         self.database = database
         self.pseudo = pseudo
@@ -525,7 +522,7 @@ class SlabEmbeddingStore:
         hosts the mine call's shared :class:`_SlabForest`, and its
         ``store_pool`` free list may hand back a retired store to refill.
         """
-        bit = slab.space.bit_of.get(label)
+        bit = slab.bit_of.get(label)
         if bit is None:
             empty = np.zeros((slab.n_labels, slab.tx_words), dtype=slab.presence.dtype)
             return cls(slab, database, pseudo, 1, (), empty, empty[0], 0)
@@ -599,7 +596,7 @@ class SlabEmbeddingStore:
     def extension_supports(self) -> Dict[Label, int]:
         """Support of ``C ◇ β`` for every extension label β."""
         counts = self._ensure_counts()
-        labels = self.space.labels
+        labels = self.slab.labels
         present = np.nonzero(counts)[0].tolist()
         values = counts[present].tolist() if present else []
         return {labels[bit]: count for bit, count in zip(present, values)}
@@ -629,7 +626,7 @@ class SlabEmbeddingStore:
                     or forest.abs_sup != abs_sup
                     or forest.slab is not self.slab
                 ):
-                    bit_of = self.space.bit_of
+                    bit_of = self.slab.bit_of
                     root_bits = [
                         bit_of[root]
                         for root in context.get("roots", ())
@@ -664,7 +661,7 @@ class SlabEmbeddingStore:
         tie_bits = np.nonzero(counts == self._support)[0].tolist()
         freq_bits = np.nonzero(frequent_mask)[0].tolist()
         freq_counts = counts[frequent_mask].tolist()
-        labels = self.space.labels
+        labels = self.slab.labels
         frequent = [
             (labels[bit], count) for bit, count in zip(freq_bits, freq_counts)
         ]
@@ -681,10 +678,10 @@ class SlabEmbeddingStore:
         for child prefixes, the slab space's for roots — so this is a
         dict lookup; the scan below only runs for off-engine callers.
         """
-        space = self.space
-        rank = space.bit_of.get(last_label)
+        slab = self.slab
+        rank = slab.bit_of.get(last_label)
         if rank is None:
-            rank = bisect_left(space.labels, last_label)
+            rank = bisect_left(slab.labels, last_label)
         if rank == 0:
             return None
         if self._support == 0:
@@ -692,7 +689,7 @@ class SlabEmbeddingStore:
             # tie cache the below-mask survives untouched.
             if self._tie_bits is not None:
                 return None
-            return space.labels[0]
+            return slab.labels[0]
         forest = self._forest
         if (
             forest is not None
@@ -700,12 +697,12 @@ class SlabEmbeddingStore:
             and rank == self._member_bits[-1]
         ):
             hit = forest.level_blocks(self._level).get(self._row)
-            return None if hit is None else space.labels[hit]
+            return None if hit is None else slab.labels[hit]
         if rank == self._block_rank:
             parent = self._block_parent
             if parent is not None:
                 hit = parent._ensure_child_blocks().get(rank)
-                return None if hit is None else space.labels[hit]
+                return None if hit is None else slab.labels[hit]
         tie_bits = self._tie_bits
         if tie_bits is not None:
             # Tied labels below the rank; ``cand[c] == tx`` holds for
@@ -717,7 +714,7 @@ class SlabEmbeddingStore:
             check_equal = True
         cand = self._cand
         tx = self._tx
-        nbr = self.slab.nbr
+        nbr = slab.nbr
         tx_nonzero: Optional[int] = None
         for bit in candidates:
             if check_equal and not np.array_equal(cand[bit], tx):
@@ -726,7 +723,7 @@ class SlabEmbeddingStore:
                 tx_nonzero = int(np.count_nonzero(tx))
             bad = cand & ~nbr[bit]
             if int(np.count_nonzero(bad)) == tx_nonzero:
-                return space.labels[int(bit)]
+                return slab.labels[int(bit)]
         return None
 
     def _child(
@@ -773,7 +770,7 @@ class SlabEmbeddingStore:
         forest = self._forest
         member_bits = self._member_bits
         if forest is not None and member_bits:
-            bit = self.space.bit_of.get(label)
+            bit = self.slab.bit_of.get(label)
             if bit is not None and bit >= member_bits[-1] and (
                 forest.levels[self._level].child_offsets is not None
                 or forest.ensure_children(self._level)
@@ -837,14 +834,14 @@ class SlabEmbeddingStore:
         abs_sup = self._plan_abs_sup
         if digest is None or not digest[0] or not abs_sup or abs_sup < 1:
             return {}
-        space = self.space
-        bit_of = space.bit_of
+        slab = self.slab
+        bit_of = slab.bit_of
         if last_label is None:
             cutoff = 0
         else:
             cutoff = bit_of.get(last_label)
             if cutoff is None:
-                cutoff = bisect_left(space.labels, last_label)
+                cutoff = bisect_left(slab.labels, last_label)
         triples = [
             (bit_of[lab], lab, count)
             for lab, count in digest[0]
@@ -852,8 +849,7 @@ class SlabEmbeddingStore:
         ]
         if not triples:
             return {}
-        slab = self.slab
-        labels = space.labels
+        labels = slab.labels
         cand = self._cand
         bits_list = [bit for bit, _, _ in triples]
         bits = np.array(bits_list, dtype=np.intp)
@@ -938,7 +934,7 @@ class SlabEmbeddingStore:
     def _extend_single(
         self, label: Label, reuse: Optional["SlabEmbeddingStore"] = None
     ) -> "SlabEmbeddingStore":
-        bit = self.space.bit_of.get(label)
+        bit = self.slab.bit_of.get(label)
         cand = self._cand
         if bit is None:
             empty = np.zeros_like(cand)
@@ -981,7 +977,7 @@ class SlabEmbeddingStore:
         gather the valid labels' rows and column-sum their unpacked
         bits — one vectorized pass instead of a per-embedding scan.
         """
-        bit_of = self.space.bit_of
+        bit_of = self.slab.bit_of
         rows = [bit_of[label] for label in valid_labels if label in bit_of]
         if not rows or not self._support:
             return 0
@@ -997,8 +993,10 @@ class SlabEmbeddingStore:
         """Int-mask embedding records, materialised lazily.
 
         One record per supporting transaction — the vertex tuple in
-        canonical label order plus the candidate mask as an aligned
-        int bitmask — exactly what the bitset kernel would hold.
+        canonical label order plus the candidate mask — exactly what
+        the bitset kernel would hold: an aligned label bitmask where
+        the database has an aligned label space, else (an out-of-core
+        store) a mask over the transaction's own vertex bits.
         """
         records = self._by_transaction
         if records is None:
@@ -1010,20 +1008,31 @@ class SlabEmbeddingStore:
         records: Dict[int, list] = {}
         if not tids:
             return records
+        aligned = self.database.aligned_space() is not None
+        vertex_of = self.slab.vertices
         # Column-extract each supporting transaction's candidate mask.
         cand = np.ascontiguousarray(self._cand)
         bits = np.unpackbits(cand.view(np.uint8), axis=-1, bitorder="little")
         for tid, vertices in zip(tids, self._embedding_rows().tolist()):
-            column = np.packbits(bits[:, tid], bitorder="little")
-            records[tid] = [(tuple(vertices), int.from_bytes(column.tobytes(), "little"))]
+            column = bits[:, tid]
+            if aligned:
+                column = np.packbits(column, bitorder="little")
+                mask = int.from_bytes(column.tobytes(), "little")
+            else:
+                candidates = vertex_of[tid, np.nonzero(column)[0]].tolist()
+                mask = self.database[tid].bit_index().mask_of(candidates)
+            records[tid] = [(tuple(vertices), mask)]
         return records
 
     def _candidates(self, tid: int, record) -> Set[int]:
         """Kernel-independent candidate accessor (tests, top-k legacy)."""
-        return set(self.space.views[tid].vertices_of(record[1]))
+        space = self.database.aligned_space()
+        if space is None:
+            return set(self.database[tid].bit_index().vertices_of(record[1]))
+        return set(space.views[tid].vertices_of(record[1]))
 
     def _to_bitset_store(self):
-        """An equivalent ``EmbeddingStore`` on the aligned bitset kernel."""
+        """An equivalent ``EmbeddingStore`` on the bitset kernel."""
         from .embeddings import BITSET, EmbeddingStore
 
         return EmbeddingStore(
@@ -1033,7 +1042,7 @@ class SlabEmbeddingStore:
             self.size,
             {tid: list(recs) for tid, recs in self.by_transaction.items()},
             BITSET,
-            self.space,
+            self.database.aligned_space(),
         )
 
     def extend_unordered(self, label: Label):

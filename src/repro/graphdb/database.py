@@ -81,20 +81,22 @@ class GraphDatabase:
 
         Available exactly when every transaction's labels are unique
         per vertex (see :class:`~repro.graphdb.bitset.DatabaseLabelSpace`)
-        *and* the storage backend keeps transactions resident (aligning
-        an out-of-core store would materialise it); the bitset kernel
-        then counts extension supports bit-sliced across transactions,
-        and falls back to per-graph masks otherwise.
+        *and* the storage backend keeps transactions resident (its
+        per-transaction views would materialise an out-of-core store);
+        the bitset kernel then counts extension supports bit-sliced
+        across transactions, and falls back to per-graph masks
+        otherwise.
         """
         return self._source.aligned_space()
 
     def slab_space(self):
         """The transposed numpy slab index, or ``None``.
 
-        Derived from :meth:`aligned_space` (and therefore ``None``
-        whenever alignment is impossible or the backend is
-        out-of-core) by :func:`repro.graphdb.slab.build_slab_space`,
-        which also gates on its build-memory ceiling.
+        Built by :func:`repro.graphdb.slab.build_slab_space` from the
+        storage backend's stream of per-transaction indexes — resident
+        ones in memory, one decode per row for a SQLite store — and
+        ``None`` whenever some transaction repeats a label or the index
+        would exceed the build-memory ceiling.
         """
         return self._source.slab_space()
 

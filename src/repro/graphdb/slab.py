@@ -39,11 +39,11 @@ back to an 8-bit lookup table over the byte view on older numpy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Optional
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 import numpy as np
 
-from .bitset import DatabaseLabelSpace, GraphBitIndex
+from .bitset import GraphBitIndex, Label
 
 #: Little-endian uint64: byte views line up with ``int.to_bytes(...,
 #: "little")`` regardless of host endianness.  The word of databases
@@ -140,12 +140,17 @@ def _local_adjacency(index: GraphBitIndex) -> np.ndarray:
     )
 
 
+class _Ineligible(Exception):
+    """A streamed transaction the transposed layout cannot hold."""
+
+
 class TransposedSlabSpace:
     """The transposed slab index of one aligned database snapshot.
 
-    Holds, with label bit order taken from the aligned
-    :class:`~repro.graphdb.bitset.DatabaseLabelSpace` and bit ``t`` of
-    the word axis standing for transaction ``t``:
+    Built from a stream of ``(tid, GraphBitIndex)`` pairs in tid order
+    and the database's sorted label alphabet ``labels``; bit ``b`` of
+    the label axis stands for ``labels[b]`` (``bit_of`` inverts it) and
+    bit ``t`` of the word axis for transaction ``t``:
 
     * ``nbr`` — ``word[n_labels, n_labels, tx_words]``; bit ``t`` of
       ``nbr[b, a]`` set iff both labels are present in transaction
@@ -162,20 +167,20 @@ class TransposedSlabSpace:
       embeddings are gathered from it with one fancy index.
 
     ``word`` is :func:`word_dtype` of the transaction count.  The build
-    streams one transaction word (up to 64 transactions) at a time,
-    straight from each graph's :class:`GraphBitIndex`: its working set
-    is one transaction's local adjacency, and it never builds the space's
-    per-transaction :attr:`~DatabaseLabelSpace.views`.  Transactions
-    of one word that share a graph object (a replicated database) are
-    written together.
-
-    ``space`` is the label space the slabs were derived from; holders
-    compare it by identity to detect database mutation (a mutated
-    database yields a *new* aligned space).
+    consumes the stream one transaction word (up to 64 transactions)
+    at a time: its working set is that word's indexes plus one
+    transaction's local adjacency, so a feeder may drop each graph as
+    soon as its index is yielded.  Transactions of one word that share
+    an index object (a replicated in-memory database) are written
+    together, with one adjacency unpack.  A transaction with a
+    repeated label or a vertex id outside ``int32`` raises
+    :class:`_Ineligible`; :func:`build_slab_space` turns that into
+    ``None``.
     """
 
     __slots__ = (
-        "space",
+        "labels",
+        "bit_of",
         "n_labels",
         "n_transactions",
         "tx_words",
@@ -185,30 +190,23 @@ class TransposedSlabSpace:
         "vertices",
     )
 
-    def __init__(self, space: DatabaseLabelSpace) -> None:
-        bit_of = space.bit_of
-        sources = space.sources
-        n_labels = len(space.labels)
-        n_tx = len(sources)
+    def __init__(
+        self,
+        indexes: Iterable[Tuple[int, GraphBitIndex]],
+        labels: Tuple[Label, ...],
+        n_transactions: int,
+    ) -> None:
+        bit_of = {label: bit for bit, label in enumerate(labels)}
+        n_labels = len(labels)
+        n_tx = n_transactions
         dtype = word_dtype(n_tx)
         word_bits = dtype.itemsize * 8
         tx_words = max(1, (n_tx + word_bits - 1) // word_bits)
         nbr = np.zeros((n_labels, n_labels, tx_words), dtype=dtype)
         presence = np.zeros((n_labels, tx_words), dtype=dtype)
         vertices = np.full((n_tx, n_labels), -1, dtype=np.int32)
-        for word in range(tx_words):
-            base = word * word_bits
-            # Group the word's transactions by graph object: one
-            # adjacency unpack and one scatter per distinct graph.
-            groups: Dict[int, list] = {}
-            for tid in range(base, min(base + word_bits, n_tx)):
-                index = sources[tid]
-                group = groups.get(id(index))
-                if group is None:
-                    groups[id(index)] = [index, 1 << (tid - base), [tid]]
-                else:
-                    group[1] |= 1 << (tid - base)
-                    group[2].append(tid)
+
+        def scatter(word: int, groups: Dict[int, list]) -> None:
             for index, bits, tids in groups.values():
                 positions = np.array(
                     [bit_of[label] for label in index.labels_by_bit], dtype=np.intp
@@ -219,11 +217,37 @@ class TransposedSlabSpace:
                 rows, cols = np.nonzero(_local_adjacency(index))
                 nbr[positions[rows], positions[cols], word] |= mask
 
+        # Group each word's transactions by index object: one adjacency
+        # unpack and one scatter per distinct graph.  The groups keep
+        # their indexes alive until the word is written, so ``id`` keys
+        # stay unique within it.
+        word = 0
+        groups: Dict[int, list] = {}
+        for tid, index in indexes:
+            order = index.order
+            if not index.unique_labels or (
+                order and (order[0] < _VERTEX_MIN or order[-1] > _VERTEX_MAX)
+            ):
+                raise _Ineligible
+            if tid // word_bits != word:
+                scatter(word, groups)
+                word = tid // word_bits
+                groups = {}
+            bit = 1 << (tid - word * word_bits)
+            group = groups.get(id(index))
+            if group is None:
+                groups[id(index)] = [index, bit, [tid]]
+            else:
+                group[1] |= bit
+                group[2].append(tid)
+        scatter(word, groups)
+
         self.nbr = nbr
         self.presence = presence
         self.vertices = vertices
         self.label_tx_counts = popcount_rows(presence)
-        self.space = space
+        self.labels = labels
+        self.bit_of = bit_of
         self.n_labels = n_labels
         self.n_transactions = n_tx
         self.tx_words = tx_words
@@ -236,29 +260,31 @@ class TransposedSlabSpace:
 
 
 def build_slab_space(
-    space: Optional[DatabaseLabelSpace],
+    indexes: Iterable[Tuple[int, GraphBitIndex]],
+    labels: Tuple[Label, ...],
+    n_transactions: int,
     max_build_bytes: int = DEFAULT_BUILD_BYTES,
 ) -> Optional[TransposedSlabSpace]:
     """Build the transposed slab index, or ``None`` when ineligible.
 
-    Requires an aligned label space (unique per-vertex labels), at
-    least one label and transaction, a resident ``nbr`` slab under
-    ``max_build_bytes``, and vertex ids that fit the ``int32`` vertex
-    matrix.  Ineligible databases keep the int-mask kernel; results
-    are byte-identical either way.
+    The one builder behind every storage backend: ``indexes`` streams
+    ``(tid, GraphBitIndex)`` in tid order over all ``n_transactions``
+    and ``labels`` is the sorted alphabet.  Requires at least one label
+    and transaction and a resident ``nbr`` slab under
+    ``max_build_bytes`` (both checked before the stream is touched),
+    unique per-vertex labels in every transaction, and vertex ids that
+    fit the ``int32`` vertex matrix (both checked as it streams; the
+    first failure stops the stream).  Ineligible databases keep the
+    int-mask kernel; results are byte-identical either way.
     """
-    if space is None:
+    n_labels = len(labels)
+    if not n_labels or not n_transactions:
         return None
-    n_labels = len(space.labels)
-    n_tx = len(space.sources)
-    if not n_labels or not n_tx:
-        return None
-    word_bytes = word_dtype(n_tx).itemsize
-    tx_words = (n_tx + 8 * word_bytes - 1) // (8 * word_bytes)
+    word_bytes = word_dtype(n_transactions).itemsize
+    tx_words = (n_transactions + 8 * word_bytes - 1) // (8 * word_bytes)
     if n_labels * n_labels * tx_words * word_bytes > max_build_bytes:
         return None
-    for index in space.sources:
-        order = index.order
-        if order and (order[0] < _VERTEX_MIN or order[-1] > _VERTEX_MAX):
-            return None
-    return TransposedSlabSpace(space)
+    try:
+        return TransposedSlabSpace(indexes, labels, n_transactions)
+    except _Ineligible:
+        return None

@@ -15,10 +15,18 @@ it:
   columns, so fingerprinting and root planning do not decode graphs
   at all.
 
+Both backends feed the one transposed slab builder
+(:func:`repro.graphdb.slab.build_slab_space`): the in-memory source
+from its resident graphs' indexes, the SQLite store by streaming its
+rows once and dropping each decoded graph as soon as its bits are
+packed.  An aligned (unique-label) store therefore mines on the slab
+kernel with no graph resident; the per-transaction aligned views the
+bitset kernel reads stay in-memory only.
+
 The seam is what makes out-of-core mining composable: the engine only
 ever sees a :class:`GraphDatabase`, and
 :func:`repro.core.sharding.mine_sharded` materialises one shard of any
-source at a time.
+source at a time where the slab cannot hold the store.
 """
 
 from __future__ import annotations
@@ -29,7 +37,7 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..exceptions import DatabaseError
-from .bitset import DatabaseLabelSpace, build_label_space
+from .bitset import DatabaseLabelSpace, GraphBitIndex, build_label_space
 from .graph import Graph, Label
 from .schema import (
     DDL,
@@ -41,8 +49,8 @@ from .schema import (
 
 PathLike = Union[str, Path]
 
-# Sentinel: the aligned label space has not been computed yet (``None``
-# is a valid cached answer, meaning "alignment impossible").
+# Sentinel: a kernel space (aligned or slab) has not been computed yet
+# (``None`` is a valid cached answer, meaning "not available").
 _SPACE_UNSET = object()
 
 
@@ -89,13 +97,20 @@ class GraphSource:
         """The database-global label bit space, or ``None``.
 
         ``None`` both when alignment is impossible and when the backend
-        cannot afford it (alignment requires every transaction
-        resident); kernels fall back to per-graph masks either way.
+        cannot afford it (its per-transaction views require every
+        transaction resident); the bitset kernel falls back to
+        per-graph masks either way.
         """
         return None
 
     def slab_space(self):
-        """The transposed numpy slab index, or ``None`` (see above)."""
+        """The transposed numpy slab index, or ``None``.
+
+        ``None`` when some transaction repeats a label, when the index
+        would outgrow :data:`repro.graphdb.slab.DEFAULT_BUILD_BYTES`,
+        or when the backend does not build one; the slab kernel then
+        runs on int masks.
+        """
         return None
 
     def close(self) -> None:
@@ -166,6 +181,8 @@ class InMemoryGraphSource(GraphSource):
         return space  # type: ignore[return-value]
 
     def slab_space(self):
+        # Keyed by the aligned space, whose staleness check observes
+        # graph mutation; the build reads its resident indexes.
         space = self.aligned_space()
         if space is None:
             return None
@@ -174,7 +191,7 @@ class InMemoryGraphSource(GraphSource):
             return cached[1]
         from .slab import build_slab_space
 
-        slab = build_slab_space(space)
+        slab = build_slab_space(enumerate(space.sources), space.labels, len(space.sources))
         self._slab_cache = (space, slab)
         return slab
 
@@ -205,6 +222,7 @@ class SqliteGraphSource(GraphSource):
         "_label_supports",
         "_batches",
         "_batch_order",
+        "_slab",
     )
 
     def __init__(
@@ -228,6 +246,7 @@ class SqliteGraphSource(GraphSource):
         self._label_supports: Optional[Dict[Label, int]] = None
         self._batches: Dict[int, Dict[int, Graph]] = {}
         self._batch_order: List[int] = []
+        self._slab: object = _SPACE_UNSET
         if not create and not os.path.exists(self.path):
             raise DatabaseError(f"no graph store at {self.path!r}")
         if create:
@@ -269,6 +288,7 @@ class SqliteGraphSource(GraphSource):
         self._label_supports = None
         self._batches = {}
         self._batch_order = []
+        self._slab = _SPACE_UNSET
 
     def _stored_name(self) -> str:
         try:
@@ -349,6 +369,7 @@ class SqliteGraphSource(GraphSource):
         conn.commit()
         self._len = tid + 1
         self._label_supports = None
+        self._slab = _SPACE_UNSET
         base = (tid // self.batch_size) * self.batch_size
         self._batches.pop(base, None)
         if base in self._batch_order:
@@ -369,6 +390,37 @@ class SqliteGraphSource(GraphSource):
         cursor = self._connect().execute("SELECT digest FROM graphs ORDER BY tid")
         for (digest,) in cursor:
             yield digest
+
+    def slab_space(self):
+        """The store's transposed slab index, streamed from its rows.
+
+        Built once and cached until the next :meth:`append`.  The
+        alphabet comes from the ``label_supports`` column, and the
+        columns also decide alignment without decoding: per-label
+        supports count each transaction's *distinct* labels, so they
+        sum to the stored vertex total exactly when no transaction
+        repeats a label.  An aligned store is then decoded once, in tid
+        order and outside the batch cache, each graph dropped as soon
+        as the builder holds its bits.
+        """
+        slab = self._slab
+        if slab is _SPACE_UNSET:
+            slab = None
+            supports = self.label_supports()
+            if sum(supports.values()) == self.size_totals()[0]:
+                from .slab import build_slab_space
+
+                slab = build_slab_space(
+                    self._bit_indexes(), tuple(sorted(supports)), len(self)
+                )
+            self._slab = slab
+        return slab
+
+    def _bit_indexes(self) -> Iterator[Tuple[int, GraphBitIndex]]:
+        """``(tid, GraphBitIndex)`` of every row, decoding each once."""
+        cursor = self._connect().execute("SELECT tid, encoding FROM graphs ORDER BY tid")
+        for tid, encoding in cursor:
+            yield tid, decode_graph(encoding, tid).bit_index()
 
     # -- decode-free statistics ----------------------------------------
     def size_totals(self) -> Tuple[int, int, int, int]:

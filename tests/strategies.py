@@ -44,3 +44,35 @@ def graph_databases(
     for _ in range(count):
         database.add(draw(labeled_graphs(max_vertices=max_vertices)))
     return database
+
+
+@st.composite
+def aligned_graphs(draw, max_vertices: int = 7) -> Graph:
+    """One graph whose labels are unique per vertex, on sparse vertex ids."""
+    labels = draw(st.lists(label_st, unique=True, max_size=max_vertices))
+    ids = draw(
+        st.lists(st.integers(0, 60), unique=True, min_size=len(labels), max_size=len(labels))
+    )
+    graph = Graph()
+    for vertex, label in zip(ids, labels):
+        graph.add_vertex(vertex, label)
+    if len(ids) >= 2:
+        possible = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1 :]]
+        chosen = draw(
+            st.lists(st.sampled_from(possible), unique=True, max_size=len(possible))
+        )
+        for u, v in chosen:
+            graph.add_edge(u, v)
+    return graph
+
+
+@st.composite
+def aligned_databases(
+    draw, min_graphs: int = 1, max_graphs: int = 4, max_vertices: int = 7
+) -> GraphDatabase:
+    """A database of graphs with unique per-vertex labels (slab-eligible)."""
+    count = draw(st.integers(min_graphs, max_graphs))
+    database = GraphDatabase(name="hypothesis-aligned")
+    for _ in range(count):
+        database.add(draw(aligned_graphs(max_vertices=max_vertices)))
+    return database

@@ -9,12 +9,19 @@ shard-and-merge path — produces byte-identical canonical envelopes
 
 import dataclasses
 import gc
+import tempfile
+import weakref
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.api import MiningRequest, MiningResultEnvelope, execute_request
+from repro.core.config import MinerConfig
+from repro.core.embeddings import EmbeddingStore
+from repro.core.miner import ClanMiner
 from repro.core.sharding import (
     local_threshold,
     mine_sharded,
@@ -23,10 +30,12 @@ from repro.core.sharding import (
 )
 from repro.exceptions import MiningError
 from repro.graphdb import GraphDatabase, import_graphs, open_source, random_database
+from repro.graphdb import Graph
 from repro.graphdb import storage
 from repro.graphdb.schema import decode_graph
 
-from .strategies import graph_databases
+from .strategies import aligned_databases, graph_databases
+from .test_kernel_differential import unique_label_database
 
 TASKS = [
     ("closed", {}),
@@ -231,3 +240,196 @@ class TestShardBoundaryProperty:
         shards = data.draw(st.integers(1, len(database)), label="shards")
         sharded = canonical(request, mine_sharded(database, request, shards=shards))
         assert sharded == serial
+
+
+class _TrackedGraph(Graph):
+    """A decoded transaction that can be weakly referenced."""
+
+    __slots__ = ("__weakref__",)
+
+
+def _tracked_decode(decoded, alive):
+    """A ``decode_graph`` stand-in recording each tid and a weakref."""
+
+    def decode(encoding, tid):
+        plain = decode_graph(encoding, tid)
+        graph = _TrackedGraph(tid)
+        for vertex in sorted(plain.vertices()):
+            graph.add_vertex(vertex, plain.label(vertex))
+        for u, v in sorted(plain.edges()):
+            graph.add_edge(u, v)
+        decoded.append(tid)
+        alive.append(weakref.ref(graph))
+        return graph
+
+    return decode
+
+
+class TestAlignedStoreOnSlab:
+    """Aligned (unique-label) stores mine on the slab index, no shards."""
+
+    @pytest.fixture(scope="class")
+    def aligned_db(self) -> GraphDatabase:
+        return unique_label_database(3, n_graphs=20)
+
+    @pytest.fixture(scope="class")
+    def aligned_path(self, aligned_db, tmp_path_factory):
+        path = tmp_path_factory.mktemp("aligned") / "aligned.sqlite"
+        import_graphs(path, iter(aligned_db), name=aligned_db.name).close()
+        return path
+
+    @pytest.mark.parametrize("task,options", TASKS, ids=[t for t, _ in TASKS])
+    def test_each_transaction_decoded_at_most_once(
+        self, aligned_db, aligned_path, monkeypatch, task, options
+    ):
+        # An 8-transaction decode cache over a 20-transaction store.
+        decoded, alive = [], []
+        monkeypatch.setattr(storage, "decode_graph", _tracked_decode(decoded, alive))
+        source = open_source(aligned_path, batch_size=4, max_batches=2)
+        database = GraphDatabase(source=source)
+        request = MiningRequest(min_sup=2, task=task, **options)
+        try:
+            assert len(source) > source.batch_size * source.max_batches
+            expected = canonical(request, execute_request(aligned_db, request))
+            runs = [
+                execute_request(database, request),
+                mine_sharded(database, request, shards=1),
+                mine_sharded(database, request, shards=4),
+                mine_sharded(
+                    database, dataclasses.replace(request, processes=2), shards=4
+                ),
+            ]
+            for result in runs:
+                assert canonical(request, result) == expected
+            # Quasi runs on int masks, so it keeps the shard passes.
+            if task != "quasi":
+                assert sorted(decoded) == list(range(len(source)))
+                assert all(ref() is None for ref in alive)
+        finally:
+            source.close()
+
+    def test_append_after_the_build_is_mined(self, aligned_db, aligned_path, tmp_path):
+        path = tmp_path / "grow.sqlite"
+        path.write_bytes(aligned_path.read_bytes())
+        source = open_source(path)
+        database = GraphDatabase(source=source)
+        request = MiningRequest(min_sup=2)
+        try:
+            built = source.slab_space()
+            assert built is not None
+            extra = Graph.from_edges(
+                {0: "T00", 1: "T01", 5: "NEW"}, [(0, 1), (1, 5), (0, 5)]
+            )
+            grown = GraphDatabase(list(aligned_db) + [extra, extra.copy()])
+            database.add(extra.copy())
+            database.add(extra.copy())
+            rebuilt = source.slab_space()
+            assert rebuilt is not None and rebuilt is not built
+            assert rebuilt.n_transactions == len(aligned_db) + 2
+            expected = canonical(request, execute_request(grown, request))
+            assert canonical(request, mine_sharded(database, request, shards=4)) == expected
+            assert "NEW" in canonical(request, execute_request(database, request))
+        finally:
+            source.close()
+
+    @pytest.mark.parametrize("replicas", [1, 3])
+    def test_store_feeds_the_same_slab_as_memory(self, tmp_path, replicas):
+        # Past 64 transactions the slab spans several words; replicated
+        # graph objects share one index in memory but not in the store.
+        database = unique_label_database(5, n_graphs=50).replicate(replicas)
+        path = tmp_path / "wide.sqlite"
+        import_graphs(path, iter(database), name=database.name).close()
+        source = open_source(path)
+        try:
+            from_store = source.slab_space()
+        finally:
+            source.close()
+        in_memory = database.slab_space()
+        assert from_store.tx_words == in_memory.tx_words == (1 if replicas == 1 else 3)
+        assert from_store.labels == in_memory.labels
+        for name in ("nbr", "presence", "vertices", "label_tx_counts"):
+            assert np.array_equal(getattr(from_store, name), getattr(in_memory, name))
+
+    def test_record_level_paths_decode_from_the_store(self, aligned_db, aligned_path):
+        # The slab's cold paths fall back to int masks; with no aligned
+        # space they use each transaction's own vertex bits.
+        source = open_source(aligned_path)
+        try:
+            store_db = GraphDatabase(source=source)
+            config = MinerConfig(
+                closed_only=False,
+                structural_redundancy_pruning=False,
+                nonclosed_prefix_pruning=False,
+            )
+            assert store_db.aligned_space() is None
+            assert sorted(
+                pattern.key() for pattern in ClanMiner(store_db, config).mine(3)
+            ) == sorted(pattern.key() for pattern in ClanMiner(aligned_db, config).mine(3))
+            label = aligned_db.frequent_labels(2)[0]
+            stores = [
+                EmbeddingStore.for_label(db, None, label, kernel="slab")
+                for db in (store_db, aligned_db)
+            ]
+            assert [type(store).__name__ for store in stores] == ["SlabEmbeddingStore"] * 2
+            tids = stores[1].transactions()[::2]
+            restricted = [store.restrict_to(tids) for store in stores]
+            assert restricted[0].witnesses() == restricted[1].witnesses()
+            for tid, records in stores[0].by_transaction.items():
+                assert stores[0]._candidates(tid, records[0]) == stores[1]._candidates(
+                    tid, stores[1].by_transaction[tid][0]
+                )
+        finally:
+            source.close()
+
+    def test_repeated_label_store_is_rejected_without_decoding(self, store_path, monkeypatch):
+        decoded = []
+
+        def counting_decode(encoding, tid):
+            decoded.append(tid)
+            return decode_graph(encoding, tid)
+
+        monkeypatch.setattr(storage, "decode_graph", counting_decode)
+        source = open_source(store_path)
+        try:
+            # Alignment is decided from the stored columns, decoding nothing.
+            assert source.slab_space() is None
+            assert decoded == []
+        finally:
+            source.close()
+
+    @pytest.mark.parametrize("task,options", TASKS[:4], ids=[t for t, _ in TASKS[:4]])
+    def test_statistics_are_the_serial_snapshot(
+        self, aligned_db, aligned_path, task, options
+    ):
+        request = MiningRequest(min_sup=2, task=task, **options)
+        source = open_source(aligned_path)
+        try:
+            sharded = mine_sharded(GraphDatabase(source=source), request, shards=4)
+        finally:
+            source.close()
+        serial = execute_request(aligned_db, request)
+        assert sharded.statistics.snapshot() == serial.statistics.snapshot()
+
+
+class TestAlignedStoreProperty:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        database=aligned_databases(min_graphs=2, max_graphs=8, max_vertices=6),
+        data=st.data(),
+    )
+    def test_store_mines_like_memory(self, database, data):
+        task, options = data.draw(st.sampled_from(TASKS[:4]), label="task")
+        request = MiningRequest(min_sup=1, task=task, **options)
+        expected = canonical(request, execute_request(database, request))
+        shards = data.draw(st.integers(1, len(database)), label="shards")
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "aligned.sqlite"
+            import_graphs(path, iter(database), name=database.name).close()
+            source = open_source(path)
+            try:
+                store = GraphDatabase(source=source)
+                assert canonical(request, execute_request(store, request)) == expected
+                sharded = mine_sharded(store, request, shards=shards)
+                assert canonical(request, sharded) == expected
+            finally:
+                source.close()

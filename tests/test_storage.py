@@ -158,7 +158,8 @@ class TestSqliteSource:
         )
 
     def test_no_aligned_or_slab_space(self, store):
-        # Aligning an out-of-core store would materialise it.
+        # This store repeats labels, so it has no slab index; and it
+        # never builds the aligned views, which would materialise it.
         _, source = store
         assert source.aligned_space() is None
         assert source.slab_space() is None
