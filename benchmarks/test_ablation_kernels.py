@@ -1,11 +1,11 @@
-"""Ablation — set vs bitset vs slab kernels on the paper workloads.
+"""Ablation — bitset vs slab kernels on the paper workloads.
 
-All three kernels run the identical CLAN algorithm (the differential
-suite enforces byte-identical results and statistics); the only
-difference is the candidate-set representation, so the runtime gaps
-are a pure measure of the kernel engineering:
+Both kernels run the identical CLAN algorithm (the differential suite
+enforces byte-identical results and statistics against the hashed-set
+reference in ``tests/oracles.py``); the only difference is the
+candidate-set representation, so the runtime gap is a pure measure of
+the kernel engineering:
 
-* ``set``    — frozensets of transaction ids (the readable oracle);
 * ``bitset`` — one Python int bitmask per candidate set;
 * ``slab``   — numpy word slabs, batched level-by-level across the
   whole DFS forest (vectorised AND + popcount over every sibling at
@@ -25,8 +25,8 @@ advantage scales with transaction count, not alphabet size.
 
 Memory sits next to speed, report-only: each cell's tracemalloc peak
 over one run on a fresh database view, so the kernel's database index
-(none for ``set``, the aligned views for ``bitset``, the transposed
-slab for ``slab``) is built inside the measured run.  The graphs'
+(the aligned views for ``bitset``, the transposed slab for ``slab``)
+is built inside the measured run.  The graphs'
 own mask indexes are shared by every view and kernel and stay out.
 """
 
@@ -36,7 +36,7 @@ import tracemalloc
 from pathlib import Path
 
 from repro.bench import format_table, hardware_context
-from repro.core import BITSET, SET, SLAB, ClanMiner, MinerConfig
+from repro.core import BITSET, SLAB, ClanMiner, MinerConfig
 from repro.graphdb import GraphDatabase
 from repro.stockmarket import PAPER_THETAS
 
@@ -45,7 +45,7 @@ from conftest import write_report
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUPPORTS = (1.00, 0.95, 0.90, 0.85)
 ROUNDS = 3  # best-of, to shed scheduler noise
-KERNELS = (SET, BITSET, SLAB)
+KERNELS = (BITSET, SLAB)
 
 
 def fig6a_sweep(market_databases, kernel):
@@ -125,26 +125,16 @@ def test_ablation_kernels(benchmark, market_databases, scale):
 
     rows = []
     for workload in ("fig6a_sweep", "fig7b_x4"):
-        set_s = timings[SET][workload]
         bit_s = timings[BITSET][workload]
         slab_s = timings[SLAB][workload]
-        rows.append(
-            [
-                workload,
-                f"{set_s:.3f}",
-                f"{bit_s:.3f}",
-                f"{slab_s:.3f}",
-                f"{set_s / bit_s:.2f}x",
-                f"{bit_s / slab_s:.2f}x",
-            ]
-        )
+        rows.append([workload, f"{bit_s:.3f}", f"{slab_s:.3f}", f"{bit_s / slab_s:.2f}x"])
     table = format_table(
-        ["workload", "set (s)", "bitset (s)", "slab (s)", "bitset/set", "slab/bitset"],
+        ["workload", "bitset (s)", "slab (s)", "slab/bitset"],
         rows,
         title=f"Kernel ablation, best of {ROUNDS} (scale={scale})",
     )
     memory = format_table(
-        ["workload", "set (MiB)", "bitset (MiB)", "slab (MiB)"],
+        ["workload", "bitset (MiB)", "slab (MiB)"],
         [
             [workload] + [f"{peaks[kernel][workload]:.1f}" for kernel in KERNELS]
             for workload in ("fig6a_sweep", "fig7b_x4")
@@ -154,7 +144,7 @@ def test_ablation_kernels(benchmark, market_databases, scale):
     write_report("kernels", table + "\n\n" + memory)
 
     record = {
-        "benchmark": "kernel ablation (set vs bitset vs slab)",
+        "benchmark": "kernel ablation (bitset vs slab)",
         "scale": scale,
         "rounds": ROUNDS,
         "hardware": hardware_context(),
@@ -162,20 +152,11 @@ def test_ablation_kernels(benchmark, market_databases, scale):
             "fig6a_sweep": "6 market databases x supports 100/95/90/85%",
             "fig7b_x4": "SM-0.95 replicated x4 @ 85%",
         },
-        "set_seconds": timings[SET],
         "bitset_seconds": timings[BITSET],
         "slab_seconds": timings[SLAB],
-        "speedup": {
-            workload: timings[SET][workload] / timings[BITSET][workload]
-            for workload in timings[SET]
-        },
         "slab_speedup_vs_bitset": {
             workload: timings[BITSET][workload] / timings[SLAB][workload]
             for workload in timings[BITSET]
-        },
-        "slab_speedup_vs_set": {
-            workload: timings[SET][workload] / timings[SLAB][workload]
-            for workload in timings[SET]
         },
         "peak_mib_note": "report-only: tracemalloc peak of one run on a fresh "
         "database view (kernel index build included)",
@@ -186,12 +167,10 @@ def test_ablation_kernels(benchmark, market_databases, scale):
     )
 
     # Acceptance bars (generous slack for CI noise — the recorded json
-    # carries the true ratios): bitset is at least 1.5x the set kernel
-    # on fig6a, and slab beats bitset on both workloads.  fig6a@small
-    # is floor-bound (see module docstring) so the slab bar there is
-    # 1.3x; the transaction-heavy fig7b cell is where slab's batching
-    # pays (measured ~3.4x) and gets a 1.5x bar.
+    # carries the true ratios): slab beats bitset on both workloads.
+    # fig6a@small is floor-bound (see module docstring) so the bar
+    # there is 1.3x; the transaction-heavy fig7b cell is where slab's
+    # batching pays (measured ~4.3x) and gets a 1.5x bar.
     if scale in ("small", "medium", "paper"):
-        assert record["speedup"]["fig6a_sweep"] >= 1.5
         assert record["slab_speedup_vs_bitset"]["fig6a_sweep"] >= 1.3
         assert record["slab_speedup_vs_bitset"]["fig7b_x4"] >= 1.5

@@ -1,13 +1,14 @@
 """Engine tasks — maximal / top-k through the full kernel+executor stack.
 
 Before the engine refactor, ``maximal`` and ``topk`` were standalone
-serial miners: no bitset kernel choice, no worker pool, no cache.  Now
-they are task strategies over the one enumeration engine, so the whole
+serial miners: no kernel choice, no worker pool, no cache.  Now they
+are task strategies over the one enumeration engine, so the whole
 acceleration stack composes.  This benchmark measures that composition
-on a Figure 6(a)-style market workload against the *pre-refactor
-shape* (set kernel, serial — what the standalone miners cost):
+on a Figure 6(a)-style market workload against a serial baseline on
+the ``bitset`` int-mask kernel:
 
-* the engine's kernel tier — bitset kernel, serial (real wall-clock),
+* the engine's kernel tier — the default kernel (``slab``, which runs
+  quasi on the int masks), serial (real wall-clock),
 * the engine's pool tier — ``processes=4`` makespan *modeled* from
   measured per-root subtree times, exactly as in
   ``test_parallel_scaling.py`` (this container exposes a single core,
@@ -17,8 +18,8 @@ shape* (set kernel, serial — what the standalone miners cost):
 
 Each task's headline ``speedup`` is the *measured* ratio for the
 engine shape the refactor unlocked for it: ``maximal`` rides the
-bitset kernel (``mine(task="maximal", kernel="bitset", processes=4)``),
-``topk`` rides the cache (``mine(task="topk", cache=...)``).  Results
+default slab kernel (``mine(task="maximal")``), ``topk`` rides the
+cache (``mine(task="topk", cache=...)``).  Results
 must be byte-identical on every path; the timings are written to
 ``BENCH_engine.json`` at the repo root as the perf-trajectory record.
 
@@ -27,7 +28,7 @@ must be byte-identical on every path; the timings are written to
 enumeration with a global closed filter, which is exactly what
 ``bruteforce_quasi_cliques`` still implements.  Its headline is the
 warm-cache run against that old path, and the record also carries the
-bitset-engine-vs-bounded-enumeration ratio.
+serial-engine-vs-bounded-enumeration ratio.
 """
 
 import heapq
@@ -51,12 +52,12 @@ ROUNDS = 2  # best-of, to shed scheduler noise
 #: task -> (mine() extras, the engine shape whose measured speedup is
 #: the task's headline number)
 TASKS = (
-    ("maximal", {}, "bitset kernel, serial"),
-    ("topk", {"k": 10}, "bitset kernel + warm exact-replay cache"),
+    ("maximal", {}, "default (slab) kernel, serial"),
+    ("topk", {"k": 10}, "default kernel + warm exact-replay cache"),
     (
         "quasi",
         {"gamma": 0.8, "max_size": 4},
-        "bitset kernel + warm cache, vs pre-port bounded enumeration",
+        "default kernel + warm cache, vs pre-port bounded enumeration",
     ),
 )
 
@@ -104,15 +105,15 @@ def best_of(measure, *args, **options):
 def modeled_pool(database, task, extra, min_sup, processes):
     """Greedy list-scheduling makespan from measured per-root times.
 
-    Every root subtree is timed serially (bitset kernel), then packed
+    Every root subtree is timed serially (default kernel), then packed
     heaviest-first onto ``processes`` workers — the same model
     ``test_parallel_scaling.py`` uses, because a single-core container
     cannot show real pool scaling.
     """
     if "max_size" in extra:  # quasi needs its finite size ceiling
-        config = MinerConfig(kernel="bitset", min_size=2, max_size=extra["max_size"])
+        config = MinerConfig(min_size=2, max_size=extra["max_size"])
     else:
-        config = MinerConfig(kernel="bitset")
+        config = MinerConfig()
     engine = engine_for_task(
         database, config, task, k=extra.get("k"), gamma=extra.get("gamma")
     ).prepare()
@@ -139,7 +140,7 @@ def modeled_pool(database, task, extra, min_sup, processes):
 
 def test_engine_tasks(benchmark, market_databases, scale):
     benchmark.pedantic(
-        lambda: fig6a_task_sweep(market_databases, "maximal", {}, kernel="bitset"),
+        lambda: fig6a_task_sweep(market_databases, "maximal", {}),
         rounds=1,
         iterations=1,
     )
@@ -159,11 +160,11 @@ def test_engine_tasks(benchmark, market_databases, scale):
         },
         "workload": (
             f"market thetas {THETAS} x supports {SUPPORTS}; "
-            f"baseline = set kernel serial (the pre-refactor shape); "
+            f"baseline = bitset kernel serial; "
             f"quasi additionally scored vs the pre-port bounded-"
             f"enumeration path (bruteforce_quasi_cliques); "
             f"pool makespan modeled at {PROCESSES} processes "
-            f"(single-core container), real pool run checks identity"
+            f"from serial root times, real pool run checks identity"
         ),
         "tasks": {},
     }
@@ -171,10 +172,10 @@ def test_engine_tasks(benchmark, market_databases, scale):
     heavy_theta, heavy_sup = THETAS[0], min(SUPPORTS)
     for task, extra, shape in TASKS:
         base_seconds, base_keys = best_of(
-            fig6a_task_sweep, market_databases, task, extra, kernel="set"
+            fig6a_task_sweep, market_databases, task, extra, kernel="bitset"
         )
         kernel_seconds, kernel_keys = best_of(
-            fig6a_task_sweep, market_databases, task, extra, kernel="bitset"
+            fig6a_task_sweep, market_databases, task, extra
         )
         # The stack must be invisible in the output.
         assert kernel_keys == base_keys, task
@@ -183,7 +184,7 @@ def test_engine_tasks(benchmark, market_databases, scale):
         # even though wall-clock scaling is not.
         pool_started = time.perf_counter()
         _, pool_keys = fig6a_task_sweep(
-            market_databases, task, extra, kernel="bitset", processes=PROCESSES
+            market_databases, task, extra, processes=PROCESSES
         )
         pool_seconds = time.perf_counter() - pool_started
         assert pool_keys == base_keys, task
@@ -199,9 +200,9 @@ def test_engine_tasks(benchmark, market_databases, scale):
         # The cache's exact-replay tier: a warmed re-run of the same
         # sweep replays every root.
         cache = MiningCache()
-        fig6a_task_sweep(market_databases, task, extra, kernel="bitset", cache=cache)
+        fig6a_task_sweep(market_databases, task, extra, cache=cache)
         warm_seconds, warm_keys = fig6a_task_sweep(
-            market_databases, task, extra, kernel="bitset", cache=cache
+            market_databases, task, extra, cache=cache
         )
         assert warm_keys == base_keys, task
 
@@ -209,8 +210,8 @@ def test_engine_tasks(benchmark, market_databases, scale):
         cache_speedup = base_seconds / warm_seconds
         record["tasks"][task] = {
             "engine_shape": shape,
-            "baseline_set_serial_seconds": base_seconds,
-            "kernel_bitset_serial_seconds": kernel_seconds,
+            "baseline_bitset_serial_seconds": base_seconds,
+            "kernel_default_serial_seconds": kernel_seconds,
             "kernel_speedup": kernel_speedup,
             "pool_real_x4_seconds": pool_seconds,
             "pool_modeled_x4": pool_model,
@@ -252,8 +253,8 @@ def test_engine_tasks(benchmark, market_databases, scale):
     table = format_table(
         [
             "task",
-            "set serial (s)",
             "bitset serial (s)",
+            "default serial (s)",
             "kernel",
             f"pool x{PROCESSES} (modeled)",
             "warm cache (s)",
@@ -268,9 +269,9 @@ def test_engine_tasks(benchmark, market_databases, scale):
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )
 
-    # Acceptance bar: each task's engine shape is at least 2x the
-    # pre-refactor serial shape (asserted with slack for CI noise at
-    # the tiny scale; the json carries the true ratios).
+    # Acceptance bar: each task's engine shape is at least 1.5x the
+    # bitset serial baseline (enforced from the small scale up; the
+    # json carries the true ratios).
     if scale in ("small", "medium", "paper"):
         for task, numbers in record["tasks"].items():
             assert numbers["speedup"] >= 1.5, (task, numbers)

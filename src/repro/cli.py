@@ -59,6 +59,10 @@ EXIT_USAGE = 2
 EXIT_MINING = 3
 EXIT_TRUNCATED = 4
 
+#: ``--kernel`` choices; ``set`` is the deprecated spelling of
+#: ``bitset`` (it warns and runs the int masks).
+KERNEL_CHOICES = ("bitset", "slab", "set")
+
 
 def _load(path: str, fmt: str) -> GraphDatabase:
     if fmt == "tve":
@@ -138,11 +142,13 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=("stealing", "static"),
                       help="parallel root scheduler: adaptive work-stealing "
                            "with cost-guided splitting (default) or static "
-                           "round-robin chunks; results are identical")
-    mine.add_argument("--kernel", default=None, choices=("bitset", "slab", "set"),
+                           "one task per root in canonical order; results "
+                           "are identical")
+    mine.add_argument("--kernel", default=None, choices=KERNEL_CHOICES,
                       help="candidate-intersection kernel: numpy slabs "
-                           "(default; int masks where labels repeat), integer "
-                           "bitmasks, or the hashed-set reference")
+                           "(default; int masks where labels repeat) or "
+                           "integer bitmasks ('set' is a deprecated alias "
+                           "of 'bitset')")
     mine.add_argument("--require", default=None, metavar="L1,L2",
                       help="only report cliques containing all these labels")
     mine.add_argument("--allow", default=None, metavar="L1,L2",
@@ -182,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="sweep the all-frequent task instead of closed")
     sweep.add_argument("--min-size", type=int, default=1)
     sweep.add_argument("--max-size", type=int, default=None)
-    sweep.add_argument("--kernel", default=None, choices=("bitset", "slab", "set"))
+    sweep.add_argument("--kernel", default=None, choices=KERNEL_CHOICES)
     sweep.add_argument("--processes", type=int, default=1,
                        help="worker processes for the mining calls")
     sweep.add_argument("--scheduler", default="stealing",
@@ -199,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--min-sup", default="2")
     topk.add_argument("-k", type=int, default=5)
     topk.add_argument("--min-size", type=int, default=1)
-    topk.add_argument("--kernel", default=None, choices=("bitset", "slab", "set"),
+    topk.add_argument("--kernel", default=None, choices=KERNEL_CHOICES,
                       help="candidate-intersection kernel (as for 'clan mine')")
     topk.add_argument("--processes", type=int, default=1,
                       help="worker processes for the root search")
@@ -215,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
     quasi.add_argument("--gamma", type=float, default=0.8)
     quasi.add_argument("--min-size", type=int, default=2)
     quasi.add_argument("--max-size", type=int, default=5)
-    quasi.add_argument("--kernel", default=None, choices=("bitset", "slab", "set"),
+    quasi.add_argument("--kernel", default=None, choices=KERNEL_CHOICES,
                        help="candidate-intersection kernel (as for 'clan mine')")
     quasi.add_argument("--processes", type=int, default=1,
                        help="worker processes for the root search")
@@ -332,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit.add_argument("-k", type=int, default=None, help="topk: patterns to keep")
     submit.add_argument("--gamma", type=float, default=None,
                         help="quasi: density threshold in [0.5, 1.0]")
-    submit.add_argument("--kernel", default=None, choices=("bitset", "slab", "set"))
+    submit.add_argument("--kernel", default=None, choices=KERNEL_CHOICES)
     submit.add_argument("--database-uri", default=None, metavar="NAME",
                         help="mine this SQLite store (relative to the "
                              "service's --storage-root) instead of the "

@@ -29,7 +29,7 @@ from .closure import (
     is_closed,
     split_extension_labels,
 )
-from .config import MinerConfig
+from .config import SET, MinerConfig
 from .constraints import (
     CliqueConstraints,
     ConstrainedMiner,
@@ -40,7 +40,6 @@ from .embeddings import (
     BITSET,
     CACHED,
     RESCAN,
-    SET,
     SLAB,
     EmbeddingStore,
     warm_kernel_indexes,

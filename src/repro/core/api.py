@@ -205,8 +205,12 @@ class MiningRequest:
             object.__setattr__(self, "budget", None)
         # Validate the config merge eagerly: contradictions (task vs
         # closed_only, maximal vs max_size, window conflicts, unknown
-        # kernels) surface at construction, not at execution.
-        self.resolved_config()
+        # kernels) surface at construction, not at execution.  A
+        # deprecated kernel spelling is stored as the kernel it runs,
+        # so it warns once, here.
+        resolved = self.resolved_config()
+        if self.kernel is not None and self.kernel != resolved.kernel:
+            object.__setattr__(self, "kernel", resolved.kernel)
 
     # -- builders ------------------------------------------------------
     @classmethod

@@ -14,10 +14,11 @@ the two routes agree.
 
 This module also owns the per-embedding half of the Lemma 4.4
 non-closed prefix test — "which old labels are carried by an extension
-vertex fully connected to all other extension vertices" — in both
-kernels: :func:`fully_connected_old_labels` walks Python sets,
-:func:`fully_connected_old_labels_mask` does the same connectivity
-check with one bitmask AND per candidate vertex.
+vertex fully connected to all other extension vertices" — on per-graph
+masks: :func:`fully_connected_old_labels_mask` checks connectivity with
+one bitmask AND per candidate vertex.  (The aligned label space runs
+the same scan inline in
+:meth:`repro.core.embeddings.EmbeddingStore.nonclosed_extension_label`.)
 """
 
 from __future__ import annotations
@@ -63,10 +64,9 @@ def split_extension_labels(
     return old, new
 
 
-def fully_connected_old_labels(
-    candidates: Set[int],
-    adjacency: Mapping[int, Set[int]],
-    label_of: Mapping[int, Label],
+def fully_connected_old_labels_mask(
+    candidates_mask: int,
+    graph: Graph,
     last_label: Label,
     allowed: Optional[Set[Label]] = None,
 ) -> Set[Label]:
@@ -77,29 +77,6 @@ def fully_connected_old_labels(
     other candidates of this embedding.  ``allowed`` (when given) is the
     running cross-embedding intersection — labels outside it cannot
     survive, so their connectivity check is skipped.
-    """
-    qualifying: Set[Label] = set()
-    target = len(candidates) - 1
-    for vertex in candidates:
-        label = label_of[vertex]
-        if label >= last_label:
-            continue
-        if allowed is not None and label not in allowed:
-            continue
-        if label in qualifying:
-            continue
-        if len(candidates & adjacency[vertex]) == target:
-            qualifying.add(label)
-    return qualifying
-
-
-def fully_connected_old_labels_mask(
-    candidates_mask: int,
-    graph: Graph,
-    last_label: Label,
-    allowed: Optional[Set[Label]] = None,
-) -> Set[Label]:
-    """Bitset-kernel variant of :func:`fully_connected_old_labels`.
 
     The scan is first restricted to the mask of vertices carrying an
     eligible old label (the union of the relevant per-label masks), so
@@ -132,40 +109,6 @@ def fully_connected_old_labels_mask(
             label = labels_by_bit[top]
             qualifying.add(label)
             scan &= ~label_masks[label]
-    return qualifying
-
-
-def fully_connected_old_labels_aligned(
-    candidates_mask: int,
-    view,
-    space,
-    last_label: Label,
-    allowed: Optional[int] = None,
-) -> int:
-    """Aligned-space variant of :func:`fully_connected_old_labels`.
-
-    ``candidates_mask`` lives in the database-global label bit space
-    (:class:`~repro.graphdb.bitset.DatabaseLabelSpace`), where "labels
-    strictly below ``last_label``" is one contiguous low mask shared by
-    every transaction and labels are bits — so the qualifying set is
-    returned as a mask (``allowed`` likewise), letting the caller
-    intersect across embeddings with a single ``&``.
-    """
-    old_mask = space.mask_below(last_label)
-    if allowed is not None:
-        old_mask &= allowed
-    scan = candidates_mask & old_mask
-    if not scan:
-        return 0
-    vertex_by_bit = view.vertex_by_bit
-    neighbor_masks = view.neighbor_masks
-    qualifying = 0
-    while scan:
-        top = scan.bit_length() - 1
-        bit = 1 << top
-        scan ^= bit
-        if (candidates_mask ^ bit) & ~neighbor_masks[vertex_by_bit[top]] == 0:
-            qualifying |= bit
     return qualifying
 
 

@@ -7,11 +7,16 @@ can assert that no pruning changes the mined result set.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from ..exceptions import MiningError
-from .embeddings import BITSET, CACHED, RESCAN, SET, SLAB
+from .embeddings import BITSET, CACHED, RESCAN, SLAB
+
+#: The retired hashed-``set`` kernel's name.  Deprecated: still
+#: accepted, it warns and runs :data:`BITSET` (identical results).
+SET = "set"
 
 
 @dataclass(frozen=True)
@@ -50,10 +55,10 @@ class MinerConfig:
         ``cached`` strategy, and otherwise runs on the ``"bitset"``
         int masks.  ``"bitset"`` intersects candidate-extension sets as
         arbitrary-precision integer bitmasks — one ``&`` per
-        intersection; ``"set"`` is the original hashed-``set``
-        implementation, kept for ablation and differential testing.
-        All kernels produce identical results under every strategy
-        and pruning combination.
+        intersection.  Both kernels produce identical results under
+        every strategy and pruning combination.  ``"set"`` (the retired
+        hashed-``set`` kernel) is deprecated: it emits a
+        ``DeprecationWarning`` and the field becomes ``"bitset"``.
     collect_witnesses:
         Record one witness embedding per supporting transaction in each
         reported pattern.
@@ -65,9 +70,9 @@ class MinerConfig:
     -----
     Execution-layer knobs — ``processes`` and the parallel
     ``scheduler`` (``"stealing"`` work queue with cost-guided root
-    splitting vs ``"static"`` round-robin chunks) — are deliberately
-    *not* config fields: they cannot change the mined result, only
-    wall-clock, so they live on the call sites instead
+    splitting vs ``"static"`` one task per root in canonical order) —
+    are deliberately *not* config fields: they cannot change the mined
+    result, only wall-clock, so they live on the call sites instead
     (:func:`repro.mine`, :class:`~repro.core.session.MiningSession`,
     :class:`~repro.core.executor.MiningExecutor`, ``clan mine
     --processes/--scheduler``) and stay out of checkpoints' config
@@ -98,10 +103,17 @@ class MinerConfig:
                 f"embedding_strategy must be {CACHED!r} or {RESCAN!r}, "
                 f"got {self.embedding_strategy!r}"
             )
-        if self.kernel not in (SET, BITSET, SLAB):
+        if self.kernel == SET:
+            warnings.warn(
+                "kernel='set' is deprecated; use kernel='bitset' (identical "
+                "results)",
+                DeprecationWarning,
+                stacklevel=3,
+            )
+            object.__setattr__(self, "kernel", BITSET)
+        if self.kernel not in (BITSET, SLAB):
             raise MiningError(
-                f"kernel must be {SET!r}, {BITSET!r}, or {SLAB!r}, "
-                f"got {self.kernel!r}"
+                f"kernel must be {BITSET!r} or {SLAB!r}, got {self.kernel!r}"
             )
         if self.nonclosed_prefix_pruning and not self.closed_only:
             raise MiningError(

@@ -35,11 +35,8 @@ Orthogonally to the strategy, two *kernels* implement the set algebra:
     (:meth:`repro.graphdb.graph.Graph.bit_index`).  Intersections are
     single ``&`` operations, the pseudo-database survivor index is
     ANDed in as a mask, and per-transaction extension labels are read
-    off the union mask's set bits.
-
-``set``
-    The original hashed ``set`` implementation, kept for ablation and
-    as the differential-testing reference.
+    off the union mask's set bits.  :class:`EmbeddingStore` is this
+    kernel.
 
 ``slab`` (default)
     Numpy unsigned-word slab arrays with vectorized ``&``/``|``/popcount,
@@ -49,8 +46,10 @@ Orthogonally to the strategy, two *kernels* implement the set algebra:
     store) and the strategy is ``cached``; otherwise it transparently
     falls back to the ``bitset`` int-mask representation.
 
-All kernels enumerate embeddings in identical order (ascending vertex
-id within each label group) and produce identical results.
+Both kernels enumerate embeddings in identical order (ascending vertex
+id within each label group) and produce identical results.  The
+differential suites hold them to an independent hashed-``set`` store
+kept beside the brute-force oracle in the test tree.
 
 Embeddings with equal labels are generated with vertex ids ascending
 inside each label group, so every vertex *set* is enumerated exactly
@@ -62,25 +61,22 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
 
 from ..exceptions import MiningError
-from ..graphdb.bitset import iter_bits, lowest_bit, popcount
+from ..graphdb.bitset import lowest_bit, popcount
 from ..graphdb.core_index import PseudoDatabase
 from ..graphdb.database import GraphDatabase
 from .canonical import Label
-from .closure import fully_connected_old_labels, fully_connected_old_labels_mask
+from .closure import fully_connected_old_labels_mask
 
 #: One embedding: its vertex tuple (in canonical label order) and, in
-#: ``cached`` mode, its extension-vertex set — a ``set`` of vertex ids
-#: under the ``set`` kernel, an ``int`` bitmask under ``bitset``.
-EmbeddingRecord = Tuple[Tuple[int, ...], Union[Set[int], int, None]]
+#: ``cached`` mode, its extension-vertex set as an ``int`` bitmask.
+EmbeddingRecord = Tuple[Tuple[int, ...], Optional[int]]
 
 CACHED = "cached"
 RESCAN = "rescan"
 _STRATEGIES = (CACHED, RESCAN)
 
-SET = "set"
 BITSET = "bitset"
 SLAB = "slab"
-_KERNELS = (SET, BITSET, SLAB)
 
 # Sentinel: "look the aligned space up from the database" (``None`` is
 # a valid explicit value, meaning "no aligned space").
@@ -94,7 +90,6 @@ class EmbeddingStore:
         "database",
         "pseudo",
         "strategy",
-        "kernel",
         "size",
         "by_transaction",
         "space",
@@ -108,7 +103,6 @@ class EmbeddingStore:
         strategy: str,
         size: int,
         by_transaction: Dict[int, List[EmbeddingRecord]],
-        kernel: str = BITSET,
         space: object = _SPACE_LOOKUP,
     ) -> None:
         """``pseudo=None`` disables low-degree pruning in ``rescan`` mode.
@@ -120,25 +114,16 @@ class EmbeddingStore:
         """
         if strategy not in _STRATEGIES:
             raise MiningError(f"unknown embedding strategy {strategy!r}; use one of {_STRATEGIES}")
-        if kernel not in _KERNELS:
-            raise MiningError(f"unknown kernel {kernel!r}; use one of {_KERNELS}")
-        if kernel == SLAB:
-            # This class is the slab kernel's int-mask *fallback* (and
-            # the target its record-level delegations materialise to);
-            # the slab fast path lives in
-            # :class:`repro.core.slab_store.SlabEmbeddingStore`.
-            kernel = BITSET
         self.database = database
         self.pseudo = pseudo
         self.strategy = strategy
-        self.kernel = kernel
         self.size = size
         self.by_transaction = by_transaction
         # Aligned label space (unique-label databases only): masks live
         # in the database-global label bit order instead of per-graph
         # vertex bit order, enabling bit-sliced support counting.
         if space is _SPACE_LOOKUP:
-            space = database.aligned_space() if kernel == BITSET else None
+            space = database.aligned_space()
         self.space = space
         # Tie cache: labels whose extension support equals the prefix
         # support, recorded by the last extension_plan() call.  A
@@ -156,47 +141,41 @@ class EmbeddingStore:
         pseudo: Optional[PseudoDatabase],
         label: Label,
         strategy: str = CACHED,
-        kernel: str = BITSET,
         context: Optional[dict] = None,
+        *,
+        slab: bool = False,
     ) -> "EmbeddingStore":
         """Embeddings of the 1-clique with the given label.
 
-        ``kernel="slab"`` dispatches to the transposed
+        ``slab=True`` (the slab kernel) dispatches to the transposed
         :class:`~repro.core.slab_store.SlabEmbeddingStore` when the
         database has a slab space and the strategy is ``cached``;
-        otherwise it falls back to the int-mask bitset representation
-        (byte-identical results either way).  ``context`` is the
-        engine's per-mine-call scratch dict — the slab kernel shares
-        its level-batched forest through it; the int-mask kernels
-        ignore it.
+        otherwise it falls back to this int-mask store (byte-identical
+        results either way).  ``context`` is the engine's
+        per-mine-call scratch dict: it caches the database's kernel
+        spaces across the call's roots, and the slab kernel shares its
+        level-batched forest through it.
         """
         if strategy not in _STRATEGIES:
             raise MiningError(f"unknown embedding strategy {strategy!r}; use one of {_STRATEGIES}")
-        if kernel not in _KERNELS:
-            raise MiningError(f"unknown kernel {kernel!r}; use one of {_KERNELS}")
-        if kernel == SLAB:
-            if strategy == CACHED:
-                # One staleness-checked space resolution per mine call:
-                # the engine's context dict caches it across the call's
-                # roots (fresh per call, so mutations between calls are
-                # still observed).
-                if context is not None and "slab_space" in context:
-                    slab = context["slab_space"]
-                else:
-                    slab = database.slab_space()
-                    if context is not None:
-                        context["slab_space"] = slab
-                if slab is not None:
-                    from .slab_store import SlabEmbeddingStore
+        if slab and strategy == CACHED:
+            # One staleness-checked space resolution per mine call:
+            # the engine's context dict caches it across the call's
+            # roots (fresh per call, so mutations between calls are
+            # still observed).
+            if context is not None and "slab_space" in context:
+                slab_space = context["slab_space"]
+            else:
+                slab_space = database.slab_space()
+                if context is not None:
+                    context["slab_space"] = slab_space
+            if slab_space is not None:
+                from .slab_store import SlabEmbeddingStore
 
-                    return SlabEmbeddingStore.for_root(
-                        database, pseudo, label, slab, context
-                    )
-            kernel = BITSET
-        bitset = kernel == BITSET
-        if not bitset:
-            space = None
-        elif context is not None and "aligned_space" in context:
+                return SlabEmbeddingStore.for_root(
+                    database, pseudo, label, slab_space, context
+                )
+        if context is not None and "aligned_space" in context:
             space = context["aligned_space"]
         else:
             space = database.aligned_space()
@@ -208,17 +187,15 @@ class EmbeddingStore:
             for vertex in sorted(graph.vertices_with_label(label)):
                 if strategy == CACHED:
                     if space is not None:
-                        cached: Union[Set[int], int] = space.views[tid].neighbor_masks[vertex]
-                    elif bitset:
-                        cached = graph.neighbor_mask(vertex)
+                        cached: int = space.views[tid].neighbor_masks[vertex]
                     else:
-                        cached = set(graph.neighbors(vertex))
+                        cached = graph.neighbor_mask(vertex)
                     records.append(((vertex,), cached))
                 else:
                     records.append(((vertex,), None))
             if records:
                 by_transaction[tid] = records
-        return cls(database, pseudo, strategy, 1, by_transaction, kernel, space)
+        return cls(database, pseudo, strategy, 1, by_transaction, space)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -264,37 +241,13 @@ class EmbeddingStore:
     def _candidates(self, tid: int, record: EmbeddingRecord) -> Set[int]:
         """The extension-vertex set ``V_i`` of one embedding, as a set.
 
-        Kernel-independent accessor (under the bitset kernel the mask
-        is expanded to vertex ids); external consumers such as the
-        top-k miner use it, while the hot paths below stay in whichever
-        representation the kernel dictates.
+        The mask expanded to vertex ids; external consumers such as the
+        top-k bound use it, while the hot paths below stay on masks.
         """
-        if self.kernel == BITSET:
-            mask = self._candidates_mask(tid, record)
-            if self.space is not None:
-                return set(self.space.views[tid].vertices_of(mask))
-            return set(self.database[tid].vertices_from_mask(mask))
-        vertices, cached = record
-        if cached is not None:
-            return cached
-        # Paper-literal scan: walk the low-degree-pruned vertex index for
-        # the next clique size and keep vertices adjacent to the whole
-        # embedding.  (Observation 4.1: a vertex of a (k+1)-clique has
-        # core number >= k, i.e. survives pruning at level k+1.)
-        graph = self.database[tid]
-        if self.pseudo is not None:
-            usable: Iterable[int] = self.pseudo.index(tid).usable_at(self.size + 1)
-        else:
-            usable = graph.vertices()
-        members = set(vertices)
-        candidates: Set[int] = set()
-        for vertex in usable:
-            if vertex in members:
-                continue
-            neighbors = graph.neighbors(vertex)
-            if all(u in neighbors for u in vertices):
-                candidates.add(vertex)
-        return candidates
+        mask = self._candidates_mask(tid, record)
+        if self.space is not None:
+            return set(self.space.views[tid].vertices_of(mask))
+        return set(self.database[tid].vertices_from_mask(mask))
 
     def _candidates_mask(self, tid: int, record: EmbeddingRecord) -> int:
         """The extension-vertex set of one embedding, as a bitmask.
@@ -341,19 +294,9 @@ class EmbeddingStore:
         (β ≥ last label) and *old* (β < last label) extension vertices,
         which is exactly what the closure check of Lemma 4.3 needs.
         """
-        if self.kernel == BITSET:
-            if self.space is not None:
-                return self._extension_supports_aligned()
-            return self._extension_supports_mask()
-        supports: Dict[Label, int] = {}
-        for tid, records in self.by_transaction.items():
-            get_label = self.database[tid].label_map().__getitem__
-            seen: Set[Label] = set()
-            for record in records:
-                seen.update(map(get_label, self._candidates(tid, record)))
-            for label in seen:
-                supports[label] = supports.get(label, 0) + 1
-        return supports
+        if self.space is not None:
+            return self._extension_supports_aligned()
+        return self._extension_supports_mask()
 
     def _extension_slices(self) -> List[int]:
         """Carry-save counter of extension labels across transactions.
@@ -433,8 +376,8 @@ class EmbeddingStore:
           support, i.e. the Lemma 4.3 closure check *fails*.
 
         Semantically equivalent to post-processing
-        :meth:`extension_supports`, which is what the generic kernels
-        do; the aligned bitset kernel instead answers the threshold
+        :meth:`extension_supports`, which is what the per-graph mask
+        path does; the aligned path instead answers the threshold
         and tie questions word-parallel on the bit-sliced counter and
         only ever extracts the (few) frequent labels.
         """
@@ -516,7 +459,7 @@ class EmbeddingStore:
         return frequent, infrequent, blocking
 
     def _extension_supports_mask(self) -> Dict[Label, int]:
-        """Bitset kernel: union the candidate masks, then read labels off.
+        """Per-graph masks: union the candidate masks, then read labels off.
 
         One ``|`` per embedding collapses the transaction's candidate
         sets before any label work happens; labels are then read off
@@ -574,7 +517,6 @@ class EmbeddingStore:
         """
         if self.space is not None:
             return self._nonclosed_extension_label_aligned(last_label)
-        bitset = self.kernel == BITSET
         common: Optional[Set[Label]] = self._ties  # type: ignore[assignment]
         if common is not None:
             # The tie set also holds new labels (≥ last_label); only old
@@ -584,18 +526,10 @@ class EmbeddingStore:
                 return None
         for tid, records in self.by_transaction.items():
             graph = self.database[tid]
-            if not bitset:
-                label_of = graph.label_map()
-                adjacency = graph.adjacency_map()
             for record in records:
-                if bitset:
-                    fully_connected = fully_connected_old_labels_mask(
-                        self._candidates_mask(tid, record), graph, last_label, common
-                    )
-                else:
-                    fully_connected = fully_connected_old_labels(
-                        self._candidates(tid, record), adjacency, label_of, last_label, common
-                    )
+                fully_connected = fully_connected_old_labels_mask(
+                    self._candidates_mask(tid, record), graph, last_label, common
+                )
                 common = fully_connected if common is None else common & fully_connected
                 if not common:
                     return None
@@ -658,14 +592,13 @@ class EmbeddingStore:
         The engine's free list hands back stores whose subtree has
         finished; refilling one in place skips the allocation and the
         constructor's validation (sound: within one mine call the
-        database, strategy, kernel, and aligned space never change).
+        database, strategy, and aligned space never change).
         A ``reuse`` of a different concrete type is ignored.
         """
         if reuse is not None and type(reuse) is EmbeddingStore:
             reuse.database = self.database
             reuse.pseudo = self.pseudo
             reuse.strategy = self.strategy
-            reuse.kernel = self.kernel
             reuse.space = self.space
             reuse.size = self.size + 1
             reuse.by_transaction = by_transaction
@@ -677,7 +610,6 @@ class EmbeddingStore:
             self.strategy,
             self.size + 1,
             by_transaction,
-            self.kernel,
             self.space,
         )
 
@@ -696,33 +628,9 @@ class EmbeddingStore:
         ``reuse`` optionally recycles a retired store object in place
         of a fresh allocation (see :meth:`_child`).
         """
-        if self.kernel == BITSET:
-            if self.space is not None:
-                return self._extend_aligned(label, reuse)
-            return self._extend_mask(label, last_label, reuse)
-        same_label_tail = last_label is not None and label == last_label
-        by_transaction: Dict[int, List[EmbeddingRecord]] = {}
-        for tid, records in self.by_transaction.items():
-            graph = self.database[tid]
-            label_of = graph.label_map()
-            adjacency = graph.adjacency_map()
-            extended: List[EmbeddingRecord] = []
-            for record in records:
-                vertices, cached = record
-                floor = vertices[-1] if same_label_tail else None
-                for vertex in sorted(self._candidates(tid, record)):
-                    if label_of[vertex] != label:
-                        continue
-                    if floor is not None and vertex <= floor:
-                        continue
-                    if cached is not None:
-                        new_cached: Optional[Set[int]] = cached & adjacency[vertex]
-                    else:
-                        new_cached = None
-                    extended.append((vertices + (vertex,), new_cached))
-            if extended:
-                by_transaction[tid] = extended
-        return self._child(by_transaction, reuse)
+        if self.space is not None:
+            return self._extend_aligned(label, reuse)
+        return self._extend_mask(label, last_label, reuse)
 
     def _extend_aligned(
         self, label: Label, reuse: Optional["EmbeddingStore"] = None
@@ -769,7 +677,7 @@ class EmbeddingStore:
         last_label: Optional[Label],
         reuse: Optional["EmbeddingStore"] = None,
     ) -> "EmbeddingStore":
-        """Bitset kernel ``extend``: one AND per label filter and per growth.
+        """Per-graph-mask ``extend``: one AND per label filter and per growth.
 
         Restricting candidates to the extension label is ``mask &
         label_mask``; the same-label ascending-id discipline is a shift
@@ -815,7 +723,6 @@ class EmbeddingStore:
         so the per-label ascending-id trick no longer applies and
         duplicate vertex sets are collapsed explicitly per transaction.
         """
-        bitset = self.kernel == BITSET
         space = self.space
         by_transaction: Dict[int, List[EmbeddingRecord]] = {}
         for tid, records in self.by_transaction.items():
@@ -823,36 +730,22 @@ class EmbeddingStore:
             if space is not None:
                 view = space.views[tid]
                 neighbor_masks = view.neighbor_masks
-            elif bitset:
-                index = graph.bit_index()
-                neighbor_masks = index.neighbor_masks
+                vertices_of = view.vertices_of
+            else:
+                neighbor_masks = graph.bit_index().neighbor_masks
+                vertices_of = graph.vertices_from_mask
             seen: Set[frozenset] = set()
             extended: List[EmbeddingRecord] = []
             for record in records:
                 vertices, cached = record
-                if space is not None:
-                    candidates: Iterable[int] = view.vertices_of(
-                        self._candidates_mask(tid, record)
-                    )
-                elif bitset:
-                    candidates = graph.vertices_from_mask(
-                        self._candidates_mask(tid, record)
-                    )
-                else:
-                    candidates = sorted(self._candidates(tid, record))
-                for vertex in candidates:
+                for vertex in vertices_of(self._candidates_mask(tid, record)):
                     if graph.label(vertex) != label:
                         continue
                     key = frozenset(vertices) | {vertex}
                     if key in seen:
                         continue
                     seen.add(key)
-                    if cached is None:
-                        new_cached: Union[Set[int], int, None] = None
-                    elif bitset:
-                        new_cached = cached & neighbor_masks[vertex]  # type: ignore[operator]
-                    else:
-                        new_cached = cached & graph.neighbors(vertex)
+                    new_cached = None if cached is None else cached & neighbor_masks[vertex]
                     extended.append((vertices + (vertex,), new_cached))
             if extended:
                 by_transaction[tid] = extended
@@ -862,7 +755,6 @@ class EmbeddingStore:
             self.strategy,
             self.size + 1,
             by_transaction,
-            self.kernel,
             self.space,
         )
 
@@ -897,15 +789,13 @@ class EmbeddingStore:
             self.strategy,
             self.size,
             {tid: recs for tid, recs in self.by_transaction.items() if tid in keep},
-            self.kernel,
             self.space,
         )
 
     def __repr__(self) -> str:
         return (
             f"<EmbeddingStore size={self.size} support={self.support} "
-            f"embeddings={self.embedding_count} strategy={self.strategy} "
-            f"kernel={self.kernel}>"
+            f"embeddings={self.embedding_count} strategy={self.strategy}>"
         )
 
 
@@ -913,26 +803,17 @@ def warm_kernel_indexes(database: GraphDatabase, kernel: str = BITSET) -> None:
     """Force-build the lazy per-graph indexes the given kernel reads.
 
     The mask layer (:meth:`Graph.bit_index`, the aligned
-    :meth:`GraphDatabase.aligned_space`) and the adjacency maps are all
-    built lazily on first touch and cached on the graph objects.  The
-    parallel executor calls this in the *parent* before forking its
-    pool so every worker inherits the finished indexes copy-on-write
-    instead of rebuilding them per process — the "shared index warm-up"
-    of the executor design.  Safe to call repeatedly; subsequent calls
-    hit the caches.
+    :meth:`GraphDatabase.aligned_space`, the slab
+    :meth:`GraphDatabase.slab_space`) is built lazily on first touch
+    and cached.  The parallel executor calls this in the *parent*
+    before forking its pool so every worker inherits the finished
+    indexes copy-on-write instead of rebuilding them per process — the
+    "shared index warm-up" of the executor design.  Safe to call
+    repeatedly; subsequent calls hit the caches.
     """
-    if kernel not in _KERNELS:
-        raise MiningError(f"unknown kernel {kernel!r}; use one of {_KERNELS}")
-    if kernel == SLAB:
-        if database.slab_space() is not None:
-            return
-        kernel = BITSET  # ineligible databases run the int-mask fallback
-    if kernel == BITSET:
-        space = database.aligned_space()
-        if space is None:
-            for graph in database:
-                graph.bit_index()
+    if kernel == SLAB and database.slab_space() is not None:
         return
-    for graph in database:
-        graph.label_map()
-        graph.adjacency_map()
+    # Bitset, and slab-ineligible databases (the int-mask fallback).
+    if database.aligned_space() is None:
+        for graph in database:
+            graph.bit_index()

@@ -6,8 +6,8 @@ the *task* — which prefixes become output patterns, which subtrees can
 be cut — is supplied by a small :class:`TaskStrategy` object instead of
 being hard-wired.  Every mining task then rides the same machinery:
 
-* the :class:`~repro.core.config.MinerConfig` kernels (``set``,
-  ``bitset``, or ``slab``) and embedding strategies,
+* the :class:`~repro.core.config.MinerConfig` kernels (``bitset`` or
+  ``slab``) and embedding strategies,
 * root partitioning and level-2 splitting
   (:meth:`MiningEngine.root_extension_plan`,
   ``first_extensions``/``include_root``) for the work-stealing
@@ -61,7 +61,7 @@ from ..graphdb.core_index import PseudoDatabase
 from ..graphdb.database import GraphDatabase
 from .canonical import CanonicalForm, Label
 from .config import MinerConfig
-from .embeddings import RESCAN, EmbeddingStore, warm_kernel_indexes
+from .embeddings import RESCAN, SLAB, EmbeddingStore, warm_kernel_indexes
 from .pattern import CliquePattern
 from .results import MiningResult
 from .statistics import MinerStatistics
@@ -146,8 +146,8 @@ class TaskStrategy:
             pseudo,
             label,
             config.embedding_strategy,
-            config.kernel,
             context,
+            slab=config.kernel == SLAB,
         )
 
     def prune_subtree(

@@ -95,11 +95,18 @@ DEFAULT_SPLIT_FACTOR = 1.0
 
 
 def partition_roots(labels: Sequence[Label], chunks: int) -> List[Tuple[Label, ...]]:
-    """Split root labels into round-robin chunks.
+    """Deprecated: split root labels into round-robin chunks.
 
-    Round-robin (rather than contiguous blocks) spreads the typically
-    heavy low-alphabet roots across workers.
+    No scheduler uses chunks any more (both submit one task per root),
+    so this warns (stage 1 of the CONTRIBUTING.md deprecation policy)
+    and then returns the chunks as before.
     """
+    warnings.warn(
+        "partition_roots is deprecated: the executor schedules one task "
+        "per root and nothing reads root chunks",
+        DeprecationWarning,
+        stacklevel=2,
+    )
     if chunks < 1:
         raise MiningError("need at least one chunk")
     buckets: List[List[Label]] = [[] for _ in range(min(chunks, max(1, len(labels))))]
@@ -389,8 +396,8 @@ class MiningExecutor:
         (:data:`DEFAULT_SPLIT_FACTOR`); ``0.0`` splits every splittable
         root (used by the equivalence tests), large values never split.
     chunks_per_process:
-        Accepted for compatibility and ignored: the static scheduler
-        now submits one task per root.
+        Deprecated and ignored (passing it warns): the static scheduler
+        submits one task per root.
     cache:
         Optional :class:`~repro.core.cache.MiningCache`.  Roots it can
         answer are replayed instead of mined, and every root
@@ -411,7 +418,7 @@ class MiningExecutor:
         processes: Optional[int] = None,
         scheduler: str = STEALING,
         split_factor: float = DEFAULT_SPLIT_FACTOR,
-        chunks_per_process: int = 4,
+        chunks_per_process: Optional[int] = None,
         cache: Optional[MiningCache] = None,
         task: Optional[str] = None,
         k: Optional[int] = None,
@@ -427,6 +434,13 @@ class MiningExecutor:
             raise MiningError(f"processes must be >= 1, got {processes}")
         if split_factor < 0:
             raise MiningError(f"split_factor must be >= 0, got {split_factor}")
+        if chunks_per_process is not None:
+            warnings.warn(
+                "MiningExecutor(chunks_per_process=...) is deprecated and "
+                "ignored: the static scheduler submits one task per root",
+                DeprecationWarning,
+                stacklevel=2,
+            )
         if task is None:
             task = "closed" if config is None or config.closed_only else "frequent"
         # Validates the task, its k/gamma, and the config against the
@@ -441,7 +455,6 @@ class MiningExecutor:
         self.processes = processes
         self.scheduler = scheduler
         self.split_factor = split_factor
-        self.chunks_per_process = chunks_per_process
         self.cache = cache
         self.task = task
         self.k = k

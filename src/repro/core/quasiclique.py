@@ -37,7 +37,7 @@ contains a γ-quasi-clique whose sorted labels equal P.  Unlike cliques,
   that bound for every reachable size can never grow into a result.
 
 ``task="quasi"`` runs on the shared :class:`~repro.core.engine
-.MiningEngine` stack — bitset/set kernels, the work-stealing executor,
+.MiningEngine` stack — the int-mask kernel, the work-stealing executor,
 sessions, and the mining cache — via :class:`QuasiTaskStrategy`; see
 :func:`repro.core.api.mine`.  γ must be ≥ 0.5 (which guarantees
 connectivity and diameter ≤ 2, the usual tractable regime) and
@@ -55,7 +55,6 @@ from ..graphdb.bitset import popcount
 from ..graphdb.database import GraphDatabase
 from ..graphdb.graph import Graph
 from .canonical import CanonicalForm, Label
-from .embeddings import BITSET, SET, SLAB
 from .engine import MiningEngine, TaskStrategy, finalize_patterns
 from .pattern import CliquePattern
 from .results import MiningResult
@@ -227,25 +226,23 @@ class QuasiEmbeddingStore:
     here extends to it, floored or not.
 
     Records are ``(vertices, members, degrees, min_cc)``: the canonical
-    vertex tuple, the member set (a Python set under the ``set``
-    kernel, a bitmask over :meth:`Graph.bit_index` under ``bitset``),
-    each member's in-set degree, and the smallest common-neighbour
+    vertex tuple, the member set (a bitmask over
+    :meth:`Graph.bit_index`), each member's in-set degree, and the
+    smallest common-neighbour
     count over the set's non-adjacent pairs (``None`` when none exist —
     cliques).  ``min_cc`` drives the c-closure prune
     (:meth:`cc_viable_support`); per-pair counts are memoized in a
     ``(tid, u, v)``-keyed dict shared down the whole extend chain.
 
-    Unlike the clique store there is no aligned label space and no
-    rescan mode: candidates are recomputed from the per-transaction
-    index and cached per store instance.  Both kernels enumerate
-    candidates in ascending vertex id, so supports, candidate *and*
-    record orders — hence every statistic and witness — are
-    byte-identical across kernels.
+    Unlike the clique store there is no aligned label space, no slab
+    layout and no rescan mode: candidates are recomputed from the
+    per-transaction index and cached per store instance, in ascending
+    vertex id.  Quasi-clique degree bookkeeping is per-embedding, not
+    per-label, so every kernel setting runs this int-mask store.
     """
 
     __slots__ = (
         "database",
-        "kernel",
         "gamma",
         "min_size",
         "max_size",
@@ -264,7 +261,6 @@ class QuasiEmbeddingStore:
     def __init__(
         self,
         database: GraphDatabase,
-        kernel: str,
         gamma: float,
         min_size: int,
         max_size: int,
@@ -276,7 +272,6 @@ class QuasiEmbeddingStore:
         cc_memo: Dict[Tuple[int, int, int], int],
     ) -> None:
         self.database = database
-        self.kernel = kernel
         self.gamma = gamma
         self.min_size = min_size
         self.max_size = max_size
@@ -300,42 +295,29 @@ class QuasiEmbeddingStore:
         database: GraphDatabase,
         label: Label,
         *,
-        kernel: str,
         gamma: float,
         min_size: int,
         max_size: int,
     ) -> "QuasiEmbeddingStore":
         """Singleton embeddings of one root label (always feasible)."""
-        if kernel == SLAB:
-            # Quasi-clique degree bookkeeping is per-embedding, not
-            # per-label, so the transposed slab layout does not apply;
-            # the slab kernel runs quasi on int masks (same results).
-            kernel = BITSET
-        if kernel not in (SET, BITSET):
-            raise MiningError(f"unknown kernel {kernel!r}")
         needs = _degree_needs(gamma, max_size)
         thresholds = _feasibility_thresholds(needs, max_size)
         cc_t = _cc_thresholds(needs, min_size, max_size)
         by_transaction: Dict[int, list] = {}
         for tid, graph in enumerate(database):
             records = []
-            if kernel == BITSET:
-                index = graph.bit_index()
-                mask = index.label_masks.get(label, 0)
-                order = index.order
-                while mask:
-                    low = mask & -mask
-                    mask ^= low
-                    bit = low.bit_length() - 1
-                    records.append(((order[bit],), low, (0,), None))
-            else:
-                for vertex in sorted(graph.vertices_with_label(label)):
-                    records.append(((vertex,), {vertex}, (0,), None))
+            index = graph.bit_index()
+            mask = index.label_masks.get(label, 0)
+            order = index.order
+            while mask:
+                low = mask & -mask
+                mask ^= low
+                bit = low.bit_length() - 1
+                records.append(((order[bit],), low, (0,), None))
             if records:
                 by_transaction[tid] = records
         return cls(
             database,
-            kernel,
             gamma,
             min_size,
             max_size,
@@ -419,16 +401,11 @@ class QuasiEmbeddingStore:
         record lists that are cheap relative to feasibility checking.
         """
         same_label_tail = last_label is not None and label == last_label
-        bitset = self.kernel == BITSET
         by_transaction: Dict[int, list] = {}
         for tid, records in self.by_transaction.items():
-            graph = self.database[tid]
-            if bitset:
-                index = graph.bit_index()
-                bit_of = index.bit
-                neighbor_masks = index.neighbor_masks
-            else:
-                neighbors = graph.neighbors
+            index = self.database[tid].bit_index()
+            bit_of = index.bit
+            neighbor_masks = index.neighbor_masks
             rows = self._tid_candidates(tid)
             extended = []
             for record, row in zip(records, rows):
@@ -439,24 +416,15 @@ class QuasiEmbeddingStore:
                         continue
                     if floor is not None and vertex <= floor:
                         continue
-                    if bitset:
-                        vmask = neighbor_masks[vertex]
-                        new_degrees = tuple(
-                            d + ((vmask >> bit_of[v]) & 1)
-                            for v, d in zip(vertices, degrees)
-                        ) + (popcount(vmask & members),)
-                        new_members = members | (1 << bit_of[vertex])
-                        non_adjacent = [
-                            v for v in vertices if not (vmask >> bit_of[v]) & 1
-                        ]
-                    else:
-                        nbrs = neighbors(vertex)
-                        new_degrees = tuple(
-                            d + (1 if v in nbrs else 0)
-                            for v, d in zip(vertices, degrees)
-                        ) + (len(nbrs & members),)
-                        new_members = members | {vertex}
-                        non_adjacent = [v for v in vertices if v not in nbrs]
+                    vmask = neighbor_masks[vertex]
+                    new_degrees = tuple(
+                        d + ((vmask >> bit_of[v]) & 1)
+                        for v, d in zip(vertices, degrees)
+                    ) + (popcount(vmask & members),)
+                    new_members = members | (1 << bit_of[vertex])
+                    non_adjacent = [
+                        v for v in vertices if not (vmask >> bit_of[v]) & 1
+                    ]
                     new_min_cc = min_cc
                     for v in non_adjacent:
                         cc = self._common_neighbors(tid, vertex, v)
@@ -469,7 +437,6 @@ class QuasiEmbeddingStore:
                 by_transaction[tid] = extended
         return QuasiEmbeddingStore(
             self.database,
-            self.kernel,
             self.gamma,
             self.min_size,
             self.max_size,
@@ -560,46 +527,26 @@ class QuasiEmbeddingStore:
             self._candidate_cache[tid] = rows
             return rows
         threshold = self._thresholds[next_size]
-        graph = self.database[tid]
+        index = self.database[tid].bit_index()
+        order = index.order
+        bit_of = index.bit
+        neighbor_masks = index.neighbor_masks
+        labels_by_bit = index.labels_by_bit
         rows = []
-        if self.kernel == BITSET:
-            index = graph.bit_index()
-            order = index.order
-            bit_of = index.bit
-            neighbor_masks = index.neighbor_masks
-            labels_by_bit = index.labels_by_bit
-            for vertices, members, degrees, _min_cc in records:
-                row: List[Tuple[int, Label]] = []
-                for bit, vertex in enumerate(order):
-                    if (members >> bit) & 1:
-                        continue
-                    vmask = neighbor_masks[vertex]
-                    if popcount(vmask & members) < threshold:
-                        continue
-                    if all(
-                        d + ((vmask >> bit_of[v]) & 1) >= threshold
-                        for v, d in zip(vertices, degrees)
-                    ):
-                        row.append((vertex, labels_by_bit[bit]))
-                rows.append(row)
-        else:
-            label_of = graph.label_map()
-            universe = sorted(graph.vertices())
-            neighbors = graph.neighbors
-            for vertices, members, degrees, _min_cc in records:
-                row = []
-                for vertex in universe:
-                    if vertex in members:
-                        continue
-                    nbrs = neighbors(vertex)
-                    if len(nbrs & members) < threshold:
-                        continue
-                    if all(
-                        d + (1 if v in nbrs else 0) >= threshold
-                        for v, d in zip(vertices, degrees)
-                    ):
-                        row.append((vertex, label_of[vertex]))
-                rows.append(row)
+        for vertices, members, degrees, _min_cc in records:
+            row: List[Tuple[int, Label]] = []
+            for bit, vertex in enumerate(order):
+                if (members >> bit) & 1:
+                    continue
+                vmask = neighbor_masks[vertex]
+                if popcount(vmask & members) < threshold:
+                    continue
+                if all(
+                    d + ((vmask >> bit_of[v]) & 1) >= threshold
+                    for v, d in zip(vertices, degrees)
+                ):
+                    row.append((vertex, labels_by_bit[bit]))
+            rows.append(row)
         self._candidate_cache[tid] = rows
         return rows
 
@@ -608,12 +555,8 @@ class QuasiEmbeddingStore:
         memo = self._cc_memo
         cc = memo.get(key)
         if cc is None:
-            graph = self.database[tid]
-            if self.kernel == BITSET:
-                masks = graph.bit_index().neighbor_masks
-                cc = popcount(masks[u] & masks[v])
-            else:
-                cc = len(graph.neighbors(u) & graph.neighbors(v))
+            masks = self.database[tid].bit_index().neighbor_masks
+            cc = popcount(masks[u] & masks[v])
             memo[key] = cc
         return cc
 
@@ -668,7 +611,6 @@ class QuasiTaskStrategy(TaskStrategy):
         return QuasiEmbeddingStore.for_label(
             engine.database,
             label,
-            kernel=config.kernel,
             gamma=self.gamma,
             min_size=config.min_size,
             max_size=config.max_size,

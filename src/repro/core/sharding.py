@@ -331,7 +331,6 @@ def _shard_counts(
             store = QuasiEmbeddingStore.for_label(
                 shard,
                 root,
-                kernel=resolved.kernel,
                 gamma=gamma,
                 min_size=resolved.min_size,
                 max_size=resolved.max_size,
@@ -342,8 +341,8 @@ def _shard_counts(
                 None,
                 root,
                 resolved.embedding_strategy,
-                resolved.kernel,
                 context,
+                slab=resolved.kernel == SLAB,
             )
         if store.embedding_count or (root,) in forms:
             _descend((root,), store, trie[root], forms, record)

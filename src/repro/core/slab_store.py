@@ -1033,7 +1033,7 @@ class SlabEmbeddingStore:
 
     def _to_bitset_store(self):
         """An equivalent ``EmbeddingStore`` on the bitset kernel."""
-        from .embeddings import BITSET, EmbeddingStore
+        from .embeddings import EmbeddingStore
 
         return EmbeddingStore(
             self.database,
@@ -1041,7 +1041,6 @@ class SlabEmbeddingStore:
             self.strategy,
             self.size,
             {tid: list(recs) for tid, recs in self.by_transaction.items()},
-            BITSET,
             self.database.aligned_space(),
         )
 

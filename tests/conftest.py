@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import contextlib
 import random
 
 import pytest
@@ -52,3 +53,11 @@ def make_random_database(
     for gid in range(n_graphs):
         database.add(random_transaction(rng, n_vertices, edge_probability, labels, gid))
     return database
+
+
+def kernel_warning(kernel: str):
+    """Expect the stage-1 warning when ``kernel`` is the deprecated
+    ``"set"`` spelling (which runs the bitset kernel); else a no-op."""
+    if kernel == "set":
+        return pytest.warns(DeprecationWarning, match="bitset")
+    return contextlib.nullcontext()

@@ -15,11 +15,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.closure import (
-    fully_connected_old_labels,
-    fully_connected_old_labels_aligned,
-    fully_connected_old_labels_mask,
-)
+from repro.core.closure import fully_connected_old_labels_mask
+from repro.core.embeddings import EmbeddingStore
 from repro.graphdb import Graph, GraphDatabase
 from repro.graphdb.bitset import (
     build_label_space,
@@ -30,6 +27,7 @@ from repro.graphdb.bitset import (
 )
 
 from tests.conftest import make_random_database
+from tests.oracles import SetCliqueStore, fully_connected_old_labels
 from tests.strategies import graph_databases, labeled_graphs
 from tests.test_kernel_differential import unique_label_database
 
@@ -187,7 +185,7 @@ class TestAlignedSpace:
 
 
 class TestClosureVariantsAgree:
-    """The three Lemma 4.4 per-embedding scans are interchangeable."""
+    """The Lemma 4.4 scans agree with the hashed-set oracle's."""
 
     @pytest.mark.parametrize("seed", range(6))
     def test_local_mask_variant_matches_set_variant(self, seed):
@@ -207,23 +205,29 @@ class TestClosureVariantsAgree:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_aligned_variant_matches_set_variant(self, seed):
+        # The aligned scan runs inline in the store; hold it to the set
+        # oracle's store-level answer on every supported 2-clique
+        # prefix, for both
+        # strategies, with and without the tie set an extension plan
+        # seeds it from.
         database = unique_label_database(seed)
-        space = database.aligned_space()
-        for tid, graph in enumerate(database):
-            view = space.views[tid]
-            adjacency = graph.adjacency_map()
-            label_of = graph.label_map()
-            candidates = {v for v in graph.vertices() if v % 2 == 0}
-            mask = 0
-            for vertex in candidates:
-                mask |= 1 << view.bit_of_vertex[vertex]
-            for probe in list(space.labels) + ["~beyond"]:
-                expected = fully_connected_old_labels(
-                    candidates, adjacency, label_of, probe
-                )
-                result = fully_connected_old_labels_aligned(mask, view, space, probe)
-                decoded = {space.labels[i] for i in iter_bits(result)}
-                assert decoded == expected
+        assert database.aligned_space() is not None
+        labels = sorted(database.label_supports())
+        for first in labels:
+            oracle_root = SetCliqueStore.for_label(database, None, first)
+            for strategy in ("cached", "rescan"):
+                root = EmbeddingStore.for_label(database, None, first, strategy)
+                assert root.space is not None
+                for second in labels[labels.index(first):]:
+                    oracle = oracle_root.extend(second, first)
+                    if not oracle.support:
+                        continue  # the engine never scans an unsupported prefix
+                    for probe in labels + ["~beyond"]:
+                        expected = oracle.nonclosed_extension_label(probe)
+                        store = root.extend(second, first)
+                        assert store.nonclosed_extension_label(probe) == expected
+                        store.extension_plan(1)
+                        assert store.nonclosed_extension_label(probe) == expected
 
 
 class TestSlabPrimitives:

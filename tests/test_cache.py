@@ -86,7 +86,7 @@ class TestConfigDigest:
             MinerConfig().without("low_degree"),
             MinerConfig(min_size=2),
             MinerConfig(max_size=4),
-            MinerConfig().with_kernel("set"),
+            MinerConfig().with_kernel("bitset"),
             MinerConfig(embedding_strategy="rescan"),
             MinerConfig(collect_witnesses=False),
             MinerConfig(max_embeddings=100),
@@ -95,7 +95,7 @@ class TestConfigDigest:
         assert len(set(digests)) == len(digests)
 
     def test_digest_survives_serialisation(self):
-        config = MinerConfig(min_size=2, kernel="set")
+        config = MinerConfig(min_size=2, kernel="bitset")
         assert MinerConfig.from_dict(config.to_dict()).digest() == config.digest()
 
 
@@ -339,7 +339,7 @@ class TestMineWithCache:
         cache = MiningCache()
         mine_with_cache(dense_db, 2, cache=cache)
         other = mine_with_cache(
-            dense_db, 2, cache=cache, config=MinerConfig(kernel="set")
+            dense_db, 2, cache=cache, config=MinerConfig(kernel="bitset")
         )
         assert other.statistics.roots_from_cache == 0
         assert keys(other) == keys(ClanMiner(dense_db).mine(2))

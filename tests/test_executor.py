@@ -136,7 +136,7 @@ class TestRootExtensionPlan:
             ("maximal", None, None),
             ("quasi", 0.75, 4),
         ):
-            for kernel in ("set", "bitset", "slab"):
+            for kernel in ("bitset", "slab"):
                 config = MinerConfig.for_task(task, max_size=max_size, kernel=kernel)
                 miner = engine_for_task(db, config, task, gamma=gamma).prepare()
                 self._assert_split_union_exact(miner, db)
@@ -194,6 +194,15 @@ class TestMiningExecutor:
         serial = mine_closed_cliques(paper_db, 2)
         with MiningExecutor(paper_db, processes=2) as executor:
             result = executor.mine(2)
+        assert keys(result) == keys(serial)
+        assert result.statistics.snapshot() == serial.statistics.snapshot()
+
+    def test_chunks_per_process_warns_and_is_ignored(self, paper_db):
+        with pytest.warns(DeprecationWarning, match="chunks_per_process"):
+            executor = MiningExecutor(paper_db, processes=1, chunks_per_process=4)
+        with executor:
+            result = executor.mine(2)
+        serial = mine_closed_cliques(paper_db, 2)
         assert keys(result) == keys(serial)
         assert result.statistics.snapshot() == serial.statistics.snapshot()
 

@@ -5,12 +5,16 @@ is an explicit-stack DFS that carries prefixes as bare label tuples and
 only materialises :class:`CanonicalForm` / :class:`CliquePattern` /
 witness maps at emission time, with statistics accumulated in plain
 locals and hook dispatch hoisted out of the loop.  None of that may be
-observable: this file keeps a straightforward *recursive, eagerly
-materialising* reference miner in the test and checks the engine
-against it — patterns, witnesses, transactions, and the full frozen
-statistics snapshot — across all three kernels, plus the legs the
+observable: the engine is checked against the *recursive, eagerly
+materialising* reference miner of :mod:`tests.oracles`, run over the
+hashed-set store — patterns, witnesses, transactions, and the full
+frozen statistics snapshot — under both kernels, plus the legs the
 reference cannot express (hook dispatch modes, checkpoint/resume
 mid-root).
+
+``KERNELS`` also carries ``"set"``, the deprecated spelling of
+``"bitset"`` (stage 1 of the CONTRIBUTING.md deprecation policy): its
+legs assert the warning and the identical result.
 """
 
 from __future__ import annotations
@@ -29,19 +33,16 @@ from repro.core import (
     MiningSession,
     mine,
 )
-from repro.core.canonical import CanonicalForm
 from repro.core.embeddings import EmbeddingStore
 from repro.core.engine import engine_for_task
-from repro.core.pattern import CliquePattern
-from repro.core.results import MiningResult
 from repro.core.session import SearchHooks
-from repro.core.statistics import MinerStatistics
-from repro.graphdb.core_index import PseudoDatabase
 
-from tests.conftest import make_random_database
+from tests.conftest import kernel_warning, make_random_database
+from tests.oracles import reference_mine
 from tests.strategies import graph_databases
 
 KERNELS = (SET, BITSET, SLAB)
+STRATEGIES = ("cached", "rescan")
 
 #: Seeded databases spanning sparse to dense, few to many labels.
 CASES = [
@@ -74,112 +75,11 @@ def signature(result):
     )
 
 
-# ----------------------------------------------------------------------
-# The reference: recursive DFS, everything materialised eagerly.
-# ----------------------------------------------------------------------
-def reference_mine(database, min_sup, config, task="closed"):
-    """Recursive Algorithm 1 with eager materialisation.
-
-    The pre-iterative engine in miniature: a
-    :class:`CanonicalForm` exists at every node, patterns are built
-    through the same emission rules the strategies encode, and the
-    statistics object is updated through its per-event recorders at
-    each step instead of a boundary flush.  Supports the three
-    stateless tasks (closed / frequent / maximal); byte-equality
-    against the engine pins the iterative loop's laziness as pure
-    mechanism.
-    """
-    abs_sup = database.absolute_support(min_sup)
-    stats = MinerStatistics()
-    result = MiningResult(
-        min_sup=abs_sup, closed_only=config.closed_only, statistics=stats
-    )
-    pseudo = PseudoDatabase(database) if config.low_degree_pruning else None
-    label_supports = database.label_supports()
-    stats.database_scans += 1
-    seen = set()
-    redundancy = config.structural_redundancy_pruning
-
-    def emit(form, store):
-        size = len(form.labels)
-        if size < config.min_size:
-            return
-        if config.max_size is not None and size > config.max_size:
-            return
-        pattern = CliquePattern(
-            form=form,
-            support=store.support,
-            transactions=store.transactions(),
-            witnesses=store.witnesses() if config.collect_witnesses else {},
-        )
-        result.add(pattern)
-        if config.closed_only:
-            stats.closed_cliques += 1
-
-    def recurse(form, store):
-        labels = form.labels
-        if not redundancy:
-            if labels in seen:
-                stats.duplicates_collapsed += 1
-                return
-            seen.add(labels)
-        stats.record_node(len(labels), store.embedding_count)
-        stats.record_frequent(len(labels))
-        frequent_extensions, n_infrequent, blocked = store.extension_plan(abs_sup)
-        stats.database_scans += 1
-        if (
-            config.nonclosed_prefix_pruning
-            and store.nonclosed_extension_label(labels[-1]) is not None
-        ):
-            stats.nonclosed_prefix_prunes += 1
-            return
-        if task == "closed":
-            if not blocked:
-                emit(form, store)
-            else:
-                stats.closure_rejections += 1
-        elif task == "frequent":
-            emit(form, store)
-        elif task == "maximal":
-            if not frequent_extensions:
-                emit(form, store)
-            else:
-                stats.closure_rejections += 1
-        if config.max_size is not None and len(labels) >= config.max_size:
-            return
-        stats.infrequent_extensions += n_infrequent
-        for label, ext_support in frequent_extensions:
-            if redundancy:
-                if label < labels[-1]:
-                    stats.redundancy_skips += 1
-                    continue
-                child_store = store.extend(label, labels[-1])
-                child_form = CanonicalForm(labels + (label,))
-            else:
-                child_store = store.extend_unordered(label)
-                child_form = CanonicalForm(tuple(sorted(labels + (label,))))
-            assert child_store.support == ext_support
-            recurse(child_form, child_store)
-
-    for label in sorted(label_supports):
-        if label_supports[label] < abs_sup:
-            stats.infrequent_extensions += 1
-            continue
-        store = EmbeddingStore.for_label(
-            database,
-            pseudo,
-            label,
-            config.embedding_strategy,
-            config.kernel,
-        )
-        recurse(CanonicalForm((label,)), store)
-    return result
-
-
 def config_for(task, kernel, **overrides):
-    if task == "frequent":
-        return MinerConfig.all_frequent(kernel=kernel, **overrides)
-    return MinerConfig(kernel=kernel, **overrides)
+    with kernel_warning(kernel):
+        if task == "frequent":
+            return MinerConfig.all_frequent(kernel=kernel, **overrides)
+        return MinerConfig(kernel=kernel, **overrides)
 
 
 class TestRecursiveReference:
@@ -191,15 +91,15 @@ class TestRecursiveReference:
     def test_patterns_and_snapshot_match(self, case, kernel, task):
         database = database_for(case)
         min_sup = 2 if case[0] % 2 else 1
-        config = config_for(task, kernel)
-        # No prepare(): the lazy label-support scan must be charged on
-        # both sides (the reference counts its own scan up front).
-        mined = engine_for_task(database, config, task).mine(min_sup)
-        reference = reference_mine(database, min_sup, config, task)
-        assert signature(mined) == signature(reference), (case, kernel, task)
-        assert (
-            mined.statistics.snapshot() == reference.statistics.snapshot()
-        ), (case, kernel, task)
+        reference = reference_mine(database, min_sup, config_for(task, BITSET), task)
+        for strategy in STRATEGIES:
+            config = config_for(task, kernel, embedding_strategy=strategy)
+            # No prepare(): the lazy label-support scan must be charged
+            # on both sides (the reference counts its own scan up front).
+            mined = engine_for_task(database, config, task).mine(min_sup)
+            key = (case, kernel, strategy, task)
+            assert signature(mined) == signature(reference), key
+            assert mined.statistics.snapshot() == reference.statistics.snapshot(), key
 
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize(
@@ -218,11 +118,21 @@ class TestRecursiveReference:
         # dedup, the size window, witness skipping); each must shadow
         # the reference exactly.
         database = database_for(CASES[2])
-        config = config_for("closed", kernel, **overrides)
-        mined = ClanMiner(database, config).mine(1)
-        reference = reference_mine(database, 1, config, "closed")
-        assert signature(mined) == signature(reference), (kernel, overrides)
-        assert mined.statistics.snapshot() == reference.statistics.snapshot()
+        reference = reference_mine(
+            database, 1, config_for("closed", BITSET, **overrides), "closed"
+        )
+        for strategy in STRATEGIES:
+            config = config_for("closed", kernel, embedding_strategy=strategy, **overrides)
+            mined = ClanMiner(database, config).mine(1)
+            key = (kernel, strategy, overrides)
+            assert signature(mined) == signature(reference), key
+            assert mined.statistics.snapshot() == reference.statistics.snapshot(), key
+            if kernel == BITSET:
+                # The int-mask store itself, driven by the reference
+                # recursion instead of the engine.
+                direct = reference_mine(database, 1, config, "closed", EmbeddingStore)
+                assert signature(direct) == signature(reference), key
+                assert direct.statistics.snapshot() == reference.statistics.snapshot()
 
 
 class TestHypothesisReference:
@@ -232,12 +142,13 @@ class TestHypothesisReference:
     @given(database=graph_databases(), min_sup=st.integers(1, 3))
     def test_closed_parity_on_arbitrary_databases(self, database, min_sup):
         min_sup = min(min_sup, len(database))
-        for kernel in KERNELS:
-            config = config_for("closed", kernel)
-            mined = ClanMiner(database, config).mine(min_sup)
-            reference = reference_mine(database, min_sup, config, "closed")
-            assert signature(mined) == signature(reference), kernel
-            assert mined.statistics.snapshot() == reference.statistics.snapshot()
+        reference = reference_mine(database, min_sup, MinerConfig(), "closed")
+        for kernel in (BITSET, SLAB):
+            for strategy in STRATEGIES:
+                config = MinerConfig(kernel=kernel, embedding_strategy=strategy)
+                mined = ClanMiner(database, config).mine(min_sup)
+                assert signature(mined) == signature(reference), (kernel, strategy)
+                assert mined.statistics.snapshot() == reference.statistics.snapshot()
 
 
 class TestHookDispatchParity:
@@ -262,7 +173,8 @@ class TestHookDispatchParity:
     def test_hook_modes_identical(self, kernel, task, extra):
         database = database_for(CASES[1])
         if task == "quasi":
-            config = MinerConfig(kernel=kernel, min_size=2, max_size=4)
+            with kernel_warning(kernel):
+                config = MinerConfig(kernel=kernel, min_size=2, max_size=4)
         else:
             config = config_for(task, kernel)
 
@@ -300,7 +212,7 @@ class TestCheckpointResumeMidRoot:
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_closed_resume_completes_identically(self, kernel):
         database = database_for(CASES[3])
-        config = MinerConfig(kernel=kernel)
+        config = config_for("closed", kernel)
         full = ClanMiner(database, config).mine(1)
 
         session = MiningSession(

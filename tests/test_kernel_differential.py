@@ -1,13 +1,15 @@
-"""Differential testing of the set, bitset, and slab mining kernels.
+"""Differential testing of the bitset and slab mining kernels.
 
 The bitset kernel (including its aligned database-global label space,
 engaged automatically on unique-label databases) and the numpy slab
-kernel (word-sliced uint64 masks, forest-batched extension planning)
-must be *byte identical* to the reference set kernel: same
-closed-clique sets, same supports and supporting transactions, same
-witnesses, and the same search statistics — the kernels are different
-representations of one algorithm, not different algorithms.  All must
-also agree with the exhaustive brute-force oracle at small scale.
+kernel (word-sliced uint64 masks, forest-batched extension planning),
+each under both embedding strategies, must be *byte identical* to the
+recursive reference miner over the hashed-set store of
+:mod:`tests.oracles`: same closed-clique sets, same supports and
+supporting transactions, same witnesses, and the same search
+statistics — the kernels are different representations of one
+algorithm, not different algorithms.  All must also agree with the
+exhaustive brute-force oracle at small scale.
 """
 
 from __future__ import annotations
@@ -18,13 +20,14 @@ import pytest
 from hypothesis import given, settings
 
 from repro.baselines.bruteforce import bruteforce_closed_cliques
-from repro.core import BITSET, SET, SLAB, ClanMiner, MinerConfig
+from repro.core import BITSET, SLAB, ClanMiner, MinerConfig
 from repro.graphdb import Graph, GraphDatabase
 
 from tests.conftest import make_random_database
+from tests.oracles import reference_mine
 from tests.strategies import graph_databases
 
-KERNELS = (SET, BITSET, SLAB)
+KERNELS = (BITSET, SLAB)
 STRATEGIES = ("cached", "rescan")
 
 #: 50 seeded random databases spanning sparse to near-complete graphs,
@@ -57,25 +60,25 @@ def oracle_signature(result):
     )
 
 
-def mine_all_configs(database, min_sup):
-    """Mine under every kernel × strategy combination."""
-    outcomes = {}
-    for kernel in KERNELS:
-        for strategy in STRATEGIES:
-            config = MinerConfig(kernel=kernel, embedding_strategy=strategy)
-            outcomes[(kernel, strategy)] = ClanMiner(database, config).mine(min_sup)
-    return outcomes
+def set_reference(database, min_sup, config):
+    """The set-store reference miner's result for ``config``."""
+    task = "closed" if config.closed_only else "frequent"
+    return reference_mine(database, min_sup, config, task)
+
+
+def assert_matches_reference(result, reference, key):
+    assert signature(result) == signature(reference), key
+    assert result.statistics.snapshot() == reference.statistics.snapshot(), key
 
 
 def assert_all_identical(database, min_sup):
-    outcomes = mine_all_configs(database, min_sup)
-    reference_key = (SET, "cached")
-    reference = outcomes[reference_key]
-    ref_signature = signature(reference)
-    ref_stats = str(reference.statistics)
-    for key, result in outcomes.items():
-        assert signature(result) == ref_signature, (key, database.name)
-        assert str(result.statistics) == ref_stats, (key, database.name)
+    """Every kernel × strategy mine equals the set-store reference."""
+    reference = set_reference(database, min_sup, MinerConfig())
+    for kernel in KERNELS:
+        for strategy in STRATEGIES:
+            config = MinerConfig(kernel=kernel, embedding_strategy=strategy)
+            result = ClanMiner(database, config).mine(min_sup)
+            assert_matches_reference(result, reference, (kernel, strategy, database.name))
     return reference
 
 
@@ -169,15 +172,11 @@ class TestNonDefaultConfigs:
     )
     def test_ablation_configs_identical(self, seed, overrides):
         for database in (make_random_database(seed), unique_label_database(seed)):
-            results = {}
+            reference = set_reference(database, 2, MinerConfig(**overrides))
             for kernel in KERNELS:
                 config = MinerConfig(kernel=kernel, **overrides)
-                results[kernel] = ClanMiner(database, config).mine(2)
-            for kernel in KERNELS[1:]:
-                assert signature(results[SET]) == signature(results[kernel]), kernel
-                assert str(results[SET].statistics) == str(
-                    results[kernel].statistics
-                ), kernel
+                result = ClanMiner(database, config).mine(2)
+                assert_matches_reference(result, reference, (kernel, database.name))
 
 
 class TestHypothesisDifferential:

@@ -18,20 +18,27 @@ from tests.conftest import make_random_database
 
 
 class TestRootPartitioning:
+    """``partition_roots`` is deprecated (stage 1): it warns, then
+    returns the round-robin chunks as before."""
+
     def test_round_robin(self):
-        chunks = partition_roots(list("abcdef"), 2)
+        with pytest.warns(DeprecationWarning, match="partition_roots"):
+            chunks = partition_roots(list("abcdef"), 2)
         assert chunks == [("a", "c", "e"), ("b", "d", "f")]
 
     def test_more_chunks_than_labels(self):
-        chunks = partition_roots(["a", "b"], 5)
+        with pytest.warns(DeprecationWarning, match="partition_roots"):
+            chunks = partition_roots(["a", "b"], 5)
         assert chunks == [("a",), ("b",)]
 
     def test_empty_labels(self):
-        assert partition_roots([], 3) == []
+        with pytest.warns(DeprecationWarning, match="partition_roots"):
+            assert partition_roots([], 3) == []
 
     def test_invalid_chunks(self):
-        with pytest.raises(MiningError):
-            partition_roots(["a"], 0)
+        with pytest.warns(DeprecationWarning, match="partition_roots"):
+            with pytest.raises(MiningError):
+                partition_roots(["a"], 0)
 
 
 class TestRootRestrictedMining:

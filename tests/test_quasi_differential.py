@@ -7,11 +7,13 @@ about the clique kernels' byte-identity contract transfers for free.
 This suite holds the port to the same bar as the clique kernels
 (``test_kernel_differential.py``):
 
-* set and bitset kernels are *byte identical* — same patterns, same
-  supports and supporting transactions, same witnesses, same search
-  statistics — on 50 seeded random databases spanning sparse to
-  near-complete graphs and the γ grid the feasibility bounds key on;
-* both kernels agree with the exhaustive brute-force oracle
+* the bitset and slab kernel settings are *byte identical* — same
+  patterns, same supports and supporting transactions, same witnesses,
+  same search statistics — on 50 seeded random databases spanning
+  sparse to near-complete graphs and the γ grid the feasibility bounds
+  key on (the quasi store is int-mask only, so the slab setting must
+  fall back to it without a trace);
+* both agree with the exhaustive brute-force oracle
   (:func:`repro.baselines.bruteforce.bruteforce_quasi_cliques`),
   witnesses included — both sides define the witness as the
   lexicographically smallest qualifying vertex set per transaction;
@@ -25,13 +27,13 @@ from __future__ import annotations
 import pytest
 
 from repro.baselines.bruteforce import bruteforce_quasi_cliques
-from repro.core import BITSET, SET, mine
+from repro.core import BITSET, SLAB, mine
 from repro.core.api import MiningRequest
 from repro.graphdb import permute_vertex_ids
 
 from tests.conftest import make_random_database
 
-KERNELS = (SET, BITSET)
+KERNELS = (BITSET, SLAB)
 
 #: 50 seeded random databases spanning sparse to near-complete graphs,
 #: few to many labels (duplicate labels exercise the same-label
@@ -99,7 +101,7 @@ def mine_both_kernels(database, min_sup, gamma):
         )
         for kernel in KERNELS
     }
-    reference = outcomes[SET]
+    reference = outcomes[BITSET]
     for kernel, result in outcomes.items():
         assert signature(result) == signature(reference), (kernel, database.name)
         assert str(result.statistics) == str(reference.statistics), (

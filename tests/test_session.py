@@ -143,14 +143,14 @@ class TestFacadeMatchesLegacy:
         pooled = mine(
             paper_db, rq(2, task="quasi", gamma=0.8, max_size=4, processes=2)
         )
-        setk = mine(
-            paper_db, rq(2, task="quasi", gamma=0.8, max_size=4, kernel="set")
+        bitset = mine(
+            paper_db, rq(2, task="quasi", gamma=0.8, max_size=4, kernel="bitset")
         )
         budgeted = mine(
             paper_db, rq(2, task="quasi", gamma=0.8, max_size=4, deadline=60.0)
         )
         assert keys(pooled) == keys(plain)
-        assert keys(setk) == keys(plain)
+        assert keys(bitset) == keys(plain)
         assert keys(budgeted) == keys(plain)
         assert not budgeted.truncated
 

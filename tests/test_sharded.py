@@ -34,6 +34,7 @@ from repro.graphdb import Graph
 from repro.graphdb import storage
 from repro.graphdb.schema import decode_graph
 
+from .conftest import kernel_warning
 from .strategies import aligned_databases, graph_databases
 from .test_kernel_differential import unique_label_database
 
@@ -44,6 +45,7 @@ TASKS = [
     ("topk", {"k": 5, "max_size": 6}),
     ("quasi", {"gamma": 0.8, "max_size": 5, "min_size": 2}),
 ]
+#: ``"set"`` is the deprecated spelling of ``"bitset"`` (it warns).
 KERNELS = ["set", "bitset", "slab"]
 
 
@@ -125,7 +127,8 @@ class TestDifferentialSuite:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("task,options", TASKS, ids=[t for t, _ in TASKS])
     def test_sharded_merge_matches_serial(self, seeded_db, task, options, kernel):
-        request = MiningRequest.from_options(2, task=task, kernel=kernel, **options)
+        with kernel_warning(kernel):
+            request = MiningRequest.from_options(2, task=task, kernel=kernel, **options)
         serial = canonical(request, execute_request(seeded_db, request))
         sharded = canonical(request, mine_sharded(seeded_db, request, shards=4))
         assert sharded == serial
@@ -367,7 +370,7 @@ class TestAlignedStoreOnSlab:
             ) == sorted(pattern.key() for pattern in ClanMiner(aligned_db, config).mine(3))
             label = aligned_db.frequent_labels(2)[0]
             stores = [
-                EmbeddingStore.for_label(db, None, label, kernel="slab")
+                EmbeddingStore.for_label(db, None, label, slab=True)
                 for db in (store_db, aligned_db)
             ]
             assert [type(store).__name__ for store in stores] == ["SlabEmbeddingStore"] * 2

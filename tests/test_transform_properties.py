@@ -85,7 +85,7 @@ def test_merging_distinct_databases_unions_patterns(seed):
     assert found == union
 
 
-@pytest.mark.parametrize("kernel", ("set", "bitset"))
+@pytest.mark.parametrize("kernel", ("set", "bitset", "slab"))
 @pytest.mark.parametrize("seed,permutation_seed,min_sup", [
     (0, 1, 1), (7, 42, 2), (13, 99, 2), (21, 5, 3), (34, 17, 1), (48, 3, 2),
 ])
@@ -98,12 +98,15 @@ def test_mining_invariant_under_vertex_permutation(
     bitset kernel's vertex → bit mapping, which must be stable under
     relabeling (bit order follows sorted vertex ids, so a permutation
     reorders bits but never changes label masks or adjacency masks).
+    ``"set"`` is the deprecated spelling of ``"bitset"``: it must warn.
     """
     from repro.core import ClanMiner, MinerConfig
     from repro.graphdb import permute_vertex_ids
+    from tests.conftest import kernel_warning
     from tests.test_kernel_differential import unique_label_database
 
-    config = MinerConfig(kernel=kernel)
+    with kernel_warning(kernel):
+        config = MinerConfig(kernel=kernel)
     for db in (make_random_database(seed), unique_label_database(seed % 100)):
         permuted = permute_vertex_ids(db, seed=permutation_seed)
         base = ClanMiner(db, config).mine(min_sup)
