@@ -9,25 +9,40 @@ builds a deliberately skewed hub database, then compares the static
 scheduler against the work-stealing executor (cost-guided root
 splitting) at 1/2/4/8 workers.
 
-CI boxes (and this container) may expose a single core, so raw
+CI boxes may expose fewer cores than the modeled worker counts, so raw
 wall-clock cannot demonstrate scaling.  Instead the speedups are
 *modeled*: every schedulable task is timed serially, and a greedy
 list-scheduling simulation — the same heaviest-first pop and
 fair-share split rule the executor runs — computes each scheduler's
 makespan from the measured task times.  Real pool runs at 2 and 4
-processes still execute for the part machines can always check:
-byte-identical results and the executor's own straggler accounting.
+processes (forced past the pool gate) still execute for the part
+machines can always check: byte-identical results and the executor's
+own straggler accounting.
+
+The ``gate`` section times, on fig7b ×64/×128/×256 (SM-0.95 replicated,
+85%) and the skewed hub, a serial mine, a forced ``processes=2`` pool
+(start-up budget 0) and the default gated ``processes=2`` mine, each a
+one-shot ``repro.mine`` call.  The pool's overhead over an even split
+of the serial time, ``forced − serial/2``, is what
+:data:`repro.core.executor.POOL_START_SECONDS` must cover; the largest
+one is recorded as ``derived_pool_start_seconds``.  The section also
+records the Spearman rank correlation of :func:`estimate_root_costs`
+against measured per-root mining times.
 
 Results land in ``BENCH_parallel.json`` at the repo root (speedups,
-max-straggler ratios, split counts) as the perf-trajectory record.
+max-straggler ratios, split counts, gate timings) as the
+perf-trajectory record.
 """
 
 import heapq
 import json
 import random
+import statistics
 import time
 from pathlib import Path
 
+import repro
+from repro import MiningRequest
 from repro.bench import format_table, hardware_context
 from repro.core import (
     ClanMiner,
@@ -35,8 +50,10 @@ from repro.core import (
     estimate_root_costs,
     mine_closed_cliques,
 )
+from repro.core import executor as executor_module
 from repro.core.executor import DEFAULT_SPLIT_FACTOR, STATIC, STEALING
 from repro.graphdb import Graph, GraphDatabase
+from repro.stockmarket import stock_market_database
 
 from conftest import write_report
 
@@ -186,6 +203,108 @@ def simulate(timer, processes, scheduler):
     return max(busy), straggler, splits
 
 
+#: fig7b replication factors of the gate section, and its repetitions.
+GATE_FACTORS = (64, 128, 256)
+GATE_REPEATS = 5
+GATE_PROCESSES = 2
+
+
+class forced_pool:
+    """Pin the executor's pool start-up budget to 0 (pool from root one)."""
+
+    def __enter__(self):
+        self.saved = executor_module.POOL_START_SECONDS
+        executor_module.POOL_START_SECONDS = 0.0
+
+    def __exit__(self, *exc_info):
+        executor_module.POOL_START_SECONDS = self.saved
+
+
+def _median_mine(database, request, repeats):
+    seconds, result = [], None
+    for _ in range(repeats):
+        started = time.perf_counter()
+        result = repro.mine(database, request)
+        seconds.append(time.perf_counter() - started)
+    return statistics.median(seconds), result
+
+
+def _ranks(values):
+    order = sorted(range(len(values)), key=lambda index: values[index])
+    ranks = [0.0] * len(values)
+    start = 0
+    while start < len(order):
+        end = start
+        while end + 1 < len(order) and values[order[end + 1]] == values[order[start]]:
+            end += 1
+        for position in range(start, end + 1):
+            ranks[order[position]] = (start + end) / 2.0
+        start = end + 1
+    return ranks
+
+
+def spearman(xs, ys):
+    """Spearman rank correlation (average ranks for ties)."""
+    rx, ry = _ranks(xs), _ranks(ys)
+    mx, my = sum(rx) / len(rx), sum(ry) / len(ry)
+    cov = sum((a - mx) * (b - my) for a, b in zip(rx, ry))
+    vx = sum((a - mx) ** 2 for a in rx)
+    vy = sum((b - my) ** 2 for b in ry)
+    return cov / (vx * vy) ** 0.5 if vx > 0 and vy > 0 else 0.0
+
+
+def estimate_rank_correlation(database, min_sup):
+    """Spearman of the (default-kernel) estimates vs per-root seconds."""
+    miner = ClanMiner(database).prepare()
+    roots = database.frequent_labels(database.absolute_support(min_sup))
+    seconds = []
+    for root in roots:
+        started = time.perf_counter()
+        miner.mine(min_sup, root_labels=(root,))
+        seconds.append(time.perf_counter() - started)
+    slab = database.slab_space()
+    estimates = estimate_root_costs(database, roots, slab)
+    return spearman([estimates[root] for root in roots], seconds)
+
+
+def gate_workloads(scale, hub):
+    base = stock_market_database(0.95, scale=scale, seed=7)
+    for factor in GATE_FACTORS:
+        yield f"fig7b-x{factor}", base.replicate(factor), "85%"
+    yield f"skewed-hub-{scale}", hub, MIN_SUP
+
+
+def measure_gate(scale, hub):
+    """Serial, forced-pool and gated wall clock per gate workload."""
+    rows = {}
+    for name, database, min_sup in gate_workloads(scale, hub):
+        serial_request = MiningRequest(min_sup=min_sup)
+        pooled_request = MiningRequest(min_sup=min_sup, processes=GATE_PROCESSES)
+        serial_seconds, serial = _median_mine(database, serial_request, GATE_REPEATS)
+        with forced_pool():
+            forced_seconds, forced = _median_mine(
+                database, pooled_request, GATE_REPEATS
+            )
+        gated_seconds, gated = _median_mine(database, pooled_request, GATE_REPEATS)
+        with MiningExecutor(database, processes=GATE_PROCESSES) as executor:
+            executor.mine(min_sup)
+            report = executor.last_report
+        keys = [p.key() for p in serial]
+        assert [p.key() for p in forced] == keys == [p.key() for p in gated], name
+        rows[name] = {
+            "min_sup": min_sup,
+            "roots": report.roots,
+            "serial_seconds": serial_seconds,
+            "forced_pool_seconds": forced_seconds,
+            "gated_seconds": gated_seconds,
+            "pool_overhead_seconds": forced_seconds - serial_seconds / GATE_PROCESSES,
+            "pool_loses": forced_seconds > serial_seconds,
+            "gated_pool_started": report.pool_started,
+            "gated_roots_inline": report.roots_inline,
+        }
+    return rows
+
+
 def test_work_stealing_beats_static_on_skewed_roots(benchmark, scale):
     db = skewed_hub_database(scale)
 
@@ -214,14 +333,17 @@ def test_work_stealing_beats_static_on_skewed_roots(benchmark, scale):
             }
         modeled[processes] = row
 
-    # Real pool runs: machines may expose one core, so these verify the
-    # invariants (byte-identical results) and record the executor's own
-    # straggler accounting rather than wall-clock scaling.
+    # Real pool runs, forced past the gate: machines may expose fewer
+    # cores than workers, so these verify the invariants
+    # (byte-identical results) and record the executor's own straggler
+    # accounting rather than wall-clock scaling.
     real = {}
     for processes in REAL_WORKER_COUNTS:
         row = {}
         for scheduler in (STATIC, STEALING):
-            with MiningExecutor(db, processes=processes, scheduler=scheduler) as ex:
+            with forced_pool(), MiningExecutor(
+                db, processes=processes, scheduler=scheduler
+            ) as ex:
                 result = ex.mine(MIN_SUP)
                 report = ex.last_report
             assert sorted(p.key() for p in result) == serial_keys
@@ -260,6 +382,36 @@ def test_work_stealing_beats_static_on_skewed_roots(benchmark, scale):
     )
     write_report("parallel", table)
 
+    gate = measure_gate(scale, db)
+    rank_correlation = {
+        "fig7b-x64": estimate_rank_correlation(
+            stock_market_database(0.95, scale=scale, seed=7).replicate(64), "85%"
+        ),
+        f"skewed-hub-{scale}": estimate_rank_correlation(db, MIN_SUP),
+    }
+    derived = max(row["pool_overhead_seconds"] for row in gate.values())
+    write_report(
+        "parallel_gate",
+        format_table(
+            ["workload", "serial", "forced pool", "gated", "pool started"],
+            [
+                [
+                    name,
+                    f"{row['serial_seconds']:.3f}s",
+                    f"{row['forced_pool_seconds']:.3f}s",
+                    f"{row['gated_seconds']:.3f}s",
+                    row["gated_pool_started"],
+                ]
+                for name, row in gate.items()
+            ],
+            title=(
+                f"Pool gate at processes={GATE_PROCESSES} (medians of "
+                f"{GATE_REPEATS}; POOL_START_SECONDS="
+                f"{executor_module.POOL_START_SECONDS}, derived {derived:.3f}s)"
+            ),
+        ),
+    )
+
     record = {
         "benchmark": "parallel scaling (static vs work-stealing)",
         "scale": scale,
@@ -283,10 +435,27 @@ def test_work_stealing_beats_static_on_skewed_roots(benchmark, scale):
         },
         "modeled": {str(w): modeled[w] for w in WORKER_COUNTS},
         "real": {str(w): real[w] for w in REAL_WORKER_COUNTS},
+        "gate": {
+            "semantics": (
+                "one-shot repro.mine wall clock, median of "
+                f"{GATE_REPEATS}: serial (processes=1), forced pool and "
+                f"gated pool (processes={GATE_PROCESSES}); pool overhead = "
+                f"forced - serial/{GATE_PROCESSES}"
+            ),
+            "pool_start_seconds": executor_module.POOL_START_SECONDS,
+            "derived_pool_start_seconds": derived,
+            "workloads": gate,
+            "estimate_spearman": rank_correlation,
+        },
     }
     (REPO_ROOT / "BENCH_parallel.json").write_text(
         json.dumps(record, indent=2) + "\n", encoding="utf-8"
     )
+
+    # The gate stays serial wherever the forced pool loses to serial.
+    for name, row in gate.items():
+        if row["pool_loses"]:
+            assert not row["gated_pool_started"], name
 
     # Acceptance bar: at 4+ workers the stealing scheduler beats static
     # by >= 1.3x with a lower max-straggler ratio.  Skipped at the tiny

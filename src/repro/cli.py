@@ -137,7 +137,8 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--output", default=None, help="write patterns to this file")
     mine.add_argument("--stats", action="store_true", help="print search statistics")
     mine.add_argument("--processes", type=int, default=1,
-                      help="worker processes for parallel closed mining")
+                      help="at most this many worker processes; the pool "
+                           "starts only when it is predicted to pay")
     mine.add_argument("--scheduler", default="stealing",
                       choices=("stealing", "static"),
                       help="parallel root scheduler: adaptive work-stealing "
@@ -190,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep.add_argument("--max-size", type=int, default=None)
     sweep.add_argument("--kernel", default=None, choices=KERNEL_CHOICES)
     sweep.add_argument("--processes", type=int, default=1,
-                       help="worker processes for the mining calls")
+                       help="at most this many worker processes per mining call")
     sweep.add_argument("--scheduler", default="stealing",
                        choices=("stealing", "static"))
     sweep.add_argument("--cache", default=None, metavar="DIR",
@@ -208,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
     topk.add_argument("--kernel", default=None, choices=KERNEL_CHOICES,
                       help="candidate-intersection kernel (as for 'clan mine')")
     topk.add_argument("--processes", type=int, default=1,
-                      help="worker processes for the root search")
+                      help="at most this many worker processes for the root search")
     topk.add_argument("--scheduler", default="stealing",
                       choices=("stealing", "static"))
     topk.add_argument("--stats", action="store_true",
@@ -224,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
     quasi.add_argument("--kernel", default=None, choices=KERNEL_CHOICES,
                        help="candidate-intersection kernel (as for 'clan mine')")
     quasi.add_argument("--processes", type=int, default=1,
-                       help="worker processes for the root search")
+                       help="at most this many worker processes for the root search")
     quasi.add_argument("--scheduler", default="stealing",
                        choices=("stealing", "static"))
     quasi.add_argument("--cache", default=None, metavar="DIR",

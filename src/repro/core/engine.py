@@ -102,7 +102,8 @@ class TaskStrategy:
     :meth:`root_store` lets a strategy substitute the embedding store
     the DFS grows (quasi swaps in the feasibility-pruned store);
     ``begin_root``/``end_root`` bracket each DFS root so strategies may
-    keep per-root state; ``finalize`` runs once per ``mine`` call.
+    keep per-root state; ``finalize`` runs once per ``mine`` call (once
+    per root under :meth:`MiningEngine.mine_roots`).
     Class attributes declare how the stack above may treat the task:
     ``splittable`` gates level-2 root splitting (the executor),
     ``supports_sweep`` gates the cache's support-monotone sweep tier
@@ -211,7 +212,7 @@ class TaskStrategy:
         """Flush any per-root state after a DFS root finishes."""
 
     def finalize(self, result: MiningResult) -> MiningResult:
-        """Post-process one ``mine`` call's result (identity by default)."""
+        """Post-process one ``mine`` call's (or root's) result; identity by default."""
         return result
 
 
@@ -635,14 +636,12 @@ class MiningEngine:
         stats = MinerStatistics()
         result = MiningResult(min_sup=abs_sup, closed_only=config.closed_only, statistics=stats)
 
-        pseudo = self._pseudo_database()
         if self._label_supports is None:
             self._label_supports = self.database.label_supports()
             stats.database_scans += 1
         if self._sorted_labels is None:
             self._sorted_labels = tuple(sorted(self._label_supports))
         label_supports = self._label_supports
-        seen_forms: Set[Tuple[Label, ...]] = set()
 
         if root_labels is None:
             roots = self._sorted_labels
@@ -653,37 +652,52 @@ class MiningEngine:
             # are dropped exactly as the full scan would skip them.
             roots = sorted(label for label in set(root_labels) if label in label_supports)
 
-        # Per-mine-call scratch shared across this call's roots; the
-        # slab kernel hosts its level-batched forest here.  Created
-        # fresh per call so no work leaks between (or is reused by)
-        # separate mine calls.
-        context: dict = {"roots": roots}
-        # Child-store free list, shared across this call's roots: stores
-        # whose subtree finished are recycled through ``extend(...,
-        # reuse=...)`` instead of re-allocated per extension.  Exposed
-        # in the context so kernels can also refill root stores from it.
-        pool: list = []
-        context["store_pool"] = pool
-
         # The whole root sweep — or the one split root — runs inside one
         # _search call: the hoisted dispatch/config preamble is paid per
         # mine call, not per root (market sweeps have thousands of tiny
         # roots).
-        try:
-            self._search(
-                abs_sup, result, stats, seen_forms, hooks, pool, roots, pseudo,
-                context, first_extensions, include_root,
-            )
-        finally:
-            # Slab root stores point back at the context that holds the
-            # pool: break the cycle so the call's stores and forest are
-            # freed by refcount now, not by a later gen-2 collection.
-            pool.clear()
-            context.clear()
-
+        self._search(abs_sup, result, stats, hooks, roots, first_extensions, include_root)
         result.elapsed_seconds = time.perf_counter() - started
         stats.cpu_seconds = result.elapsed_seconds
         return self.strategy.finalize(result)
+
+    def mine_roots(self, min_sup: float, roots: Sequence[Label]) -> List[MiningResult]:
+        """Mine a run of DFS roots in one sweep; one result per root.
+
+        ``roots`` must be distinct frequent labels in ascending
+        (canonical) order.  Part ``i`` equals ``mine(min_sup,
+        root_labels=(roots[i],))`` on a prepared engine — patterns,
+        their order, and ``statistics.snapshot()`` — with the strategy's
+        ``finalize`` applied per root and its own ``elapsed_seconds``.
+        What one call shares across its roots is the per-call scratch:
+        the store free list and the slab kernel's level-batched forest,
+        which a call per root would rebuild every time.  The engine is
+        prepared first, so no part counts the label-support scan.
+        """
+        config = self.config
+        if not config.structural_redundancy_pruning:
+            raise MiningError(
+                "per-root parts require structural redundancy pruning"
+            )
+        if self._label_supports is None:
+            self.prepare()
+        abs_sup = self.database.absolute_support(min_sup)
+        roots = list(roots)
+        label_supports = self._label_supports
+        for before, after in zip(roots, roots[1:]):
+            if not before < after:
+                raise MiningError(
+                    f"mine_roots needs strictly ascending roots, got {before!r} "
+                    f"before {after!r}"
+                )
+        for root in roots:
+            if label_supports.get(root, 0) < abs_sup:
+                raise MiningError(f"mine_roots root {root!r} is not frequent")
+        parts: List[MiningResult] = []
+        stats = MinerStatistics()
+        result = MiningResult(min_sup=abs_sup, closed_only=config.closed_only, statistics=stats)
+        self._search(abs_sup, result, stats, None, roots, None, True, parts)
+        return parts
 
     # ------------------------------------------------------------------
     # Root splitting support (the work-stealing executor's primitive)
@@ -734,14 +748,11 @@ class MiningEngine:
         abs_sup: int,
         result: MiningResult,
         stats: MinerStatistics,
-        seen_forms: Set[Tuple[Label, ...]],
         hooks: Optional["SearchHooks"],
-        pool: list,
         roots: Sequence[Label],
-        pseudo,
-        context: dict,
         first_extensions: Optional[Tuple[Label, ...]],
         include_root: bool,
+        parts: Optional[List[MiningResult]] = None,
     ) -> None:
         """Depth-first enumeration, explicit-stack form.
 
@@ -771,10 +782,27 @@ class MiningEngine:
         * hooks with nothing to check per node (no budget, token,
           deadline, or sampling) skip ``enter_prefix`` entirely and get
           their prefix counters settled from the local node count.
+
+        With ``parts`` (:meth:`mine_roots`) every closed root also folds
+        the locals into its own statistics, appends its finalized result
+        to ``parts``, and hands the next root a fresh result and
+        statistics object; the per-node loop is the same either way.
         """
         config = self.config
         strategy = self.strategy
         cls = type(strategy)
+        pseudo = self._pseudo_database()
+        seen_forms: Set[Tuple[Label, ...]] = set()
+        # Per-call scratch shared across this call's roots; the slab
+        # kernel hosts its level-batched forest here.  Created fresh per
+        # call so no work leaks between (or is reused by) separate calls.
+        context: dict = {"roots": roots}
+        # Child-store free list, shared across this call's roots: stores
+        # whose subtree finished are recycled through ``extend(...,
+        # reuse=...)`` instead of re-allocated per extension.  Exposed
+        # in the context so kernels can also refill root stores from it.
+        pool: list = []
+        context["store_pool"] = pool
 
         redundancy = config.structural_redundancy_pruning
         nonclosed_pruning = config.nonclosed_prefix_pruning
@@ -842,6 +870,7 @@ class MiningEngine:
         )
         make_root_store = strategy.root_store
         in_root = False
+        root_started = time.perf_counter()
 
         # The explicit stack: reusable frames [labels, store,
         # extensions, next_index], recycled by depth so steady-state
@@ -1010,6 +1039,36 @@ class MiningEngine:
                         in_root = False
                         if end_root is not None:
                             end_root(self, result, stats, hooks)
+                        if parts is not None:
+                            stats.absorb_search(
+                                prefixes=n_nodes,
+                                max_depth=depth,
+                                embeddings=emb_created,
+                                peak_embeddings=emb_peak,
+                                frequent=n_frequent,
+                                frequent_by_size=by_size,
+                                closed=n_closed,
+                                rejections=n_rejected,
+                                prunes=n_prunes,
+                                infrequent=n_infrequent,
+                                redundancy_skips=n_skips,
+                                duplicates=n_dups,
+                                scans=n_scans,
+                            )
+                            n_nodes = n_frequent = n_closed = n_rejected = 0
+                            n_prunes = n_infrequent = n_skips = n_dups = 0
+                            n_scans = emb_created = emb_peak = depth = 0
+                            by_size = {}
+                            now = time.perf_counter()
+                            result.elapsed_seconds = now - root_started
+                            stats.cpu_seconds = result.elapsed_seconds
+                            parts.append(strategy.finalize(result))
+                            root_started = now
+                            stats = MinerStatistics()
+                            result = MiningResult(
+                                min_sup=abs_sup, closed_only=closed_only, statistics=stats
+                            )
+                            result_add = result.add
                     root = next(root_iter, None)
                     while root is not None and label_supports[root] < abs_sup:
                         n_infrequent += 1
@@ -1096,3 +1155,8 @@ class MiningEngine:
             if hooks is not None and enter is None:
                 hooks.total_prefixes += n_nodes
                 hooks.root_prefixes += n_nodes
+            # Slab root stores point back at the context that holds the
+            # pool: break the cycle so the call's stores and forest are
+            # freed by refcount now, not by a later gen-2 collection.
+            pool.clear()
+            context.clear()

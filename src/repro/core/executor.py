@@ -6,9 +6,14 @@ independent (paper §4), so a run is an ordered walk over roots.
 :meth:`MiningExecutor.mine`, :func:`~repro.core.cache.mine_with_cache`
 and :class:`~repro.core.session.MiningSession` all drive roots through
 it.  Per root it either replays a :class:`~repro.core.cache.MiningCache`
-entry or mines the root — in the parent with ``processes=1`` (inline
-mode: no pool, and live :class:`~repro.core.session.SearchHooks` keep
-per-prefix budgets and cancellation), or on a work-stealing pool:
+entry or mines the root — inline, in the parent (each run of uncached
+roots in one :meth:`~repro.core.engine.MiningEngine.mine_roots` call;
+live :class:`~repro.core.session.SearchHooks` mine one root per call
+and keep per-prefix budgets and cancellation), or on a work-stealing
+pool.  ``processes=N`` is an upper bound: a ``processes > 1`` run mines
+inline first and starts the pool only once inline mining has spent
+:data:`POOL_START_SECONDS` and the measured rate predicts a larger
+saving on the remaining roots (:class:`_PoolGate`).  The pool has:
 
 * a **work queue of tasks** (initially one whole subtree per frequent
   root) that idle workers pull from, heaviest first, one task at a
@@ -53,8 +58,9 @@ import os
 import queue
 import time
 import warnings
+from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -93,6 +99,15 @@ SCHEDULERS = (STATIC, STEALING)
 #: even workloads never split, while one hub root always does.
 DEFAULT_SPLIT_FACTOR = 1.0
 
+#: Pool start-up cost, in seconds of inline mining: a ``processes > 1``
+#: run mines inline until it has spent this long, and starts the pool
+#: only if the pool's predicted saving on the remaining roots exceeds
+#: it (:class:`_PoolGate`).  The largest pool overhead (forced pool
+#: wall clock minus half the serial one) over the gate workloads of
+#: ``BENCH_parallel.json``, measured on 2 CPUs: 0.56 s at fig7b ×256,
+#: rounded up.
+POOL_START_SECONDS = 0.6
+
 
 def partition_roots(labels: Sequence[Label], chunks: int) -> List[Tuple[Label, ...]]:
     """Deprecated: split root labels into round-robin chunks.
@@ -113,6 +128,18 @@ def partition_roots(labels: Sequence[Label], chunks: int) -> List[Tuple[Label, .
     for index, label in enumerate(labels):
         buckets[index % len(buckets)].append(label)
     return [tuple(bucket) for bucket in buckets if bucket]
+
+
+#: Ceiling on one chunk of :func:`estimate_root_costs`' unpacked slab rows.
+_ESTIMATE_CHUNK_BYTES = 8 * 1024 * 1024
+
+
+def _tx_bits(rows: np.ndarray, n_tx: int) -> np.ndarray:
+    """``uint8`` per-transaction bits of slab word rows (last axis)."""
+    unpacked = np.unpackbits(
+        np.ascontiguousarray(rows).view(np.uint8), axis=-1, bitorder="little"
+    )
+    return unpacked[..., :n_tx]
 
 
 def estimate_root_costs(
@@ -137,22 +164,29 @@ def estimate_root_costs(
     costs: Dict[Label, float] = {root: 1.0 for root in roots}
     if slab is not None:
         n_tx = slab.n_transactions
-
-        def tx_bits(rows: np.ndarray) -> np.ndarray:
-            unpacked = np.unpackbits(
-                np.ascontiguousarray(rows).view(np.uint8), axis=-1, bitorder="little"
-            )
-            return unpacked[..., :n_tx]
-
-        for root in wanted:
-            bit = slab.bit_of.get(root)
-            if bit is None:
-                continue
+        bits = sorted(slab.bit_of[root] for root in wanted if root in slab.bit_of)
+        n_labels = len(slab.labels)
+        # Chunks of roots share one gather and one unpack; each chunk's
+        # unpacked [roots, labels, transactions] temporary stays below
+        # _ESTIMATE_CHUNK_BYTES.
+        per_root = max(1, n_labels * slab.nbr.shape[-1] * slab.nbr.itemsize * 8)
+        step = max(1, _ESTIMATE_CHUNK_BYTES // per_root)
+        # A forward count never exceeds the alphabet: narrow sums.
+        counter = np.uint16 if n_labels < 1 << 16 else np.int64
+        for start in range(0, len(bits), step):
+            chunk = np.array(bits[start : start + step])
+            low = int(chunk[0]) + 1
             # Labels are unique per transaction, so every forward
-            # neighbour of the root's vertex carries a label above it.
-            forward = tx_bits(slab.nbr[bit, bit + 1 :]).sum(axis=0, dtype=np.int64)
-            forward = forward[tx_bits(slab.presence[bit]).astype(bool)]
-            costs[root] += float((1.0 + forward + 0.5 * forward * forward).sum())
+            # neighbour of a root's vertex carries a label above it:
+            # keep columns above each row's own root bit.
+            rows = slab.nbr[chunk, low:]
+            columns = np.arange(low, n_labels)
+            rows = np.where((columns[None, :] > chunk[:, None])[:, :, None], rows, 0)
+            forward = _tx_bits(rows, n_tx).sum(axis=1, dtype=counter).astype(np.float64)
+            present = _tx_bits(slab.presence[chunk], n_tx).astype(bool)
+            weight = np.where(present, 1.0 + forward + 0.5 * forward * forward, 0.0)
+            for bit, cost in zip(chunk.tolist(), weight.sum(axis=1).tolist()):
+                costs[slab.labels[bit]] += cost
         return costs
     for graph in database:
         label_map = graph.label_map()
@@ -218,6 +252,11 @@ class ExecutorReport:
     cpu_seconds: float = 0.0
     #: Per-worker busy seconds, keyed by worker pid.
     worker_busy_seconds: Dict[int, float] = field(default_factory=dict)
+    #: Roots mined in the calling process rather than on the pool
+    #: (with ``processes > 1``: those mined before the pool started).
+    roots_inline: int = 0
+    #: Whether the run handed its remaining roots to the worker pool.
+    pool_started: bool = False
 
     def record(self, pid: int, seconds: float) -> None:
         self.tasks += 1
@@ -240,6 +279,71 @@ class ExecutorReport:
         if fair <= 0.0:
             return 1.0
         return max(self.worker_busy_seconds.values()) / fair
+
+
+class _PoolGate:
+    """Decides when a ``processes > 1`` run should start its pool.
+
+    ``roots`` are the run's uncached roots in canonical order; inline
+    calls mine a prefix of them and report their wall clock.  The pool
+    pays once inline mining has spent the start-up ``budget`` and the
+    pool's predicted saving on the remaining roots, ``rate × remaining
+    cost × (1 − 1/processes)``, exceeds it, where ``rate`` is inline
+    seconds per unit of the roots' static cost (:func:`estimate_root_costs`,
+    computed by ``estimate`` only once the budget is spent).  A budget
+    of 0 starts the pool before any inline work.
+    """
+
+    def __init__(
+        self,
+        processes: int,
+        budget: float,
+        roots: Sequence[Label],
+        estimate: Callable[[Sequence[Label]], Dict[Label, float]],
+    ) -> None:
+        self.processes = processes
+        self.budget = budget
+        self.roots = tuple(roots)
+        self.estimate = estimate
+        self.estimates: Optional[Dict[Label, float]] = None
+        self._cumulative: List[float] = []  # cost of roots[:i]
+        self.mined = 0  # roots[:mined] ran inline
+        self.inline_seconds = 0.0
+
+    def pays(self) -> bool:
+        if self.budget <= 0.0:
+            return True
+        if self.inline_seconds < self.budget or not self.mined:
+            return False
+        if self.estimates is None:
+            self.estimates = self.estimate(self.roots)
+            self._cumulative = list(
+                itertools.accumulate((self.estimates[root] for root in self.roots), initial=0.0)
+            )
+        inline_cost = self._cumulative[self.mined]
+        remaining = self._cumulative[-1] - inline_cost
+        rate = self.inline_seconds / inline_cost
+        return rate * remaining * (1.0 - 1.0 / self.processes) > self.budget
+
+    def chunk(self, run: Sequence[Label]) -> int:
+        """How many of ``run``'s roots to mine inline in the next call.
+
+        One root while there is no timing yet; then about enough roots
+        to spend the rest of the budget at the mean seconds per root so
+        far; the whole run once the budget is spent and the pool still
+        does not pay.
+        """
+        if not self.mined:
+            return 1
+        left = self.budget - self.inline_seconds
+        per_root = self.inline_seconds / self.mined
+        if left <= 0.0 or per_root <= 0.0:
+            return len(run)
+        return min(len(run), int(left / per_root) + 1)
+
+    def record(self, run: Sequence[Label], seconds: float) -> None:
+        self.mined += len(run)
+        self.inline_seconds += seconds
 
 
 # ----------------------------------------------------------------------
@@ -376,8 +480,10 @@ class MiningExecutor:
         redundancy pruning must be on (root partitioning).  ``None``
         resolves to the task's default config.
     processes:
-        Pool size (default: CPU count).  ``1`` mines every root inline,
-        in the calling process, and never starts a pool.
+        Upper bound on the pool size (default: CPU count).  ``1`` mines
+        every root inline, in the calling process, and never starts a
+        pool; ``> 1`` starts one only when the pool gate finds it pays
+        (see the module docstring).
     task / k / gamma:
         The engine task to run (any of
         :data:`repro.core.engine.ENGINE_TASKS`; ``k`` for ``"topk"``,
@@ -403,12 +509,13 @@ class MiningExecutor:
         answer are replayed instead of mined, and every root
         :meth:`iter_roots` mines is stored back.
 
-    The pool is created lazily on the first root a run must mine and
+    The pool is created lazily when the gate first hands it roots and
     survives across :meth:`mine` calls; :meth:`close` (or the context
     manager) tears it down.  Like the engine, the executor snapshots
     the database (indexes, cache fingerprint) at first use.  After each
     run, :attr:`last_report` holds an :class:`ExecutorReport` with
-    task/split counts and per-worker busy time.
+    task/split counts, per-worker busy time, the roots mined inline,
+    and whether the pool started.
     """
 
     def __init__(
@@ -462,6 +569,7 @@ class MiningExecutor:
         self.last_report: Optional[ExecutorReport] = None
         self._prepared = False
         self._fingerprint: Optional[str] = None
+        self._digest: Optional[str] = None
         self._token = next(_TOKENS)
         self._pool: Optional[Any] = None
         self._generation = 0
@@ -589,6 +697,13 @@ class MiningExecutor:
         contract; ``allow_sweep=True`` additionally accepts
         patterns-only entries derived from a lower cached threshold.
 
+        Inline, each maximal run of uncached roots is mined by one
+        :meth:`~repro.core.engine.MiningEngine.mine_roots` call, unless
+        live hooks or event capture need a call per root.  With
+        ``processes > 1`` the roots are mined inline until the pool
+        gate (:class:`_PoolGate`) finds that the pool pays for the
+        rest; the pool then mines every remaining uncached root.
+
         ``hooks`` is a live :class:`~repro.core.session.SearchHooks`
         (the session's).  Each root opens with ``hooks.begin_root``.
         Inline, mined roots run under it: per-prefix budgets and
@@ -631,49 +746,109 @@ class MiningExecutor:
         to_mine = tuple(root for root in roots if root not in cached)
         if to_mine:
             self._prepare()
-        pooled = None
-        if self.processes > 1 and to_mine:
-            pooled = self._mine_pooled(
-                abs_sup, to_mine, sample_every, capture_events, report
-            )
         # Inline live runs deliver events to the hooks' sinks directly,
         # so they record only what a cache stores.
         record = capture_events and (hooks is None or self.cache is not None)
+        # Live hooks and event recorders see root boundaries only
+        # between engine calls, so they mine one root per call.
+        batch = hooks is None and not capture_events
+        # Where each run of uncached roots ends (exclusive).
+        run_end = [0] * len(roots)
+        end = len(roots)
+        for position in range(len(roots) - 1, -1, -1):
+            if roots[position] in cached:
+                end = position
+            run_end[position] = end
 
-        for root in roots:
+        gate = None
+        if self.processes > 1 and to_mine:
+            gate = _PoolGate(self.processes, POOL_START_SECONDS, to_mine, self._estimates)
+        pooled = None
+        #: Inline-mined parts of the current run not yet yielded.
+        ahead: Deque[Tuple[MiningResult, Tuple[MiningEvent, ...]]] = deque()
+
+        for position, root in enumerate(roots):
             if hooks is not None:
                 hooks.begin_root(root)
             entry = cached.get(root)
+            from_pool = False
             if entry is not None:
                 part = entry.result(self.config.closed_only)
                 events: Tuple[MiningEvent, ...] = ()
                 if capture_events and entry.events is not None:
                     events = entry.events
-            elif pooled is not None:
-                part, events = next(pooled)
             else:
-                part, events = _run_task(
-                    self._miner,
-                    abs_sup,
-                    MiningTask(roots=(root,)),
-                    sample_every,
-                    record,
-                    hooks,
-                )
-                report.record(os.getpid(), part.elapsed_seconds)
-            if entry is None:
+                if not ahead:
+                    if pooled is None and gate is not None and gate.pays():
+                        report.pool_started = True
+                        pooled = self._mine_pooled(
+                            abs_sup,
+                            to_mine[gate.mined :],
+                            sample_every,
+                            capture_events,
+                            report,
+                            gate.estimates,
+                        )
+                    if pooled is None:
+                        run = roots[position : run_end[position]]
+                        if not batch:
+                            run = run[:1]
+                        elif gate is not None:
+                            run = run[: gate.chunk(run)]
+                        ahead.extend(
+                            self._mine_inline(
+                                abs_sup, run, sample_every, record, hooks, batch, gate
+                            )
+                        )
+                        report.roots_inline += len(run)
+                if ahead:
+                    part, events = ahead.popleft()
+                    report.record(os.getpid(), part.elapsed_seconds)
+                else:
+                    part, events = next(pooled)
+                    from_pool = True
                 self._store(abs_sup, root, part, events, capture_events, sample_every)
-            if hooks is not None and (entry is not None or pooled is not None):
+            if hooks is not None and (entry is not None or from_pool):
                 hooks.replay(events, len(part), part.statistics.prefixes_visited)
             report.elapsed_seconds = time.perf_counter() - started
             yield root, part, events
+
+    def _mine_inline(
+        self,
+        abs_sup: int,
+        run: Tuple[Label, ...],
+        sample_every: int,
+        record: bool,
+        hooks: Optional[SearchHooks],
+        batch: bool,
+        gate: Optional[_PoolGate],
+    ) -> List[Tuple[MiningResult, Tuple[MiningEvent, ...]]]:
+        """Mine a run of roots in the parent; one ``(result, events)`` each."""
+        started = time.perf_counter()
+        if batch:
+            parts = [(part, ()) for part in self._miner.mine_roots(abs_sup, run)]
+        else:
+            parts = [
+                _run_task(
+                    self._miner, abs_sup, MiningTask(roots=run), sample_every, record, hooks
+                )
+            ]
+        if gate is not None:
+            gate.record(run, time.perf_counter() - started)
+        return parts
+
+    def _estimates(self, roots: Sequence[Label]) -> Dict[Label, float]:
+        slab = self.database.slab_space() if self.config.kernel == SLAB else None
+        return estimate_root_costs(self.database, roots, slab)
 
     def _cache_keys(self) -> Tuple[str, str]:
         if self._fingerprint is None:
             from ..io.runlog import database_fingerprint
 
             self._fingerprint = database_fingerprint(self.database)
-        return self._fingerprint, engine_digest(self.task, self.config, self.k, self.gamma)
+        if self._digest is None:
+            self._digest = engine_digest(self.task, self.config, self.k, self.gamma)
+        return self._fingerprint, self._digest
 
     def _store(
         self,
@@ -706,18 +881,22 @@ class MiningExecutor:
         sample_every: int,
         capture_events: bool,
         report: ExecutorReport,
+        estimates: Optional[Dict[Label, float]] = None,
     ) -> Iterator[Tuple[MiningResult, Tuple[MiningEvent, ...]]]:
-        """Mine ``roots`` on the pool; yield ``(result, events)`` in order."""
+        """Mine ``roots`` on the pool; yield ``(result, events)`` in order.
+
+        ``estimates`` are the roots' static costs when the caller has
+        them already (the pool gate's).
+        """
         pool = self._ensure_pool()
         self._generation += 1
         generation = self._generation
         arrivals: "queue.Queue[Any]" = queue.Queue()
 
-        if self.scheduler == STEALING:
-            slab = self.database.slab_space() if self.config.kernel == SLAB else None
-            estimates = estimate_root_costs(self.database, roots, slab)
-        else:
+        if self.scheduler != STEALING:
             estimates = {root: 1.0 for root in roots}
+        elif estimates is None:
+            estimates = self._estimates(roots)
         #: root -> its task plan, in replay (seq) order.  A plan grows
         #: from one whole-subtree task to the split tasks at most once.
         plan: Dict[Label, List[MiningTask]] = {

@@ -32,10 +32,11 @@ The session drives its roots through the one root runner,
 handing it the run's live :class:`SearchHooks`.  With ``processes=1``
 the runner mines each root in this process under those hooks, so
 budgets and cancellation act at every prefix and sinks see events as
-they happen.  With ``processes > 1`` workers record per-root event
+they happen.  With ``processes > 1`` the runner does the same until
+its pool gate starts the pool; pool workers then record per-root event
 substreams, and the runner replays them to the sinks in canonical
-order; budgets then act at root boundaries.  Cached roots replay the
-same way on either path.  Events are deterministic — they carry no
+order, so budgets act at root boundaries from there on.  Cached roots
+replay the same way on either path.  Events are deterministic — they carry no
 wall-clock timestamps — so serial, pooled, and cached sessions produce
 byte-identical streams for the same database.
 """
@@ -738,13 +739,15 @@ class MiningSession:
         (0, the default, disables prefix events).
     processes:
         ``1`` (default) mines every root in this process, under the
-        session's hooks.  ``> 1`` mines roots in the
+        session's hooks.  ``> 1`` is an upper bound: roots are mined
+        the same way until the executor's pool gate finds the pool
+        pays, and the rest in the
         :class:`repro.core.executor.MiningExecutor` pool; workers send
         each root's event substream back, and the runner replays them
         in canonical root order, so the observable stream matches the
-        serial one byte for byte.  Budgets and cancellation then act
-        at root granularity.  Either way the result's statistics equal
-        the serial engine's, launcher work included.
+        serial one byte for byte.  Budgets and cancellation act at
+        root granularity on pool-mined roots.  Either way the result's
+        statistics equal the serial engine's, launcher work included.
     scheduler:
         ``"stealing"`` (default) pulls one root at a time, heaviest
         first, splitting dominant roots into their level-2 subtrees;
@@ -936,7 +939,7 @@ class MiningSession:
                 for index, (root, part, _events) in enumerate(runs):
                     self._finish_root(root, index, len(pending), part)
                     more = index + 1 < len(pending)
-                    if executor.processes > 1:
+                    if executor.last_report.pool_started:
                         reason = self._pool_stop_reason(hooks, more)
                         if reason is not None:
                             break

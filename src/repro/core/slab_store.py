@@ -71,7 +71,7 @@ from ..graphdb.core_index import PseudoDatabase
 from ..graphdb.database import GraphDatabase
 from ..graphdb.slab import (
     TransposedSlabSpace,
-    iter_word_bits,
+    bit_positions,
     popcount_rows,
     popcount_words,
 )
@@ -560,7 +560,7 @@ class SlabEmbeddingStore:
         """Supporting transaction ids, sorted."""
         tids = self._tids
         if tids is None:
-            tids = self._tids = tuple(iter_word_bits(self._tx))
+            tids = self._tids = tuple(bit_positions(self._tx))
         return tids
 
     def _embedding_rows(self) -> np.ndarray:

@@ -39,7 +39,7 @@ back to an 8-bit lookup table over the byte view on older numpy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 import numpy as np
 
@@ -109,19 +109,15 @@ def int_from_words(words: np.ndarray) -> int:
     return int.from_bytes(np.ascontiguousarray(words, dtype=WORD_DTYPE).tobytes(), "little")
 
 
-def iter_word_bits(words: np.ndarray) -> Iterator[int]:
-    """Yield global set-bit positions of a word array, ascending.
+def bit_positions(words: np.ndarray) -> List[int]:
+    """Global set-bit positions of a word array, ascending.
 
     Matches :func:`repro.graphdb.bitset.iter_bits` on the equivalent
     int mask: position ``B*w + t`` for bit ``t`` of ``B``-bit word ``w``.
+    One little-endian byte view and one ``unpackbits`` per array.
     """
-    bits = words.dtype.itemsize * 8
-    for w, word in enumerate(words.tolist()):
-        base = w * bits
-        while word:
-            low = word & -word
-            yield base + low.bit_length() - 1
-            word ^= low
+    little = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder("<"))
+    return np.flatnonzero(np.unpackbits(little.view(np.uint8), bitorder="little")).tolist()
 
 
 def _local_adjacency(index: GraphBitIndex) -> np.ndarray:

@@ -131,13 +131,16 @@ class InMemoryGraphSource(GraphSource):
     the resident graphs), so they moved with the storage.
     """
 
-    __slots__ = ("graphs", "name", "_aligned_space", "_slab_cache")
+    __slots__ = ("graphs", "name", "_aligned_space", "_slab_cache", "_scan_cache")
 
     def __init__(self, graphs: Optional[List[Graph]] = None, name: str = "") -> None:
         self.graphs: List[Graph] = list(graphs) if graphs else []
         self.name = name
         self._aligned_space: object = _SPACE_UNSET
         self._slab_cache: Optional[tuple] = None
+        #: ``[per-graph bit indexes, label supports, digests]`` of the
+        #: last scans (``None`` until computed); see :meth:`_scans`.
+        self._scan_cache: Optional[list] = None
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -163,15 +166,44 @@ class InMemoryGraphSource(GraphSource):
         self._aligned_space = _SPACE_UNSET
         return tid
 
+    def _scans(self) -> list:
+        """The memo of whole-database scans, reset when any graph changed.
+
+        A graph's bit index is rebuilt on every mutation, so comparing
+        index identities (as :meth:`DatabaseLabelSpace.stale` does) sees
+        appends and mutated transactions alike.
+        """
+        graphs = self.graphs
+        cached = self._scan_cache
+        if cached is not None and len(cached[0]) == len(graphs):
+            if all(graph._bit_index is index for graph, index in zip(graphs, cached[0])):
+                return cached
+        cached = self._scan_cache = [[graph.bit_index() for graph in graphs], None, None]
+        return cached
+
     def label_supports(self) -> Dict[Label, int]:
-        supports: Dict[Label, int] = {}
-        for graph in self.graphs:
-            for label in graph.distinct_labels():
-                supports[label] = supports.get(label, 0) + 1
-        return supports
+        scans = self._scans()
+        if scans[1] is None:
+            supports: Dict[Label, int] = {}
+            for index in scans[0]:
+                for label in index.label_masks:
+                    supports[label] = supports.get(label, 0) + 1
+            scans[1] = supports
+        return dict(scans[1])
 
     def transaction_digests(self) -> Iterator[str]:
-        return (transaction_digest(graph) for graph in self.graphs)
+        scans = self._scans()
+        if scans[2] is None:
+            # Replicated databases share graph objects: hash each once.
+            by_graph: Dict[int, str] = {}
+            digests = []
+            for graph in self.graphs:
+                digest = by_graph.get(id(graph))
+                if digest is None:
+                    digest = by_graph[id(graph)] = transaction_digest(graph)
+                digests.append(digest)
+            scans[2] = digests
+        return iter(scans[2])
 
     def aligned_space(self) -> Optional[DatabaseLabelSpace]:
         space = self._aligned_space

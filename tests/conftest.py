@@ -7,8 +7,20 @@ import random
 
 import pytest
 
+from repro.core import executor
 from repro.graphdb import Graph, GraphDatabase, paper_example_database
 from repro.graphdb.generators import default_label_alphabet, random_transaction
+
+
+@pytest.fixture(autouse=True)
+def pool_from_first_root(monkeypatch):
+    """Start a ``processes > 1`` pool before any inline work.
+
+    The executor's pool gate would keep these small databases serial;
+    a zero start-up budget makes every pooled test exercise the pool
+    (splits, task counts, persistence).  Gate tests override it.
+    """
+    monkeypatch.setattr(executor, "POOL_START_SECONDS", 0.0)
 
 
 @pytest.fixture
