@@ -460,8 +460,8 @@ def mine_sharded(
     ``slab``, ``cached`` embeddings, any task but ``quasi``, and a
     database whose :meth:`~GraphDatabase.slab_space` is not ``None`` —
     this *is* :func:`~repro.core.api.execute_request`: the slab holds
-    an aligned database whole (an aligned SQLite store streams into it
-    with each transaction decoded once and no graph kept), so there is
+    an aligned database whole (an aligned SQLite store feeds it each
+    row once, parsed without building a graph), so there is
     nothing to shard, and the result carries the serial engine's full
     statistics snapshot.
 

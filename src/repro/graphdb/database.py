@@ -93,10 +93,11 @@ class GraphDatabase:
         """The transposed numpy slab index, or ``None``.
 
         Built by :func:`repro.graphdb.slab.build_slab_space` from the
-        storage backend's stream of per-transaction indexes — resident
-        ones in memory, one decode per row for a SQLite store — and
-        ``None`` whenever some transaction repeats a label or the index
-        would exceed the build-memory ceiling.
+        storage backend's feed of transactions — derived from resident
+        indexes in memory, parsed once per row without building a graph
+        for a SQLite store — and ``None`` whenever some transaction
+        repeats a label or the index would exceed the build-memory
+        ceiling.
         """
         return self._source.slab_space()
 

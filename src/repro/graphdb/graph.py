@@ -145,6 +145,34 @@ class Graph:
             graph.add_edge(u, v)
         return graph
 
+    @classmethod
+    def _from_row(
+        cls,
+        vertices: List[int],
+        labels: List[Label],
+        ends: Tuple[List[int], List[int]],
+        graph_id: Optional[int] = None,
+    ) -> "Graph":
+        """Build from a row :func:`repro.graphdb.schema.parse_row` validated.
+
+        ``vertices`` are distinct, ``labels`` parallel to them, and
+        ``ends`` two parallel position lists whose pairs are distinct
+        positions into ``vertices`` (a repeated pair counts once), so
+        no per-call checks are needed.
+        """
+        graph = cls(graph_id)
+        graph._labels = dict(zip(vertices, labels))
+        neighbors: List[Set[int]] = [set() for _ in vertices]
+        for a, b in zip(*ends):
+            neighbors[a].add(vertices[b])
+            neighbors[b].add(vertices[a])
+        graph._adjacency = dict(zip(vertices, neighbors))
+        label_index = graph._label_index
+        for vertex, label in zip(vertices, labels):
+            label_index.setdefault(label, set()).add(vertex)
+        graph._edge_count = sum(map(len, neighbors)) // 2
+        return graph
+
     def copy(self, graph_id: Optional[int] = None) -> "Graph":
         """Return a deep copy, optionally with a new graph id."""
         clone = Graph(self.graph_id if graph_id is None else graph_id)

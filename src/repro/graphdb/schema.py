@@ -6,9 +6,10 @@ SqliteGraphSource` and every reader of a ``.sqlite`` graph store:
 * the SQL DDL (one row per transaction, mirroring the
   cliques/contents-as-tables shape of the graphstreams exemplar, with
   the graph body in a single ``encoding`` column);
-* a lossless JSON transaction encoding (:func:`encode_graph` /
-  :func:`decode_graph`) — labels are arbitrary strings, so the
-  positional text format the fingerprint hashes cannot be parsed back;
+* a lossless JSON transaction encoding (:func:`encode_graph`) and its
+  one reader (:func:`parse_row`, with :func:`decode_graph` on top) —
+  labels are arbitrary strings, so the positional text format the
+  fingerprint hashes cannot be parsed back;
 * the per-transaction digest (:func:`transaction_digest`) that the
   store persists alongside each row.  The digest preimage is the exact
   byte string the pre-sharding ``database_fingerprint`` hashed per
@@ -22,9 +23,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable
+import operator
+from collections import Counter
+from typing import Iterable, List, Tuple
 
-from .graph import Graph
+from ..exceptions import DatabaseError
+from .graph import Graph, Label
 
 #: Version stamped into the ``meta`` table; bump on any DDL or
 #: encoding change.
@@ -77,15 +81,64 @@ def encode_graph(graph: Graph) -> str:
     )
 
 
+#: One parsed transaction row: its vertex ids ascending, each vertex's
+#: label, and its edges as two parallel lists of positions into the
+#: vertex list (edge ``i`` joins ``ends[0][i]`` and ``ends[1][i]``).
+Row = Tuple[List[int], List[Label], Tuple[List[int], List[int]]]
+
+
+def parse_row(text: str, tid: int) -> Row:
+    """Parse and validate one :func:`encode_graph` row, building no graph.
+
+    The one reader of the row encoding: :func:`decode_graph` and the
+    store's slab feed both go through it, so every path validates a
+    row the same way.  Rows that are not a JSON object of ``"v"``
+    (``[id, label]`` pairs) and ``"e"`` (``[u, v]`` pairs), or that
+    repeat a vertex id, hold a self loop, or name an unknown vertex in
+    an edge raise :class:`DatabaseError` naming ``tid``.  A repeated
+    edge is kept: both readers treat it as one.
+    """
+    try:
+        payload = json.loads(text)
+        # Columns of the pair lists; ``strict`` rejects ragged pairs.
+        ids, names = list(zip(*payload["v"], strict=True)) or [(), ()]
+        us, vs = list(zip(*payload["e"], strict=True)) or [(), ()]
+        vertices = list(map(int, ids))
+        labels = list(map(str, names))
+    except (ValueError, TypeError, KeyError) as exc:
+        raise DatabaseError(
+            f"transaction {tid} has a malformed encoding ({type(exc).__name__}: {exc})"
+        ) from None
+    position = dict(zip(vertices, range(len(vertices))))
+    if len(position) < len(vertices):
+        repeated = next(v for v, n in Counter(vertices).items() if n > 1)
+        raise DatabaseError(f"transaction {tid} repeats vertex {repeated}")
+    if vertices != sorted(vertices):
+        order = sorted(range(len(vertices)), key=vertices.__getitem__)
+        vertices = [vertices[i] for i in order]
+        labels = [labels[i] for i in order]
+        position = dict(zip(vertices, range(len(vertices))))
+    try:
+        ends = (list(map(position.__getitem__, us)), list(map(position.__getitem__, vs)))
+    except KeyError as exc:
+        raise DatabaseError(
+            f"transaction {tid} has an edge to unknown vertex {exc.args[0]!r}"
+        ) from None
+    except TypeError as exc:
+        raise DatabaseError(f"transaction {tid} has a malformed edge ({exc})") from None
+    if any(map(operator.eq, *ends)):
+        a = next(a for a, b in zip(*ends) if a == b)
+        raise DatabaseError(f"transaction {tid} has a self loop on vertex {vertices[a]}")
+    return vertices, labels, ends
+
+
 def decode_graph(text: str, graph_id: int) -> Graph:
-    """Rebuild a transaction from :func:`encode_graph` output."""
-    payload = json.loads(text)
-    graph = Graph(graph_id)
-    for vertex, label in payload["v"]:
-        graph.add_vertex(int(vertex), str(label))
-    for u, v in payload["e"]:
-        graph.add_edge(int(u), int(v))
-    return graph
+    """Rebuild a transaction from :func:`encode_graph` output.
+
+    Raises :class:`DatabaseError` for a row :func:`parse_row` rejects.
+    """
+    vertices, labels, edges = parse_row(text, graph_id)
+    return Graph._from_row(vertices, labels, edges, graph_id)
 
 
 def digest_preimage(graph: Graph) -> bytes:

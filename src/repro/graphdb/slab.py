@@ -39,10 +39,12 @@ back to an 8-bit lookup table over the byte view on older numpy.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Optional, Tuple
+import functools
+from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..exceptions import DatabaseError
 from .bitset import GraphBitIndex, Label
 
 #: Little-endian uint64: byte views line up with ``int.to_bytes(...,
@@ -120,20 +122,45 @@ def bit_positions(words: np.ndarray) -> List[int]:
     return np.flatnonzero(np.unpackbits(little.view(np.uint8), bitorder="little")).tolist()
 
 
-def _local_adjacency(index: GraphBitIndex) -> np.ndarray:
-    """``uint8[n, n]`` adjacency of one transaction in its local bit order."""
+#: One transaction as the slab builder reads it: its vertex ids
+#: ascending, each vertex's label, and its edges as two parallel
+#: sequences of positions into the vertex list (edge ``i`` joins
+#: ``ends[0][i]`` and ``ends[1][i]``, in either orientation; a repeated
+#: edge counts once) — the shape of
+#: :func:`repro.graphdb.schema.parse_row`.
+SlabRow = Tuple[Sequence[int], Sequence[Label], Tuple[Sequence[int], Sequence[int]]]
+
+#: The builder's feed, in tid order: ``(tid, key, load)``.  ``load()``
+#: returns the transaction's :data:`SlabRow`; transactions of one word
+#: with equal ``key`` are the same graph, loaded and scattered once.
+SlabFeed = Iterable[Tuple[int, Hashable, Callable[[], SlabRow]]]
+
+
+def _index_row(index: GraphBitIndex) -> SlabRow:
+    """The :data:`SlabRow` of a resident graph's mask index."""
     n = len(index.order)
     row_bytes = (n + 7) // 8
     neighbor_masks = index.neighbor_masks
     packed = b"".join(
         neighbor_masks[vertex].to_bytes(row_bytes, "little") for vertex in index.order
     )
-    return np.unpackbits(
+    adjacency = np.unpackbits(
         np.frombuffer(packed, dtype=np.uint8).reshape(n, row_bytes),
         axis=1,
         count=n,
         bitorder="little",
     )
+    return index.order, index.labels_by_bit, np.nonzero(np.triu(adjacency, 1))
+
+
+def index_feed(indexes: Iterable[GraphBitIndex]) -> SlabFeed:
+    """The slab feed of resident graphs, one mask index per transaction.
+
+    Keyed by index object, so a replicated database's shared graphs
+    are unpacked and scattered once per word.
+    """
+    for tid, index in enumerate(indexes):
+        yield tid, index, functools.partial(_index_row, index)
 
 
 class _Ineligible(Exception):
@@ -143,10 +170,10 @@ class _Ineligible(Exception):
 class TransposedSlabSpace:
     """The transposed slab index of one aligned database snapshot.
 
-    Built from a stream of ``(tid, GraphBitIndex)`` pairs in tid order
-    and the database's sorted label alphabet ``labels``; bit ``b`` of
-    the label axis stands for ``labels[b]`` (``bit_of`` inverts it) and
-    bit ``t`` of the word axis for transaction ``t``:
+    Built from a :data:`SlabFeed` over transactions ``0..n-1`` in tid
+    order and the database's sorted label alphabet ``labels``; bit
+    ``b`` of the label axis stands for ``labels[b]`` (``bit_of``
+    inverts it) and bit ``t`` of the word axis for transaction ``t``:
 
     * ``nbr`` — ``word[n_labels, n_labels, tx_words]``; bit ``t`` of
       ``nbr[b, a]`` set iff both labels are present in transaction
@@ -162,16 +189,17 @@ class TransposedSlabSpace:
       ``t``, ``-1`` where the label is absent.  Witnesses and
       embeddings are gathered from it with one fancy index.
 
-    ``word`` is :func:`word_dtype` of the transaction count.  The build
-    consumes the stream one transaction word (up to 64 transactions)
-    at a time: its working set is that word's indexes plus one
-    transaction's local adjacency, so a feeder may drop each graph as
-    soon as its index is yielded.  Transactions of one word that share
-    an index object (a replicated in-memory database) are written
-    together, with one adjacency unpack.  A transaction with a
-    repeated label or a vertex id outside ``int32`` raises
-    :class:`_Ineligible`; :func:`build_slab_space` turns that into
-    ``None``.
+    ``word`` is :func:`word_dtype` of the transaction count.  The feed
+    needs no graph: the in-memory source derives each row from a
+    resident mask index (:func:`index_feed`), the SQLite store parses
+    it straight from the stored encoding.  The build consumes the feed
+    one transaction word (up to 64 transactions) at a time, so its
+    working set is that word's rows; transactions of one word that
+    share a key are loaded and written together.  A transaction with
+    a repeated label or a vertex id outside ``int32`` raises
+    :class:`_Ineligible`, which :func:`build_slab_space` turns into
+    ``None``; a feed that skips or reorders a tid, or names a label
+    outside ``labels``, raises :class:`DatabaseError`.
     """
 
     __slots__ = (
@@ -188,7 +216,7 @@ class TransposedSlabSpace:
 
     def __init__(
         self,
-        indexes: Iterable[Tuple[int, GraphBitIndex]],
+        feed: SlabFeed,
         labels: Tuple[Label, ...],
         n_transactions: int,
     ) -> None:
@@ -202,40 +230,49 @@ class TransposedSlabSpace:
         presence = np.zeros((n_labels, tx_words), dtype=dtype)
         vertices = np.full((n_tx, n_labels), -1, dtype=np.int32)
 
-        def scatter(word: int, groups: Dict[int, list]) -> None:
-            for index, bits, tids in groups.values():
-                positions = np.array(
-                    [bit_of[label] for label in index.labels_by_bit], dtype=np.intp
-                )
+        def load(tid: int, loader: Callable[[], SlabRow]) -> tuple:
+            order, row_labels, ends = loader()
+            if order and (order[0] < _VERTEX_MIN or order[-1] > _VERTEX_MAX):
+                raise _Ineligible
+            try:
+                positions = [bit_of[label] for label in row_labels]
+            except KeyError as exc:
+                raise DatabaseError(
+                    f"transaction {tid} has label {exc.args[0]!r} outside the alphabet"
+                ) from None
+            if len(set(positions)) < len(positions):
+                raise _Ineligible
+            return order, np.array(positions, dtype=np.intp), ends
+
+        def scatter(word: int, groups: Dict[Hashable, list]) -> None:
+            for (order, positions, ends), bits, tids in groups.values():
                 mask = dtype.type(bits)
                 presence[positions, word] |= mask
-                vertices[np.array(tids, dtype=np.intp)[:, None], positions] = index.order
-                rows, cols = np.nonzero(_local_adjacency(index))
-                nbr[positions[rows], positions[cols], word] |= mask
+                vertices[np.array(tids, dtype=np.intp)[:, None], positions] = order
+                a, b = (positions[np.asarray(end, dtype=np.intp)] for end in ends)
+                nbr[a, b, word] |= mask
+                nbr[b, a, word] |= mask
 
-        # Group each word's transactions by index object: one adjacency
-        # unpack and one scatter per distinct graph.  The groups keep
-        # their indexes alive until the word is written, so ``id`` keys
-        # stay unique within it.
         word = 0
-        groups: Dict[int, list] = {}
-        for tid, index in indexes:
-            order = index.order
-            if not index.unique_labels or (
-                order and (order[0] < _VERTEX_MIN or order[-1] > _VERTEX_MAX)
-            ):
-                raise _Ineligible
+        groups: Dict[Hashable, list] = {}
+        expected = 0
+        for tid, key, loader in feed:
+            if tid != expected:
+                raise DatabaseError(f"transaction {expected} is missing (next: {tid})")
+            expected += 1
             if tid // word_bits != word:
                 scatter(word, groups)
                 word = tid // word_bits
                 groups = {}
             bit = 1 << (tid - word * word_bits)
-            group = groups.get(id(index))
+            group = groups.get(key)
             if group is None:
-                groups[id(index)] = [index, bit, [tid]]
+                groups[key] = [load(tid, loader), bit, [tid]]
             else:
                 group[1] |= bit
                 group[2].append(tid)
+        if expected != n_tx:
+            raise DatabaseError(f"transaction {expected} is missing (next: none)")
         scatter(word, groups)
 
         self.nbr = nbr
@@ -256,22 +293,22 @@ class TransposedSlabSpace:
 
 
 def build_slab_space(
-    indexes: Iterable[Tuple[int, GraphBitIndex]],
+    feed: SlabFeed,
     labels: Tuple[Label, ...],
     n_transactions: int,
     max_build_bytes: int = DEFAULT_BUILD_BYTES,
 ) -> Optional[TransposedSlabSpace]:
     """Build the transposed slab index, or ``None`` when ineligible.
 
-    The one builder behind every storage backend: ``indexes`` streams
-    ``(tid, GraphBitIndex)`` in tid order over all ``n_transactions``
-    and ``labels`` is the sorted alphabet.  Requires at least one label
-    and transaction and a resident ``nbr`` slab under
-    ``max_build_bytes`` (both checked before the stream is touched),
-    unique per-vertex labels in every transaction, and vertex ids that
-    fit the ``int32`` vertex matrix (both checked as it streams; the
-    first failure stops the stream).  Ineligible databases keep the
-    int-mask kernel; results are byte-identical either way.
+    The one builder behind every storage backend: ``feed`` is a
+    :data:`SlabFeed` over all ``n_transactions`` and ``labels`` is the
+    sorted alphabet.  Requires at least one label and transaction and
+    a resident ``nbr`` slab under ``max_build_bytes`` (both checked
+    before the feed is touched), unique per-vertex labels in every
+    transaction, and vertex ids that fit the ``int32`` vertex matrix
+    (both checked as it streams; the first failure stops the feed).
+    Ineligible databases keep the int-mask kernel; results are
+    byte-identical either way.
     """
     n_labels = len(labels)
     if not n_labels or not n_transactions:
@@ -281,6 +318,6 @@ def build_slab_space(
     if n_labels * n_labels * tx_words * word_bytes > max_build_bytes:
         return None
     try:
-        return TransposedSlabSpace(indexes, labels, n_transactions)
+        return TransposedSlabSpace(feed, labels, n_transactions)
     except _Ineligible:
         return None

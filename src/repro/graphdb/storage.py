@@ -17,11 +17,14 @@ it:
 
 Both backends feed the one transposed slab builder
 (:func:`repro.graphdb.slab.build_slab_space`): the in-memory source
-from its resident graphs' indexes, the SQLite store by streaming its
-rows once and dropping each decoded graph as soon as its bits are
-packed.  An aligned (unique-label) store therefore mines on the slab
-kernel with no graph resident; the per-transaction aligned views the
-bitset kernel reads stay in-memory only.
+from its resident graphs' indexes, the SQLite store straight from its
+rows, read once and parsed (:func:`repro.graphdb.schema.parse_row`)
+into vertex ids, labels and edge positions without building any
+graph.  An aligned (unique-label) store therefore mines on the slab
+kernel with no graph built; the per-transaction aligned views the
+bitset kernel reads stay in-memory only.  Every reader of a row
+validates it through that one parser, and a damaged row raises
+:class:`DatabaseError` naming the store and the transaction.
 
 The seam is what makes out-of-core mining composable: the engine only
 ever sees a :class:`GraphDatabase`, and
@@ -31,19 +34,22 @@ source at a time where the slab cannot hold the store.
 
 from __future__ import annotations
 
+import contextlib
+import functools
 import os
 import sqlite3
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..exceptions import DatabaseError
-from .bitset import DatabaseLabelSpace, GraphBitIndex, build_label_space
+from .bitset import DatabaseLabelSpace, build_label_space
 from .graph import Graph, Label
 from .schema import (
     DDL,
     SCHEMA_VERSION,
     decode_graph,
     encode_graph,
+    parse_row,
     transaction_digest,
 )
 
@@ -221,9 +227,9 @@ class InMemoryGraphSource(GraphSource):
         cached = self._slab_cache
         if cached is not None and cached[0] is space:
             return cached[1]
-        from .slab import build_slab_space
+        from .slab import build_slab_space, index_feed
 
-        slab = build_slab_space(enumerate(space.sources), space.labels, len(space.sources))
+        slab = build_slab_space(index_feed(space.sources), space.labels, len(space.sources))
         self._slab_cache = (space, slab)
         return slab
 
@@ -358,20 +364,24 @@ class SqliteGraphSource(GraphSource):
         base = (tid // self.batch_size) * self.batch_size
         batch = self._batches.get(base)
         if batch is None:
-            batch = {
-                row_tid: decode_graph(encoding, row_tid)
-                for row_tid, encoding in self._connect().execute(
-                    "SELECT tid, encoding FROM graphs WHERE tid >= ? AND tid < ? "
-                    "ORDER BY tid",
-                    (base, base + self.batch_size),
-                )
-            }
+            with self._corrupt_rows():
+                batch = {
+                    row_tid: decode_graph(encoding, row_tid)
+                    for row_tid, encoding in self._connect().execute(
+                        "SELECT tid, encoding FROM graphs WHERE tid >= ? AND tid < ? "
+                        "ORDER BY tid",
+                        (base, base + self.batch_size),
+                    )
+                }
             self._batches[base] = batch
             self._batch_order.append(base)
             while len(self._batch_order) > self.max_batches:
                 evicted = self._batch_order.pop(0)
                 del self._batches[evicted]
-        return batch[tid]
+        graph = batch.get(tid)
+        if graph is None:
+            raise DatabaseError(f"graph store {self.path!r}: transaction {tid} is missing")
+        return graph
 
     def iter_range(self, lo: int, hi: int) -> Iterator[Graph]:
         # Through the batch cache: a scan of a store that fits the cache
@@ -424,16 +434,17 @@ class SqliteGraphSource(GraphSource):
             yield digest
 
     def slab_space(self):
-        """The store's transposed slab index, streamed from its rows.
+        """The store's transposed slab index, fed straight from its rows.
 
         Built once and cached until the next :meth:`append`.  The
         alphabet comes from the ``label_supports`` column, and the
-        columns also decide alignment without decoding: per-label
+        columns also decide alignment without reading a row: per-label
         supports count each transaction's *distinct* labels, so they
         sum to the stored vertex total exactly when no transaction
-        repeats a label.  An aligned store is then decoded once, in tid
-        order and outside the batch cache, each graph dropped as soon
-        as the builder holds its bits.
+        repeats a label.  An aligned store's rows are then read once,
+        in tid order and outside the batch cache, and each is parsed
+        (:func:`~repro.graphdb.schema.parse_row`) straight into the
+        builder's feed: no :class:`Graph` or mask index is built.
         """
         slab = self._slab
         if slab is _SPACE_UNSET:
@@ -442,17 +453,25 @@ class SqliteGraphSource(GraphSource):
             if sum(supports.values()) == self.size_totals()[0]:
                 from .slab import build_slab_space
 
-                slab = build_slab_space(
-                    self._bit_indexes(), tuple(sorted(supports)), len(self)
+                rows = self._connect().execute(
+                    "SELECT tid, encoding FROM graphs ORDER BY tid"
                 )
+                feed = (
+                    (tid, tid, functools.partial(parse_row, encoding, tid))
+                    for tid, encoding in rows
+                )
+                with self._corrupt_rows():
+                    slab = build_slab_space(feed, tuple(sorted(supports)), len(self))
             self._slab = slab
         return slab
 
-    def _bit_indexes(self) -> Iterator[Tuple[int, GraphBitIndex]]:
-        """``(tid, GraphBitIndex)`` of every row, decoding each once."""
-        cursor = self._connect().execute("SELECT tid, encoding FROM graphs ORDER BY tid")
-        for tid, encoding in cursor:
-            yield tid, decode_graph(encoding, tid).bit_index()
+    @contextlib.contextmanager
+    def _corrupt_rows(self) -> Iterator[None]:
+        """Name the store in a row's :class:`DatabaseError`."""
+        try:
+            yield
+        except DatabaseError as exc:
+            raise DatabaseError(f"graph store {self.path!r}: {exc}") from exc
 
     # -- decode-free statistics ----------------------------------------
     def size_totals(self) -> Tuple[int, int, int, int]:

@@ -8,6 +8,8 @@ with the eager parsers.
 
 import io
 import pickle
+import re
+import sqlite3
 
 import pytest
 
@@ -28,7 +30,7 @@ from repro.graphdb import (
     transaction_digest,
 )
 from repro.graphdb import storage
-from repro.graphdb.schema import decode_graph, encode_graph
+from repro.graphdb.schema import decode_graph, encode_graph, parse_row
 from repro.io import gspan_format, json_format
 from repro.io.runlog import database_fingerprint
 
@@ -54,6 +56,15 @@ class TestSchema:
         assert transaction_digest(db[0]) != transaction_digest(db[1])
         copy = decode_graph(encode_graph(db[0]), 99)
         assert transaction_digest(copy) == transaction_digest(db[0])
+
+    def test_parse_row_sorts_vertices_and_keeps_repeated_edges(self):
+        text = '{"e":[[9,2],[2,9],[2,5]],"v":[[9,"z"],[2,"x"],[5,"y"]]}'
+        vertices, labels, ends = parse_row(text, 0)
+        assert (vertices, labels) == ([2, 5, 9], ["x", "y", "z"])
+        assert ends == ([2, 0, 0], [0, 2, 1])
+        graph = decode_graph(text, 0)
+        assert graph == Graph.from_edges({2: "x", 5: "y", 9: "z"}, [(2, 9), (2, 5)])
+        assert graph.edge_count == 2
 
     def test_fingerprint_folds_digests_in_order(self):
         db = tricky_db()
@@ -277,3 +288,90 @@ class TestInMemorySource:
         assert isinstance(view.source, SqliteGraphSource)
         assert view.label_supports() == db.label_supports()
         assert view.total_vertices() == db.total_vertices()
+
+
+#: Damaged encodings for transaction 1 of a three-transaction store.
+CORRUPT_ROWS = {
+    "bad-json": '{"e":[[0,1]],"v":[[0,"a"],[1,"b"]]',
+    "missing-e": '{"v":[[0,"a"],[1,"b"]]}',
+    "duplicate-vertex": '{"e":[],"v":[[0,"a"],[0,"b"]]}',
+    "self-loop": '{"e":[[1,1]],"v":[[0,"a"],[1,"b"]]}',
+    "unknown-vertex": '{"e":[[0,7]],"v":[[0,"a"],[1,"b"]]}',
+}
+
+
+class TestCorruptRows:
+    """A damaged row surfaces as a DatabaseError naming store and tid."""
+
+    @pytest.fixture(scope="class")
+    def clean_path(self, tmp_path_factory):
+        # Unique labels, so the store is aligned and slab_space parses rows.
+        db = GraphDatabase(
+            [
+                Graph.from_edges({0: "a", 1: "b", 2: "c"}, [(0, 1), (1, 2)]),
+                Graph.from_edges({0: "a", 1: "b"}, [(0, 1)]),
+                Graph.from_edges({0: "a", 1: "c"}, [(0, 1)]),
+            ]
+        )
+        path = tmp_path_factory.mktemp("clean") / "clean.sqlite"
+        import_graphs(path, iter(db), name="clean").close()
+        return path
+
+    @pytest.fixture(params=sorted(CORRUPT_ROWS))
+    def damaged(self, request, clean_path, tmp_path):
+        path = self._damaged_copy(
+            clean_path,
+            tmp_path / f"{request.param}.sqlite",
+            "UPDATE graphs SET encoding = ? WHERE tid = 1",
+            (CORRUPT_ROWS[request.param],),
+        )
+        source = open_source(path)
+        yield source
+        source.close()
+
+    @staticmethod
+    def _damaged_copy(clean_path, path, statement, parameters=()):
+        path.write_bytes(clean_path.read_bytes())
+        conn = sqlite3.connect(path)
+        try:
+            conn.execute(statement, parameters)
+            conn.commit()
+        finally:
+            conn.close()
+        return path
+
+    @staticmethod
+    def _assert_names_row(source, info):
+        assert type(info.value) is DatabaseError
+        assert source.path in str(info.value)
+        assert re.search(r"\btransaction 1\b", str(info.value))
+
+    def test_clean_store_builds_a_slab(self, clean_path):
+        source = open_source(clean_path)
+        try:
+            assert source.slab_space() is not None
+        finally:
+            source.close()
+
+    def test_get(self, damaged):
+        with pytest.raises(DatabaseError) as info:
+            damaged.get(1)
+        self._assert_names_row(damaged, info)
+
+    def test_slab_space(self, damaged):
+        with pytest.raises(DatabaseError) as info:
+            damaged.slab_space()
+        self._assert_names_row(damaged, info)
+
+    def test_missing_row(self, clean_path, tmp_path):
+        path = self._damaged_copy(
+            clean_path, tmp_path / "gap.sqlite", "UPDATE graphs SET tid = 5 WHERE tid = 1"
+        )
+        source = open_source(path)
+        try:
+            for read in (lambda: source.get(1), source.slab_space):
+                with pytest.raises(DatabaseError) as info:
+                    read()
+                self._assert_names_row(source, info)
+        finally:
+            source.close()
