@@ -54,7 +54,7 @@ from __future__ import annotations
 import heapq
 import time
 from bisect import bisect_left
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from ..exceptions import MiningError
 from ..graphdb.core_index import PseudoDatabase
@@ -523,8 +523,8 @@ class MiningEngine:
         # IncrementalMiner does.
         self._pseudo: Optional[PseudoDatabase] = None
         self._label_supports: Optional[Dict[Label, int]] = None
-        #: ``sorted(self._label_supports)``, built alongside it so the
-        #: session/executor root-by-root callers do not re-sort the full
+        #: ``sorted(self._label_supports)``, built alongside it so
+        #: root-by-root callers (pool workers) do not re-sort the full
         #: label space on every single-root ``mine`` call.
         self._sorted_labels: Optional[Tuple[Label, ...]] = None
 
@@ -537,12 +537,12 @@ class MiningEngine:
         """Build the label-support, core-number, and kernel indexes now.
 
         :meth:`mine` builds them lazily (counting one database scan);
-        root-by-root callers — :class:`repro.core.session.MiningSession`
-        and its pool workers — call this eagerly so repeated ``mine``
-        calls on the same engine pay for the indexes once and per-root
-        statistics do not depend on which root ran first.  The parallel
-        executor calls it in the parent *before* forking, so workers
-        inherit every index copy-on-write instead of rebuilding it
+        root-by-root callers — the executor's inline sweeps and its pool
+        workers — call this eagerly so repeated calls on the same engine
+        pay for the indexes once and per-root statistics do not depend
+        on which root ran first.  The parallel executor calls it in the
+        parent *before* forking, so workers inherit every index
+        copy-on-write instead of rebuilding it
         (:func:`repro.core.embeddings.warm_kernel_indexes`).
         """
         if self._label_supports is None:
@@ -611,7 +611,8 @@ class MiningEngine:
         :class:`repro.core.session.SearchHooks`): when given, it is
         notified at every prefix, emitted pattern, and pruned subtree,
         and may abort the search by raising
-        :class:`~repro.core.session.SearchAborted` at a prefix boundary.
+        :class:`~repro.core.session.SearchAborted` at a prefix boundary;
+        their event buffer is flushed before ``mine`` returns or raises.
         When ``None`` (the default) the search runs exactly as before —
         the only added cost is one ``is not None`` test per hook site.
         """
@@ -646,8 +647,8 @@ class MiningEngine:
         if root_labels is None:
             roots = self._sorted_labels
         else:
-            # Root-restricted calls (the session's and executor's
-            # per-root mines) visit only the requested roots instead of
+            # Root-restricted calls (the pool workers' per-root
+            # mines) visit only the requested roots instead of
             # filtering the whole alphabet each call; unknown labels
             # are dropped exactly as the full scan would skip them.
             roots = sorted(label for label in set(root_labels) if label in label_supports)
@@ -655,24 +656,40 @@ class MiningEngine:
         # The whole root sweep — or the one split root — runs inside one
         # _search call: the hoisted dispatch/config preamble is paid per
         # mine call, not per root (market sweeps have thousands of tiny
-        # roots).
-        self._search(abs_sup, result, stats, hooks, roots, first_extensions, include_root)
+        # roots).  Without ``parts`` the sweep yields nothing.
+        for _ in self._search(
+            abs_sup, result, stats, hooks, roots, first_extensions, include_root
+        ):
+            pass
         result.elapsed_seconds = time.perf_counter() - started
         stats.cpu_seconds = result.elapsed_seconds
         return self.strategy.finalize(result)
 
-    def mine_roots(self, min_sup: float, roots: Sequence[Label]) -> List[MiningResult]:
-        """Mine a run of DFS roots in one sweep; one result per root.
+    def mine_roots(
+        self,
+        min_sup: float,
+        roots: Sequence[Label],
+        hooks: Optional["SearchHooks"] = None,
+    ) -> Iterator[MiningResult]:
+        """Mine a run of DFS roots in one sweep, one result per root.
 
         ``roots`` must be distinct frequent labels in ascending
-        (canonical) order.  Part ``i`` equals ``mine(min_sup,
-        root_labels=(roots[i],))`` on a prepared engine — patterns,
-        their order, and ``statistics.snapshot()`` — with the strategy's
-        ``finalize`` applied per root and its own ``elapsed_seconds``.
-        What one call shares across its roots is the per-call scratch:
-        the store free list and the slab kernel's level-batched forest,
-        which a call per root would rebuild every time.  The engine is
-        prepared first, so no part counts the label-support scan.
+        (canonical) order; they are checked before this returns.  The
+        returned iterator is lazy: each ``next`` mines one more root and
+        hands back its part at the root boundary, so the consumer runs
+        between roots.  Part ``i`` equals ``mine(min_sup,
+        root_labels=(roots[i],), hooks=hooks)`` on a prepared engine —
+        patterns, their order, ``statistics.snapshot()``, and the
+        events the hooks deliver — with the strategy's ``finalize``
+        applied per root and its own ``elapsed_seconds`` (mining time
+        only, not the consumer's).  Before a part is handed back the
+        hooks' buffer is flushed and their prefix counters are settled;
+        a caller that resets per-root hook state (``hooks.begin_root``)
+        does so before asking for the next part.  What one call shares
+        across its roots is the per-call scratch: the store free list
+        and the slab kernel's level-batched forest, which a call per
+        root would rebuild every time.  The engine is prepared first,
+        so no part counts the label-support scan.
         """
         config = self.config
         if not config.structural_redundancy_pruning:
@@ -693,11 +710,9 @@ class MiningEngine:
         for root in roots:
             if label_supports.get(root, 0) < abs_sup:
                 raise MiningError(f"mine_roots root {root!r} is not frequent")
-        parts: List[MiningResult] = []
         stats = MinerStatistics()
         result = MiningResult(min_sup=abs_sup, closed_only=config.closed_only, statistics=stats)
-        self._search(abs_sup, result, stats, None, roots, None, True, parts)
-        return parts
+        return self._search(abs_sup, result, stats, hooks, roots, None, True, parts=True)
 
     # ------------------------------------------------------------------
     # Root splitting support (the work-stealing executor's primitive)
@@ -752,8 +767,8 @@ class MiningEngine:
         roots: Sequence[Label],
         first_extensions: Optional[Tuple[Label, ...]],
         include_root: bool,
-        parts: Optional[List[MiningResult]] = None,
-    ) -> None:
+        parts: bool = False,
+    ) -> Iterator[MiningResult]:
         """Depth-first enumeration, explicit-stack form.
 
         Drives a whole root sweep: each frequent root gets
@@ -783,10 +798,12 @@ class MiningEngine:
           deadline, or sampling) skip ``enter_prefix`` entirely and get
           their prefix counters settled from the local node count.
 
-        With ``parts`` (:meth:`mine_roots`) every closed root also folds
-        the locals into its own statistics, appends its finalized result
-        to ``parts``, and hands the next root a fresh result and
-        statistics object; the per-node loop is the same either way.
+        A generator: with ``parts`` (:meth:`mine_roots`) every closed
+        root also folds the locals into its own statistics, settles the
+        hooks' prefix counters and flushes their buffer, yields its
+        finalized result, and hands the next root a fresh result and
+        statistics object; without it nothing is yielded.  The per-node
+        loop is the same either way.
         """
         config = self.config
         strategy = self.strategy
@@ -1039,7 +1056,12 @@ class MiningEngine:
                         in_root = False
                         if end_root is not None:
                             end_root(self, result, stats, hooks)
-                        if parts is not None:
+                        if parts:
+                            if hooks is not None:
+                                if enter is None:
+                                    hooks.total_prefixes += n_nodes
+                                    hooks.root_prefixes += n_nodes
+                                hooks.flush()
                             stats.absorb_search(
                                 prefixes=n_nodes,
                                 max_depth=depth,
@@ -1059,16 +1081,16 @@ class MiningEngine:
                             n_prunes = n_infrequent = n_skips = n_dups = 0
                             n_scans = emb_created = emb_peak = depth = 0
                             by_size = {}
-                            now = time.perf_counter()
-                            result.elapsed_seconds = now - root_started
+                            result.elapsed_seconds = time.perf_counter() - root_started
                             stats.cpu_seconds = result.elapsed_seconds
-                            parts.append(strategy.finalize(result))
-                            root_started = now
+                            part = strategy.finalize(result)
                             stats = MinerStatistics()
                             result = MiningResult(
                                 min_sup=abs_sup, closed_only=closed_only, statistics=stats
                             )
                             result_add = result.add
+                            yield part
+                            root_started = time.perf_counter()
                     root = next(root_iter, None)
                     while root is not None and label_supports[root] < abs_sup:
                         n_infrequent += 1
@@ -1152,9 +1174,13 @@ class MiningEngine:
                 duplicates=n_dups,
                 scans=n_scans,
             )
-            if hooks is not None and enter is None:
-                hooks.total_prefixes += n_nodes
-                hooks.root_prefixes += n_nodes
+            if hooks is not None:
+                if enter is None:
+                    hooks.total_prefixes += n_nodes
+                    hooks.root_prefixes += n_nodes
+                # Aborted searches included: the sinks see every event
+                # the search produced before the error propagates.
+                hooks.flush()
             # Slab root stores point back at the context that holds the
             # pool: break the cycle so the call's stores and forest are
             # freed by refcount now, not by a later gen-2 collection.

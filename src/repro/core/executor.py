@@ -7,10 +7,11 @@ independent (paper §4), so a run is an ordered walk over roots.
 and :class:`~repro.core.session.MiningSession` all drive roots through
 it.  Per root it either replays a :class:`~repro.core.cache.MiningCache`
 entry or mines the root — inline, in the parent (each run of uncached
-roots in one :meth:`~repro.core.engine.MiningEngine.mine_roots` call;
-live :class:`~repro.core.session.SearchHooks` mine one root per call
-and keep per-prefix budgets and cancellation), or on a work-stealing
-pool.  ``processes=N`` is an upper bound: a ``processes > 1`` run mines
+roots in one :meth:`~repro.core.engine.MiningEngine.mine_roots` sweep,
+consumed one root at a time; live
+:class:`~repro.core.session.SearchHooks` ride the sweep and keep
+per-prefix budgets and cancellation), or on a work-stealing pool.
+``processes=N`` is an upper bound: a ``processes > 1`` run mines
 inline first and starts the pool only once inline mining has spent
 :data:`POOL_START_SECONDS` and the measured rate predicts a larger
 saving on the remaining roots (:class:`_PoolGate`).  The pool has:
@@ -58,9 +59,8 @@ import os
 import queue
 import time
 import warnings
-from collections import deque
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Deque, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -375,62 +375,31 @@ def _init_executor_worker(
     _WORKER_STATE["miner"] = miner
 
 
-def _run_task(
-    miner: MiningEngine,
-    abs_sup: int,
-    task: MiningTask,
-    sample_every: int,
-    record: bool,
-    hooks: Optional[SearchHooks] = None,
-) -> Tuple[MiningResult, Tuple[MiningEvent, ...]]:
-    """Mine one task; with ``record``, also return its event substream.
-
-    ``hooks`` are live instrumentation (an inline session run): their
-    sinks see every event as it happens, and the recorder rides along
-    beside them.  Without live hooks a recording run samples through
-    private ones, as pool workers do.
-    """
-    recorder: Optional[_ListSink] = None
-    if record:
-        recorder = _ListSink()
-        if hooks is None:
-            hooks = SearchHooks(sample_every=sample_every)
-        live_sinks = hooks.sinks
-        hooks.sinks = live_sinks + (recorder,)
-    try:
-        part = miner.mine(
-            abs_sup,
-            root_labels=task.roots,
-            hooks=hooks,
-            first_extensions=task.first_extensions,
-            include_root=task.include_root,
-        )
-    finally:
-        # Drain the hook buffer while the recorder is still wired in —
-        # aborted searches included — so the live sinks and the cache
-        # both see the full substream.
-        if hooks is not None:
-            hooks.flush()
-            if recorder is not None:
-                hooks.sinks = live_sinks
-    return part, tuple(recorder.events) if recorder is not None else ()
-
-
 def _execute_task(
     payload: Tuple[int, int, MiningTask, int, bool],
 ) -> Tuple[int, MiningTask, MiningResult, Tuple[MiningEvent, ...], float, int]:
     """Run one :class:`MiningTask` in a worker; the result channel.
 
-    Returns the task, its :class:`MiningResult`, the recorded event
-    substream (when capturing), the measured mining seconds (the live
+    Returns the task, its :class:`MiningResult`, the event substream
+    (recorded through private hooks sampling every ``sample_every``-th
+    prefix, when capturing), the measured mining seconds (the live
     feedback that recalibrates cost estimates), and the worker pid
     (straggler accounting).
     """
     generation, abs_sup, task, sample_every, capture = payload
     started = time.perf_counter()
-    part, events = _run_task(
-        _WORKER_STATE["miner"], abs_sup, task, sample_every, capture
+    hooks = recorder = None
+    if capture:
+        recorder = _ListSink()
+        hooks = SearchHooks(sinks=(recorder,), sample_every=sample_every)
+    part = _WORKER_STATE["miner"].mine(
+        abs_sup,
+        root_labels=task.roots,
+        hooks=hooks,
+        first_extensions=task.first_extensions,
+        include_root=task.include_root,
     )
+    events = tuple(recorder.events) if recorder is not None else ()
     elapsed = time.perf_counter() - started
     return generation, task, part, events, elapsed, os.getpid()
 
@@ -636,7 +605,7 @@ class MiningExecutor:
         roots = tuple(self.database.frequent_labels(abs_sup))
         merged = MiningResult(min_sup=abs_sup, closed_only=self.config.closed_only)
         collected: List[Any] = []
-        for _root, part, _events in self.iter_roots(abs_sup, roots, allow_sweep=True):
+        for _root, part, _events in self.iter_roots(abs_sup, roots):
             merged.statistics.merge(part.statistics)
             collected.extend(part)
         # Restore the serial engine's deterministic order (and, for
@@ -675,9 +644,6 @@ class MiningExecutor:
         self,
         min_sup: float,
         roots: Sequence[Label],
-        sample_every: int = 0,
-        capture_events: bool = False,
-        allow_sweep: bool = False,
         hooks: Optional[SearchHooks] = None,
     ) -> Iterator[Tuple[Label, MiningResult, Tuple[MiningEvent, ...]]]:
         """Mine the given roots, yielding each in canonical order.
@@ -690,28 +656,33 @@ class MiningExecutor:
         The consumer may stop iterating at any root boundary (budgets,
         cancellation); in-flight work is then simply abandoned.
 
-        With a :attr:`cache`, roots answered from it are never mined;
-        every mined root is stored back.  By default only exact-tier
-        entries (with replayable statistics, and events when
-        ``capture_events``) are accepted, keeping the byte-identity
-        contract; ``allow_sweep=True`` additionally accepts
-        patterns-only entries derived from a lower cached threshold.
+        ``hooks`` is a live :class:`~repro.core.session.SearchHooks`
+        (the session's); it decides what the run records.  With hooks,
+        every root's event substream is captured at
+        ``hooks.sample_every`` and the cache accepts only exact-tier
+        entries that carry statistics and a substream recorded at that
+        sampling, keeping the byte-identity contract.  Without them
+        nothing is captured, and closed/frequent runs also accept the
+        cache's patterns-only sweep-tier entries derived from a lower
+        cached threshold.  Every mined root is stored back.
 
         Inline, each maximal run of uncached roots is mined by one
-        :meth:`~repro.core.engine.MiningEngine.mine_roots` call, unless
-        live hooks or event capture need a call per root.  With
-        ``processes > 1`` the roots are mined inline until the pool
-        gate (:class:`_PoolGate`) finds that the pool pays for the
-        rest; the pool then mines every remaining uncached root.
+        :meth:`~repro.core.engine.MiningEngine.mine_roots` sweep, with
+        or without hooks, consumed one root at a time: the sweep hands
+        back each root's part at its boundary, so the consumer runs
+        (publishes, saves a checkpoint) before the next root is mined.
+        With ``processes > 1`` the roots are mined inline until the pool
+        gate (:class:`_PoolGate`), fed each part's own mining time,
+        finds that the pool pays for the rest; the pool then mines every
+        remaining uncached root.
 
-        ``hooks`` is a live :class:`~repro.core.session.SearchHooks`
-        (the session's).  Each root opens with ``hooks.begin_root``.
-        Inline, mined roots run under it: per-prefix budgets and
-        cancellation raise :class:`~repro.core.session.SearchAborted`
-        out of this iterator, and its sinks see events as they happen
-        (yielded only when a cache records them).  Cached and pool-mined
-        roots replay their substreams to its sinks and advance its
-        run-wide counters, so budgets count them too.
+        Each root opens with ``hooks.begin_root``.  Inline, mined roots
+        run under the hooks: per-prefix budgets and cancellation raise
+        :class:`~repro.core.session.SearchAborted` out of this iterator,
+        and their sinks see events as they happen (yielded only when a
+        cache records them).  Cached and pool-mined roots replay their
+        substreams to the sinks and advance the run-wide counters, so
+        budgets count them too.
         """
         if self._closed:
             raise MiningError("this MiningExecutor is closed; create a new one")
@@ -722,10 +693,12 @@ class MiningExecutor:
         )
         self.last_report = report
         started = time.perf_counter()
+        capture = hooks is not None
+        sample_every = hooks.sample_every if capture else 0
         # The sweep tier derives patterns by support-filtering (Lemma
         # 4.3's monotonicity); only strategies whose output is support-
         # filterable may use it — maximal/top-k/quasi stay exact-replay.
-        allow_sweep = allow_sweep and self._miner.strategy.supports_sweep
+        allow_sweep = not capture and self._miner.strategy.supports_sweep
         cached: Dict[Label, CachedRoot] = {}
         if self.cache is not None:
             fingerprint, digest = self._cache_keys()
@@ -736,7 +709,7 @@ class MiningExecutor:
                     abs_sup,
                     root,
                     need_statistics=not allow_sweep,
-                    need_events=capture_events,
+                    need_events=capture,
                     sample_every=sample_every,
                     allow_sweep=allow_sweep,
                 )
@@ -746,12 +719,14 @@ class MiningExecutor:
         to_mine = tuple(root for root in roots if root not in cached)
         if to_mine:
             self._prepare()
-        # Inline live runs deliver events to the hooks' sinks directly,
-        # so they record only what a cache stores.
-        record = capture_events and (hooks is None or self.cache is not None)
-        # Live hooks and event recorders see root boundaries only
-        # between engine calls, so they mine one root per call.
-        batch = hooks is None and not capture_events
+        # A cache stores each root's substream: a recorder rides beside
+        # the live sinks and, at each root boundary, holds that root's
+        # events, whether mined live or replayed.
+        recorder = None
+        if capture and self.cache is not None:
+            recorder = _ListSink()
+            live_sinks = hooks.sinks
+            hooks.sinks = live_sinks + (recorder,)
         # Where each run of uncached roots ends (exclusive).
         run_end = [0] * len(roots)
         end = len(roots)
@@ -764,78 +739,60 @@ class MiningExecutor:
         if self.processes > 1 and to_mine:
             gate = _PoolGate(self.processes, POOL_START_SECONDS, to_mine, self._estimates)
         pooled = None
-        #: Inline-mined parts of the current run not yet yielded.
-        ahead: Deque[Tuple[MiningResult, Tuple[MiningEvent, ...]]] = deque()
-
-        for position, root in enumerate(roots):
-            if hooks is not None:
-                hooks.begin_root(root)
-            entry = cached.get(root)
-            from_pool = False
-            if entry is not None:
-                part = entry.result(self.config.closed_only)
-                events: Tuple[MiningEvent, ...] = ()
-                if capture_events and entry.events is not None:
-                    events = entry.events
-            else:
-                if not ahead:
-                    if pooled is None and gate is not None and gate.pays():
-                        report.pool_started = True
-                        pooled = self._mine_pooled(
-                            abs_sup,
-                            to_mine[gate.mined :],
-                            sample_every,
-                            capture_events,
-                            report,
-                            gate.estimates,
-                        )
-                    if pooled is None:
-                        run = roots[position : run_end[position]]
-                        if not batch:
-                            run = run[:1]
-                        elif gate is not None:
-                            run = run[: gate.chunk(run)]
-                        ahead.extend(
-                            self._mine_inline(
-                                abs_sup, run, sample_every, record, hooks, batch, gate
-                            )
-                        )
-                        report.roots_inline += len(run)
-                if ahead:
-                    part, events = ahead.popleft()
-                    report.record(os.getpid(), part.elapsed_seconds)
+        #: The inline sweep over the current chunk of a run.
+        sweep: Optional[Iterator[MiningResult]] = None
+        try:
+            for position, root in enumerate(roots):
+                if hooks is not None:
+                    hooks.begin_root(root)
+                entry = cached.get(root)
+                replayed = entry is not None
+                if replayed:
+                    part = entry.result(self.config.closed_only)
+                    events = entry.events if capture else ()
                 else:
-                    part, events = next(pooled)
-                    from_pool = True
-                self._store(abs_sup, root, part, events, capture_events, sample_every)
-            if hooks is not None and (entry is not None or from_pool):
-                hooks.replay(events, len(part), part.statistics.prefixes_visited)
-            report.elapsed_seconds = time.perf_counter() - started
-            yield root, part, events
-
-    def _mine_inline(
-        self,
-        abs_sup: int,
-        run: Tuple[Label, ...],
-        sample_every: int,
-        record: bool,
-        hooks: Optional[SearchHooks],
-        batch: bool,
-        gate: Optional[_PoolGate],
-    ) -> List[Tuple[MiningResult, Tuple[MiningEvent, ...]]]:
-        """Mine a run of roots in the parent; one ``(result, events)`` each."""
-        started = time.perf_counter()
-        if batch:
-            parts = [(part, ()) for part in self._miner.mine_roots(abs_sup, run)]
-        else:
-            parts = [
-                _run_task(
-                    self._miner, abs_sup, MiningTask(roots=run), sample_every, record, hooks
-                )
-            ]
-        if gate is not None:
-            gate.record(run, time.perf_counter() - started)
-        return parts
+                    part = None if sweep is None else next(sweep, None)
+                    if part is None:
+                        sweep = None
+                        if pooled is None and gate is not None and gate.pays():
+                            report.pool_started = True
+                            pooled = self._mine_pooled(
+                                abs_sup,
+                                to_mine[gate.mined :],
+                                sample_every,
+                                capture,
+                                report,
+                                gate.estimates,
+                            )
+                        if pooled is None:
+                            run = roots[position : run_end[position]]
+                            if gate is not None:
+                                run = run[: gate.chunk(run)]
+                            sweep = self._miner.mine_roots(abs_sup, run, hooks)
+                            report.roots_inline += len(run)
+                            part = next(sweep)
+                    if sweep is not None:
+                        events = ()
+                        report.record(os.getpid(), part.elapsed_seconds)
+                        if gate is not None:
+                            gate.record((root,), part.elapsed_seconds)
+                    else:
+                        part, events = next(pooled)
+                        replayed = True
+                if replayed and hooks is not None:
+                    hooks.replay(events, len(part), part.statistics.prefixes_visited)
+                if recorder is not None:
+                    events = tuple(recorder.events)
+                    recorder.events.clear()
+                if entry is None:
+                    self._store(abs_sup, root, part, events, capture, sample_every)
+                report.elapsed_seconds = time.perf_counter() - started
+                yield root, part, events
+        finally:
+            if sweep is not None:
+                sweep.close()
+            if recorder is not None:
+                hooks.sinks = live_sinks
 
     def _estimates(self, roots: Sequence[Label]) -> Dict[Label, float]:
         slab = self.database.slab_space() if self.config.kernel == SLAB else None

@@ -30,12 +30,15 @@ remainder, and the union is identical to an uninterrupted mine.
 The session drives its roots through the one root runner,
 :meth:`MiningExecutor.iter_roots <repro.core.executor.MiningExecutor.iter_roots>`,
 handing it the run's live :class:`SearchHooks`.  With ``processes=1``
-the runner mines each root in this process under those hooks, so
-budgets and cancellation act at every prefix and sinks see events as
-they happen.  With ``processes > 1`` the runner does the same until
-its pool gate starts the pool; pool workers then record per-root event
-substreams, and the runner replays them to the sinks in canonical
-order, so budgets act at root boundaries from there on.  Cached roots
+the runner mines every run of uncached roots in this process in one
+engine sweep under those hooks, handing each root back at its
+boundary, so budgets and cancellation act at every prefix, sinks see
+events as they happen, and the session publishes each root's
+heartbeat before the next root is mined.  With ``processes > 1`` the
+runner does the same until its pool gate starts the pool; pool
+workers then record per-root event substreams, and the runner replays
+them to the sinks in canonical order, so budgets act at root
+boundaries from there on.  Cached roots
 replay the same way on either path.  Events are deterministic — they carry no
 wall-clock timestamps — so serial, pooled, and cached sessions produce
 byte-identical streams for the same database.
@@ -464,6 +467,11 @@ class SearchAborted(Exception):
 # ----------------------------------------------------------------------
 # The instrumentation object threaded through the DFS
 # ----------------------------------------------------------------------
+#: Buffered events per :meth:`SearchHooks.flush` on emission-heavy
+#: searches: one ``emit_batch`` call per sink per this many events.
+EVENT_BATCH_SIZE = 256
+
+
 class SearchHooks:
     """Per-prefix instrumentation for :meth:`MiningEngine._search`.
 
@@ -474,12 +482,12 @@ class SearchHooks:
 
     Events are not pushed to the sinks one at a time: armed hooks
     append to a pending buffer and flush it as a batch — every
-    ``batch_size`` events, and always at root boundaries and on search
-    aborts (the owner calls :meth:`flush` there), so each sink still
-    sees the exact ordered stream.  Batching is what keeps the armed
-    overhead low on emission-heavy searches: one ``emit_batch`` call
-    per couple hundred events instead of a python call per sink per
-    event.
+    :data:`EVENT_BATCH_SIZE` events, and always at root boundaries and
+    when a search ends or aborts (the engine calls :meth:`flush`
+    there), so each sink still sees the exact ordered stream.
+    Batching is what keeps the armed overhead low on emission-heavy
+    searches: one ``emit_batch`` call per couple hundred events instead
+    of a python call per sink per event.
     """
 
     __slots__ = (
@@ -488,7 +496,6 @@ class SearchHooks:
         "token",
         "sample_every",
         "deadline_at",
-        "batch_size",
         "pending",
         "total_prefixes",
         "total_patterns",
@@ -503,14 +510,12 @@ class SearchHooks:
         token: Optional[CancellationToken] = None,
         sample_every: int = 0,
         deadline_at: Optional[float] = None,
-        batch_size: int = 256,
     ) -> None:
         self.sinks = tuple(sinks)
         self.budget = budget if budget is not None and not budget.unbounded else None
         self.token = token
         self.sample_every = sample_every
         self.deadline_at = deadline_at
-        self.batch_size = max(1, batch_size)
         self.pending: List[MiningEvent] = []
         self.total_prefixes = 0
         self.total_patterns = 0
@@ -597,7 +602,7 @@ class SearchHooks:
         if not self.sinks:
             return
         self.pending.append(event)
-        if len(self.pending) >= self.batch_size:
+        if len(self.pending) >= EVENT_BATCH_SIZE:
             self.flush()
 
     def flush(self) -> None:
@@ -929,13 +934,7 @@ class MiningSession:
             if pending:
                 self._publish(RootStarted(root=pending[0], index=0, n_pending=len(pending)))
             try:
-                runs = executor.iter_roots(
-                    self.abs_sup,
-                    pending,
-                    sample_every=self.sample_every,
-                    capture_events=True,
-                    hooks=hooks,
-                )
+                runs = executor.iter_roots(self.abs_sup, pending, hooks)
                 for index, (root, part, _events) in enumerate(runs):
                     self._finish_root(root, index, len(pending), part)
                     more = index + 1 < len(pending)

@@ -62,7 +62,7 @@ import json
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
 from urllib.parse import parse_qs, urlsplit
 
 from ..core.api import MiningRequest, MiningResultEnvelope
@@ -102,11 +102,14 @@ _REASONS = {
 class _JobSink(EventSink):
     """Bridges a mining thread's session events into the event loop.
 
-    Every event is posted to the loop thread for the job's watchers;
-    every :class:`RootFinished` additionally snapshots the session's
+    Every event is posted to the loop thread for the job's watchers; a
+    flushed batch of search events is one post and one wake-up.  Every
+    :class:`RootFinished` additionally snapshots the session's
     checkpoint to disk *from the mining thread* (the completed-roots
     map is updated before the heartbeat is emitted, so the snapshot is
-    consistent), which is what makes a hard kill resumable.
+    consistent), which is what makes a hard kill resumable.  The
+    session publishes heartbeats one at a time through :meth:`emit`;
+    batches carry only the engine's search events.
     """
 
     def __init__(self, service: "MiningService", job: MiningJob) -> None:
@@ -124,7 +127,11 @@ class _JobSink(EventSink):
                         job.session.checkpoint(),
                         service._checkpoint_path(job.job_id),
                     )
-        service._post(service._publish_event, job, event_to_dict(event))
+        service._post(service._publish_events, job, [event_to_dict(event)])
+
+    def emit_batch(self, events: Sequence[MiningEvent]) -> None:
+        payloads = [event_to_dict(event) for event in events]
+        self._service._post(self._service._publish_events, self._job, payloads)
 
 
 class MiningService:
@@ -507,8 +514,8 @@ class MiningService:
         if signal is not None:
             signal.set()
 
-    def _publish_event(self, job: MiningJob, payload: Dict[str, Any]) -> None:
-        job.events.append(payload)
+    def _publish_events(self, job: MiningJob, payloads: List[Dict[str, Any]]) -> None:
+        job.events.extend(payloads)
         self._wake(job.job_id)
 
     async def _each_job_event(self, job: MiningJob, emit) -> None:

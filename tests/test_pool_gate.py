@@ -93,7 +93,7 @@ class TestMineRoots:
         database = stock_market_database(0.95, scale="tiny", seed=7)
         engine = engine_for_task(database, None).prepare()
         roots = database.frequent_labels(database.absolute_support("85%"))
-        parts = engine.mine_roots("85%", roots)
+        parts = list(engine.mine_roots("85%", roots))
         for root, part in zip(roots, parts):
             reference = engine.mine("85%", root_labels=(root,))
             assert keys(part) == keys(reference)
@@ -101,7 +101,7 @@ class TestMineRoots:
             assert part.elapsed_seconds == part.statistics.cpu_seconds > 0.0
 
     def test_empty_run(self, paper_db):
-        assert engine_for_task(paper_db, None).mine_roots(2, []) == []
+        assert list(engine_for_task(paper_db, None).mine_roots(2, [])) == []
 
     def test_rejects_unordered_or_infrequent_roots(self, paper_db):
         engine = engine_for_task(paper_db, None)
