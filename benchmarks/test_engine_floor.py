@@ -4,31 +4,44 @@ The iterative search loop (:meth:`repro.core.engine.MiningEngine._search`)
 is the cost every task pays per DFS node before any task-specific work:
 frame management, the extension scan, pruning, statistics, and — only
 at emission — pattern/witness materialisation.  This benchmark breaks
-that floor down by toggling each layer off:
+that floor down by toggling each layer off.  Every rung runs on the
+default kernel (``MinerConfig()``, the slab kernel on these aligned
+market databases):
 
 * ``default``       — the full closed mine: enumeration + pattern and
   witness materialisation + statistics;
 * ``no witnesses``  — ``collect_witnesses=False``: emission still
-  builds forms/transactions but skips the per-transaction witness maps;
+  builds forms/transactions but skips the witness row gather;
 * ``no emission``   — ``min_size`` above every clique: the pure
   enumeration floor, nothing materialised (lazy prefixes never become
   patterns);
 * ``hooks passive`` — a dormant :class:`SearchHooks` attached (the
   budget-less session path: counters settled at subtree boundaries);
-* ``hooks armed``   — a live ring sink, every pattern/prune delivered.
+* ``hooks armed``   — a live ring sink, every pattern/prune delivered;
+* ``bitset``        — the default mine on the int-mask kernel, for
+  reference.
 
-Differences between adjacent rungs give the per-node overhead of each
-layer.  The headline number is enumerated nodes per second; the record
-lands in ``BENCH_floor.json`` at the repo root, and the CI smoke job
-gates on the nodes/sec bar at small scale.
+Rounds alternate the modes (each round runs every mode once, in a
+seeded shuffled order), and each mode keeps its best round, so a slow
+stretch of the machine hits every mode alike.  The order is shuffled,
+not rotated: under rotation each mode always follows the same mode, and
+a sweep right after the slow bitset sweep read ~10% slower.  Each sweep
+starts from a full collection and runs with automatic GC paused, so no
+mode pays for another's garbage.  Rungs under ~2 µs per node are within
+run-to-run noise on a shared host.  Differences between adjacent rungs give the
+per-node overhead of each layer.  The headline number is enumerated
+nodes per second; the record lands in ``BENCH_floor.json`` at the repo
+root, and the CI smoke job gates on the nodes/sec bar at small scale.
 """
 
+import gc
 import json
+import random
 import time
 from pathlib import Path
 
 from repro.bench import format_table, hardware_context
-from repro.core import ClanMiner, MinerConfig, RingBufferSink, SLAB
+from repro.core import BITSET, ClanMiner, MinerConfig, RingBufferSink
 from repro.core.session import SearchHooks
 from repro.stockmarket import PAPER_THETAS
 
@@ -59,12 +72,26 @@ def sweep(market_databases, config, hooks_factory=None):
     return time.perf_counter() - started, nodes, keys
 
 
-def best_of(market_databases, config, hooks_factory=None):
-    best_seconds, nodes, keys = sweep(market_databases, config, hooks_factory)
-    for _ in range(ROUNDS - 1):
-        seconds, _, _ = sweep(market_databases, config, hooks_factory)
-        best_seconds = min(best_seconds, seconds)
-    return best_seconds, nodes, keys
+def best_of(market_databases, modes):
+    """Each mode's best sweep over interleaved rounds.
+
+    ``modes`` maps a name to ``(config, hooks_factory)``; returns
+    ``{name: (best seconds, nodes, keys)}``.
+    """
+    best = {}
+    for round_index in range(ROUNDS):
+        order = list(modes)
+        random.Random(round_index).shuffle(order)
+        for name in order:
+            gc.collect()
+            gc.disable()
+            try:
+                seconds, nodes, keys = sweep(market_databases, *modes[name])
+            finally:
+                gc.enable()
+            if name not in best or seconds < best[name][0]:
+                best[name] = (seconds, nodes, keys)
+    return best
 
 
 def per_node_us(seconds, nodes):
@@ -76,25 +103,29 @@ def test_engine_floor(benchmark, market_databases, scale):
         lambda: sweep(market_databases, MinerConfig()), rounds=1, iterations=1
     )
 
-    default_s, nodes, default_keys = best_of(market_databases, MinerConfig())
-    no_wit_s, _, no_wit_keys = best_of(
-        market_databases, MinerConfig(collect_witnesses=False)
-    )
-    # min_size above any clique: nothing is ever emitted, so the run is
-    # the bare enumeration floor (node counts are unchanged — emission
-    # is downstream of counting).
-    no_emit_s, no_emit_nodes, no_emit_keys = best_of(
-        market_databases, MinerConfig(min_size=99)
-    )
-    passive_s, _, passive_keys = best_of(
-        market_databases, MinerConfig(), SearchHooks
-    )
-    armed_s, _, armed_keys = best_of(
+    best = best_of(
         market_databases,
-        MinerConfig(),
-        lambda: SearchHooks(sinks=(RingBufferSink(capacity=None),)),
+        {
+            "default": (MinerConfig(), None),
+            "no_witnesses": (MinerConfig(collect_witnesses=False), None),
+            # min_size above any clique: nothing is ever emitted, so the
+            # run is the bare enumeration floor (node counts are
+            # unchanged — emission is downstream of counting).
+            "no_emission": (MinerConfig(min_size=99), None),
+            "passive": (MinerConfig(), SearchHooks),
+            "armed": (
+                MinerConfig(),
+                lambda: SearchHooks(sinks=(RingBufferSink(capacity=None),)),
+            ),
+            "bitset": (MinerConfig(kernel=BITSET), None),
+        },
     )
-    slab_s, _, slab_keys = best_of(market_databases, MinerConfig(kernel=SLAB))
+    default_s, nodes, default_keys = best["default"]
+    no_wit_s, _, no_wit_keys = best["no_witnesses"]
+    no_emit_s, no_emit_nodes, no_emit_keys = best["no_emission"]
+    passive_s, _, passive_keys = best["passive"]
+    armed_s, _, armed_keys = best["armed"]
+    bitset_s, _, bitset_keys = best["bitset"]
 
     # The toggles must not change what is enumerated or found.
     assert no_emit_nodes == nodes
@@ -102,7 +133,7 @@ def test_engine_floor(benchmark, market_databases, scale):
     assert no_wit_keys == default_keys
     assert passive_keys == default_keys
     assert armed_keys == default_keys
-    assert slab_keys == default_keys
+    assert bitset_keys == default_keys
 
     nodes_per_second = nodes / default_s
     enumeration_us = per_node_us(no_emit_s, nodes)
@@ -116,14 +147,14 @@ def test_engine_floor(benchmark, market_databases, scale):
         [
             ["enumeration floor", f"{no_emit_s:.3f}", f"{enumeration_us:.2f} µs"],
             ["+ pattern emission", f"{no_wit_s:.3f}", f"{emission_us:+.2f} µs"],
-            ["+ witness maps", f"{default_s:.3f}", f"{witnesses_us:+.2f} µs"],
+            ["+ witness rows", f"{default_s:.3f}", f"{witnesses_us:+.2f} µs"],
             ["+ passive hooks", f"{passive_s:.3f}", f"{statistics_hooks_us:+.2f} µs"],
             ["+ armed ring sink", f"{armed_s:.3f}", f"{armed_us:+.2f} µs"],
-            ["default, slab kernel", f"{slab_s:.3f}", "-"],
+            ["default, bitset kernel", f"{bitset_s:.3f}", "-"],
         ],
         title=(
             f"Engine floor: {nodes} nodes, {nodes_per_second:,.0f} nodes/s "
-            f"default, best of {ROUNDS} (scale={scale})"
+            f"default kernel, best of {ROUNDS} interleaved rounds (scale={scale})"
         ),
     )
     write_report("engine_floor", table)
@@ -132,6 +163,10 @@ def test_engine_floor(benchmark, market_databases, scale):
         "benchmark": "engine enumeration floor",
         "scale": scale,
         "rounds": ROUNDS,
+        "method": "modes interleaved per round in a seeded shuffled order, a "
+        "full collection before each sweep and GC paused inside it, best round "
+        "per mode",
+        "kernel": MinerConfig().kernel,
         "hardware": hardware_context(),
         "workload": "fig6a sweep: 6 market databases x supports 100/95/90/85%",
         "nodes": nodes,
@@ -141,7 +176,7 @@ def test_engine_floor(benchmark, market_databases, scale):
         "no_emission_seconds": no_emit_s,
         "hooks_passive_seconds": passive_s,
         "hooks_armed_seconds": armed_s,
-        "slab_default_seconds": slab_s,
+        "bitset_seconds": bitset_s,
         "per_node_us": {
             "enumeration": enumeration_us,
             "emission": emission_us,

@@ -71,7 +71,7 @@ from typing import (
 
 from ..exceptions import MiningError
 from ..graphdb.database import GraphDatabase
-from .canonical import CanonicalForm, Label
+from .canonical import Label
 from .config import MinerConfig
 from .pattern import CliquePattern
 from .results import MiningResult
@@ -359,6 +359,8 @@ class MiningCache:
     # ------------------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
         """A JSON-ready dict of every entry (counters are not state)."""
+        from ..io.json_format import pattern_to_dict
+
         entries = []
         for (fp, digest, sup, root), entry in sorted(self._entries.items()):
             payload: Dict[str, Any] = {
@@ -366,17 +368,7 @@ class MiningCache:
                 "config_digest": digest,
                 "abs_sup": sup,
                 "root": root,
-                "patterns": [
-                    {
-                        "labels": list(p.labels),
-                        "support": p.support,
-                        "transactions": list(p.transactions),
-                        "witnesses": {
-                            str(t): list(w) for t, w in p.witnesses.items()
-                        },
-                    }
-                    for p in entry.patterns
-                ],
+                "patterns": [pattern_to_dict(p) for p in entry.patterns],
                 "statistics": dict(entry.statistics)
                 if entry.statistics is not None
                 else None,
@@ -392,24 +384,15 @@ class MiningCache:
     @classmethod
     def from_dict(cls, payload: Mapping[str, Any]) -> "MiningCache":
         """Rebuild a cache from :meth:`to_dict` output."""
+        from ..io.json_format import pattern_from_dict
+
         if payload.get("kind") != "mining-cache":
             raise MiningError(
                 f"expected kind 'mining-cache', got {payload.get('kind')!r}"
             )
         cache = cls()
         for raw in payload.get("entries", ()):
-            patterns = tuple(
-                CliquePattern(
-                    form=CanonicalForm.from_labels(entry["labels"]),
-                    support=int(entry["support"]),
-                    transactions=tuple(int(t) for t in entry.get("transactions", ())),
-                    witnesses={
-                        int(t): tuple(int(v) for v in w)
-                        for t, w in entry.get("witnesses", {}).items()
-                    },
-                )
-                for entry in raw["patterns"]
-            )
+            patterns = tuple(pattern_from_dict(entry) for entry in raw["patterns"])
             events = raw.get("events")
             cache._put(
                 raw["fingerprint"],

@@ -5,16 +5,89 @@ A :class:`CliquePattern` is what the miner reports: the canonical form
 ids of the supporting transactions, and optionally one witness
 embedding per transaction so results can be traced back to concrete
 vertices (as Figure 5 does for the 12-stock clique).
+
+Witnesses are any read-only ``Mapping`` from transaction id to vertex
+tuple.  The bitset kernel emits plain dicts; the slab kernel, which
+holds exactly one embedding per transaction, emits
+:class:`WitnessRows` — the pattern's transaction tuple beside one
+``int32[support, size]`` row array — so emission builds no per-
+transaction tuples.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from collections.abc import ItemsView
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
+
+import numpy as np
 
 from ..exceptions import PatternError
 from ..graphdb.database import GraphDatabase
 from .canonical import CanonicalForm, Label
+
+
+class WitnessRows(Mapping):
+    """Read-only ``{tid: vertex tuple}`` map over one row array.
+
+    ``transactions`` is the ascending tid tuple (shared with the
+    pattern, not copied) and ``rows`` an ``int32[len(transactions),
+    size]`` array whose row ``i`` is transaction ``i``'s witness,
+    vertex-sorted.  The array is owned by the map and frozen read-only.
+    Tuples are built only when the map is read; it compares equal to
+    any mapping with the same items, prints as the equivalent dict, and
+    pickles as ``(transactions, rows)``.
+    """
+
+    __slots__ = ("transactions", "rows")
+
+    def __init__(self, transactions: Tuple[int, ...], rows: np.ndarray) -> None:
+        rows.flags.writeable = False
+        self.transactions = transactions
+        self.rows = rows
+
+    def __len__(self) -> int:
+        return len(self.transactions)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self.transactions)
+
+    def __getitem__(self, tid: Any) -> Tuple[int, ...]:
+        tids = self.transactions
+        try:
+            index = bisect_left(tids, tid)
+        except TypeError:
+            raise KeyError(tid) from None
+        if index == len(tids) or tids[index] != tid:
+            raise KeyError(tid)
+        return tuple(self.rows[index].tolist())
+
+    def items(self) -> "_RowItems":
+        return _RowItems(self)
+
+    def __eq__(self, other: Any) -> bool:
+        if isinstance(other, WitnessRows):
+            return self.transactions == other.transactions and np.array_equal(
+                self.rows, other.rows
+            )
+        return super().__eq__(other)
+
+    def __repr__(self) -> str:
+        return repr(dict(self.items()))
+
+    def __reduce__(self):
+        return (WitnessRows, (self.transactions, self.rows))
+
+
+class _RowItems(ItemsView):
+    """``items()`` of a :class:`WitnessRows`: one ``tolist`` per pass."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        rows = self._mapping
+        return zip(rows.transactions, map(tuple, rows.rows.tolist()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -30,8 +103,9 @@ class CliquePattern:
     transactions:
         Sorted tuple of supporting transaction ids.
     witnesses:
-        Optional map from transaction id to one embedding (a sorted
-        vertex-id tuple) witnessing the pattern in that transaction.
+        Optional read-only map from transaction id to one embedding (a
+        sorted vertex-id tuple) witnessing the pattern in that
+        transaction — a ``dict`` or a :class:`WitnessRows`.
     """
 
     form: CanonicalForm

@@ -71,11 +71,12 @@ from ..graphdb.core_index import PseudoDatabase
 from ..graphdb.database import GraphDatabase
 from ..graphdb.slab import (
     TransposedSlabSpace,
-    bit_positions,
+    bit_position_array,
     popcount_rows,
     popcount_words,
 )
 from .canonical import Label
+from .pattern import WitnessRows
 
 #: Pairs per chunk of the batched Lemma 4.4 resolution — bounds the
 #: ``[pairs, n_labels, tx_words]`` temporary (a few MB at the default)
@@ -431,6 +432,7 @@ class SlabEmbeddingStore:
         "_child_blocks",
         "_children",
         "_tids",
+        "_tid_array",
         "_by_transaction",
     )
 
@@ -501,6 +503,7 @@ class SlabEmbeddingStore:
         self._child_blocks: Optional[Dict[int, int]] = None
         self._children: Optional[Dict[Label, tuple]] = None
         self._tids: Optional[Tuple[int, ...]] = None
+        self._tid_array: Optional[np.ndarray] = None
         self._by_transaction: Optional[Dict[int, list]] = None
         return self
 
@@ -560,25 +563,37 @@ class SlabEmbeddingStore:
         """Supporting transaction ids, sorted."""
         tids = self._tids
         if tids is None:
-            tids = self._tids = tuple(bit_positions(self._tx))
+            tids = self._tids = tuple(self._tid_positions().tolist())
         return tids
+
+    def _tid_positions(self) -> np.ndarray:
+        """:meth:`transactions` as an ``intp`` array."""
+        positions = self._tid_array
+        if positions is None:
+            positions = self._tid_array = bit_position_array(self._tx)
+        return positions
 
     def _embedding_rows(self) -> np.ndarray:
         """``[support, size]`` vertices of every embedding, label order.
 
-        One fancy index on the slab's (transaction, bit) → vertex
-        matrix; rows follow :meth:`transactions`.
+        Two ``take`` gathers on the slab's (transaction, bit) → vertex
+        matrix, the member columns first (the smaller temporary) — a
+        fresh array, never a view; rows follow :meth:`transactions`.
+        Measured cheaper than one ``[tids[:, None], bits]`` fancy index
+        at both 11 and 704 transactions.
         """
-        tids = self.transactions()
-        if not tids:
-            return np.zeros((0, len(self._member_bits)), dtype=np.int32)
-        return self.slab.vertices[np.ix_(tids, self._member_bits)]
+        columns = self.slab.vertices.take(self._member_bits, axis=1)
+        return columns.take(self._tid_positions(), axis=0)
 
-    def witnesses(self) -> Dict[int, Tuple[int, ...]]:
-        """The (single) embedding of each transaction, vertex-sorted."""
+    def witnesses(self) -> WitnessRows:
+        """The (single) embedding of each transaction, vertex-sorted.
+
+        One ``[support, size]`` row array behind a read-only mapping:
+        no per-transaction tuple is built until the map is read.
+        """
         rows = self._embedding_rows()
         rows.sort(axis=1)
-        return {tid: tuple(row) for tid, row in zip(self.transactions(), rows.tolist())}
+        return WitnessRows(self.transactions(), rows)
 
     def iter_embeddings(self) -> Iterator[Tuple[int, Tuple[int, ...]]]:
         """Yield ``(transaction id, vertex tuple)`` per embedding.

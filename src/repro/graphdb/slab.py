@@ -111,15 +111,20 @@ def int_from_words(words: np.ndarray) -> int:
     return int.from_bytes(np.ascontiguousarray(words, dtype=WORD_DTYPE).tobytes(), "little")
 
 
-def bit_positions(words: np.ndarray) -> List[int]:
-    """Global set-bit positions of a word array, ascending.
+def bit_position_array(words: np.ndarray) -> np.ndarray:
+    """Global set-bit positions of a word array, ascending, as ``intp``.
 
     Matches :func:`repro.graphdb.bitset.iter_bits` on the equivalent
     int mask: position ``B*w + t`` for bit ``t`` of ``B``-bit word ``w``.
     One little-endian byte view and one ``unpackbits`` per array.
     """
     little = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder("<"))
-    return np.flatnonzero(np.unpackbits(little.view(np.uint8), bitorder="little")).tolist()
+    return np.flatnonzero(np.unpackbits(little.view(np.uint8), bitorder="little"))
+
+
+def bit_positions(words: np.ndarray) -> List[int]:
+    """:func:`bit_position_array` as a list of ints."""
+    return bit_position_array(words).tolist()
 
 
 #: One transaction as the slab builder reads it: its vertex ids

@@ -12,7 +12,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterator, Union
 
 from ..core.canonical import CanonicalForm
-from ..core.pattern import CliquePattern
+from ..core.pattern import CliquePattern, WitnessRows
 from ..core.results import MiningResult
 from ..exceptions import FormatError
 from ..graphdb.database import GraphDatabase
@@ -115,12 +115,20 @@ def open_database(path: PathLike) -> GraphDatabase:
 # ----------------------------------------------------------------------
 def pattern_to_dict(pattern: CliquePattern) -> Dict[str, Any]:
     """Convert one pattern to the JSON shape shared by results,
-    checkpoints, and :class:`~repro.core.api.MiningResultEnvelope`."""
+    checkpoints, caches, and
+    :class:`~repro.core.api.MiningResultEnvelope`.  Row-backed
+    witnesses (:class:`~repro.core.pattern.WitnessRows`) serialise with
+    one ``tolist`` and no intermediate tuples."""
+    witnesses = pattern.witnesses
+    if isinstance(witnesses, WitnessRows):
+        encoded = dict(zip(map(str, witnesses.transactions), witnesses.rows.tolist()))
+    else:
+        encoded = {str(t): list(w) for t, w in witnesses.items()}
     return {
         "labels": list(pattern.labels),
         "support": pattern.support,
         "transactions": list(pattern.transactions),
-        "witnesses": {str(t): list(w) for t, w in pattern.witnesses.items()},
+        "witnesses": encoded,
     }
 
 
