@@ -44,9 +44,10 @@ the engine threads through ``root_store``):
 A tied label ``c`` satisfies ``cand[c] == tx`` by definition
 (``counts[c] == support`` and every row is a subset of ``tx``), and
 ``c`` blocks iff ``cand & ~nbr[c]`` is zero outside row ``c`` — row
-``c`` itself always equals ``tx`` (the diagonal of ``nbr`` is zero),
-so "zero outside row ``c``" is just a nonzero-word-count comparison,
-no masking or mutation needed.
+``c`` itself always equals ``tx`` (the diagonal of ``nbr`` is zero).
+:func:`_first_blocking` is the one definition of that test: it clears
+row ``c`` of each freshly gathered ``bad`` slab and reduces the rest
+as one contiguous row, so no reduction runs over the short word axis.
 
 Everything the hot path does not need — witness tuples, per-embedding
 records, restriction, the unordered-extension ablation — materialises
@@ -73,7 +74,6 @@ from ..graphdb.slab import (
     TransposedSlabSpace,
     bit_position_array,
     popcount_rows,
-    popcount_words,
 )
 from .canonical import Label
 from .pattern import WitnessRows
@@ -107,33 +107,24 @@ def _first_blocking(
     tied: np.ndarray,
     cand_source: np.ndarray,
     nbr: np.ndarray,
-    tx_nonzero: Optional[np.ndarray],
 ) -> Dict[int, int]:
     """Smallest Lemma 4.4 blocking bit per row, chunk-batched.
 
     ``rows``/``tied`` hold parallel ``(row, c)`` pairs in ascending
     ``(row, c)`` order: ``cand_source[row]`` is a prefix's candidate
-    slab, ``c`` a tied label bit below the prefix's rank, and
-    ``tx_nonzero[row]`` the prefix's nonzero-``tx``-word count —
-    ``None`` stands for the single-word layout, where every (frequent)
-    prefix's count is exactly 1.  ``c`` blocks iff ``cand & ~nbr[c]``
-    is zero outside row ``c``; row ``c`` equals ``tx`` exactly (tied +
-    zero ``nbr`` diagonal), so blocking is ``count_nonzero(cand &
-    ~nbr[c]) == count_nonzero(tx)``.  Rows missing from the result
-    have no blocking label.  Rows whose answer is found drop out
-    between chunks, bounding how far the batch overshoots the
-    sequential scan's early exit.  ``~nbr`` is formed per chunk, on the
-    gathered rows only.
+    slab and ``c`` a label bit with ``cand[c] == tx`` below the
+    prefix's rank.  ``c`` blocks iff ``cand & ~nbr[c]`` is zero outside
+    row ``c``: each pair's row ``c`` is cleared in the gathered ``bad``
+    slab, and one contiguous whole-row ``max`` tests the rest for zero.
+    Rows missing from the result have no blocking label.  Rows whose
+    answer is found drop out between chunks, bounding how far the batch
+    overshoots the sequential scan's early exit.  ``~nbr`` is formed
+    per chunk, on the gathered rows only.
     """
     answers: Dict[int, int] = {}
     total = int(rows.size)
     if not total:
         return answers
-    if tx_nonzero is None:
-        # Single-word layout: drop the word axis up front so the
-        # chunk temporaries are 2-D.
-        cand_source = cand_source[:, :, 0]
-        nbr = nbr[:, :, 0]
     answered = np.zeros(cand_source.shape[0], dtype=bool)
     step = _chunk_rows(nbr, _PAIR_CHUNK)
     position = 0
@@ -147,24 +138,18 @@ def _first_blocking(
             c = c[keep]
             if not r.size:
                 continue
+        k = r.size
         bad = nbr[c]
         np.invert(bad, out=bad)
         bad &= cand_source[r]
-        if tx_nonzero is None:
-            nonzero = np.count_nonzero(bad, axis=1)
-            hits = np.nonzero(nonzero == 1)[0]
-        else:
-            nonzero = np.count_nonzero(bad, axis=2).sum(axis=1)
-            hits = np.nonzero(nonzero == tx_nonzero[r])[0]
+        bad[np.arange(k), c] = 0
+        hits = np.flatnonzero(bad.reshape(k, -1).max(axis=1) == 0)
         if hits.size:
-            hit_rows = r[hits]
-            hit_tied = c[hits]
-            # Pairs are (row, c)-ascending, so the first occurrence of
-            # a row among the hits carries its smallest blocking bit.
-            first_rows, first_at = np.unique(hit_rows, return_index=True)
-            for row, at in zip(first_rows.tolist(), first_at.tolist()):
-                if row not in answers:
-                    answers[row] = int(hit_tied[at])
+            # Pairs are (row, c)-ascending and answered rows left the
+            # batch, so a row's first hit carries its smallest blocking
+            # bit.
+            first_rows, first_at = np.unique(r[hits], return_index=True)
+            answers.update(zip(first_rows.tolist(), c[hits][first_at].tolist()))
             answered[first_rows] = True
     return answers
 
@@ -366,11 +351,7 @@ class _SlabForest:
             grown[start : start + step] &= nbr[child_bits[start : start + step]]
         tx = level.cand[parent_rows, child_bits]
         grown &= tx[:, None, :]
-        pc = popcount_words(grown)
-        if slab.tx_words == 1:
-            counts = pc[:, :, 0]
-        else:
-            counts = pc.sum(axis=-1, dtype=np.int64)
+        counts = popcount_rows(grown)
         self.levels.append(
             self._finish_level(
                 level.child_bits, child_bits, grown, tx, counts, child_sup.tolist()
@@ -384,15 +365,8 @@ class _SlabForest:
         blocks = level.blocks
         if blocks is None:
             mask = level.tie_cols < level.bits_np[level.tie_rows]
-            slab = self.slab
             blocks = level.blocks = _first_blocking(
-                level.tie_rows[mask],
-                level.tie_cols[mask],
-                level.cand,
-                slab.nbr,
-                None
-                if slab.tx_words == 1
-                else np.count_nonzero(level.tx, axis=1),
+                level.tie_rows[mask], level.tie_cols[mask], level.cand, self.slab.nbr
             )
         return blocks
 
@@ -691,7 +665,8 @@ class SlabEmbeddingStore:
         (``cand & ~nbr[c]`` is zero outside row ``c``).  On the engine
         path the answer was resolved by the owning batch — the parent's
         for child prefixes, the slab space's for roots — so this is a
-        dict lookup; the scan below only runs for off-engine callers.
+        dict lookup; off-engine callers run the same batch over their
+        own pairs.
         """
         slab = self.slab
         rank = slab.bit_of.get(last_label)
@@ -706,40 +681,27 @@ class SlabEmbeddingStore:
                 return None
             return slab.labels[0]
         forest = self._forest
+        parent = self._block_parent
         if (
             forest is not None
             and self._member_bits
             and rank == self._member_bits[-1]
         ):
             hit = forest.level_blocks(self._level).get(self._row)
-            return None if hit is None else slab.labels[hit]
-        if rank == self._block_rank:
-            parent = self._block_parent
-            if parent is not None:
-                hit = parent._ensure_child_blocks().get(rank)
-                return None if hit is None else slab.labels[hit]
-        tie_bits = self._tie_bits
-        if tie_bits is not None:
-            # Tied labels below the rank; ``cand[c] == tx`` holds for
-            # every tied label, no equality re-check needed.
-            candidates: Iterable[int] = tie_bits[: bisect_left(tie_bits, rank)]
-            check_equal = False
+        elif parent is not None and rank == self._block_rank:
+            hit = parent._ensure_child_blocks().get(rank)
         else:
-            candidates = range(rank)
-            check_equal = True
-        cand = self._cand
-        tx = self._tx
-        nbr = slab.nbr
-        tx_nonzero: Optional[int] = None
-        for bit in candidates:
-            if check_equal and not np.array_equal(cand[bit], tx):
-                continue
-            if tx_nonzero is None:
-                tx_nonzero = int(np.count_nonzero(tx))
-            bad = cand & ~nbr[bit]
-            if int(np.count_nonzero(bad)) == tx_nonzero:
-                return slab.labels[int(bit)]
-        return None
+            tie_bits = self._tie_bits
+            if tie_bits is not None:
+                # Tied labels below the rank: ``cand[c] == tx`` holds
+                # for every one of them, no equality check needed.
+                below = np.array(tie_bits[: bisect_left(tie_bits, rank)], dtype=np.intp)
+            else:
+                below = np.flatnonzero((self._cand[:rank] == self._tx).all(axis=1))
+            hit = _first_blocking(
+                np.zeros(below.size, dtype=np.intp), below, self._cand[None], slab.nbr
+            ).get(0)
+        return None if hit is None else slab.labels[hit]
 
     def _child(
         self,
@@ -872,11 +834,7 @@ class SlabEmbeddingStore:
         grown &= cand
         tx_rows = cand[bits]
         grown &= tx_rows[:, None, :]
-        pc = popcount_words(grown)
-        if slab.tx_words == 1:
-            counts = pc[:, :, 0]
-        else:
-            counts = pc.sum(axis=-1, dtype=np.int64)
+        counts = popcount_rows(grown)
 
         # The digest extraction of _group_plan_digests, inlined: one
         # thresholded nonzero finds the frequent labels and (because
@@ -918,7 +876,7 @@ class SlabEmbeddingStore:
         """
         blocks = self._child_blocks
         if blocks is None:
-            bits, grown, digests, tx_rows = self._batch
+            bits, grown, digests, _ = self._batch
             pair_rows: List[int] = []
             pair_tied: List[int] = []
             for row, bit in enumerate(bits):
@@ -930,16 +888,11 @@ class SlabEmbeddingStore:
                         break
                     pair_rows.append(row)
                     pair_tied.append(tied)
-            if self.slab.tx_words == 1:
-                tx_nonzero = None
-            else:
-                tx_nonzero = np.count_nonzero(tx_rows, axis=1)
             by_row = _first_blocking(
                 np.asarray(pair_rows, dtype=np.intp),
                 np.asarray(pair_tied, dtype=np.intp),
                 grown,
                 self.slab.nbr,
-                tx_nonzero,
             )
             blocks = self._child_blocks = {
                 bits[row]: hit for row, hit in by_row.items()

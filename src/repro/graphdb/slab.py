@@ -20,7 +20,8 @@ the set of transactions where it extends the prefix*:
 Stacked over the whole alphabet this is one ``[n_labels, tx_words]``
 slab, and Algorithm 1's scans become single vectorized expressions:
 
-* extension supports (lines 01–03): ``popcount(cand).sum(axis=-1)``,
+* extension supports (lines 01–03): ``popcount(cand)`` summed over
+  the word axis (:func:`popcount_rows`),
 * growing by β (line 09): ``cand & nbr[β] & cand[β]``,
 * Lemma 4.4's full-connectivity test: ``cand & ~nbr[β]`` is zero.
 
@@ -97,8 +98,16 @@ def popcount_rows(rows: np.ndarray) -> np.ndarray:
 
     ``[..., n_words] words -> [...] int64`` — the vectorized analogue
     of mapping :func:`repro.graphdb.bitset.popcount` over int masks.
+    The word axis is short (one word per 64 transactions), so the
+    per-word popcounts are added one word at a time: a strided add per
+    word costs a fraction of numpy's ``sum`` over a trailing axis.
+    Every slab row has at least one word.
     """
-    return popcount_words(rows).sum(axis=-1, dtype=np.int64)
+    per_word = popcount_words(rows)
+    totals = per_word[..., 0].astype(np.int64)
+    for word in range(1, per_word.shape[-1]):
+        totals += per_word[..., word]
+    return totals
 
 
 def words_from_int(mask: int, n_words: int) -> np.ndarray:

@@ -259,6 +259,9 @@ class TestSlabPrimitives:
         rows = np.stack([slab.words_from_int(m, n_words) for m in masks])
         expected = [m.bit_count() for m in masks]
         assert slab.popcount_rows(rows).tolist() == expected
+        # The [m, n, words] shape of a grown forest level.
+        grown = np.stack([rows, rows[::-1]])
+        assert slab.popcount_rows(grown).tolist() == [expected, expected[::-1]]
         # Both popcount implementations must agree: the numpy >= 2.0
         # bitwise_count fast path and the byte-LUT fallback.
         per_word_fast = slab.popcount_words(rows)

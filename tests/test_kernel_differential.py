@@ -15,12 +15,15 @@ exhaustive brute-force oracle at small scale.
 from __future__ import annotations
 
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.baselines.bruteforce import bruteforce_closed_cliques
-from repro.core import BITSET, SLAB, ClanMiner, MinerConfig
+from repro.core import BITSET, SLAB, ClanMiner, MinerConfig, slab_store
 from repro.graphdb import Graph, GraphDatabase
 
 from tests.conftest import make_random_database
@@ -142,8 +145,9 @@ class TestAlignedPath:
 
 class TestMultiWordSlab:
     """Databases with more than 64 transactions span several uint64
-    words per slab row — the word-axis reductions (popcount sums,
-    blocking-tie scans) must agree with the single-word fast path."""
+    words per slab row — the word-axis reductions (popcount sums, the
+    Lemma 4.4 blocking test) must agree with the bitset kernel on any
+    word count."""
 
     @pytest.mark.parametrize("seed", (0, 3))
     def test_wide_databases_identical_and_match_oracle(self, seed):
@@ -154,6 +158,130 @@ class TestMultiWordSlab:
         reference = assert_all_identical(database, 8)
         oracle = bruteforce_closed_cliques(database, 8)
         assert oracle_signature(reference) == oracle_signature(oracle), seed
+
+    @pytest.mark.parametrize(
+        "n_graphs,min_sup",
+        ((6, 1), (40, 2), (70, 3)),
+        ids=("uint8-word", "uint64-word", "two-words"),
+    )
+    def test_saturated_forest_identical_to_bitset(self, monkeypatch, n_graphs, min_sup):
+        """A forest past ``_FOREST_MAX_BYTES`` stops deepening and its
+        stores batch per parent (``_materialize_children``,
+        ``_ensure_child_blocks``) — byte-identically, on one-word
+        layouts as on multi-word ones."""
+        database = unique_label_database(5, n_graphs=n_graphs)
+        space = database.slab_space()
+        assert space is not None and (space.tx_words > 1) == (n_graphs > 64)
+        forest, store = slab_store._SlabForest, slab_store.SlabEmbeddingStore
+        levels = []  # (built, forest bytes) per level build asked for
+        fallbacks = []  # per-parent batch calls, by name
+
+        def trace_levels(method):
+            def traced(level_forest, depth):
+                built = method(level_forest, depth)
+                levels.append((built, level_forest.nbytes))
+                return built
+
+            return traced
+
+        def trace_calls(method):
+            def traced(parent, *args):
+                fallbacks.append(method.__name__)
+                return method(parent, *args)
+
+            return traced
+
+        monkeypatch.setattr(forest, "ensure_children", trace_levels(forest.ensure_children))
+        for name in ("_materialize_children", "_ensure_child_blocks"):
+            monkeypatch.setattr(store, name, trace_calls(getattr(store, name)))
+
+        bitset = ClanMiner(database, MinerConfig(kernel=BITSET)).mine(min_sup)
+        unbounded = ClanMiner(database, MinerConfig(kernel=SLAB)).mine(min_sup)
+        assert_matches_reference(unbounded, bitset, (n_graphs, "unbounded"))
+        # The mid cap holds the forest's first level build, not the rest.
+        grown = [nbytes for built, nbytes in levels if built]
+        assert max(grown) > min(grown)
+        for cap in (0, min(grown)):
+            monkeypatch.setattr(slab_store, "_FOREST_MAX_BYTES", cap)
+            levels.clear()
+            fallbacks.clear()
+            result = ClanMiner(database, MinerConfig(kernel=SLAB)).mine(min_sup)
+            assert_matches_reference(result, bitset, (n_graphs, cap))
+            # A zero cap saturates at once; the mid cap deepens first.
+            built = {grew for grew, _ in levels}
+            assert built == ({False} if cap == 0 else {True, False}), cap
+            assert set(fallbacks) == {"_materialize_children", "_ensure_child_blocks"}, cap
+
+
+def _draw_slab(data, dtype, shape):
+    """A word array of ``shape`` biased toward empty and full words."""
+    full = 2 ** (dtype.itemsize * 8) - 1
+    word = st.one_of(st.just(0), st.just(full), st.integers(0, full))
+    size = int(np.prod(shape))
+    words = data.draw(st.lists(word, min_size=size, max_size=size))
+    return np.array(words, dtype=dtype).reshape(shape)
+
+
+class TestBlockingBatch:
+    """``slab_store._first_blocking`` against the definition of the
+    Lemma 4.4 test: per row, the smallest paired label ``c`` (with
+    ``cand[c] == tx``) whose ``cand & ~nbr[c]`` is zero outside row
+    ``c``."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dtype=st.sampled_from(["<u1", "<u2", "<u4", "<u8"]).map(np.dtype),
+        tx_words=st.integers(1, 3),
+        n_labels=st.integers(1, 6),
+        n_rows=st.integers(1, 5),
+        data=st.data(),
+    )
+    def test_first_blocking_matches_definition(
+        self, dtype, tx_words, n_labels, n_rows, data
+    ):
+        tx = _draw_slab(data, dtype, (n_rows, tx_words))
+        cand = _draw_slab(data, dtype, (n_rows, n_labels, tx_words)) & tx[:, None, :]
+        nbr = _draw_slab(data, dtype, (n_labels, n_labels, tx_words))
+        labels = st.lists(st.integers(0, n_labels - 1), unique=True)
+        tied = [sorted(data.draw(labels, label=f"tied {row}")) for row in range(n_rows)]
+        for row, bits in enumerate(tied):
+            cand[row, bits] = tx[row]
+        # Make some pairs block: nbr[c] covers every candidate of a row.
+        for row, bits in enumerate(tied):
+            forced = st.lists(st.sampled_from(bits), unique=True) if bits else st.just([])
+            for c in data.draw(forced, label=f"forced {row}"):
+                nbr[c] |= cand[row]
+        nbr[np.arange(n_labels), np.arange(n_labels)] = 0
+        ranks = [
+            data.draw(st.integers(0, n_labels), label=f"rank {row}") for row in range(n_rows)
+        ]
+        pairs = [(row, c) for row in range(n_rows) for c in tied[row] if c < ranks[row]]
+
+        expected = {}
+        for row, c in pairs:
+            if row not in expected and all(
+                int(cand[row, a, w]) & ~int(nbr[c, a, w]) == 0
+                for a in range(n_labels)
+                if a != c
+                for w in range(tx_words)
+            ):
+                expected[row] = c
+
+        rows = np.array([row for row, _ in pairs], dtype=np.intp)
+        cols = np.array([c for _, c in pairs], dtype=np.intp)
+        # Tiny chunks, so answered rows drop out between chunks.
+        chunk = data.draw(st.integers(1, 4), label="pair chunk")
+        chunk_bytes = data.draw(
+            st.sampled_from([1, nbr[0].nbytes * 2, 1 << 20]), label="chunk bytes"
+        )
+        inputs = cand.copy(), nbr.copy()
+        with mock.patch.object(slab_store, "_PAIR_CHUNK", chunk), mock.patch.object(
+            slab_store, "_CHUNK_BYTES", chunk_bytes
+        ):
+            got = slab_store._first_blocking(rows, cols, cand, nbr)
+        assert got == expected
+        # The cleared rows live in a fresh gather, never in the inputs.
+        assert np.array_equal(cand, inputs[0]) and np.array_equal(nbr, inputs[1])
 
 
 class TestNonDefaultConfigs:
