@@ -3,9 +3,9 @@
 :class:`SlabEmbeddingStore` is the aligned-database fast path of the
 slab kernel: it mirrors :class:`repro.core.embeddings.EmbeddingStore`'s
 engine-facing surface while keeping the whole per-prefix state in the
-transposed slab layout of :mod:`repro.graphdb.slab` — one
-``word[n_labels, tx_words]`` candidate slab whose row ``α`` masks the
-transactions where label ``α`` extends the prefix.
+transposed slab layout of :mod:`repro.graphdb.slab` — a candidate slab
+``word[n_labels, tx_words]`` whose row ``α`` masks the transactions
+where label ``α`` extends the prefix.
 
 Why transposition is exact here: with unique per-vertex labels a prefix
 clique has exactly one embedding per supporting transaction (a label
@@ -21,38 +21,42 @@ per-prefix questions from **level-synchronous forest batches**
 (:class:`_SlabForest`, one per mine call, hosted in the context dict
 the engine threads through ``root_store``):
 
-* every prefix of one depth reachable by canonical growth from the
-  mine call's roots is grown in one ``[m, n_labels, tx_words]`` slab
-  expression whose single popcount pass yields every prefix's
-  extension-count row (levels are built lazily, on the first
-  ``extend`` out of the previous depth),
+* a level is sparse: only a few percent of a prefix's candidate rows
+  are nonzero, so each level keeps every prefix's nonzero rows as
+  entries (:class:`_ForestLevel`) and grows the next depth from them
+  in one pass of gathers, ANDs and per-entry popcounts (levels are
+  built lazily, on the first ``extend`` out of the previous depth),
 * the engine always calls ``extension_plan(abs_sup)`` before anything
   else on a store, and ``abs_sup`` is fixed for a mine call — so the
   level batch also derives each prefix's *entire plan digest*
   (frequent list, infrequent count, Lemma 4.3 verdict, tied labels)
-  with one thresholded extraction,
+  with one thresholded extraction over the entries,
 * under canonical prefix growth, the rank a prefix's Lemma 4.4 scan
   runs at is its own last bit — known at batch time — so the
-  non-closed test for a *whole level* collapses into one chunked
-  ``cand & ~nbr[c]`` pass over the (prefix, tied label) pairs,
-  resolved lazily on the first store that asks,
-* forests whose search tree outgrows ``_FOREST_MAX_BYTES`` stop
-  deepening; affected stores fall back to the same batching applied
-  per parent (one ``[k, n_labels, tx_words]`` expression over a
-  prefix's frequent children), byte-identically.
+  non-closed test for a *whole level* collapses into one chunked pass
+  over the (prefix, tied label) pairs, resolved lazily on the first
+  store that asks,
+* forests whose entries outgrow ``_FOREST_MAX_BYTES`` stop deepening;
+  affected stores fall back to the same entry growth applied per
+  parent (one batch over a prefix's frequent children),
+  byte-identically.
 
 A tied label ``c`` satisfies ``cand[c] == tx`` by definition
 (``counts[c] == support`` and every row is a subset of ``tx``), and
 ``c`` blocks iff ``cand & ~nbr[c]`` is zero outside row ``c`` — row
 ``c`` itself always equals ``tx`` (the diagonal of ``nbr`` is zero).
-:func:`_first_blocking` is the one definition of that test: it clears
-row ``c`` of each freshly gathered ``bad`` slab and reduces the rest
-as one contiguous row, so no reduction runs over the short word axis.
+:func:`_first_blocking` is the one definition of that test: zero rows
+pass it, so it gathers only a prefix's entries, clears the one at
+``c``, and reduces each pair's flat words with one ``reduceat``, so no
+reduction runs over the short word axis.
 
-Everything the hot path does not need — witness tuples, per-embedding
-records, restriction, the unordered-extension ablation — materialises
-the equivalent int-mask records lazily and delegates to the bitset
-kernel, which keeps the byte-identity contract trivially.
+A store bound to a batch row holds no dense slab: the cold paths that
+need one — single extensions, extension counts, off-engine Lemma 4.4
+scans — scatter it from the entries on first use.  Everything the hot
+path does not need — witness tuples, per-embedding records,
+restriction, the unordered-extension ablation — materialises the
+equivalent int-mask records lazily and delegates to the bitset kernel,
+which keeps the byte-identity contract trivially.
 
 Construction goes through :meth:`repro.core.embeddings.EmbeddingStore.
 for_label`, which dispatches to this class only when the database has
@@ -78,72 +82,163 @@ from ..graphdb.slab import (
 from .canonical import Label
 from .pattern import WitnessRows
 
-#: Pairs per chunk of the batched Lemma 4.4 resolution — bounds the
-#: ``[pairs, n_labels, tx_words]`` temporary (a few MB at the default)
-#: and, because rows whose answer is already known drop out between
-#: chunks, bounds how far the batch can overshoot the sequential
-#: scan's early exit.
+#: Pairs per chunk of the batched Lemma 4.4 resolution — because rows
+#: whose answer is already known drop out between chunks, bounds how
+#: far the batch can overshoot the sequential scan's early exit.
 _PAIR_CHUNK = 256
 
-#: Ceiling on one chunk temporary, in bytes: wide (multi-word)
-#: databases gather fewer rows per chunk, so no transient outgrows it.
+#: Ceiling on the candidate rows one chunk temporary gathers, in bytes:
+#: wide (multi-word) databases gather fewer rows per chunk, so no
+#: transient outgrows it.
 _CHUNK_BYTES = 1024 * 1024
 
-#: Ceiling on the candidate-slab bytes a mine call's speculative forest
-#: may hold.  Mine calls whose search tree grows past it stop deepening
-#: the forest and fall back to per-parent batching — same answers,
-#: bounded memory.  Eight times this bought nothing on fig7b ×64,
-#: where the forest saturates either way.
+#: Ceiling on the candidate-entry bytes a mine call's speculative
+#: forest may hold.  Mine calls whose search tree grows past it stop
+#: deepening the forest and fall back to per-parent batching — same
+#: answers, bounded memory.
 _FOREST_MAX_BYTES = 16 * 1024 * 1024
 
 
-def _chunk_rows(slab: np.ndarray, limit: int) -> int:
-    """Rows of ``slab`` per chunk: at most ``limit`` and ``_CHUNK_BYTES``."""
-    return max(1, min(limit, _CHUNK_BYTES // max(1, slab[0].nbytes)))
+def _chunk_rows(nbr: np.ndarray) -> int:
+    """Candidate rows per chunk temporary: ``_CHUNK_BYTES`` of them, at least one."""
+    return max(1, _CHUNK_BYTES // max(1, nbr.itemsize * nbr.shape[-1]))
+
+
+def _ragged(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Positions of the segments ``starts[i] : starts[i] + lengths[i]``.
+
+    Returns the positions back to back, and where each segment begins
+    among them.
+    """
+    firsts = np.cumsum(lengths) - lengths
+    total = int(firsts[-1] + lengths[-1]) if lengths.size else 0
+    return np.arange(total) + np.repeat(starts - firsts, lengths), firsts
+
+
+def _grow(
+    offsets: np.ndarray,
+    cols: np.ndarray,
+    words: np.ndarray,
+    parents: np.ndarray,
+    child_bits: np.ndarray,
+    tx: np.ndarray,
+    nbr: np.ndarray,
+    budget: Optional[int] = None,
+) -> Optional[tuple]:
+    """Nonzero candidate rows of child prefixes, grown from their parents.
+
+    Child ``i`` extends the prefix whose entries are
+    ``offsets[parents[i]] : offsets[parents[i] + 1]`` of ``cols`` /
+    ``words`` by label bit ``child_bits[i]``, supported in ``tx[i]``.
+    Its candidate rows are ``words & nbr[child_bits[i], cols] & tx[i]``
+    over its parent's entries — a zero parent row stays zero — so each
+    parent entry is repeated once per child (a ragged ``np.repeat``)
+    and gathered with 1-D ``take`` on flat row views, at most
+    ``_CHUNK_BYTES`` of rows at a time.  Returns ``(rows, cols, words,
+    counts)`` of the nonzero results in (child, label) order, ``rows``
+    naming the child, or ``None`` once their bytes pass ``budget``.
+    """
+    starts = offsets[parents]
+    lengths = offsets[parents + 1] - starts
+    positions, _ = _ragged(starts, lengths)
+    owners = np.repeat(np.arange(lengths.size), lengths)
+    n_labels = nbr.shape[0]
+    nbr_rows = nbr.reshape(-1, nbr.shape[-1])
+    step = _chunk_rows(nbr)
+    row_bytes = nbr.itemsize * nbr.shape[-1]
+    parts = []
+    kept = 0
+    # At least one chunk, even an empty one, so the budget is checked.
+    for start in range(0, max(1, positions.size), step):
+        child = owners[start : start + step]
+        at = positions[start : start + step]
+        grown_cols = cols.take(at)
+        grown = words.take(at, axis=0)
+        grown &= nbr_rows.take(child_bits.take(child) * n_labels + grown_cols, axis=0)
+        grown &= tx.take(child, axis=0)
+        counts = popcount_rows(grown)
+        keep = np.flatnonzero(counts)
+        kept += keep.size * row_bytes
+        if budget is not None and kept > budget:
+            return None
+        parts.append(
+            (child.take(keep), grown_cols.take(keep), grown.take(keep, axis=0), counts.take(keep))
+        )
+    if len(parts) == 1:
+        return parts[0]
+    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _first_blocking(
     rows: np.ndarray,
     tied: np.ndarray,
-    cand_source: np.ndarray,
+    offsets: np.ndarray,
+    entry_cols: np.ndarray,
+    entry_words: np.ndarray,
     nbr: np.ndarray,
 ) -> Dict[int, int]:
     """Smallest Lemma 4.4 blocking bit per row, chunk-batched.
 
     ``rows``/``tied`` hold parallel ``(row, c)`` pairs in ascending
-    ``(row, c)`` order: ``cand_source[row]`` is a prefix's candidate
-    slab and ``c`` a label bit with ``cand[c] == tx`` below the
+    ``(row, c)`` order: entries ``offsets[row] : offsets[row + 1]`` of
+    ``entry_cols``/``entry_words`` are a prefix's nonzero candidate
+    rows, and ``c`` a label bit with ``cand[c] == tx`` below the
     prefix's rank.  ``c`` blocks iff ``cand & ~nbr[c]`` is zero outside
-    row ``c``: each pair's row ``c`` is cleared in the gathered ``bad``
-    slab, and one contiguous whole-row ``max`` tests the rest for zero.
-    Rows missing from the result have no blocking label.  Rows whose
-    answer is found drop out between chunks, bounding how far the batch
-    overshoots the sequential scan's early exit.  ``~nbr`` is formed
-    per chunk, on the gathered rows only.
+    row ``c``.  Zero candidate rows pass that test, so each pair
+    gathers only its prefix's entries, clears the one at ``c``, and
+    one ``maximum.reduceat`` over the flat words tests each pair's
+    segment for zero.  Rows missing from the result have no blocking
+    label.  A chunk holds at most ``_PAIR_CHUNK`` pairs and
+    ``_CHUNK_BYTES`` of gathered rows; rows whose answer is found drop
+    out between chunks, bounding how far the batch overshoots the
+    sequential scan's early exit.  ``~nbr`` is formed per chunk, on
+    the gathered rows only.
     """
     answers: Dict[int, int] = {}
     total = int(rows.size)
     if not total:
         return answers
-    answered = np.zeros(cand_source.shape[0], dtype=bool)
-    step = _chunk_rows(nbr, _PAIR_CHUNK)
+    n_labels, _, tx_words = nbr.shape
+    nbr_rows = nbr.reshape(-1, tx_words)
+    starts = offsets[rows]
+    lengths = offsets[rows + 1] - starts
+    gathered = np.cumsum(lengths)
+    per_chunk = _chunk_rows(nbr)
+    answered = np.zeros(offsets.size - 1, dtype=bool)
     position = 0
     while position < total:
-        r = rows[position : position + step]
-        c = tied[position : position + step]
-        position += step
+        before = int(gathered[position - 1]) if position else 0
+        stop = int(np.searchsorted(gathered, before + per_chunk, side="right"))
+        stop = min(max(stop, position + 1), position + _PAIR_CHUNK)
+        r = rows[position:stop]
+        c = tied[position:stop]
+        first = starts[position:stop]
+        count = lengths[position:stop]
+        position = stop
         keep = ~answered[r]
         if not keep.all():
             r = r[keep]
             c = c[keep]
+            first = first[keep]
+            count = count[keep]
             if not r.size:
                 continue
-        k = r.size
-        bad = nbr[c]
+        at, segments = _ragged(first, count)
+        cols = entry_cols.take(at)
+        c_rep = np.repeat(c, count)
+        bad = nbr_rows.take(c_rep * n_labels + cols, axis=0)
         np.invert(bad, out=bad)
-        bad &= cand_source[r]
-        bad[np.arange(k), c] = 0
-        hits = np.flatnonzero(bad.reshape(k, -1).max(axis=1) == 0)
+        bad &= entry_words.take(at, axis=0)
+        bad[cols == c_rep] = 0
+        if count.all():
+            tops = np.maximum.reduceat(bad.reshape(-1), segments * tx_words)
+        else:
+            # An empty segment blocks vacuously; reduceat needs a word.
+            tops = np.zeros(r.size, dtype=bad.dtype)
+            some = np.flatnonzero(count)
+            if some.size:
+                tops[some] = np.maximum.reduceat(bad.reshape(-1), segments[some] * tx_words)
+        hits = np.flatnonzero(tops == 0)
         if hits.size:
             # Pairs are (row, c)-ascending and answered rows left the
             # batch, so a row's first hit carries its smallest blocking
@@ -155,21 +250,31 @@ def _first_blocking(
 
 
 class _ForestLevel:
-    """One depth slice of a mine call's speculative slab forest.
+    """A batch of prefix cliques of one size, stored as entries.
 
-    Row ``r`` is one prefix clique of size ``depth+1``; the arrays are
-    parallel over rows.  ``freq_*`` keep the raw frequent-extension
-    extraction so the next level and the Lemma 4.4 batch can be built
-    without re-scanning ``counts``.
+    Row ``r`` is one prefix: ``bits[r]`` its last label bit, ``tx[r]``
+    its supporting transactions and ``supports[r]`` their count.  Its
+    candidate slab is kept sparse: entries ``offsets[r] : offsets[r+1]``
+    of ``entry_cols``/``entry_words`` are its nonzero candidate rows in
+    ascending label order (label ``entry_cols[e]`` extends the prefix in
+    the transactions of ``entry_words[e]``); every other row is zero.
+    ``digests[r]`` is its plan digest at ``abs_sup``, and ``freq_*``
+    keep the frequent entries, so the next level and the Lemma 4.4
+    batch are built without re-scanning.  Forest levels and per-parent
+    batches are both of this type.
     """
 
     __slots__ = (
         "bits",
         "bits_np",
-        "cand",
         "tx",
         "supports",
+        "abs_sup",
+        "offsets",
+        "entry_cols",
+        "entry_words",
         "digests",
+        "freq_entries",
         "freq_rows",
         "freq_cols",
         "freq_vals",
@@ -180,10 +285,90 @@ class _ForestLevel:
         "blocks",
     )
 
-    def __init__(self) -> None:
+    def __init__(
+        self,
+        bits: List[int],
+        bits_np: np.ndarray,
+        tx: np.ndarray,
+        supports: np.ndarray,
+        abs_sup: int,
+        labels: Sequence[Label],
+        rows: np.ndarray,
+        cols: np.ndarray,
+        words: np.ndarray,
+        counts: np.ndarray,
+    ) -> None:
+        """Digest the entries ``(rows, cols, words, counts)`` of a batch.
+
+        One thresholded extraction over the entries' popcounts: every
+        row is frequent (``support >= abs_sup >= 1``), so tied labels
+        (``count == support``) are a subset of the frequent ones and
+        fall out of the same extraction — see the tie-cache mirror notes
+        on :class:`SlabEmbeddingStore`.
+        """
+        n = len(bits)
+        self.bits = bits
+        self.bits_np = bits_np
+        self.tx = tx
+        self.supports = supports.tolist()
+        self.abs_sup = abs_sup
+        self.entry_cols = cols
+        self.entry_words = words
         self.child_offsets: Optional[List[int]] = None
         self.child_bits: Optional[List[int]] = None
         self.blocks: Optional[Dict[int, int]] = None
+        per_row = np.bincount(rows, minlength=n)
+        offsets = self.offsets = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(per_row, out=offsets[1:])
+
+        freq = self.freq_entries = np.flatnonzero(counts >= abs_sup)
+        freq_rows = self.freq_rows = rows.take(freq)
+        freq_cols = self.freq_cols = cols.take(freq)
+        freq_vals = self.freq_vals = counts.take(freq)
+        pairs_all = list(zip(map(labels.__getitem__, freq_cols.tolist()), freq_vals.tolist()))
+        freq_per = np.bincount(freq_rows, minlength=n).tolist()
+        tie_mask = freq_vals == supports.take(freq_rows)
+        tie_rows = self.tie_rows = freq_rows[tie_mask]
+        tie_cols = self.tie_cols = freq_cols[tie_mask]
+        tie_per = np.bincount(tie_rows, minlength=n).tolist()
+        tie_flat = tie_cols.tolist()
+
+        digests: List[tuple] = []
+        fpos = 0
+        tpos = 0
+        for j, present in enumerate(per_row.tolist()):
+            nf = freq_per[j]
+            nt = tie_per[j]
+            if present:
+                ties = tie_flat[tpos : tpos + nt]
+                digests.append(
+                    (pairs_all[fpos : fpos + nf], present - nf, bool(ties), ties)
+                )
+            else:
+                digests.append(([], 0, False, None))
+            fpos += nf
+            tpos += nt
+        self.digests = digests
+
+    def blocking(self, nbr: np.ndarray) -> Dict[int, int]:
+        """Smallest Lemma 4.4 blocking bit per row, at each row's own rank.
+
+        Under canonical growth a prefix's scan rank is its last bit, so
+        the pairs are each row's tied labels below ``bits[row]``;
+        resolved once, on the first store that asks.
+        """
+        blocks = self.blocks
+        if blocks is None:
+            mask = self.tie_cols < self.bits_np[self.tie_rows]
+            blocks = self.blocks = _first_blocking(
+                self.tie_rows[mask],
+                self.tie_cols[mask],
+                self.offsets,
+                self.entry_cols,
+                self.entry_words,
+                nbr,
+            )
+        return blocks
 
 
 class _SlabForest:
@@ -205,12 +390,12 @@ class _SlabForest:
     through ``root_store``; nothing is shared across mine calls, so
     every call performs (and every benchmark measures) its own work.
 
-    Speculation is bounded by ``_FOREST_MAX_BYTES``: a search tree too
-    large to keep resident stops deepening and the stores fall back to
-    per-parent batching, byte-identically.
+    Speculation is bounded by ``_FOREST_MAX_BYTES`` of entry words: a
+    search tree too large to keep resident stops deepening and the
+    stores fall back to per-parent batching, byte-identically.
     """
 
-    __slots__ = ("slab", "abs_sup", "levels", "nbytes", "saturated", "root_index", "labels_arr")
+    __slots__ = ("slab", "abs_sup", "levels", "nbytes", "saturated", "root_index")
 
     def __init__(
         self,
@@ -220,99 +405,41 @@ class _SlabForest:
     ) -> None:
         self.slab = slab
         self.abs_sup = abs_sup
-        self.nbytes = 0
         self.saturated = False
-        self.labels_arr = np.array(slab.labels, dtype=object)
         supports = slab.label_tx_counts
         bits = [bit for bit in root_bits if supports[bit] >= abs_sup]
         bits_np = np.array(bits, dtype=np.intp)
-        cand = slab.nbr[bits_np]
-        level = self._finish_level(
+        # A root's candidate slab is its ``nbr`` slice: one dense
+        # popcount pass per mine call finds the nonzero rows.
+        nbr = slab.nbr
+        n_labels = slab.n_labels
+        counts = popcount_rows(nbr[bits_np])
+        flat = np.flatnonzero(counts)
+        rows, cols = np.divmod(flat, n_labels)
+        words = nbr.reshape(-1, slab.tx_words).take(bits_np.take(rows) * n_labels + cols, axis=0)
+        level = _ForestLevel(
             bits,
             bits_np,
-            cand,
             slab.presence[bits_np],
-            popcount_rows(cand),
-            supports[bits_np].tolist(),
+            supports[bits_np],
+            abs_sup,
+            slab.labels,
+            rows,
+            cols,
+            words,
+            counts.reshape(-1).take(flat),
         )
+        self.nbytes = words.nbytes
         self.levels: List[_ForestLevel] = [level]
         self.root_index = {bit: row for row, bit in enumerate(bits)}
-
-    def _finish_level(
-        self,
-        bits: List[int],
-        bits_np: np.ndarray,
-        cand: np.ndarray,
-        tx: np.ndarray,
-        counts: np.ndarray,
-        supports: List[int],
-    ) -> _ForestLevel:
-        """Digest a freshly grown level: one thresholded extraction.
-
-        Every row is frequent (``support >= abs_sup >= 1``), so tied
-        labels (``count == support``) are a subset of the frequent
-        ones and fall out of the same extraction — see the tie-cache
-        mirror notes on :class:`SlabEmbeddingStore`.
-        """
-        abs_sup = self.abs_sup
-        level = _ForestLevel()
-        level.bits = bits
-        level.bits_np = bits_np
-        level.cand = cand
-        level.tx = tx
-        level.supports = supports
-        self.nbytes += cand.nbytes
-
-        n = len(bits)
-        freq_mask = counts >= abs_sup
-        freq_rows, freq_cols = np.nonzero(freq_mask)
-        freq_vals = counts[freq_mask]
-        n_present = (counts != 0).sum(axis=1).tolist()
-        level.freq_rows = freq_rows
-        level.freq_cols = freq_cols
-        level.freq_vals = freq_vals
-
-        if freq_rows.size:
-            pairs_all = list(zip(self.labels_arr[freq_cols].tolist(), freq_vals.tolist()))
-            freq_per = np.bincount(freq_rows, minlength=n).tolist()
-            tie_mask = freq_vals == np.asarray(supports, dtype=np.int64)[freq_rows]
-            tie_rows = freq_rows[tie_mask]
-            tie_cols = freq_cols[tie_mask]
-            tie_per = np.bincount(tie_rows, minlength=n).tolist()
-            tie_flat = tie_cols.tolist()
-        else:
-            pairs_all = []
-            freq_per = [0] * n
-            tie_rows = tie_cols = freq_rows
-            tie_per = [0] * n
-            tie_flat = []
-        level.tie_rows = tie_rows
-        level.tie_cols = tie_cols
-
-        digests: List[tuple] = []
-        fpos = 0
-        tpos = 0
-        for j in range(n):
-            nf = freq_per[j]
-            nt = tie_per[j]
-            present = n_present[j]
-            if present:
-                ties = tie_flat[tpos : tpos + nt]
-                digests.append(
-                    (pairs_all[fpos : fpos + nf], present - nf, bool(ties), ties)
-                )
-            else:
-                digests.append(([], 0, False, None))
-            fpos += nf
-            tpos += nt
-        level.digests = digests
-        return level
 
     def ensure_children(self, depth: int) -> bool:
         """Build level ``depth+1`` (all canonical frequent children).
 
-        Returns False when the forest is saturated — callers then fall
-        back to per-parent batching.  Idempotent per level.
+        Each child's ``tx`` is its parent's entry at the child bit, and
+        its entries grow from the parent's (:func:`_grow`).  Returns
+        False when the forest is saturated — callers then fall back to
+        per-parent batching.  Idempotent per level.
         """
         level = self.levels[depth]
         if level.child_offsets is not None:
@@ -333,42 +460,37 @@ class _SlabForest:
             canon &= alive[level.freq_rows]
         parent_rows = level.freq_rows[canon]
         child_bits = level.freq_cols[canon]
-        child_sup = level.freq_vals[canon]
-        new_bytes = child_bits.size * slab.nbr[0].nbytes
-        if self.nbytes + new_bytes > _FOREST_MAX_BYTES:
+        tx = level.entry_words.take(level.freq_entries[canon], axis=0)
+        grown = _grow(
+            level.offsets,
+            level.entry_cols,
+            level.entry_words,
+            parent_rows,
+            child_bits,
+            tx,
+            slab.nbr,
+            _FOREST_MAX_BYTES - self.nbytes,
+        )
+        if grown is None:
             self.saturated = True
             return False
         offsets = np.zeros(len(level.bits) + 1, dtype=np.int64)
         np.cumsum(np.bincount(parent_rows, minlength=len(level.bits)), out=offsets[1:])
         level.child_offsets = offsets.tolist()
         level.child_bits = child_bits.tolist()
-        if not child_bits.size:
-            return True
-        grown = level.cand[parent_rows]
-        nbr = slab.nbr
-        step = _chunk_rows(nbr, len(child_bits))
-        for start in range(0, len(child_bits), step):
-            grown[start : start + step] &= nbr[child_bits[start : start + step]]
-        tx = level.cand[parent_rows, child_bits]
-        grown &= tx[:, None, :]
-        counts = popcount_rows(grown)
-        self.levels.append(
-            self._finish_level(
-                level.child_bits, child_bits, grown, tx, counts, child_sup.tolist()
+        if child_bits.size:
+            child = _ForestLevel(
+                level.child_bits,
+                child_bits,
+                tx,
+                level.freq_vals[canon],
+                self.abs_sup,
+                slab.labels,
+                *grown,
             )
-        )
+            self.nbytes += child.entry_words.nbytes
+            self.levels.append(child)
         return True
-
-    def level_blocks(self, depth: int) -> Dict[int, int]:
-        """Smallest Lemma 4.4 blocking bit per row of one level, batched."""
-        level = self.levels[depth]
-        blocks = level.blocks
-        if blocks is None:
-            mask = level.tie_cols < level.bits_np[level.tie_rows]
-            blocks = level.blocks = _first_blocking(
-                level.tie_rows[mask], level.tie_cols[mask], level.cand, self.slab.nbr
-            )
-        return blocks
 
 
 class SlabEmbeddingStore:
@@ -399,11 +521,10 @@ class SlabEmbeddingStore:
         "_context",
         "_forest",
         "_level",
+        "_source",
         "_row",
         "_block_parent",
-        "_block_rank",
         "_batch",
-        "_child_blocks",
         "_children",
         "_tids",
         "_tid_array",
@@ -417,7 +538,7 @@ class SlabEmbeddingStore:
         pseudo: Optional[PseudoDatabase],
         size: int,
         member_bits: Tuple[int, ...],
-        cand: np.ndarray,
+        cand: Optional[np.ndarray],
         tx: np.ndarray,
         support: int,
     ) -> None:
@@ -432,7 +553,7 @@ class SlabEmbeddingStore:
         pseudo: Optional[PseudoDatabase],
         size: int,
         member_bits: Tuple[int, ...],
-        cand: np.ndarray,
+        cand: Optional[np.ndarray],
         tx: np.ndarray,
         support: int,
     ) -> "SlabEmbeddingStore":
@@ -447,6 +568,9 @@ class SlabEmbeddingStore:
         self.pseudo = pseudo
         self.size = size
         self._member_bits = member_bits
+        #: The dense ``[n_labels, tx_words]`` candidate slab; ``None``
+        #: for a batched child until a cold path scatters it
+        #: (:meth:`_cand_slab`).
         self._cand = cand
         self._tx = tx
         self._support = support
@@ -463,19 +587,21 @@ class SlabEmbeddingStore:
         #: The engine's per-mine-call context dict (root stores only);
         #: hosts the shared :class:`_SlabForest`.
         self._context: Optional[dict] = None
-        #: This store's position in the mine call's forest: the forest,
-        #: its level (depth = size - 1), and its row in that level.
+        #: This store's position in the mine call's forest: the forest
+        #: and its level (depth = size - 1), else ``None``.
         self._forest: Optional[_SlabForest] = None
         self._level: int = 0
+        #: The batch holding this prefix's entries — its forest level or
+        #: its parent's per-parent batch — and its row there.
+        self._source: Optional[_ForestLevel] = None
         self._row: int = 0
-        #: Per-parent fallback: where this store's batched Lemma 4.4
-        #: answer lives when the forest is saturated, valid only when
-        #: the scan rank equals ``_block_rank``.
+        #: Per-parent fallback: the parent whose batch answers this
+        #: store's Lemma 4.4 test when the forest is saturated.
         self._block_parent: Optional["SlabEmbeddingStore"] = None
-        self._block_rank: Optional[int] = None
-        self._batch: Optional[tuple] = None
-        self._child_blocks: Optional[Dict[int, int]] = None
-        self._children: Optional[Dict[Label, tuple]] = None
+        #: This store's own per-parent batch of children, and their rows
+        #: in it by label.
+        self._batch: Optional[_ForestLevel] = None
+        self._children: Optional[Dict[Label, int]] = None
         self._tids: Optional[Tuple[int, ...]] = None
         self._tid_array: Optional[np.ndarray] = None
         self._by_transaction: Optional[Dict[int, list]] = None
@@ -627,6 +753,7 @@ class SlabEmbeddingStore:
                 if row is not None:
                     self._forest = forest
                     self._level = 0
+                    self._source = forest.levels[0]
                     self._row = row
                     digest = forest.levels[0].digests[row]
             if digest is None:
@@ -663,10 +790,10 @@ class SlabEmbeddingStore:
         supporting transaction (``cand[c] == tx`` — automatic for tied
         labels) and no other candidate anywhere is non-adjacent to it
         (``cand & ~nbr[c]`` is zero outside row ``c``).  On the engine
-        path the answer was resolved by the owning batch — the parent's
-        for child prefixes, the slab space's for roots — so this is a
-        dict lookup; off-engine callers run the same batch over their
-        own pairs.
+        path the answer comes from the batch holding the prefix — its
+        forest level, or its parent's per-parent batch — resolved once
+        for the whole batch, so this is a dict lookup; off-engine
+        callers run the same test over their own pairs.
         """
         slab = self.slab
         rank = slab.bit_of.get(last_label)
@@ -680,16 +807,13 @@ class SlabEmbeddingStore:
             if self._tie_bits is not None:
                 return None
             return slab.labels[0]
-        forest = self._forest
-        parent = self._block_parent
-        if (
-            forest is not None
-            and self._member_bits
-            and rank == self._member_bits[-1]
-        ):
-            hit = forest.level_blocks(self._level).get(self._row)
-        elif parent is not None and rank == self._block_rank:
-            hit = parent._ensure_child_blocks().get(rank)
+        source = self._source
+        if source is not None and rank == self._member_bits[-1]:
+            parent = self._block_parent
+            if parent is None:
+                hit = source.blocking(slab.nbr).get(self._row)
+            else:
+                hit = parent._ensure_child_blocks().get(self._row)
         else:
             tie_bits = self._tie_bits
             if tie_bits is not None:
@@ -697,16 +821,17 @@ class SlabEmbeddingStore:
                 # for every one of them, no equality check needed.
                 below = np.array(tie_bits[: bisect_left(tie_bits, rank)], dtype=np.intp)
             else:
-                below = np.flatnonzero((self._cand[:rank] == self._tx).all(axis=1))
+                below = np.flatnonzero((self._cand_slab()[:rank] == self._tx).all(axis=1))
+            offsets, cols, words, row = self._entries()
             hit = _first_blocking(
-                np.zeros(below.size, dtype=np.intp), below, self._cand[None], slab.nbr
-            ).get(0)
+                np.full(below.size, row, dtype=np.intp), below, offsets, cols, words, slab.nbr
+            ).get(row)
         return None if hit is None else slab.labels[hit]
 
     def _child(
         self,
         member_bits: Tuple[int, ...],
-        cand: np.ndarray,
+        cand: Optional[np.ndarray],
         tx: np.ndarray,
         support: int,
         reuse: Optional["SlabEmbeddingStore"],
@@ -727,6 +852,26 @@ class SlabEmbeddingStore:
             return reuse._refill(*prefix)
         return SlabEmbeddingStore(self.slab, *prefix)
 
+    def _batched_child(
+        self,
+        source: _ForestLevel,
+        row: int,
+        reuse: Optional["SlabEmbeddingStore"],
+    ) -> "SlabEmbeddingStore":
+        """The child held by row ``row`` of a batch, plan digest seeded."""
+        child = self._child(
+            self._member_bits + (source.bits[row],),
+            None,
+            source.tx[row],
+            source.supports[row],
+            reuse,
+        )
+        child._plan_digest = source.digests[row]
+        child._plan_abs_sup = source.abs_sup
+        child._source = source
+        child._row = row
+        return child
+
     def extend(
         self,
         label: Label,
@@ -738,17 +883,16 @@ class SlabEmbeddingStore:
         The same-label ordering discipline (``last_label``) is vacuous
         in aligned space, exactly as for the aligned int-mask kernel.
         Stores bound to the mine call's forest hand out their children
-        as views into the next forest level (built for the whole
-        frontier on first demand); saturated forests and off-engine
-        stores batch the frequent children per parent instead; other
-        labels take the single path.  ``reuse`` optionally recycles a
-        retired store object (see :meth:`_child`).
+        as rows of the next forest level (built for the whole frontier
+        on first demand); saturated forests and off-engine stores batch
+        the frequent children per parent instead; other labels take
+        the single path.  ``reuse`` optionally recycles a retired store
+        object (see :meth:`_child`).
         """
         forest = self._forest
-        member_bits = self._member_bits
-        if forest is not None and member_bits:
+        if forest is not None:
             bit = self.slab.bit_of.get(label)
-            if bit is not None and bit >= member_bits[-1] and (
+            if bit is not None and bit >= self._member_bits[-1] and (
                 forest.levels[self._level].child_offsets is not None
                 or forest.ensure_children(self._level)
             ):
@@ -757,55 +901,45 @@ class SlabEmbeddingStore:
                 hi = level.child_offsets[self._row + 1]
                 i = bisect_left(level.child_bits, bit, lo, hi)
                 if i < hi and level.child_bits[i] == bit:
-                    next_level = forest.levels[self._level + 1]
-                    child = self._child(
-                        member_bits + (bit,),
-                        next_level.cand[i],
-                        next_level.tx[i],
-                        next_level.supports[i],
-                        reuse,
-                    )
-                    child._plan_digest = next_level.digests[i]
-                    child._plan_abs_sup = forest.abs_sup
+                    child = self._batched_child(forest.levels[self._level + 1], i, reuse)
                     child._forest = forest
                     child._level = self._level + 1
-                    child._row = i
                     return child
                 return self._extend_single(label, reuse)
         children = self._children
         if children is None:
             children = self._children = self._materialize_children(last_label)
-        hit = children.get(label)
-        if hit is None:
+        row = children.get(label)
+        if row is None:
             return self._extend_single(label, reuse)
-        row, bit, digest, support = hit
-        batch = self._batch
-        child = self._child(
-            self._member_bits + (bit,),
-            batch[1][row],
-            batch[3][row],
-            support,
-            reuse,
-        )
-        child._plan_digest = digest
-        child._plan_abs_sup = self._plan_abs_sup
+        child = self._batched_child(self._batch, row, reuse)
         child._block_parent = self
-        child._block_rank = bit
         return child
 
-    def _materialize_children(self, last_label: Optional[Label]) -> Dict[Label, tuple]:
+    def _entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+        """``(offsets, cols, words, row)``: this prefix's nonzero candidate
+        rows are entries ``offsets[row] : offsets[row + 1]`` of
+        ``cols``/``words`` — its batch's, or extracted from its dense
+        slab."""
+        source = self._source
+        if source is not None:
+            return source.offsets, source.entry_cols, source.entry_words, self._row
+        cols = np.flatnonzero(self._ensure_counts())
+        offsets = np.array([0, cols.size], dtype=np.int64)
+        return offsets, cols, self._cand.take(cols, axis=0), 0
+
+    def _materialize_children(self, last_label: Optional[Label]) -> Dict[Label, int]:
         """Batch-build the frequent children recorded by the last plan.
 
-        One ``[k, n_labels, tx_words]`` expression grows every child;
-        its popcount pass seeds their extension counts, and one fused
-        thresholded extraction seeds their entire plan digests (sound
-        because the engine's ``abs_sup`` is fixed per mine call and
-        recorded by this store's own plan, and every batched child is
-        frequent — so tied labels are a subset of frequent ones, see
-        :func:`_group_plan_digests`).  Children below ``last_label``
-        are skipped — canonical growth never visits them (``extend``
-        still serves them via the single path).  The child map holds
-        ``label -> (batch row, bit, digest, support)``.
+        The forest's level build applied to one parent: every child
+        grows from this prefix's nonzero candidate rows (:func:`_grow`),
+        and the batch digests every child's plan from its entries
+        (sound because the engine's ``abs_sup`` is fixed per mine call
+        and recorded by this store's own plan, and every batched child
+        is frequent).  Children below ``last_label`` are skipped —
+        canonical growth never visits them (``extend`` still serves
+        them via the single path).  Returns each child's batch row by
+        label.
         """
         digest = self._plan_digest
         abs_sup = self._plan_abs_sup
@@ -819,91 +953,43 @@ class SlabEmbeddingStore:
             cutoff = bit_of.get(last_label)
             if cutoff is None:
                 cutoff = bisect_left(slab.labels, last_label)
-        triples = [
-            (bit_of[lab], lab, count)
-            for lab, count in digest[0]
-            if bit_of[lab] >= cutoff
-        ]
-        if not triples:
+        frequent = [(lab, count) for lab, count in digest[0] if bit_of[lab] >= cutoff]
+        if not frequent:
             return {}
-        labels = slab.labels
-        cand = self._cand
-        bits_list = [bit for bit, _, _ in triples]
+        bits_list = [bit_of[lab] for lab, _ in frequent]
         bits = np.array(bits_list, dtype=np.intp)
-        grown = slab.nbr[bits]
-        grown &= cand
-        tx_rows = cand[bits]
-        grown &= tx_rows[:, None, :]
-        counts = popcount_rows(grown)
-
-        # The digest extraction of _group_plan_digests, inlined: one
-        # thresholded nonzero finds the frequent labels and (because
-        # every child is frequent) the tied ones among them.
-        freq_mask = counts >= abs_sup
-        rows, cols = np.nonzero(freq_mask)
-        values = counts[freq_mask]
-        n_present = (counts != 0).sum(axis=1)
-
-        sup_list = [count for _, _, count in triples]
-        frequent_lists: List[list] = [[] for _ in triples]
-        tie_lists: List[list] = [[] for _ in triples]
-        for row, col, value in zip(rows.tolist(), cols.tolist(), values.tolist()):
-            frequent_lists[row].append((labels[col], value))
-            if value == sup_list[row]:
-                tie_lists[row].append(col)
-
-        child_digests: Dict[int, tuple] = {}
-        children: Dict[Label, tuple] = {}
-        for j, present in enumerate(n_present.tolist()):
-            bit, lab, count = triples[j]
-            if present:
-                frequent = frequent_lists[j]
-                tie_bits = tie_lists[j]
-                child = (frequent, present - len(frequent), bool(tie_bits), tie_bits)
-            else:
-                child = ([], 0, False, None)
-            child_digests[bit] = child
-            children[lab] = (j, bit, child, count)
-        self._batch = (bits_list, grown, child_digests, tx_rows)
-        return children
+        offsets, cols, words, row = self._entries()
+        lo = offsets[row]
+        tx = words.take(lo + np.searchsorted(cols[lo : offsets[row + 1]], bits), axis=0)
+        grown = _grow(
+            offsets, cols, words, np.full(bits.size, row, dtype=np.intp), bits, tx, slab.nbr
+        )
+        self._batch = _ForestLevel(
+            bits_list,
+            bits,
+            tx,
+            np.array([count for _, count in frequent], dtype=np.int64),
+            abs_sup,
+            slab.labels,
+            *grown,
+        )
+        return {lab: j for j, (lab, _) in enumerate(frequent)}
 
     def _ensure_child_blocks(self) -> Dict[int, int]:
-        """Lemma 4.4 answers for this store's batched children.
+        """Lemma 4.4 answers for this store's batched children, by row.
 
         Resolved lazily on the first child that asks (the closure
         prunings may be disabled, in which case nobody ever does), in
-        one chunked pass over every (child, tied-bit-below-rank) pair.
+        one chunked pass over every (child, tied-bit-below-its-bit)
+        pair.
         """
-        blocks = self._child_blocks
-        if blocks is None:
-            bits, grown, digests, _ = self._batch
-            pair_rows: List[int] = []
-            pair_tied: List[int] = []
-            for row, bit in enumerate(bits):
-                tie_bits = digests[bit][3]
-                if not tie_bits:
-                    continue
-                for tied in tie_bits:
-                    if tied >= bit:
-                        break
-                    pair_rows.append(row)
-                    pair_tied.append(tied)
-            by_row = _first_blocking(
-                np.asarray(pair_rows, dtype=np.intp),
-                np.asarray(pair_tied, dtype=np.intp),
-                grown,
-                self.slab.nbr,
-            )
-            blocks = self._child_blocks = {
-                bits[row]: hit for row, hit in by_row.items()
-            }
-        return blocks
+        return self._batch.blocking(self.slab.nbr)
 
     def _extend_single(
         self, label: Label, reuse: Optional["SlabEmbeddingStore"] = None
     ) -> "SlabEmbeddingStore":
         bit = self.slab.bit_of.get(label)
-        cand = self._cand
+        cand = self._cand_slab()
         if bit is None:
             empty = np.zeros_like(cand)
             return self._child(
@@ -929,10 +1015,26 @@ class SlabEmbeddingStore:
             reuse,
         )
 
+    def _cand_slab(self) -> np.ndarray:
+        """The dense candidate slab, scattered from the entries on first use.
+
+        Only cold paths ask: single extensions, extension counts,
+        off-engine Lemma 4.4 scans, records and bitset delegation.
+        """
+        cand = self._cand
+        if cand is None:
+            slab = self.slab
+            cand = np.zeros((slab.n_labels, slab.tx_words), dtype=slab.presence.dtype)
+            source, row = self._source, self._row
+            lo, hi = source.offsets[row], source.offsets[row + 1]
+            cand[source.entry_cols[lo:hi]] = source.entry_words[lo:hi]
+            self._cand = cand
+        return cand
+
     def _ensure_counts(self) -> np.ndarray:
         counts = self._counts
         if counts is None:
-            counts = self._counts = popcount_rows(self._cand)
+            counts = self._counts = popcount_rows(self._cand_slab())
         return counts
 
     # ------------------------------------------------------------------
@@ -949,7 +1051,7 @@ class SlabEmbeddingStore:
         rows = [bit_of[label] for label in valid_labels if label in bit_of]
         if not rows or not self._support:
             return 0
-        picked = np.ascontiguousarray(self._cand[np.asarray(rows, dtype=np.intp)])
+        picked = np.ascontiguousarray(self._cand_slab()[np.asarray(rows, dtype=np.intp)])
         bits = np.unpackbits(picked.view(np.uint8), axis=-1, bitorder="little")
         return int(bits.sum(axis=0, dtype=np.int64).max())
 
@@ -979,7 +1081,7 @@ class SlabEmbeddingStore:
         aligned = self.database.aligned_space() is not None
         vertex_of = self.slab.vertices
         # Column-extract each supporting transaction's candidate mask.
-        cand = np.ascontiguousarray(self._cand)
+        cand = np.ascontiguousarray(self._cand_slab())
         bits = np.unpackbits(cand.view(np.uint8), axis=-1, bitorder="little")
         for tid, vertices in zip(tids, self._embedding_rows().tolist()):
             column = bits[:, tid]

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.baselines.bruteforce import bruteforce_closed_cliques
 from repro.core import BITSET, SLAB, ClanMiner, MinerConfig, slab_store
 from repro.graphdb import Graph, GraphDatabase
+from repro.graphdb.slab import popcount_rows
 
 from tests.conftest import make_random_database
 from tests.oracles import reference_mine
@@ -198,7 +199,8 @@ class TestMultiWordSlab:
         bitset = ClanMiner(database, MinerConfig(kernel=BITSET)).mine(min_sup)
         unbounded = ClanMiner(database, MinerConfig(kernel=SLAB)).mine(min_sup)
         assert_matches_reference(unbounded, bitset, (n_graphs, "unbounded"))
-        # The mid cap holds the forest's first level build, not the rest.
+        # The mid cap holds the forest's first level build, not the rest;
+        # ``nbytes`` counts the levels' entry words.
         grown = [nbytes for built, nbytes in levels if built]
         assert max(grown) > min(grown)
         for cap in (0, min(grown)):
@@ -212,6 +214,33 @@ class TestMultiWordSlab:
             assert built == ({False} if cap == 0 else {True, False}), cap
             assert set(fallbacks) == {"_materialize_children", "_ensure_child_blocks"}, cap
 
+    def test_fig7b_x64_forest_never_saturates(self, monkeypatch):
+        """Sparse levels keep fig7b ×64 inside the default forest cap:
+        every level is built and no store batches per parent."""
+        from repro.stockmarket import stock_market_database
+
+        database = stock_market_database(0.95, scale="small").replicate(64)
+        assert database.slab_space().tx_words == 11
+        forest, store = slab_store._SlabForest, slab_store.SlabEmbeddingStore
+        built = []
+        fallbacks = []
+        ensure_children = forest.ensure_children
+        materialize = store._materialize_children
+
+        def traced_levels(level_forest, depth):
+            built.append(ensure_children(level_forest, depth))
+            return built[-1]
+
+        def traced_fallback(parent, *args):
+            fallbacks.append(parent)
+            return materialize(parent, *args)
+
+        monkeypatch.setattr(forest, "ensure_children", traced_levels)
+        monkeypatch.setattr(store, "_materialize_children", traced_fallback)
+        assert len(ClanMiner(database, MinerConfig(kernel=SLAB)).mine(0.85))
+        assert built and all(built)
+        assert fallbacks == []
+
 
 def _draw_slab(data, dtype, shape):
     """A word array of ``shape`` biased toward empty and full words."""
@@ -222,11 +251,20 @@ def _draw_slab(data, dtype, shape):
     return np.array(words, dtype=dtype).reshape(shape)
 
 
+def _entries(dense):
+    """``(offsets, cols, words)``: the nonzero rows of a ``[m, labels,
+    words]`` stack of slabs, row ``r``'s at ``offsets[r] : offsets[r+1]``
+    — the entry layout of the slab forest's levels."""
+    rows, cols = np.nonzero(popcount_rows(dense))
+    offsets = np.searchsorted(rows, np.arange(dense.shape[0] + 1)).astype(np.int64)
+    return offsets, cols, dense[rows, cols]
+
+
 class TestBlockingBatch:
     """``slab_store._first_blocking`` against the definition of the
     Lemma 4.4 test: per row, the smallest paired label ``c`` (with
     ``cand[c] == tx``) whose ``cand & ~nbr[c]`` is zero outside row
-    ``c``."""
+    ``c``.  The dense slabs are handed over as their nonzero rows."""
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -239,8 +277,18 @@ class TestBlockingBatch:
     def test_first_blocking_matches_definition(
         self, dtype, tx_words, n_labels, n_rows, data
     ):
+        shapes = [
+            data.draw(st.sampled_from(["drawn", "empty", "dense"]), label=f"shape {row}")
+            for row in range(n_rows)
+        ]
         tx = _draw_slab(data, dtype, (n_rows, tx_words))
+        for row, shape in enumerate(shapes):
+            if shape != "drawn":
+                tx[row] = 0 if shape == "empty" else np.iinfo(dtype).max
         cand = _draw_slab(data, dtype, (n_rows, n_labels, tx_words)) & tx[:, None, :]
+        for row, shape in enumerate(shapes):
+            if shape == "dense":
+                cand[row] = tx[row]
         nbr = _draw_slab(data, dtype, (n_labels, n_labels, tx_words))
         labels = st.lists(st.integers(0, n_labels - 1), unique=True)
         tied = [sorted(data.draw(labels, label=f"tied {row}")) for row in range(n_rows)]
@@ -269,19 +317,129 @@ class TestBlockingBatch:
 
         rows = np.array([row for row, _ in pairs], dtype=np.intp)
         cols = np.array([c for _, c in pairs], dtype=np.intp)
+        entries = _entries(cand)
         # Tiny chunks, so answered rows drop out between chunks.
         chunk = data.draw(st.integers(1, 4), label="pair chunk")
         chunk_bytes = data.draw(
-            st.sampled_from([1, nbr[0].nbytes * 2, 1 << 20]), label="chunk bytes"
+            st.sampled_from([1, nbr[0, 0].nbytes * 3, nbr[0].nbytes * 2, 1 << 20]),
+            label="chunk bytes",
         )
-        inputs = cand.copy(), nbr.copy()
+        inputs = [array.copy() for array in (*entries, nbr)]
         with mock.patch.object(slab_store, "_PAIR_CHUNK", chunk), mock.patch.object(
             slab_store, "_CHUNK_BYTES", chunk_bytes
         ):
-            got = slab_store._first_blocking(rows, cols, cand, nbr)
+            got = slab_store._first_blocking(rows, cols, *entries, nbr)
         assert got == expected
         # The cleared rows live in a fresh gather, never in the inputs.
-        assert np.array_equal(cand, inputs[0]) and np.array_equal(nbr, inputs[1])
+        for array, before in zip((*entries, nbr), inputs):
+            assert np.array_equal(array, before)
+
+
+def _dense_candidates(space, member_bits):
+    """A prefix's candidate slab by definition, grown label by label: a
+    child's is ``parent & nbr[bit] & parent[bit]`` (``parent[bit]`` is
+    the child's ``tx``)."""
+    cand = space.nbr[member_bits[0]]
+    for bit in member_bits[1:]:
+        cand = cand & space.nbr[bit] & cand[bit]
+    return cand
+
+
+#: Transaction counts per slab layout — one u1/u2/u4/u8 word, or two or
+#: three u8 words — and the layout's (word bytes, words per row).
+LAYOUTS = {
+    "u1": ((2, 8), (1, 1)),
+    "u2": ((9, 16), (2, 1)),
+    "u4": ((17, 32), (4, 1)),
+    "u8": ((33, 64), (8, 1)),
+    "u8x2": ((65, 128), (8, 2)),
+    "u8x3": ((129, 192), (8, 3)),
+}
+
+
+def mixed_label_database(seed: int, n_bases: int, n_graphs: int) -> GraphDatabase:
+    """``n_graphs`` transactions drawn from a few unique-label graphs, so
+    cliques stay frequent at any transaction count."""
+    bases = list(unique_label_database(seed, n_graphs=n_bases))
+    rng = random.Random(seed)
+    return GraphDatabase(
+        (rng.choice(bases).copy(graph_id=tid) for tid in range(n_graphs)),
+        name=f"mixed-{seed}",
+    )
+
+
+class TestSparseForest:
+    """The forest keeps each prefix's candidate slab as its nonzero rows.
+
+    Every level's entries must equal the nonzero rows of the dense
+    definition (``parent & nbr[child] & tx``), and every batched store's
+    lazily scattered ``_cand`` must equal its dense slab — forest-bound
+    or, under a zero ``_FOREST_MAX_BYTES``, per-parent batched."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        layout=st.sampled_from(sorted(LAYOUTS)),
+        seed=st.integers(0, 2**16),
+        n_bases=st.integers(2, 6),
+        fraction=st.sampled_from([0.05, 0.1, 0.25]),
+        cap=st.sampled_from([slab_store._FOREST_MAX_BYTES, 0]),
+        data=st.data(),
+    )
+    def test_entries_match_dense_definition(
+        self, layout, seed, n_bases, fraction, cap, data
+    ):
+        transactions, word_shape = LAYOUTS[layout]
+        n_graphs = data.draw(st.integers(*transactions), label="transactions")
+        database = mixed_label_database(seed, n_bases, n_graphs)
+        space = database.slab_space()
+        assert (space.presence.itemsize, space.tx_words) == word_shape
+        forest_cls, store_cls = slab_store._SlabForest, slab_store.SlabEmbeddingStore
+        forests = []
+        forest_init, extend = forest_cls.__init__, store_cls.extend
+
+        def recorded(forest, *args):
+            forest_init(forest, *args)
+            forests.append(forest)
+
+        def checked(store, label, *args, **kwargs):
+            child = extend(store, label, *args, **kwargs)
+            dense = _dense_candidates(space, child._member_bits)
+            if child._source is not None:
+                offsets, cols, words, row = child._entries()
+                lo, hi = offsets[row], offsets[row + 1]
+                nonzero = np.flatnonzero(popcount_rows(dense))
+                assert np.array_equal(cols[lo:hi], nonzero)
+                assert np.array_equal(words[lo:hi], dense[nonzero])
+            assert np.array_equal(child._cand_slab(), dense)
+            return child
+
+        min_sup = max(1, int(fraction * n_graphs))
+        bitset = ClanMiner(database, MinerConfig(kernel=BITSET)).mine(min_sup)
+        with mock.patch.object(forest_cls, "__init__", recorded), mock.patch.object(
+            store_cls, "extend", checked
+        ), mock.patch.object(slab_store, "_FOREST_MAX_BYTES", cap):
+            result = ClanMiner(database, MinerConfig(kernel=SLAB)).mine(min_sup)
+        assert_matches_reference(result, bitset, (layout, n_graphs, min_sup, cap))
+        assert forests
+
+        for forest in forests:
+            dense = space.nbr[forest.levels[0].bits_np]
+            for depth, level in enumerate(forest.levels):
+                if depth:
+                    parent = forest.levels[depth - 1]
+                    owners = np.repeat(
+                        np.arange(len(parent.bits)), np.diff(parent.child_offsets)
+                    )
+                    bits = np.array(parent.child_bits, dtype=np.intp)
+                    tx = dense[owners, bits]
+                    assert np.array_equal(level.tx, tx)
+                    dense = dense[owners] & space.nbr[bits] & tx[:, None, :]
+                offsets, cols, words = _entries(dense)
+                assert np.array_equal(level.offsets, offsets)
+                assert np.array_equal(level.entry_cols, cols)
+                assert np.array_equal(level.entry_words, words)
+            if cap == 0:
+                assert len(forest.levels) == 1
 
 
 class TestNonDefaultConfigs:
