@@ -13,6 +13,14 @@ names at most one vertex), so "the candidate sets of every embedding"
 and "per extension label, the supporting transactions" carry the same
 information, just batched along the axis numpy can vectorize.
 
+Only a few percent of a prefix's candidate rows are nonzero, so no
+store holds the dense slab.  Every store is a row of a
+:class:`_ForestLevel`, a batch of prefixes of one size that keeps each
+prefix's nonzero candidate rows as entries.  One growth routine
+(:meth:`_ForestLevel.grow`) builds every level from its parents'
+entries, and one digest routine (the level's constructor) gives every
+row its extension plan.
+
 What makes the kernel fast is not the vectorized expressions alone but
 *where* they run.  numpy pays ~1µs of dispatch per call; a search tree
 visits tens of thousands of prefixes, so per-prefix numpy work would
@@ -21,25 +29,27 @@ per-prefix questions from **level-synchronous forest batches**
 (:class:`_SlabForest`, one per mine call, hosted in the context dict
 the engine threads through ``root_store``):
 
-* a level is sparse: only a few percent of a prefix's candidate rows
-  are nonzero, so each level keeps every prefix's nonzero rows as
-  entries (:class:`_ForestLevel`) and grows the next depth from them
-  in one pass of gathers, ANDs and per-entry popcounts (levels are
-  built lazily, on the first ``extend`` out of the previous depth),
+* each level holds every canonical frequent child of the previous one,
+  grown in one pass of gathers, ANDs and per-entry popcounts (levels
+  are built lazily, on the first ``extend`` out of the previous depth),
 * the engine always calls ``extension_plan(abs_sup)`` before anything
   else on a store, and ``abs_sup`` is fixed for a mine call — so the
   level batch also derives each prefix's *entire plan digest*
-  (frequent list, infrequent count, Lemma 4.3 verdict, tied labels)
-  with one thresholded extraction over the entries,
+  (frequent list, infrequent count, Lemma 4.3 verdict) with one
+  thresholded extraction over the entries,
 * under canonical prefix growth, the rank a prefix's Lemma 4.4 scan
   runs at is its own last bit — known at batch time — so the
   non-closed test for a *whole level* collapses into one chunked pass
   over the (prefix, tied label) pairs, resolved lazily on the first
   store that asks,
 * forests whose entries outgrow ``_FOREST_MAX_BYTES`` stop deepening;
-  affected stores fall back to the same entry growth applied per
-  parent (one batch over a prefix's frequent children),
-  byte-identically.
+  affected stores grow their own frequent children as one level
+  instead (a per-parent batch), byte-identically.
+
+Stores outside a forest are rows of small levels built the same way:
+a root with no forest is the one row of a level read off its ``nbr``
+slice, a single off-plan extension is a one-pair growth, and a plan
+at another threshold digests the row again on its own.
 
 A tied label ``c`` satisfies ``cand[c] == tx`` by definition
 (``counts[c] == support`` and every row is a subset of ``tx``), and
@@ -50,13 +60,11 @@ pass it, so it gathers only a prefix's entries, clears the one at
 ``c``, and reduces each pair's flat words with one ``reduceat``, so no
 reduction runs over the short word axis.
 
-A store bound to a batch row holds no dense slab: the cold paths that
-need one — single extensions, extension counts, off-engine Lemma 4.4
-scans — scatter it from the entries on first use.  Everything the hot
-path does not need — witness tuples, per-embedding records,
-restriction, the unordered-extension ablation — materialises the
-equivalent int-mask records lazily and delegates to the bitset kernel,
-which keeps the byte-identity contract trivially.
+Everything the hot path does not need — witness tuples, per-embedding
+records, restriction, the unordered-extension ablation — materialises
+the equivalent int-mask records from the entries lazily and delegates
+to the bitset kernel, which keeps the byte-identity contract
+trivially.
 
 Construction goes through :meth:`repro.core.embeddings.EmbeddingStore.
 for_label`, which dispatches to this class only when the database has
@@ -113,60 +121,6 @@ def _ragged(starts: np.ndarray, lengths: np.ndarray) -> Tuple[np.ndarray, np.nda
     firsts = np.cumsum(lengths) - lengths
     total = int(firsts[-1] + lengths[-1]) if lengths.size else 0
     return np.arange(total) + np.repeat(starts - firsts, lengths), firsts
-
-
-def _grow(
-    offsets: np.ndarray,
-    cols: np.ndarray,
-    words: np.ndarray,
-    parents: np.ndarray,
-    child_bits: np.ndarray,
-    tx: np.ndarray,
-    nbr: np.ndarray,
-    budget: Optional[int] = None,
-) -> Optional[tuple]:
-    """Nonzero candidate rows of child prefixes, grown from their parents.
-
-    Child ``i`` extends the prefix whose entries are
-    ``offsets[parents[i]] : offsets[parents[i] + 1]`` of ``cols`` /
-    ``words`` by label bit ``child_bits[i]``, supported in ``tx[i]``.
-    Its candidate rows are ``words & nbr[child_bits[i], cols] & tx[i]``
-    over its parent's entries — a zero parent row stays zero — so each
-    parent entry is repeated once per child (a ragged ``np.repeat``)
-    and gathered with 1-D ``take`` on flat row views, at most
-    ``_CHUNK_BYTES`` of rows at a time.  Returns ``(rows, cols, words,
-    counts)`` of the nonzero results in (child, label) order, ``rows``
-    naming the child, or ``None`` once their bytes pass ``budget``.
-    """
-    starts = offsets[parents]
-    lengths = offsets[parents + 1] - starts
-    positions, _ = _ragged(starts, lengths)
-    owners = np.repeat(np.arange(lengths.size), lengths)
-    n_labels = nbr.shape[0]
-    nbr_rows = nbr.reshape(-1, nbr.shape[-1])
-    step = _chunk_rows(nbr)
-    row_bytes = nbr.itemsize * nbr.shape[-1]
-    parts = []
-    kept = 0
-    # At least one chunk, even an empty one, so the budget is checked.
-    for start in range(0, max(1, positions.size), step):
-        child = owners[start : start + step]
-        at = positions[start : start + step]
-        grown_cols = cols.take(at)
-        grown = words.take(at, axis=0)
-        grown &= nbr_rows.take(child_bits.take(child) * n_labels + grown_cols, axis=0)
-        grown &= tx.take(child, axis=0)
-        counts = popcount_rows(grown)
-        keep = np.flatnonzero(counts)
-        kept += keep.size * row_bytes
-        if budget is not None and kept > budget:
-            return None
-        parts.append(
-            (child.take(keep), grown_cols.take(keep), grown.take(keep, axis=0), counts.take(keep))
-        )
-    if len(parts) == 1:
-        return parts[0]
-    return tuple(np.concatenate(arrays) for arrays in zip(*parts))
 
 
 def _first_blocking(
@@ -258,13 +212,15 @@ class _ForestLevel:
     of ``entry_cols``/``entry_words`` are its nonzero candidate rows in
     ascending label order (label ``entry_cols[e]`` extends the prefix in
     the transactions of ``entry_words[e]``); every other row is zero.
-    ``digests[r]`` is its plan digest at ``abs_sup``, and ``freq_*``
-    keep the frequent entries, so the next level and the Lemma 4.4
-    batch are built without re-scanning.  Forest levels and per-parent
-    batches are both of this type.
+    ``digests[r]`` is its plan digest at ``abs_sup``, ``freq_*`` keep
+    the frequent entries and ``tie_*`` the tied ones, so children and
+    the Lemma 4.4 batch are built without re-scanning.  Every store is
+    a row of one: forest levels, per-parent batches and the small
+    levels of stores outside a forest share this type.
     """
 
     __slots__ = (
+        "slab",
         "bits",
         "bits_np",
         "tx",
@@ -277,7 +233,6 @@ class _ForestLevel:
         "freq_entries",
         "freq_rows",
         "freq_cols",
-        "freq_vals",
         "tie_rows",
         "tie_cols",
         "child_offsets",
@@ -287,12 +242,11 @@ class _ForestLevel:
 
     def __init__(
         self,
-        bits: List[int],
+        slab: TransposedSlabSpace,
         bits_np: np.ndarray,
         tx: np.ndarray,
         supports: np.ndarray,
         abs_sup: int,
-        labels: Sequence[Label],
         rows: np.ndarray,
         cols: np.ndarray,
         words: np.ndarray,
@@ -300,14 +254,15 @@ class _ForestLevel:
     ) -> None:
         """Digest the entries ``(rows, cols, words, counts)`` of a batch.
 
-        One thresholded extraction over the entries' popcounts: every
-        row is frequent (``support >= abs_sup >= 1``), so tied labels
-        (``count == support``) are a subset of the frequent ones and
-        fall out of the same extraction — see the tie-cache mirror notes
-        on :class:`SlabEmbeddingStore`.
+        One thresholded extraction over the entries' popcounts gives
+        each row its frequent ``(label, support)`` pairs and infrequent
+        count.  Ties (``count == support``) are taken over all entries,
+        so a row below ``abs_sup`` still reports a tied label as
+        blocking, as the bitset kernel does.
         """
-        n = len(bits)
-        self.bits = bits
+        n = bits_np.size
+        self.slab = slab
+        self.bits = bits_np.tolist()
         self.bits_np = bits_np
         self.tx = tx
         self.supports = supports.tolist()
@@ -324,33 +279,120 @@ class _ForestLevel:
         freq = self.freq_entries = np.flatnonzero(counts >= abs_sup)
         freq_rows = self.freq_rows = rows.take(freq)
         freq_cols = self.freq_cols = cols.take(freq)
-        freq_vals = self.freq_vals = counts.take(freq)
-        pairs_all = list(zip(map(labels.__getitem__, freq_cols.tolist()), freq_vals.tolist()))
-        freq_per = np.bincount(freq_rows, minlength=n).tolist()
-        tie_mask = freq_vals == supports.take(freq_rows)
-        tie_rows = self.tie_rows = freq_rows[tie_mask]
-        tie_cols = self.tie_cols = freq_cols[tie_mask]
-        tie_per = np.bincount(tie_rows, minlength=n).tolist()
-        tie_flat = tie_cols.tolist()
+        labels = slab.labels
+        pairs = list(zip(map(labels.__getitem__, freq_cols.tolist()), counts.take(freq).tolist()))
+        ties = np.flatnonzero(counts == supports.take(rows))
+        tie_rows = self.tie_rows = rows.take(ties)
+        self.tie_cols = cols.take(ties)
+        tied = np.zeros(n, dtype=bool)
+        tied[tie_rows] = True
 
         digests: List[tuple] = []
-        fpos = 0
-        tpos = 0
-        for j, present in enumerate(per_row.tolist()):
-            nf = freq_per[j]
-            nt = tie_per[j]
-            if present:
-                ties = tie_flat[tpos : tpos + nt]
-                digests.append(
-                    (pairs_all[fpos : fpos + nf], present - nf, bool(ties), ties)
-                )
-            else:
-                digests.append(([], 0, False, None))
-            fpos += nf
-            tpos += nt
+        at = 0
+        for present, n_frequent, blocking in zip(
+            per_row.tolist(), np.bincount(freq_rows, minlength=n).tolist(), tied.tolist()
+        ):
+            digests.append((pairs[at : at + n_frequent], present - n_frequent, blocking))
+            at += n_frequent
         self.digests = digests
 
-    def blocking(self, nbr: np.ndarray) -> Dict[int, int]:
+    @classmethod
+    def roots(
+        cls, slab: TransposedSlabSpace, bits_np: np.ndarray, abs_sup: int
+    ) -> "_ForestLevel":
+        """The 1-cliques of label bits ``bits_np``, digested at ``abs_sup``.
+
+        A root's candidate slab is its ``nbr`` slice: one dense
+        popcount pass finds the nonzero rows.
+        """
+        nbr = slab.nbr
+        n_labels = slab.n_labels
+        counts = popcount_rows(nbr[bits_np])
+        flat = np.flatnonzero(counts)
+        rows, cols = np.divmod(flat, n_labels)
+        words = nbr.reshape(-1, slab.tx_words).take(bits_np.take(rows) * n_labels + cols, axis=0)
+        return cls(
+            slab,
+            bits_np,
+            slab.presence[bits_np],
+            slab.label_tx_counts[bits_np],
+            abs_sup,
+            rows,
+            cols,
+            words,
+            counts.reshape(-1).take(flat),
+        )
+
+    def grow(
+        self, parent_rows: np.ndarray, picks: np.ndarray, budget: Optional[int] = None
+    ) -> Optional["_ForestLevel"]:
+        """The children named by entries ``picks`` of rows ``parent_rows``.
+
+        Child ``i`` extends row ``parent_rows[i]`` by the label of its
+        entry ``picks[i]``, so that entry's words are the child's
+        ``tx``.  Its candidate rows are ``words & nbr[child_bit, cols] &
+        tx`` over its parent's entries — a zero parent row stays zero —
+        so each parent entry is repeated once per child (a ragged
+        ``np.repeat``) and gathered with 1-D ``take`` on flat row views,
+        at most ``_CHUNK_BYTES`` of rows at a time.  Returns the
+        children as a level digested at this one's ``abs_sup``, or
+        ``None`` once their entry bytes pass ``budget``.
+        """
+        child_bits = self.entry_cols.take(picks)
+        tx = self.entry_words.take(picks, axis=0)
+        starts = self.offsets[parent_rows]
+        lengths = self.offsets[parent_rows + 1] - starts
+        positions, _ = _ragged(starts, lengths)
+        owners = np.repeat(np.arange(lengths.size), lengths)
+        nbr = self.slab.nbr
+        n_labels = nbr.shape[0]
+        nbr_rows = nbr.reshape(-1, nbr.shape[-1])
+        step = _chunk_rows(nbr)
+        row_bytes = nbr.itemsize * nbr.shape[-1]
+        parts = []
+        kept = 0
+        # At least one chunk, even an empty one, so the budget is checked.
+        for start in range(0, max(1, positions.size), step):
+            child = owners[start : start + step]
+            at = positions[start : start + step]
+            grown_cols = self.entry_cols.take(at)
+            grown = self.entry_words.take(at, axis=0)
+            grown &= nbr_rows.take(child_bits.take(child) * n_labels + grown_cols, axis=0)
+            grown &= tx.take(child, axis=0)
+            counts = popcount_rows(grown)
+            keep = np.flatnonzero(counts)
+            kept += keep.size * row_bytes
+            if budget is not None and kept > budget:
+                return None
+            parts.append(
+                (
+                    child.take(keep),
+                    grown_cols.take(keep),
+                    grown.take(keep, axis=0),
+                    counts.take(keep),
+                )
+            )
+        if len(parts) > 1:
+            parts = [tuple(np.concatenate(arrays) for arrays in zip(*parts))]
+        return _ForestLevel(self.slab, child_bits, tx, popcount_rows(tx), self.abs_sup, *parts[0])
+
+    def alone(self, row: int, abs_sup: int) -> "_ForestLevel":
+        """Row ``row`` as the one row of a level digested at ``abs_sup``."""
+        lo, hi = self.offsets[row : row + 2].tolist()
+        words = self.entry_words[lo:hi]
+        return _ForestLevel(
+            self.slab,
+            self.bits_np[row : row + 1],
+            self.tx[row : row + 1],
+            np.array(self.supports[row : row + 1]),
+            abs_sup,
+            np.zeros(hi - lo, dtype=np.intp),
+            self.entry_cols[lo:hi],
+            words,
+            popcount_rows(words),
+        )
+
+    def blocking(self) -> Dict[int, int]:
         """Smallest Lemma 4.4 blocking bit per row, at each row's own rank.
 
         Under canonical growth a prefix's scan rank is its last bit, so
@@ -366,9 +408,29 @@ class _ForestLevel:
                 self.offsets,
                 self.entry_cols,
                 self.entry_words,
-                nbr,
+                self.slab.nbr,
             )
         return blocks
+
+
+def _nowhere(slab: TransposedSlabSpace, abs_sup: int) -> _ForestLevel:
+    """A one-row level for a prefix supported in no transaction.
+
+    It has no entries, so its last bit (recorded as 0) is never read.
+    """
+    none = np.zeros(0, dtype=np.intp)
+    tx = np.zeros((1, slab.tx_words), dtype=slab.presence.dtype)
+    return _ForestLevel(
+        slab,
+        np.zeros(1, dtype=np.intp),
+        tx,
+        np.zeros(1, dtype=np.int64),
+        abs_sup,
+        none,
+        none,
+        tx[:0],
+        none,
+    )
 
 
 class _SlabForest:
@@ -408,45 +470,24 @@ class _SlabForest:
         self.saturated = False
         supports = slab.label_tx_counts
         bits = [bit for bit in root_bits if supports[bit] >= abs_sup]
-        bits_np = np.array(bits, dtype=np.intp)
-        # A root's candidate slab is its ``nbr`` slice: one dense
-        # popcount pass per mine call finds the nonzero rows.
-        nbr = slab.nbr
-        n_labels = slab.n_labels
-        counts = popcount_rows(nbr[bits_np])
-        flat = np.flatnonzero(counts)
-        rows, cols = np.divmod(flat, n_labels)
-        words = nbr.reshape(-1, slab.tx_words).take(bits_np.take(rows) * n_labels + cols, axis=0)
-        level = _ForestLevel(
-            bits,
-            bits_np,
-            slab.presence[bits_np],
-            supports[bits_np],
-            abs_sup,
-            slab.labels,
-            rows,
-            cols,
-            words,
-            counts.reshape(-1).take(flat),
-        )
-        self.nbytes = words.nbytes
+        level = _ForestLevel.roots(slab, np.array(bits, dtype=np.intp), abs_sup)
+        self.nbytes = level.entry_words.nbytes
         self.levels: List[_ForestLevel] = [level]
         self.root_index = {bit: row for row, bit in enumerate(bits)}
 
     def ensure_children(self, depth: int) -> bool:
         """Build level ``depth+1`` (all canonical frequent children).
 
-        Each child's ``tx`` is its parent's entry at the child bit, and
-        its entries grow from the parent's (:func:`_grow`).  Returns
-        False when the forest is saturated — callers then fall back to
-        per-parent batching.  Idempotent per level.
+        Each child grows from its parent's entries
+        (:meth:`_ForestLevel.grow`).  Returns False when the forest is
+        saturated — callers then fall back to per-parent batching.
+        Idempotent per level.
         """
         level = self.levels[depth]
         if level.child_offsets is not None:
             return True
         if self.saturated:
             return False
-        slab = self.slab
         canon = level.freq_cols >= level.bits_np[level.freq_rows]
         if level.blocks:
             # The engine prunes before it extends, so by the time the
@@ -459,37 +500,18 @@ class _SlabForest:
             alive[np.fromiter(level.blocks, dtype=np.intp, count=len(level.blocks))] = False
             canon &= alive[level.freq_rows]
         parent_rows = level.freq_rows[canon]
-        child_bits = level.freq_cols[canon]
-        tx = level.entry_words.take(level.freq_entries[canon], axis=0)
-        grown = _grow(
-            level.offsets,
-            level.entry_cols,
-            level.entry_words,
-            parent_rows,
-            child_bits,
-            tx,
-            slab.nbr,
-            _FOREST_MAX_BYTES - self.nbytes,
+        child = level.grow(
+            parent_rows, level.freq_entries[canon], _FOREST_MAX_BYTES - self.nbytes
         )
-        if grown is None:
+        if child is None:
             self.saturated = True
             return False
         offsets = np.zeros(len(level.bits) + 1, dtype=np.int64)
         np.cumsum(np.bincount(parent_rows, minlength=len(level.bits)), out=offsets[1:])
         level.child_offsets = offsets.tolist()
-        level.child_bits = child_bits.tolist()
-        if child_bits.size:
-            child = _ForestLevel(
-                level.child_bits,
-                child_bits,
-                tx,
-                level.freq_vals[canon],
-                self.abs_sup,
-                slab.labels,
-                *grown,
-            )
-            self.nbytes += child.entry_words.nbytes
-            self.levels.append(child)
+        level.child_bits = child.bits
+        self.nbytes += child.entry_words.nbytes
+        self.levels.append(child)
         return True
 
 
@@ -510,22 +532,15 @@ class SlabEmbeddingStore:
         "kernel",
         "size",
         "slab",
-        "_cand",
         "_tx",
         "_support",
         "_member_bits",
-        "_counts",
-        "_tie_bits",
-        "_plan_digest",
-        "_plan_abs_sup",
         "_context",
         "_forest",
         "_level",
         "_source",
         "_row",
-        "_block_parent",
         "_batch",
-        "_children",
         "_tids",
         "_tid_array",
         "_by_transaction",
@@ -538,14 +553,15 @@ class SlabEmbeddingStore:
         pseudo: Optional[PseudoDatabase],
         size: int,
         member_bits: Tuple[int, ...],
-        cand: Optional[np.ndarray],
         tx: np.ndarray,
         support: int,
+        source: Optional[_ForestLevel] = None,
+        row: int = 0,
     ) -> None:
         self.strategy = "cached"
         self.kernel = "slab"
         self.slab = slab
-        self._refill(database, pseudo, size, member_bits, cand, tx, support)
+        self._refill(database, pseudo, size, member_bits, tx, support, source, row)
 
     def _refill(
         self,
@@ -553,9 +569,10 @@ class SlabEmbeddingStore:
         pseudo: Optional[PseudoDatabase],
         size: int,
         member_bits: Tuple[int, ...],
-        cand: Optional[np.ndarray],
         tx: np.ndarray,
         support: int,
+        source: Optional[_ForestLevel] = None,
+        row: int = 0,
     ) -> "SlabEmbeddingStore":
         """Point this store at one prefix and clear every lazy cache.
 
@@ -568,22 +585,8 @@ class SlabEmbeddingStore:
         self.pseudo = pseudo
         self.size = size
         self._member_bits = member_bits
-        #: The dense ``[n_labels, tx_words]`` candidate slab; ``None``
-        #: for a batched child until a cold path scatters it
-        #: (:meth:`_cand_slab`).
-        self._cand = cand
         self._tx = tx
         self._support = support
-        #: Extension supports per label bit, computed on first use
-        #: (stores from a batch arrive with their plan digest instead).
-        self._counts: Optional[np.ndarray] = None
-        #: Tied label bits (ascending), seeded by the extension plan;
-        #: ``None`` mirrors the int-mask kernel's unseeded tie cache.
-        self._tie_bits: Optional[List[int]] = None
-        #: ``(frequent, n_infrequent, blocking, tie_bits)`` — pre-seeded
-        #: by the mine call's forest or a parent's per-parent batch.
-        self._plan_digest: Optional[tuple] = None
-        self._plan_abs_sup: Optional[int] = None
         #: The engine's per-mine-call context dict (root stores only);
         #: hosts the shared :class:`_SlabForest`.
         self._context: Optional[dict] = None
@@ -591,17 +594,12 @@ class SlabEmbeddingStore:
         #: and its level (depth = size - 1), else ``None``.
         self._forest: Optional[_SlabForest] = None
         self._level: int = 0
-        #: The batch holding this prefix's entries — its forest level or
-        #: its parent's per-parent batch — and its row there.
-        self._source: Optional[_ForestLevel] = None
-        self._row: int = 0
-        #: Per-parent fallback: the parent whose batch answers this
-        #: store's Lemma 4.4 test when the forest is saturated.
-        self._block_parent: Optional["SlabEmbeddingStore"] = None
-        #: This store's own per-parent batch of children, and their rows
-        #: in it by label.
+        #: The level holding this prefix's entries, and its row there;
+        #: ``None`` for a root until its first plan (or other question).
+        self._source = source
+        self._row = row
+        #: This store's own per-parent batch of children.
         self._batch: Optional[_ForestLevel] = None
-        self._children: Optional[Dict[Label, int]] = None
         self._tids: Optional[Tuple[int, ...]] = None
         self._tid_array: Optional[np.ndarray] = None
         self._by_transaction: Optional[Dict[int, list]] = None
@@ -627,14 +625,13 @@ class SlabEmbeddingStore:
         """
         bit = slab.bit_of.get(label)
         if bit is None:
-            empty = np.zeros((slab.n_labels, slab.tx_words), dtype=slab.presence.dtype)
-            return cls(slab, database, pseudo, 1, (), empty, empty[0], 0)
+            nowhere = _nowhere(slab, 1)
+            return cls(slab, database, pseudo, 1, (), nowhere.tx[0], 0, nowhere)
         prefix = (
             database,
             pseudo,
             1,
             (bit,),
-            slab.nbr[bit],
             slab.presence[bit],
             int(slab.label_tx_counts[bit]),
         )
@@ -705,16 +702,30 @@ class SlabEmbeddingStore:
         for tid, row in zip(self.transactions(), rows):
             yield tid, tuple(row)
 
+    def _entries(self) -> Tuple[_ForestLevel, int, int, int]:
+        """``(level, row, lo, hi)``: this prefix is row ``row`` of
+        ``level``, and its nonzero candidate rows are entries ``lo:hi``
+        there.
+
+        A root asked before any plan is digested on its own at a
+        threshold above its support, where nothing is frequent, so it
+        batches no children until a plan names the threshold.
+        """
+        if self._source is None:
+            self._digest_alone(self._support + 1)
+        level, row = self._source, self._row
+        lo, hi = level.offsets[row : row + 2].tolist()
+        return level, row, lo, hi
+
     # ------------------------------------------------------------------
     # Scans of Algorithm 1
     # ------------------------------------------------------------------
     def extension_supports(self) -> Dict[Label, int]:
         """Support of ``C ◇ β`` for every extension label β."""
-        counts = self._ensure_counts()
+        level, _, lo, hi = self._entries()
         labels = self.slab.labels
-        present = np.nonzero(counts)[0].tolist()
-        values = counts[present].tolist() if present else []
-        return {labels[bit]: count for bit, count in zip(present, values)}
+        counts = popcount_rows(level.entry_words[lo:hi]).tolist()
+        return {labels[bit]: count for bit, count in zip(level.entry_cols[lo:hi].tolist(), counts)}
 
     def extension_plan(
         self, abs_sup: int
@@ -724,64 +735,47 @@ class SlabEmbeddingStore:
         Same contract as ``EmbeddingStore.extension_plan``: frequent
         ``(label, support)`` pairs in ascending label order, the
         infrequent-label count, and the Lemma 4.3 verdict.  The digest
-        arrives precomputed when this store came out of the mine call's
-        forest or a parent's per-parent batch (and ``abs_sup``
-        matches); root stores bind to their forest row here; only
-        off-engine callers pay a per-store vectorized pass.
+        is this store's row of its level when the level was digested at
+        ``abs_sup`` — always so on the engine path; root stores bind to
+        their forest row here.  Otherwise the row is digested again on
+        its own.
         """
-        digest = self._plan_digest
-        if digest is None or abs_sup != self._plan_abs_sup:
-            digest = None
-            context = self._context
-            if context is not None and self.size == 1 and self._member_bits:
-                bit = self._member_bits[0]
-                forest = context.get("slab_forest")
-                if (
-                    forest is None
-                    or forest.abs_sup != abs_sup
-                    or forest.slab is not self.slab
-                ):
-                    bit_of = self.slab.bit_of
-                    root_bits = [
-                        bit_of[root]
-                        for root in context.get("roots", ())
-                        if root in bit_of
-                    ]
-                    forest = _SlabForest(self.slab, abs_sup, root_bits)
-                    context["slab_forest"] = forest
-                row = forest.root_index.get(bit)
-                if row is not None:
-                    self._forest = forest
-                    self._level = 0
-                    self._source = forest.levels[0]
-                    self._row = row
-                    digest = forest.levels[0].digests[row]
-            if digest is None:
-                digest = self._compute_plan(abs_sup)
-            self._plan_digest = digest
-            self._plan_abs_sup = abs_sup
-        frequent, n_infrequent, blocking, tie_bits = digest
-        self._tie_bits = tie_bits
-        return frequent, n_infrequent, blocking
+        level = self._source
+        if level is None or level.abs_sup != abs_sup:
+            if self._context is None or not self._join_forest(abs_sup):
+                self._digest_alone(abs_sup)
+            level = self._source
+        return level.digests[self._row]
 
-    def _compute_plan(self, abs_sup: int) -> tuple:
-        """The unbatched fallback digest (off-engine callers only)."""
-        counts = self._ensure_counts()
-        present = counts > 0
-        n_present = int(np.count_nonzero(present))
-        if not n_present:
-            # Mirror the int-mask early return: the tie cache stays
-            # unseeded (nonclosed scans then run from scratch).
-            return [], 0, False, None
-        frequent_mask = present & (counts >= abs_sup)
-        tie_bits = np.nonzero(counts == self._support)[0].tolist()
-        freq_bits = np.nonzero(frequent_mask)[0].tolist()
-        freq_counts = counts[frequent_mask].tolist()
-        labels = self.slab.labels
-        frequent = [
-            (labels[bit], count) for bit, count in zip(freq_bits, freq_counts)
-        ]
-        return frequent, n_present - len(frequent), bool(tie_bits), tie_bits
+    def _join_forest(self, abs_sup: int) -> bool:
+        """Bind this root to its row of the mine call's forest at
+        ``abs_sup``, building the forest on first ask; False when the
+        forest has no such root (an infrequent or unrequested label)."""
+        context = self._context
+        forest = context.get("slab_forest")
+        if forest is None or forest.abs_sup != abs_sup or forest.slab is not self.slab:
+            bit_of = self.slab.bit_of
+            root_bits = [bit_of[root] for root in context.get("roots", ()) if root in bit_of]
+            forest = context["slab_forest"] = _SlabForest(self.slab, abs_sup, root_bits)
+        row = forest.root_index.get(self._member_bits[0])
+        if row is None:
+            return False
+        self._forest, self._level, self._source, self._row = forest, 0, forest.levels[0], row
+        self._batch = None
+        return True
+
+    def _digest_alone(self, abs_sup: int) -> None:
+        """Re-bind this store as the one row of a level digested at
+        ``abs_sup``: its current row's entries, or a root's ``nbr``
+        slice."""
+        level = self._source
+        if level is None:
+            level = _ForestLevel.roots(
+                self.slab, np.array(self._member_bits, dtype=np.intp), abs_sup
+            )
+        else:
+            level = level.alone(self._row, abs_sup)
+        self._forest, self._source, self._row, self._batch = None, level, 0, None
 
     def nonclosed_extension_label(self, last_label: Label) -> Optional[Label]:
         """The Lemma 4.4 test, transposed.
@@ -789,11 +783,12 @@ class SlabEmbeddingStore:
         A label ``c`` blocks iff it is a candidate in *every*
         supporting transaction (``cand[c] == tx`` — automatic for tied
         labels) and no other candidate anywhere is non-adjacent to it
-        (``cand & ~nbr[c]`` is zero outside row ``c``).  On the engine
-        path the answer comes from the batch holding the prefix — its
-        forest level, or its parent's per-parent batch — resolved once
-        for the whole batch, so this is a dict lookup; off-engine
-        callers run the same test over their own pairs.
+        (``cand & ~nbr[c]`` is zero outside row ``c``).  At the
+        prefix's own rank the answer comes from the level holding it —
+        its forest level, its parent's per-parent batch, or its own
+        small level — resolved once for the whole level, so this is a
+        dict lookup; other ranks run the same test over the row's
+        entries equal to ``tx`` below the rank.
         """
         slab = self.slab
         rank = slab.bit_of.get(last_label)
@@ -802,48 +797,53 @@ class SlabEmbeddingStore:
         if rank == 0:
             return None
         if self._support == 0:
-            # Mirror the int-mask scan over zero embeddings: with no
-            # tie cache the below-mask survives untouched.
-            if self._tie_bits is not None:
-                return None
+            # Mirror the aligned int-mask scan over zero embeddings:
+            # the below-mask survives untouched.
             return slab.labels[0]
-        source = self._source
-        if source is not None and rank == self._member_bits[-1]:
-            parent = self._block_parent
-            if parent is None:
-                hit = source.blocking(slab.nbr).get(self._row)
-            else:
-                hit = parent._ensure_child_blocks().get(self._row)
+        if self._source is None:
+            self._entries()
+        level, row = self._source, self._row
+        if rank == self._member_bits[-1]:
+            hit = level.blocking().get(row)
         else:
-            tie_bits = self._tie_bits
-            if tie_bits is not None:
-                # Tied labels below the rank: ``cand[c] == tx`` holds
-                # for every one of them, no equality check needed.
-                below = np.array(tie_bits[: bisect_left(tie_bits, rank)], dtype=np.intp)
-            else:
-                below = np.flatnonzero((self._cand_slab()[:rank] == self._tx).all(axis=1))
-            offsets, cols, words, row = self._entries()
+            lo, hi = level.offsets[row : row + 2].tolist()
+            hi = lo + int(np.searchsorted(level.entry_cols[lo:hi], rank))
+            tied = lo + np.flatnonzero((level.entry_words[lo:hi] == self._tx).all(axis=1))
             hit = _first_blocking(
-                np.full(below.size, row, dtype=np.intp), below, offsets, cols, words, slab.nbr
+                np.full(tied.size, row, dtype=np.intp),
+                level.entry_cols[tied],
+                level.offsets,
+                level.entry_cols,
+                level.entry_words,
+                slab.nbr,
             ).get(row)
         return None if hit is None else slab.labels[hit]
 
     def _child(
         self,
         member_bits: Tuple[int, ...],
-        cand: Optional[np.ndarray],
-        tx: np.ndarray,
-        support: int,
+        source: _ForestLevel,
+        row: int,
         reuse: Optional["SlabEmbeddingStore"],
     ) -> "SlabEmbeddingStore":
-        """Wrap a child's slab rows, recycling ``reuse`` when possible.
+        """The child held by row ``row`` of ``source``, recycling ``reuse``
+        when possible.
 
         The engine's free list hands back stores whose subtree has
         finished; :meth:`_refill` re-points one in place, skipping the
         allocation (the ``reuse.slab is self.slab`` check also rejects
         foreign store types).
         """
-        prefix = (self.database, self.pseudo, self.size + 1, member_bits, cand, tx, support)
+        prefix = (
+            self.database,
+            self.pseudo,
+            self.size + 1,
+            member_bits,
+            source.tx[row],
+            source.supports[row],
+            source,
+            row,
+        )
         if (
             reuse is not None
             and type(reuse) is SlabEmbeddingStore
@@ -852,190 +852,84 @@ class SlabEmbeddingStore:
             return reuse._refill(*prefix)
         return SlabEmbeddingStore(self.slab, *prefix)
 
-    def _batched_child(
-        self,
-        source: _ForestLevel,
-        row: int,
-        reuse: Optional["SlabEmbeddingStore"],
-    ) -> "SlabEmbeddingStore":
-        """The child held by row ``row`` of a batch, plan digest seeded."""
-        child = self._child(
-            self._member_bits + (source.bits[row],),
-            None,
-            source.tx[row],
-            source.supports[row],
-            reuse,
-        )
-        child._plan_digest = source.digests[row]
-        child._plan_abs_sup = source.abs_sup
-        child._source = source
-        child._row = row
-        return child
-
     def extend(
         self,
         label: Label,
         last_label: Optional[Label] = None,
         reuse: Optional["SlabEmbeddingStore"] = None,
     ) -> "SlabEmbeddingStore":
-        """Embeddings of ``C ◇ label`` — two ANDs on the slab.
+        """Embeddings of ``C ◇ label``: a row of a grown level.
 
         The same-label ordering discipline (``last_label``) is vacuous
         in aligned space, exactly as for the aligned int-mask kernel.
         Stores bound to the mine call's forest hand out their children
         as rows of the next forest level (built for the whole frontier
-        on first demand); saturated forests and off-engine stores batch
-        the frequent children per parent instead; other labels take
-        the single path.  ``reuse`` optionally recycles a retired store
-        object (see :meth:`_child`).
+        on first demand); saturated forests and stores outside one
+        batch their frequent children from ``last_label`` on per
+        parent instead; other labels take a one-pair growth.  ``reuse``
+        optionally recycles a retired store object (see :meth:`_child`).
         """
+        bit = self.slab.bit_of.get(label)
         forest = self._forest
-        if forest is not None:
-            bit = self.slab.bit_of.get(label)
-            if bit is not None and bit >= self._member_bits[-1] and (
-                forest.levels[self._level].child_offsets is not None
-                or forest.ensure_children(self._level)
-            ):
-                level = forest.levels[self._level]
-                lo = level.child_offsets[self._row]
-                hi = level.child_offsets[self._row + 1]
-                i = bisect_left(level.child_bits, bit, lo, hi)
-                if i < hi and level.child_bits[i] == bit:
-                    child = self._batched_child(forest.levels[self._level + 1], i, reuse)
-                    child._forest = forest
-                    child._level = self._level + 1
-                    return child
-                return self._extend_single(label, reuse)
-        children = self._children
-        if children is None:
-            children = self._children = self._materialize_children(last_label)
-        row = children.get(label)
-        if row is None:
-            return self._extend_single(label, reuse)
-        child = self._batched_child(self._batch, row, reuse)
-        child._block_parent = self
-        return child
+        if forest is not None and bit is not None and bit >= self._member_bits[-1] and (
+            forest.levels[self._level].child_offsets is not None
+            or forest.ensure_children(self._level)
+        ):
+            level = forest.levels[self._level]
+            lo = level.child_offsets[self._row]
+            hi = level.child_offsets[self._row + 1]
+            i = bisect_left(level.child_bits, bit, lo, hi)
+            if i < hi and level.child_bits[i] == bit:
+                child = self._child(
+                    self._member_bits + (bit,), forest.levels[self._level + 1], i, reuse
+                )
+                child._forest = forest
+                child._level = self._level + 1
+                return child
+        elif bit is not None:
+            batch = self._batch
+            if batch is None:
+                batch = self._batch = self._batch_children(last_label)
+            i = bisect_left(batch.bits, bit)
+            if i < len(batch.bits) and batch.bits[i] == bit:
+                return self._child(self._member_bits + (bit,), batch, i, reuse)
+        return self._extend_single(bit, reuse)
 
-    def _entries(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """``(offsets, cols, words, row)``: this prefix's nonzero candidate
-        rows are entries ``offsets[row] : offsets[row + 1]`` of
-        ``cols``/``words`` — its batch's, or extracted from its dense
-        slab."""
-        source = self._source
-        if source is not None:
-            return source.offsets, source.entry_cols, source.entry_words, self._row
-        cols = np.flatnonzero(self._ensure_counts())
-        offsets = np.array([0, cols.size], dtype=np.int64)
-        return offsets, cols, self._cand.take(cols, axis=0), 0
+    def _batch_children(self, last_label: Optional[Label]) -> _ForestLevel:
+        """This prefix's frequent children from ``last_label`` on, as one
+        level (the per-parent batch).
 
-    def _materialize_children(self, last_label: Optional[Label]) -> Dict[Label, int]:
-        """Batch-build the frequent children recorded by the last plan.
-
-        The forest's level build applied to one parent: every child
-        grows from this prefix's nonzero candidate rows (:func:`_grow`),
-        and the batch digests every child's plan from its entries
-        (sound because the engine's ``abs_sup`` is fixed per mine call
-        and recorded by this store's own plan, and every batched child
-        is frequent).  Children below ``last_label`` are skipped —
-        canonical growth never visits them (``extend`` still serves
-        them via the single path).  Returns each child's batch row by
-        label.
+        The forest's level build applied to one parent: the children
+        are its row's frequent entries at or above ``last_label``'s bit
+        (canonical growth never visits the ones below; ``extend`` still
+        serves them one at a time).
         """
-        digest = self._plan_digest
-        abs_sup = self._plan_abs_sup
-        if digest is None or not digest[0] or not abs_sup or abs_sup < 1:
-            return {}
-        slab = self.slab
-        bit_of = slab.bit_of
-        if last_label is None:
-            cutoff = 0
-        else:
-            cutoff = bit_of.get(last_label)
+        level, row, _, _ = self._entries()
+        cutoff = 0
+        if last_label is not None:
+            cutoff = self.slab.bit_of.get(last_label)
             if cutoff is None:
-                cutoff = bisect_left(slab.labels, last_label)
-        frequent = [(lab, count) for lab, count in digest[0] if bit_of[lab] >= cutoff]
-        if not frequent:
-            return {}
-        bits_list = [bit_of[lab] for lab, _ in frequent]
-        bits = np.array(bits_list, dtype=np.intp)
-        offsets, cols, words, row = self._entries()
-        lo = offsets[row]
-        tx = words.take(lo + np.searchsorted(cols[lo : offsets[row + 1]], bits), axis=0)
-        grown = _grow(
-            offsets, cols, words, np.full(bits.size, row, dtype=np.intp), bits, tx, slab.nbr
-        )
-        self._batch = _ForestLevel(
-            bits_list,
-            bits,
-            tx,
-            np.array([count for _, count in frequent], dtype=np.int64),
-            abs_sup,
-            slab.labels,
-            *grown,
-        )
-        return {lab: j for j, (lab, _) in enumerate(frequent)}
-
-    def _ensure_child_blocks(self) -> Dict[int, int]:
-        """Lemma 4.4 answers for this store's batched children, by row.
-
-        Resolved lazily on the first child that asks (the closure
-        prunings may be disabled, in which case nobody ever does), in
-        one chunked pass over every (child, tied-bit-below-its-bit)
-        pair.
-        """
-        return self._batch.blocking(self.slab.nbr)
+                cutoff = bisect_left(self.slab.labels, last_label)
+        lo, hi = np.searchsorted(level.freq_rows, (row, row + 1)).tolist()
+        lo += int(np.searchsorted(level.freq_cols[lo:hi], cutoff))
+        picks = level.freq_entries[lo:hi]
+        return level.grow(np.full(picks.size, row, dtype=np.intp), picks)
 
     def _extend_single(
-        self, label: Label, reuse: Optional["SlabEmbeddingStore"] = None
+        self, bit: Optional[int], reuse: Optional["SlabEmbeddingStore"]
     ) -> "SlabEmbeddingStore":
-        bit = self.slab.bit_of.get(label)
-        cand = self._cand_slab()
+        """``C ◇ bit`` on its own: a one-pair growth from this row's
+        entry at ``bit``, or a child supported nowhere when it has none
+        (a label outside the slab, ``bit is None``, adds no member)."""
+        level, row, lo, hi = self._entries()
         if bit is None:
-            empty = np.zeros_like(cand)
-            return self._child(
-                self._member_bits,
-                empty,
-                empty[0] if len(empty) else self._tx[:0],
-                0,
-                reuse,
-            )
-        row = cand[bit]
-        grown = (cand & self.slab.nbr[bit]) & row
-        counts = self._counts
-        support = (
-            int(counts[bit])
-            if counts is not None
-            else int(popcount_rows(row[None, :])[0])
-        )
-        return self._child(
-            self._member_bits + (bit,),
-            grown,
-            row,
-            support,
-            reuse,
-        )
-
-    def _cand_slab(self) -> np.ndarray:
-        """The dense candidate slab, scattered from the entries on first use.
-
-        Only cold paths ask: single extensions, extension counts,
-        off-engine Lemma 4.4 scans, records and bitset delegation.
-        """
-        cand = self._cand
-        if cand is None:
-            slab = self.slab
-            cand = np.zeros((slab.n_labels, slab.tx_words), dtype=slab.presence.dtype)
-            source, row = self._source, self._row
-            lo, hi = source.offsets[row], source.offsets[row + 1]
-            cand[source.entry_cols[lo:hi]] = source.entry_words[lo:hi]
-            self._cand = cand
-        return cand
-
-    def _ensure_counts(self) -> np.ndarray:
-        counts = self._counts
-        if counts is None:
-            counts = self._counts = popcount_rows(self._cand_slab())
-        return counts
+            return self._child(self._member_bits, _nowhere(self.slab, level.abs_sup), 0, reuse)
+        at = lo + int(np.searchsorted(level.entry_cols[lo:hi], bit))
+        if at < hi and level.entry_cols[at] == bit:
+            child = level.grow(np.array([row], dtype=np.intp), np.array([at], dtype=np.intp))
+        else:
+            child = _nowhere(self.slab, level.abs_sup)
+        return self._child(self._member_bits + (bit,), child, 0, reuse)
 
     # ------------------------------------------------------------------
     # Branch-and-bound support (top-k)
@@ -1044,14 +938,17 @@ class SlabEmbeddingStore:
         """Max candidates with a valid label in any one transaction.
 
         The slab analogue of ``EmbeddingStore.multiplicity_bound``:
-        gather the valid labels' rows and column-sum their unpacked
+        pick the valid labels' entries and column-sum their unpacked
         bits — one vectorized pass instead of a per-embedding scan.
         """
         bit_of = self.slab.bit_of
         rows = [bit_of[label] for label in valid_labels if label in bit_of]
         if not rows or not self._support:
             return 0
-        picked = np.ascontiguousarray(self._cand_slab()[np.asarray(rows, dtype=np.intp)])
+        level, _, lo, hi = self._entries()
+        valid = np.zeros(self.slab.n_labels, dtype=bool)
+        valid[rows] = True
+        picked = level.entry_words[lo:hi][valid[level.entry_cols[lo:hi]]]
         bits = np.unpackbits(picked.view(np.uint8), axis=-1, bitorder="little")
         return int(bits.sum(axis=0, dtype=np.int64).max())
 
@@ -1080,17 +977,16 @@ class SlabEmbeddingStore:
             return records
         aligned = self.database.aligned_space() is not None
         vertex_of = self.slab.vertices
-        # Column-extract each supporting transaction's candidate mask.
-        cand = np.ascontiguousarray(self._cand_slab())
-        bits = np.unpackbits(cand.view(np.uint8), axis=-1, bitorder="little")
+        level, _, lo, hi = self._entries()
+        cols = level.entry_cols[lo:hi]
+        # Unpack the entries: column ``tid`` flags the candidate labels.
+        bits = np.unpackbits(level.entry_words[lo:hi].view(np.uint8), axis=-1, bitorder="little")
         for tid, vertices in zip(tids, self._embedding_rows().tolist()):
-            column = bits[:, tid]
+            candidates = cols[np.flatnonzero(bits[:, tid])].tolist()
             if aligned:
-                column = np.packbits(column, bitorder="little")
-                mask = int.from_bytes(column.tobytes(), "little")
+                mask = sum(1 << bit for bit in candidates)
             else:
-                candidates = vertex_of[tid, np.nonzero(column)[0]].tolist()
-                mask = self.database[tid].bit_index().mask_of(candidates)
+                mask = self.database[tid].bit_index().mask_of(vertex_of[tid, candidates].tolist())
             records[tid] = [(tuple(vertices), mask)]
         return records
 

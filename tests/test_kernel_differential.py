@@ -23,7 +23,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.baselines.bruteforce import bruteforce_closed_cliques
-from repro.core import BITSET, SLAB, ClanMiner, MinerConfig, slab_store
+from repro.core import BITSET, SLAB, ClanMiner, MinerConfig, mine, slab_store
+from repro.core.api import MiningRequest
 from repro.graphdb import Graph, GraphDatabase
 from repro.graphdb.slab import popcount_rows
 
@@ -161,44 +162,62 @@ class TestMultiWordSlab:
         assert oracle_signature(reference) == oracle_signature(oracle), seed
 
     @pytest.mark.parametrize(
-        "n_graphs,min_sup",
-        ((6, 1), (40, 2), (70, 3)),
-        ids=("uint8-word", "uint64-word", "two-words"),
+        "n_graphs,min_sup,task",
+        [
+            (n_graphs, min_sup, task)
+            for task in ("closed", "topk", "maximal")
+            for n_graphs, min_sup in ((6, 1), (40, 2), (70, 3))
+        ],
+        ids=[
+            layout + suffix
+            for suffix in ("", "-topk", "-maximal")
+            for layout in ("uint8-word", "uint64-word", "two-words")
+        ],
     )
-    def test_saturated_forest_identical_to_bitset(self, monkeypatch, n_graphs, min_sup):
+    def test_saturated_forest_identical_to_bitset(self, monkeypatch, n_graphs, min_sup, task):
         """A forest past ``_FOREST_MAX_BYTES`` stops deepening and its
-        stores batch per parent (``_materialize_children``,
-        ``_ensure_child_blocks``) — byte-identically, on one-word
-        layouts as on multi-word ones."""
+        stores batch per parent (``_batch_children``, and the Lemma 4.4
+        batch of those per-parent levels) — byte-identically, on
+        one-word layouts as on multi-word ones, and under top-k's
+        ``multiplicity_bound`` cuts and the maximal task as under the
+        closed one."""
         database = unique_label_database(5, n_graphs=n_graphs)
         space = database.slab_space()
         assert space is not None and (space.tx_words > 1) == (n_graphs > 64)
         forest, store = slab_store._SlabForest, slab_store.SlabEmbeddingStore
+        level_cls = slab_store._ForestLevel
         levels = []  # (built, forest bytes) per level build asked for
-        fallbacks = []  # per-parent batch calls, by name
+        batches = []  # per-parent batches grown
+        blocked = []  # levels whose Lemma 4.4 batch ran
+        ensure_children = forest.ensure_children
+        batch_children = store._batch_children
+        blocking = level_cls.blocking
 
-        def trace_levels(method):
-            def traced(level_forest, depth):
-                built = method(level_forest, depth)
-                levels.append((built, level_forest.nbytes))
-                return built
+        def traced_levels(level_forest, depth):
+            built = ensure_children(level_forest, depth)
+            levels.append((built, level_forest.nbytes))
+            return built
 
-            return traced
+        def traced_batch(parent, *args):
+            batches.append(batch_children(parent, *args))
+            return batches[-1]
 
-        def trace_calls(method):
-            def traced(parent, *args):
-                fallbacks.append(method.__name__)
-                return method(parent, *args)
+        def traced_blocking(level):
+            blocked.append(level)
+            return blocking(level)
 
-            return traced
+        monkeypatch.setattr(forest, "ensure_children", traced_levels)
+        monkeypatch.setattr(store, "_batch_children", traced_batch)
+        monkeypatch.setattr(level_cls, "blocking", traced_blocking)
 
-        monkeypatch.setattr(forest, "ensure_children", trace_levels(forest.ensure_children))
-        for name in ("_materialize_children", "_ensure_child_blocks"):
-            monkeypatch.setattr(store, name, trace_calls(getattr(store, name)))
+        def run(kernel):
+            options = {"k": 5} if task == "topk" else {}
+            request = MiningRequest(min_sup=min_sup, task=task, kernel=kernel, **options)
+            return mine(database, request)
 
-        bitset = ClanMiner(database, MinerConfig(kernel=BITSET)).mine(min_sup)
-        unbounded = ClanMiner(database, MinerConfig(kernel=SLAB)).mine(min_sup)
-        assert_matches_reference(unbounded, bitset, (n_graphs, "unbounded"))
+        bitset = run(BITSET)
+        unbounded = run(SLAB)
+        assert_matches_reference(unbounded, bitset, (n_graphs, task, "unbounded"))
         # The mid cap holds the forest's first level build, not the rest;
         # ``nbytes`` counts the levels' entry words.
         grown = [nbytes for built, nbytes in levels if built]
@@ -206,13 +225,15 @@ class TestMultiWordSlab:
         for cap in (0, min(grown)):
             monkeypatch.setattr(slab_store, "_FOREST_MAX_BYTES", cap)
             levels.clear()
-            fallbacks.clear()
-            result = ClanMiner(database, MinerConfig(kernel=SLAB)).mine(min_sup)
-            assert_matches_reference(result, bitset, (n_graphs, cap))
+            batches.clear()
+            blocked.clear()
+            result = run(SLAB)
+            assert_matches_reference(result, bitset, (n_graphs, task, cap))
             # A zero cap saturates at once; the mid cap deepens first.
             built = {grew for grew, _ in levels}
             assert built == ({False} if cap == 0 else {True, False}), cap
-            assert set(fallbacks) == {"_materialize_children", "_ensure_child_blocks"}, cap
+            assert batches, cap
+            assert any(level in batches for level in blocked), cap
 
     def test_fig7b_x64_forest_never_saturates(self, monkeypatch):
         """Sparse levels keep fig7b ×64 inside the default forest cap:
@@ -225,7 +246,7 @@ class TestMultiWordSlab:
         built = []
         fallbacks = []
         ensure_children = forest.ensure_children
-        materialize = store._materialize_children
+        batch_children = store._batch_children
 
         def traced_levels(level_forest, depth):
             built.append(ensure_children(level_forest, depth))
@@ -233,10 +254,10 @@ class TestMultiWordSlab:
 
         def traced_fallback(parent, *args):
             fallbacks.append(parent)
-            return materialize(parent, *args)
+            return batch_children(parent, *args)
 
         monkeypatch.setattr(forest, "ensure_children", traced_levels)
-        monkeypatch.setattr(store, "_materialize_children", traced_fallback)
+        monkeypatch.setattr(store, "_batch_children", traced_fallback)
         assert len(ClanMiner(database, MinerConfig(kernel=SLAB)).mine(0.85))
         assert built and all(built)
         assert fallbacks == []
@@ -372,9 +393,9 @@ class TestSparseForest:
     """The forest keeps each prefix's candidate slab as its nonzero rows.
 
     Every level's entries must equal the nonzero rows of the dense
-    definition (``parent & nbr[child] & tx``), and every batched store's
-    lazily scattered ``_cand`` must equal its dense slab — forest-bound
-    or, under a zero ``_FOREST_MAX_BYTES``, per-parent batched."""
+    definition (``parent & nbr[child] & tx``), and so must every
+    child store's own entries — forest-bound or, under a zero
+    ``_FOREST_MAX_BYTES``, per-parent batched or grown alone."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -404,13 +425,10 @@ class TestSparseForest:
         def checked(store, label, *args, **kwargs):
             child = extend(store, label, *args, **kwargs)
             dense = _dense_candidates(space, child._member_bits)
-            if child._source is not None:
-                offsets, cols, words, row = child._entries()
-                lo, hi = offsets[row], offsets[row + 1]
-                nonzero = np.flatnonzero(popcount_rows(dense))
-                assert np.array_equal(cols[lo:hi], nonzero)
-                assert np.array_equal(words[lo:hi], dense[nonzero])
-            assert np.array_equal(child._cand_slab(), dense)
+            level, _, lo, hi = child._entries()
+            nonzero = np.flatnonzero(popcount_rows(dense))
+            assert np.array_equal(level.entry_cols[lo:hi], nonzero)
+            assert np.array_equal(level.entry_words[lo:hi], dense[nonzero])
             return child
 
         min_sup = max(1, int(fraction * n_graphs))
@@ -440,6 +458,74 @@ class TestSparseForest:
                 assert np.array_equal(level.entry_words, words)
             if cap == 0:
                 assert len(forest.levels) == 1
+
+
+def _surface(store, probes, labels):
+    """Everything the engine, top-k and the cold paths read off a store,
+    asked in one fixed order: nonclosed probes before any plan, plans
+    below, at and above the support, and the probes again after them."""
+    last = store.support + 1
+    seen = [store.support, store.transactions()]
+    seen.append([store.nonclosed_extension_label(probe) for probe in probes])
+    seen.append(sorted(store.extension_supports().items()))
+    for abs_sup in (1, 2, 4, last):
+        seen.append(tuple(store.extension_plan(abs_sup)))
+        seen.append([store.nonclosed_extension_label(probe) for probe in probes])
+    for valid in (labels, labels[::2], labels[len(labels) // 2 :], []):
+        seen.append(store.multiplicity_bound(valid))
+    seen.append(sorted(store.witnesses().items()))
+    seen.append(sorted(store.iter_embeddings()))
+    seen.append(
+        sorted(
+            (tid, [(record[0], store._candidates(tid, record)) for record in records])
+            for tid, records in store.by_transaction.items()
+        )
+    )
+    return seen
+
+
+class TestStoreSurface:
+    """Off the engine, a slab store must answer every store-level
+    question exactly as the bitset store does: unknown roots, extensions
+    on every label (below the last one, infrequent, absent), extensions
+    before and after the parent's plan, and three-deep chains, on one-
+    and multi-word layouts."""
+
+    @pytest.mark.parametrize("n_graphs", (4, 70), ids=("one-word", "multi-word"))
+    @pytest.mark.parametrize("seed", range(8))
+    def test_stores_match_bitset(self, seed, n_graphs):
+        from repro.core.embeddings import EmbeddingStore
+
+        database = unique_label_database(seed, n_graphs=n_graphs)
+        assert (database.slab_space().tx_words > 1) == (n_graphs > 64)
+        labels = sorted(database.label_supports())
+        probes = labels + ["~beyond"]
+        rng = random.Random(seed)
+
+        def check(pair, key):
+            slab, bitset = pair
+            assert type(slab).__name__ == "SlabEmbeddingStore", key
+            assert _surface(slab, probes, labels) == _surface(bitset, probes, labels), key
+
+        # "T05x" names no vertex and sorts inside the alphabet.
+        for root in labels + ["T05x"]:
+            pair = [EmbeddingStore.for_label(database, None, root, slab=s) for s in (True, False)]
+            unplanned = [store.extend(label, root) for label in probes for store in pair]
+            for i, label in enumerate(probes):
+                check(unplanned[2 * i : 2 * i + 2], (root, label, "before plan"))
+            check(pair, (root,))
+            for store in pair:
+                store.extension_plan(1)
+            for label in probes:
+                child = [store.extend(label, root) for store in pair]
+                check(child, (root, label))
+                if not child[1].support:
+                    continue
+                for store in child:
+                    store.extension_plan(2)
+                for deeper in rng.sample(probes, 3):
+                    grandchild = [store.extend(deeper, label) for store in child]
+                    check(grandchild, (root, label, deeper))
 
 
 class TestNonDefaultConfigs:
