@@ -6,7 +6,8 @@ reference in ``tests/oracles.py``); the only difference is the
 candidate-set representation, so the runtime gap is a pure measure of
 the kernel engineering:
 
-* ``bitset`` — one Python int bitmask per candidate set;
+* ``bitset`` — per-graph int masks: one Python int bitmask per
+  candidate set, over each transaction's own vertex bits;
 * ``slab``   — numpy word slabs, batched level-by-level across the
   whole DFS forest (vectorised AND + popcount over every sibling at
   once).  The default kernel.
@@ -29,10 +30,10 @@ scale) is the one that measures the multi-word layout.  Slab's
 advantage scales with transaction count, not alphabet size.
 
 Memory sits next to speed, report-only: each cell's tracemalloc peak
-over one run on a fresh database view, so the kernel's database index
-(the aligned views for ``bitset``, the transposed slab for ``slab``)
-is built inside the measured run.  The graphs'
-own mask indexes are shared by every view and kernel and stay out.
+over one run on a fresh database view, so the slab kernel's database
+index (the transposed slab) is built inside the measured run.  The
+graphs' own mask indexes, all that ``bitset`` reads, are shared by
+every view and kernel and stay out.
 """
 
 import json
@@ -166,6 +167,10 @@ def test_ablation_kernels(benchmark, market_databases, scale):
         "hardware": hardware_context(),
         "method": "best of rounds; every round runs every cell on both "
         "kernels, the first kernel alternating between rounds",
+        "kernels": {
+            BITSET: "per-graph int masks",
+            SLAB: "transposed numpy word slabs, forest-batched",
+        },
         "workloads": {
             "fig6a_sweep": "6 market databases x supports 100/95/90/85%",
             "fig7b_x4": "SM-0.95 replicated x4 @ 85% "

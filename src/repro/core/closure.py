@@ -16,9 +16,7 @@ This module also owns the per-embedding half of the Lemma 4.4
 non-closed prefix test — "which old labels are carried by an extension
 vertex fully connected to all other extension vertices" — on per-graph
 masks: :func:`fully_connected_old_labels_mask` checks connectivity with
-one bitmask AND per candidate vertex.  (The aligned label space runs
-the same scan inline in
-:meth:`repro.core.embeddings.EmbeddingStore.nonclosed_extension_label`.)
+one bitmask AND per candidate vertex.
 """
 
 from __future__ import annotations

@@ -36,15 +36,17 @@ Orthogonally to the strategy, two *kernels* implement the set algebra:
     single ``&`` operations, the pseudo-database survivor index is
     ANDed in as a mask, and per-transaction extension labels are read
     off the union mask's set bits.  :class:`EmbeddingStore` is this
-    kernel.
+    kernel.  It runs every database the same way: unique per-vertex
+    labels only let the extension scan skip its per-transaction label
+    dedup.
 
 ``slab`` (default)
     Numpy unsigned-word slab arrays with vectorized ``&``/``|``/popcount,
     transposed so one array row holds a label's supporting-transaction
     mask (:mod:`repro.core.slab_store`).  Engaged when the database has
     a slab index (unique per-vertex labels, resident or in a SQLite
-    store) and the strategy is ``cached``; otherwise it transparently
-    falls back to the ``bitset`` int-mask representation.
+    store) and the strategy is ``cached``; otherwise the mine runs on
+    the ``bitset`` kernel's per-graph int masks.
 
 Both kernels enumerate embeddings in identical order (ascending vertex
 id within each label group) and produce identical results.  The
@@ -58,10 +60,9 @@ once even though label multisets are not sets.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..exceptions import MiningError
-from ..graphdb.bitset import lowest_bit, popcount
 from ..graphdb.core_index import PseudoDatabase
 from ..graphdb.database import GraphDatabase
 from .canonical import Label
@@ -78,10 +79,6 @@ _STRATEGIES = (CACHED, RESCAN)
 BITSET = "bitset"
 SLAB = "slab"
 
-# Sentinel: "look the aligned space up from the database" (``None`` is
-# a valid explicit value, meaning "no aligned space").
-_SPACE_LOOKUP = object()
-
 
 class EmbeddingStore:
     """Embeddings of one prefix clique across all supporting transactions."""
@@ -92,7 +89,6 @@ class EmbeddingStore:
         "strategy",
         "size",
         "by_transaction",
-        "space",
         "_ties",
     )
 
@@ -103,15 +99,8 @@ class EmbeddingStore:
         strategy: str,
         size: int,
         by_transaction: Dict[int, List[EmbeddingRecord]],
-        space: object = _SPACE_LOOKUP,
     ) -> None:
-        """``pseudo=None`` disables low-degree pruning in ``rescan`` mode.
-
-        ``space`` is internal plumbing: derived stores (``extend`` and
-        friends) hand their own aligned label space down so the
-        database-level lookup-and-validate happens once per mining
-        call, not once per prefix.
-        """
+        """``pseudo=None`` disables low-degree pruning in ``rescan`` mode."""
         if strategy not in _STRATEGIES:
             raise MiningError(f"unknown embedding strategy {strategy!r}; use one of {_STRATEGIES}")
         self.database = database
@@ -119,17 +108,11 @@ class EmbeddingStore:
         self.strategy = strategy
         self.size = size
         self.by_transaction = by_transaction
-        # Aligned label space (unique-label databases only): masks live
-        # in the database-global label bit order instead of per-graph
-        # vertex bit order, enabling bit-sliced support counting.
-        if space is _SPACE_LOOKUP:
-            space = database.aligned_space()
-        self.space = space
         # Tie cache: labels whose extension support equals the prefix
         # support, recorded by the last extension_plan() call.  A
         # Lemma 4.4 blocking label necessarily ties the support, so
         # the nonclosed scan restricts itself to this set when known.
-        self._ties: Optional[Union[Set[Label], int]] = None
+        self._ties: Optional[Set[Label]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -152,8 +135,8 @@ class EmbeddingStore:
         database has a slab space and the strategy is ``cached``;
         otherwise it falls back to this int-mask store (byte-identical
         results either way).  ``context`` is the engine's
-        per-mine-call scratch dict: it caches the database's kernel
-        spaces across the call's roots, and the slab kernel shares its
+        per-mine-call scratch dict: it caches the database's slab space
+        across the call's roots, and the slab kernel shares its
         level-batched forest through it.
         """
         if strategy not in _STRATEGIES:
@@ -175,27 +158,17 @@ class EmbeddingStore:
                 return SlabEmbeddingStore.for_root(
                     database, pseudo, label, slab_space, context
                 )
-        if context is not None and "aligned_space" in context:
-            space = context["aligned_space"]
-        else:
-            space = database.aligned_space()
-            if context is not None:
-                context["aligned_space"] = space
         by_transaction: Dict[int, List[EmbeddingRecord]] = {}
         for tid, graph in enumerate(database):
             records: List[EmbeddingRecord] = []
             for vertex in sorted(graph.vertices_with_label(label)):
                 if strategy == CACHED:
-                    if space is not None:
-                        cached: int = space.views[tid].neighbor_masks[vertex]
-                    else:
-                        cached = graph.neighbor_mask(vertex)
-                    records.append(((vertex,), cached))
+                    records.append(((vertex,), graph.neighbor_mask(vertex)))
                 else:
                     records.append(((vertex,), None))
             if records:
                 by_transaction[tid] = records
-        return cls(database, pseudo, strategy, 1, by_transaction, space)
+        return cls(database, pseudo, strategy, 1, by_transaction)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -244,10 +217,7 @@ class EmbeddingStore:
         The mask expanded to vertex ids; external consumers such as the
         top-k bound use it, while the hot paths below stay on masks.
         """
-        mask = self._candidates_mask(tid, record)
-        if self.space is not None:
-            return set(self.space.views[tid].vertices_of(mask))
-        return set(self.database[tid].vertices_from_mask(mask))
+        return set(self.database[tid].vertices_from_mask(self._candidates_mask(tid, record)))
 
     def _candidates_mask(self, tid: int, record: EmbeddingRecord) -> int:
         """The extension-vertex set of one embedding, as a bitmask.
@@ -261,22 +231,12 @@ class EmbeddingStore:
         vertices, cached = record
         if cached is not None:
             return cached  # type: ignore[return-value]
-        space = self.space
-        if space is not None:
-            view = space.views[tid]
-            if self.pseudo is not None:
-                mask = view.usable_mask_at(self.pseudo.index(tid), self.size + 1)
-            else:
-                mask = view.present_mask
-            neighbor_masks = view.neighbor_masks
+        index = self.database[tid].bit_index()
+        if self.pseudo is not None:
+            mask = self.pseudo.index(tid).usable_mask_at(self.size + 1)
         else:
-            graph = self.database[tid]
-            index = graph.bit_index()
-            if self.pseudo is not None:
-                mask = self.pseudo.index(tid).usable_mask_at(self.size + 1)
-            else:
-                mask = index.all_mask
-            neighbor_masks = index.neighbor_masks
+            mask = index.all_mask
+        neighbor_masks = index.neighbor_masks
         for vertex in vertices:
             mask &= neighbor_masks[vertex]
             if not mask:
@@ -293,173 +253,6 @@ class EmbeddingStore:
         has an extension vertex labeled β; this covers both *new*
         (β ≥ last label) and *old* (β < last label) extension vertices,
         which is exactly what the closure check of Lemma 4.3 needs.
-        """
-        if self.space is not None:
-            return self._extension_supports_aligned()
-        return self._extension_supports_mask()
-
-    def _extension_slices(self) -> List[int]:
-        """Carry-save counter of extension labels across transactions.
-
-        Aligned space only: per-transaction candidate unions all live
-        in the same label bit space, so "in how many transactions does
-        label β extend C" is binary addition of the union masks.  The
-        returned slice masks hold every label's count bit-sliced (bit
-        β of ``slices[i]`` is bit ``i`` of β's count), built with a
-        couple of word-parallel operations per transaction — no
-        per-label work happens here at all.
-        """
-        slices: List[int] = []
-        if self.strategy == CACHED:
-            for records in self.by_transaction.values():
-                if len(records) == 1:
-                    carry = records[0][1]
-                else:
-                    carry = 0
-                    for _, cached in records:
-                        carry |= cached  # type: ignore[operator]
-                for i in range(len(slices)):
-                    if not carry:
-                        break
-                    slice_i = slices[i]
-                    slices[i] = slice_i ^ carry
-                    carry &= slice_i
-                if carry:
-                    slices.append(carry)
-            return slices
-        for tid, records in self.by_transaction.items():
-            carry = 0
-            for record in records:
-                carry |= self._candidates_mask(tid, record)
-            for i in range(len(slices)):
-                if not carry:
-                    break
-                slice_i = slices[i]
-                slices[i] = slice_i ^ carry
-                carry &= slice_i
-            if carry:
-                slices.append(carry)
-        return slices
-
-    def _extension_supports_aligned(self) -> Dict[Label, int]:
-        """Aligned-space kernel: read the supports off the slice counter."""
-        slices = self._extension_slices()
-        supports: Dict[Label, int] = {}
-        total = 0
-        for slice_i in slices:
-            total |= slice_i
-        labels = self.space.labels  # type: ignore[union-attr]
-        n_slices = len(slices)
-        while total:
-            top = total.bit_length() - 1
-            bit = 1 << top
-            total ^= bit
-            count = 0
-            for i in range(n_slices):
-                if slices[i] & bit:
-                    count += 1 << i
-            supports[labels[top]] = count
-        return supports
-
-    def extension_plan(
-        self, abs_sup: int
-    ) -> Tuple[List[Tuple[Label, int]], int, bool]:
-        """Digest of one extension scan, as the miner consumes it.
-
-        Returns ``(frequent, n_infrequent, blocking)``:
-
-        * ``frequent`` — the extension labels with support ≥ ``abs_sup``
-          in ascending label order, each with its support,
-        * ``n_infrequent`` — how many extension labels fell below the
-          threshold (feeds the statistics counter),
-        * ``blocking`` — whether some extension label ties the prefix
-          support, i.e. the Lemma 4.3 closure check *fails*.
-
-        Semantically equivalent to post-processing
-        :meth:`extension_supports`, which is what the per-graph mask
-        path does; the aligned path instead answers the threshold
-        and tie questions word-parallel on the bit-sliced counter and
-        only ever extracts the (few) frequent labels.
-        """
-        if self.space is not None:
-            return self._extension_plan_aligned(abs_sup)
-        supports = self.extension_supports()
-        prefix_support = self.support
-        frequent: List[Tuple[Label, int]] = []
-        infrequent = 0
-        ties: Set[Label] = set()
-        for label in sorted(supports):
-            count = supports[label]
-            if count == prefix_support:
-                ties.add(label)
-            if count >= abs_sup:
-                frequent.append((label, count))
-            else:
-                infrequent += 1
-        self._ties = ties
-        return frequent, infrequent, bool(ties)
-
-    def _extension_plan_aligned(
-        self, abs_sup: int
-    ) -> Tuple[List[Tuple[Label, int]], int, bool]:
-        """Word-parallel threshold/tie tests on the slice counter.
-
-        ``count == prefix support`` is an AND chain matching the
-        support's binary digits; ``count >= abs_sup`` is the standard
-        bit-sliced subtraction borrow (a label is frequent iff
-        ``count - abs_sup`` produces no borrow).  Only frequent labels
-        — the ones the miner recurses into anyway — are extracted.
-        """
-        slices = self._extension_slices()
-        total = 0
-        for slice_i in slices:
-            total |= slice_i
-        if not total:
-            return [], 0, False
-        n_slices = len(slices)
-
-        prefix_support = self.support
-        equal = 0
-        if not prefix_support >> n_slices:  # else no count can reach it
-            equal = total
-            for i in range(n_slices):
-                if (prefix_support >> i) & 1:
-                    equal &= slices[i]
-                else:
-                    equal &= ~slices[i]
-                if not equal:
-                    break
-        self._ties = equal
-        blocking = bool(equal)
-
-        if abs_sup >> n_slices:  # threshold above any representable count
-            frequent_mask = 0
-        else:
-            borrow = 0
-            for i in range(n_slices):
-                slice_i = slices[i]
-                if (abs_sup >> i) & 1:
-                    borrow = ~slice_i | (borrow & slice_i)
-                else:
-                    borrow &= ~slice_i
-            frequent_mask = total & ~borrow
-        infrequent = popcount(total) - popcount(frequent_mask)
-
-        labels = self.space.labels  # type: ignore[union-attr]
-        frequent: List[Tuple[Label, int]] = []
-        scan = frequent_mask
-        while scan:
-            low = scan & -scan
-            scan ^= low
-            count = 0
-            for i in range(n_slices):
-                if slices[i] & low:
-                    count += 1 << i
-            frequent.append((labels[low.bit_length() - 1], count))
-        return frequent, infrequent, blocking
-
-    def _extension_supports_mask(self) -> Dict[Label, int]:
-        """Per-graph masks: union the candidate masks, then read labels off.
 
         One ``|`` per embedding collapses the transaction's candidate
         sets before any label work happens; labels are then read off
@@ -500,6 +293,39 @@ class EmbeddingStore:
                     supports[label] = get(label, 0) + 1
         return supports
 
+    def extension_plan(
+        self, abs_sup: int
+    ) -> Tuple[List[Tuple[Label, int]], int, bool]:
+        """Digest of one extension scan, as the miner consumes it.
+
+        Returns ``(frequent, n_infrequent, blocking)``:
+
+        * ``frequent`` — the extension labels with support ≥ ``abs_sup``
+          in ascending label order, each with its support,
+        * ``n_infrequent`` — how many extension labels fell below the
+          threshold (feeds the statistics counter),
+        * ``blocking`` — whether some extension label ties the prefix
+          support, i.e. the Lemma 4.3 closure check *fails*.
+
+        Post-processes :meth:`extension_supports`, recording the tied
+        labels for :meth:`nonclosed_extension_label`.
+        """
+        supports = self.extension_supports()
+        prefix_support = self.support
+        frequent: List[Tuple[Label, int]] = []
+        infrequent = 0
+        ties: Set[Label] = set()
+        for label in sorted(supports):
+            count = supports[label]
+            if count == prefix_support:
+                ties.add(label)
+            if count >= abs_sup:
+                frequent.append((label, count))
+            else:
+                infrequent += 1
+        self._ties = ties
+        return frequent, infrequent, bool(ties)
+
     def nonclosed_extension_label(self, last_label: Label) -> Optional[Label]:
         """The Lemma 4.4 test: find a non-closed extension vertex label.
 
@@ -515,9 +341,7 @@ class EmbeddingStore:
         scan starts from that (usually empty) set instead of from
         scratch.
         """
-        if self.space is not None:
-            return self._nonclosed_extension_label_aligned(last_label)
-        common: Optional[Set[Label]] = self._ties  # type: ignore[assignment]
+        common = self._ties
         if common is not None:
             # The tie set also holds new labels (≥ last_label); only old
             # labels can block, so drop the rest before seeding the scan.
@@ -537,51 +361,6 @@ class EmbeddingStore:
             return min(common)
         return None
 
-    def _nonclosed_extension_label_aligned(self, last_label: Label) -> Optional[Label]:
-        """Aligned-space Lemma 4.4: the label intersection is one AND.
-
-        Qualifying old-label sets come back as masks in the global
-        label space, so intersecting across embeddings and picking the
-        smallest surviving label (= lowest set bit, since bit order is
-        label order) never touches a Python set.
-        """
-        space = self.space
-        views = space.views  # type: ignore[union-attr]
-        # Only labels sorting below the last label can block, and any
-        # blocking label must tie the prefix support (when known from a
-        # preceding extension_plan) — both restrictions are loop
-        # invariants, so the running intersection starts from their
-        # conjunction and the hot path usually exits here.
-        common: int = space.mask_below(last_label)  # type: ignore[union-attr]
-        ties = self._ties
-        if ties is not None:
-            common &= ties  # type: ignore[operator]
-        if not common:
-            return None
-        cached_mode = self.strategy == CACHED
-        for tid, records in self.by_transaction.items():
-            view = views[tid]
-            vertex_by_bit = view.vertex_by_bit
-            neighbor_masks = view.neighbor_masks
-            for record in records:
-                candidates = (
-                    record[1] if cached_mode else self._candidates_mask(tid, record)
-                )
-                scan = candidates & common  # type: ignore[operator]
-                qualifying = 0
-                while scan:
-                    top = scan.bit_length() - 1
-                    bit = 1 << top
-                    scan ^= bit
-                    if (candidates ^ bit) & ~neighbor_masks[vertex_by_bit[top]] == 0:  # type: ignore[operator]
-                        qualifying |= bit
-                common &= qualifying
-                if not common:
-                    return None
-        if common:
-            return space.labels[lowest_bit(common)]  # type: ignore[union-attr]
-        return None
-
     def _child(
         self,
         by_transaction: Dict[int, List[EmbeddingRecord]],
@@ -592,14 +371,13 @@ class EmbeddingStore:
         The engine's free list hands back stores whose subtree has
         finished; refilling one in place skips the allocation and the
         constructor's validation (sound: within one mine call the
-        database, strategy, and aligned space never change).
+        database and strategy never change).
         A ``reuse`` of a different concrete type is ignored.
         """
         if reuse is not None and type(reuse) is EmbeddingStore:
             reuse.database = self.database
             reuse.pseudo = self.pseudo
             reuse.strategy = self.strategy
-            reuse.space = self.space
             reuse.size = self.size + 1
             reuse.by_transaction = by_transaction
             reuse._ties = None
@@ -610,7 +388,6 @@ class EmbeddingStore:
             self.strategy,
             self.size + 1,
             by_transaction,
-            self.space,
         )
 
     def extend(
@@ -627,57 +404,6 @@ class EmbeddingStore:
         vertex are taken, so each vertex set appears exactly once.
         ``reuse`` optionally recycles a retired store object in place
         of a fresh allocation (see :meth:`_child`).
-        """
-        if self.space is not None:
-            return self._extend_aligned(label, reuse)
-        return self._extend_mask(label, last_label, reuse)
-
-    def _extend_aligned(
-        self, label: Label, reuse: Optional["EmbeddingStore"] = None
-    ) -> "EmbeddingStore":
-        """Aligned-space ``extend``: the label filter is a 1-bit AND.
-
-        With unique per-vertex labels a label names at most one vertex
-        per transaction, so "candidates carrying β" is ``candidates &
-        (1 << bit(β))`` and the same-label ascending-id discipline is
-        vacuous: a repeated label would need two distinct vertices with
-        the same label in one transaction, which cannot exist here (the
-        label's one vertex is already an embedding member, and members
-        are absent from their own candidate masks).
-        """
-        space = self.space
-        bit = space.bit_of.get(label)  # type: ignore[union-attr]
-        by_transaction: Dict[int, List[EmbeddingRecord]] = {}
-        if bit is not None:
-            label_mask = 1 << bit
-            views = space.views  # type: ignore[union-attr]
-            cached_mode = self.strategy == CACHED
-            for tid, records in self.by_transaction.items():
-                view = views[tid]
-                vertex = view.vertex_by_bit.get(bit)
-                if vertex is None:
-                    continue
-                extended: List[EmbeddingRecord] = []
-                if cached_mode:
-                    neighbor_mask = view.neighbor_masks[vertex]
-                    for vertices, cached in records:
-                        if cached & label_mask:  # type: ignore[operator]
-                            extended.append((vertices + (vertex,), cached & neighbor_mask))  # type: ignore[operator]
-                else:
-                    for record in records:
-                        if self._candidates_mask(tid, record) & label_mask:
-                            extended.append((record[0] + (vertex,), None))
-                if extended:
-                    by_transaction[tid] = extended
-        return self._child(by_transaction, reuse)
-
-    def _extend_mask(
-        self,
-        label: Label,
-        last_label: Optional[Label],
-        reuse: Optional["EmbeddingStore"] = None,
-    ) -> "EmbeddingStore":
-        """Per-graph-mask ``extend``: one AND per label filter and per growth.
 
         Restricting candidates to the extension label is ``mask &
         label_mask``; the same-label ascending-id discipline is a shift
@@ -723,22 +449,15 @@ class EmbeddingStore:
         so the per-label ascending-id trick no longer applies and
         duplicate vertex sets are collapsed explicitly per transaction.
         """
-        space = self.space
         by_transaction: Dict[int, List[EmbeddingRecord]] = {}
         for tid, records in self.by_transaction.items():
             graph = self.database[tid]
-            if space is not None:
-                view = space.views[tid]
-                neighbor_masks = view.neighbor_masks
-                vertices_of = view.vertices_of
-            else:
-                neighbor_masks = graph.bit_index().neighbor_masks
-                vertices_of = graph.vertices_from_mask
+            neighbor_masks = graph.bit_index().neighbor_masks
             seen: Set[frozenset] = set()
             extended: List[EmbeddingRecord] = []
             for record in records:
                 vertices, cached = record
-                for vertex in vertices_of(self._candidates_mask(tid, record)):
+                for vertex in graph.vertices_from_mask(self._candidates_mask(tid, record)):
                     if graph.label(vertex) != label:
                         continue
                     key = frozenset(vertices) | {vertex}
@@ -755,7 +474,6 @@ class EmbeddingStore:
             self.strategy,
             self.size + 1,
             by_transaction,
-            self.space,
         )
 
     def multiplicity_bound(self, valid_labels: Iterable[Label]) -> int:
@@ -789,7 +507,6 @@ class EmbeddingStore:
             self.strategy,
             self.size,
             {tid: recs for tid, recs in self.by_transaction.items() if tid in keep},
-            self.space,
         )
 
     def __repr__(self) -> str:
@@ -802,8 +519,7 @@ class EmbeddingStore:
 def warm_kernel_indexes(database: GraphDatabase, kernel: str = BITSET) -> None:
     """Force-build the lazy per-graph indexes the given kernel reads.
 
-    The mask layer (:meth:`Graph.bit_index`, the aligned
-    :meth:`GraphDatabase.aligned_space`, the slab
+    The mask layer (:meth:`Graph.bit_index`, the slab
     :meth:`GraphDatabase.slab_space`) is built lazily on first touch
     and cached.  The parallel executor calls this in the *parent*
     before forking its pool so every worker inherits the finished
@@ -814,6 +530,5 @@ def warm_kernel_indexes(database: GraphDatabase, kernel: str = BITSET) -> None:
     if kernel == SLAB and database.slab_space() is not None:
         return
     # Bitset, and slab-ineligible databases (the int-mask fallback).
-    if database.aligned_space() is None:
-        for graph in database:
-            graph.bit_index()
+    for graph in database:
+        graph.bit_index()

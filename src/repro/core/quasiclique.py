@@ -234,11 +234,11 @@ class QuasiEmbeddingStore:
     (:meth:`cc_viable_support`); per-pair counts are memoized in a
     ``(tid, u, v)``-keyed dict shared down the whole extend chain.
 
-    Unlike the clique store there is no aligned label space, no slab
-    layout and no rescan mode: candidates are recomputed from the
-    per-transaction index and cached per store instance, in ascending
-    vertex id.  Quasi-clique degree bookkeeping is per-embedding, not
-    per-label, so every kernel setting runs this int-mask store.
+    Unlike the clique store there is no slab layout and no rescan
+    mode: candidates are recomputed from the per-transaction index and
+    cached per store instance, in ascending vertex id.  Quasi-clique
+    degree bookkeeping is per-embedding, not per-label, so every kernel
+    setting runs this int-mask store.
     """
 
     __slots__ = (

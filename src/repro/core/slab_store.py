@@ -794,12 +794,10 @@ class SlabEmbeddingStore:
         rank = slab.bit_of.get(last_label)
         if rank is None:
             rank = bisect_left(slab.labels, last_label)
-        if rank == 0:
+        if rank == 0 or not self._support:
+            # Nothing sorts below the first label, and a prefix
+            # supported nowhere has no embedding to carry one.
             return None
-        if self._support == 0:
-            # Mirror the aligned int-mask scan over zero embeddings:
-            # the below-mask survives untouched.
-            return slab.labels[0]
         if self._source is None:
             self._entries()
         level, row = self._source, self._row
@@ -861,7 +859,8 @@ class SlabEmbeddingStore:
         """Embeddings of ``C ◇ label``: a row of a grown level.
 
         The same-label ordering discipline (``last_label``) is vacuous
-        in aligned space, exactly as for the aligned int-mask kernel.
+        with unique labels: a label names at most one vertex per
+        transaction.
         Stores bound to the mine call's forest hand out their children
         as rows of the next forest level (built for the whole frontier
         on first demand); saturated forests and stores outside one
@@ -960,10 +959,9 @@ class SlabEmbeddingStore:
         """Int-mask embedding records, materialised lazily.
 
         One record per supporting transaction — the vertex tuple in
-        canonical label order plus the candidate mask — exactly what
-        the bitset kernel would hold: an aligned label bitmask where
-        the database has an aligned label space, else (an out-of-core
-        store) a mask over the transaction's own vertex bits.
+        canonical label order plus the candidate mask over the
+        transaction's own vertex bits — exactly what the bitset kernel
+        would hold.
         """
         records = self._by_transaction
         if records is None:
@@ -975,7 +973,6 @@ class SlabEmbeddingStore:
         records: Dict[int, list] = {}
         if not tids:
             return records
-        aligned = self.database.aligned_space() is not None
         vertex_of = self.slab.vertices
         level, _, lo, hi = self._entries()
         cols = level.entry_cols[lo:hi]
@@ -983,19 +980,13 @@ class SlabEmbeddingStore:
         bits = np.unpackbits(level.entry_words[lo:hi].view(np.uint8), axis=-1, bitorder="little")
         for tid, vertices in zip(tids, self._embedding_rows().tolist()):
             candidates = cols[np.flatnonzero(bits[:, tid])].tolist()
-            if aligned:
-                mask = sum(1 << bit for bit in candidates)
-            else:
-                mask = self.database[tid].bit_index().mask_of(vertex_of[tid, candidates].tolist())
+            mask = self.database[tid].bit_index().mask_of(vertex_of[tid, candidates].tolist())
             records[tid] = [(tuple(vertices), mask)]
         return records
 
     def _candidates(self, tid: int, record) -> Set[int]:
         """Kernel-independent candidate accessor (tests, top-k legacy)."""
-        space = self.database.aligned_space()
-        if space is None:
-            return set(self.database[tid].bit_index().vertices_of(record[1]))
-        return set(space.views[tid].vertices_of(record[1]))
+        return set(self.database[tid].bit_index().vertices_of(record[1]))
 
     def _to_bitset_store(self):
         """An equivalent ``EmbeddingStore`` on the bitset kernel."""
@@ -1007,7 +998,6 @@ class SlabEmbeddingStore:
             self.strategy,
             self.size,
             {tid: list(recs) for tid, recs in self.by_transaction.items()},
-            self.database.aligned_space(),
         )
 
     def extend_unordered(self, label: Label):

@@ -144,162 +144,3 @@ class GraphBitIndex:
 
     def __repr__(self) -> str:
         return f"<GraphBitIndex |V|={len(self.order)}>"
-
-
-class AlignedGraphView:
-    """One transaction's masks in the database-global label bit space.
-
-    Only defined for graphs whose labels are unique per vertex: the
-    local vertex ↔ label bijection then lifts every vertex mask to a
-    label mask, with bit ``i`` standing for the ``i``-th smallest label
-    of the *database* alphabet.  Masks of different transactions become
-    directly comparable — the key to bit-sliced support counting.
-
-    ``source`` is the :class:`GraphBitIndex` the view was derived from;
-    holders compare it by identity to detect graph mutation.
-    """
-
-    __slots__ = (
-        "source",
-        "vertex_by_bit",
-        "bit_of_vertex",
-        "neighbor_masks",
-        "present_mask",
-        "_usable_source",
-        "_usable_levels",
-    )
-
-    def __init__(
-        self,
-        source: GraphBitIndex,
-        adjacency: Mapping[int, Set[int]],
-        space_bit_of: Mapping[Label, int],
-    ) -> None:
-        bit_of: Dict[int, int] = {}
-        vertex_by_bit: Dict[int, int] = {}
-        present = 0
-        for vertex, label in zip(source.order, source.labels_by_bit):
-            position = space_bit_of[label]
-            bit_of[vertex] = position
-            vertex_by_bit[position] = vertex
-            present |= 1 << position
-        self.source = source
-        self.vertex_by_bit = vertex_by_bit
-        self.bit_of_vertex = bit_of
-        self.present_mask = present
-        self.neighbor_masks = {}
-        for vertex, neighbors in adjacency.items():
-            mask = 0
-            for neighbor in neighbors:
-                mask |= 1 << bit_of[neighbor]
-            self.neighbor_masks[vertex] = mask
-        self._usable_source: Optional[object] = None
-        self._usable_levels: Dict[int, int] = {}
-
-    def usable_mask_at(self, core_index, clique_size: int) -> int:
-        """Core-pruning survivor mask of one level, in aligned space.
-
-        Cached per level against the given core index (a new pseudo
-        database resets the cache).
-        """
-        if clique_size <= 1:
-            return self.present_mask
-        if core_index is not self._usable_source:
-            self._usable_source = core_index
-            self._usable_levels = {}
-        cached = self._usable_levels.get(clique_size)
-        if cached is None:
-            bit_of = self.bit_of_vertex
-            cached = 0
-            for vertex in core_index.usable_at(clique_size):
-                cached |= 1 << bit_of[vertex]
-            self._usable_levels[clique_size] = cached
-        return cached
-
-    def vertices_of(self, mask: int) -> List[int]:
-        """Vertex ids of the set bits (in ascending label order)."""
-        vertex_by_bit = self.vertex_by_bit
-        return [vertex_by_bit[i] for i in iter_bits(mask)]
-
-    def __repr__(self) -> str:
-        return f"<AlignedGraphView |V|={len(self.bit_of_vertex)}>"
-
-
-class DatabaseLabelSpace:
-    """The database-global label bit space and its per-transaction views.
-
-    Exists only when *every* transaction has unique per-vertex labels
-    (vertex-identity alphabets such as stock tickers).  Bit ``i`` is
-    the ``i``-th smallest label of the database alphabet, so the mask
-    of "labels strictly below β" is the contiguous low mask
-    ``(1 << rank(β)) - 1`` — shared by all transactions.
-
-    ``sources`` holds each transaction's :class:`GraphBitIndex` as of
-    the build.  The :attr:`views` are built on first use: the slab
-    kernel reads the sources directly and never needs them.
-    """
-
-    __slots__ = ("labels", "bit_of", "graphs", "sources", "_views", "_below")
-
-    def __init__(self, graphs, labels: Tuple[Label, ...]) -> None:
-        self.labels = labels
-        self.bit_of: Dict[Label, int] = {label: i for i, label in enumerate(labels)}
-        self.graphs = list(graphs)
-        self.sources: List[GraphBitIndex] = [graph.bit_index() for graph in self.graphs]
-        self._views: Optional[List[AlignedGraphView]] = None
-        self._below: Dict[Label, int] = {}
-
-    @property
-    def views(self) -> List[AlignedGraphView]:
-        """One :class:`AlignedGraphView` per transaction, built lazily.
-
-        Transactions that share one graph object (a replicated
-        database) share its view.
-        """
-        views = self._views
-        if views is None:
-            by_graph: Dict[int, AlignedGraphView] = {}
-            views = []
-            for graph, source in zip(self.graphs, self.sources):
-                view = by_graph.get(id(graph))
-                if view is None:
-                    view = by_graph[id(graph)] = AlignedGraphView(
-                        source, graph.adjacency_map(), self.bit_of
-                    )
-                views.append(view)
-            self._views = views
-        return views
-
-    def mask_below(self, label: Label) -> int:
-        """Mask of every label of the alphabet sorting strictly below."""
-        cached = self._below.get(label)
-        if cached is None:
-            cached = (1 << bisect_left(self.labels, label)) - 1
-            self._below[label] = cached
-        return cached
-
-    def stale(self) -> bool:
-        """Whether any transaction mutated since the space was built."""
-        for graph, source in zip(self.graphs, self.sources):
-            if graph._bit_index is not source:
-                return True
-        return False
-
-    def __repr__(self) -> str:
-        return f"<DatabaseLabelSpace |L|={len(self.labels)} |D|={len(self.graphs)}>"
-
-
-def build_label_space(graphs) -> Optional[DatabaseLabelSpace]:
-    """Build the aligned label space, or ``None`` if labels repeat.
-
-    A single transaction with a repeated label disables alignment for
-    the whole database (the local-bit-space kernel path still applies).
-    """
-    alphabet: Set[Label] = set()
-    graphs = list(graphs)
-    for graph in graphs:
-        index = graph.bit_index()
-        if not index.unique_labels:
-            return None
-        alphabet.update(index.labels_by_bit)
-    return DatabaseLabelSpace(graphs, tuple(sorted(alphabet)))

@@ -20,7 +20,6 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Set
 
 from ..exceptions import DatabaseError, InvalidSupportError
-from .bitset import DatabaseLabelSpace
 from .graph import Graph, Label
 from .storage import GraphSource, InMemoryGraphSource
 
@@ -75,19 +74,6 @@ class GraphDatabase:
         if graph.graph_id is None:
             graph.graph_id = tid
         return tid
-
-    def aligned_space(self) -> Optional[DatabaseLabelSpace]:
-        """The database-global label bit space, or ``None``.
-
-        Available exactly when every transaction's labels are unique
-        per vertex (see :class:`~repro.graphdb.bitset.DatabaseLabelSpace`)
-        *and* the storage backend keeps transactions resident (its
-        per-transaction views would materialise an out-of-core store);
-        the bitset kernel then counts extension supports bit-sliced
-        across transactions, and falls back to per-graph masks
-        otherwise.
-        """
-        return self._source.aligned_space()
 
     def slab_space(self):
         """The transposed numpy slab index, or ``None``.

@@ -21,8 +21,7 @@ from its resident graphs' indexes, the SQLite store straight from its
 rows, read once and parsed (:func:`repro.graphdb.schema.parse_row`)
 into vertex ids, labels and edge positions without building any
 graph.  An aligned (unique-label) store therefore mines on the slab
-kernel with no graph built; the per-transaction aligned views the
-bitset kernel reads stay in-memory only.  Every reader of a row
+kernel with no graph built.  Every reader of a row
 validates it through that one parser, and a damaged row raises
 :class:`DatabaseError` naming the store and the transaction.
 
@@ -42,7 +41,6 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Tuple, Union
 
 from ..exceptions import DatabaseError
-from .bitset import DatabaseLabelSpace, build_label_space
 from .graph import Graph, Label
 from .schema import (
     DDL,
@@ -55,8 +53,8 @@ from .schema import (
 
 PathLike = Union[str, Path]
 
-# Sentinel: a kernel space (aligned or slab) has not been computed yet
-# (``None`` is a valid cached answer, meaning "not available").
+# Sentinel: the slab space has not been computed yet (``None`` is a
+# valid cached answer, meaning "not available").
 _SPACE_UNSET = object()
 
 
@@ -99,16 +97,6 @@ class GraphSource:
         raise NotImplementedError
 
     # -- kernel spaces --------------------------------------------------
-    def aligned_space(self) -> Optional[DatabaseLabelSpace]:
-        """The database-global label bit space, or ``None``.
-
-        ``None`` both when alignment is impossible and when the backend
-        cannot afford it (its per-transaction views require every
-        transaction resident); the bitset kernel falls back to
-        per-graph masks either way.
-        """
-        return None
-
     def slab_space(self):
         """The transposed numpy slab index, or ``None``.
 
@@ -132,17 +120,16 @@ class GraphSource:
 class InMemoryGraphSource(GraphSource):
     """The historical backend: a Python list of resident graphs.
 
-    Owns the lazily-built aligned/slab spaces that used to live on
-    :class:`GraphDatabase` — they are storage-level caches (they index
-    the resident graphs), so they moved with the storage.
+    Owns the lazily-built slab space that used to live on
+    :class:`GraphDatabase` — it is a storage-level cache (it indexes
+    the resident graphs), so it moved with the storage.
     """
 
-    __slots__ = ("graphs", "name", "_aligned_space", "_slab_cache", "_scan_cache")
+    __slots__ = ("graphs", "name", "_slab_cache", "_scan_cache")
 
     def __init__(self, graphs: Optional[List[Graph]] = None, name: str = "") -> None:
         self.graphs: List[Graph] = list(graphs) if graphs else []
         self.name = name
-        self._aligned_space: object = _SPACE_UNSET
         self._slab_cache: Optional[tuple] = None
         #: ``[per-graph bit indexes, label supports, digests]`` of the
         #: last scans (``None`` until computed); see :meth:`_scans`.
@@ -169,15 +156,13 @@ class InMemoryGraphSource(GraphSource):
     def append(self, graph: Graph) -> int:
         tid = len(self.graphs)
         self.graphs.append(graph)
-        self._aligned_space = _SPACE_UNSET
         return tid
 
     def _scans(self) -> list:
         """The memo of whole-database scans, reset when any graph changed.
 
         A graph's bit index is rebuilt on every mutation, so comparing
-        index identities (as :meth:`DatabaseLabelSpace.stale` does) sees
-        appends and mutated transactions alike.
+        index identities sees appends and mutated transactions alike.
         """
         graphs = self.graphs
         cached = self._scan_cache
@@ -211,26 +196,21 @@ class InMemoryGraphSource(GraphSource):
             scans[2] = digests
         return iter(scans[2])
 
-    def aligned_space(self) -> Optional[DatabaseLabelSpace]:
-        space = self._aligned_space
-        if space is _SPACE_UNSET or (space is not None and space.stale()):  # type: ignore[union-attr]
-            space = build_label_space(self.graphs)
-            self._aligned_space = space
-        return space  # type: ignore[return-value]
-
     def slab_space(self):
-        # Keyed by the aligned space, whose staleness check observes
-        # graph mutation; the build reads its resident indexes.
-        space = self.aligned_space()
-        if space is None:
-            return None
+        # Keyed by the scan memo, which is replaced whenever a graph
+        # changes; the build reads the memo's resident indexes.
+        scans = self._scans()
         cached = self._slab_cache
-        if cached is not None and cached[0] is space:
+        if cached is not None and cached[0] is scans:
             return cached[1]
-        from .slab import build_slab_space, index_feed
+        indexes = scans[0]
+        slab = None
+        if all(index.unique_labels for index in indexes):
+            from .slab import build_slab_space, index_feed
 
-        slab = build_slab_space(index_feed(space.sources), space.labels, len(space.sources))
-        self._slab_cache = (space, slab)
+            labels = tuple(sorted(self.label_supports()))
+            slab = build_slab_space(index_feed(indexes), labels, len(indexes))
+        self._slab_cache = (scans, slab)
         return slab
 
 

@@ -3,13 +3,11 @@
 Every mask-valued primitive must agree exactly with its set-valued
 counterpart: neighbour masks with :meth:`Graph.neighbors`, popcount
 and bit iteration with set cardinality and membership, core-pruning
-masks with the set-based survivor sets, and the aligned database-wide
-label space with the per-graph local bit spaces it is derived from.
+masks with the set-based survivor sets, and the store-level Lemma 4.4
+scan with the hashed-set oracle's.
 """
 
 from __future__ import annotations
-
-from bisect import bisect_left
 
 import pytest
 from hypothesis import given, settings
@@ -19,7 +17,6 @@ from repro.core.closure import fully_connected_old_labels_mask
 from repro.core.embeddings import EmbeddingStore
 from repro.graphdb import Graph, GraphDatabase
 from repro.graphdb.bitset import (
-    build_label_space,
     iter_bits,
     lowest_bit,
     mask_from_bits,
@@ -28,7 +25,7 @@ from repro.graphdb.bitset import (
 
 from tests.conftest import make_random_database
 from tests.oracles import SetCliqueStore, fully_connected_old_labels
-from tests.strategies import graph_databases, labeled_graphs
+from tests.strategies import labeled_graphs
 from tests.test_kernel_differential import unique_label_database
 
 bitsets = st.integers(min_value=0, max_value=(1 << 80) - 1)
@@ -118,72 +115,6 @@ class TestCoreMasks:
         assert second.max_core == 1
 
 
-class TestAlignedSpace:
-    @pytest.mark.parametrize("seed", range(6))
-    def test_views_agree_with_local_indices(self, seed):
-        database = unique_label_database(seed)
-        space = database.aligned_space()
-        assert space is not None
-        assert list(space.labels) == sorted(space.labels)
-        for tid, graph in enumerate(database):
-            view = space.views[tid]
-            for vertex in graph.vertices():
-                decoded = set(view.vertices_of(view.neighbor_masks[vertex]))
-                assert decoded == graph.neighbors(vertex)
-            assert set(view.vertices_of(view.present_mask)) == set(graph.vertices())
-            # Bit ↔ label bijection: each vertex sits at its label's rank.
-            for vertex in graph.vertices():
-                assert view.bit_of_vertex[vertex] == space.bit_of[graph.label(vertex)]
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_mask_below_is_contiguous_rank_mask(self, seed):
-        space = unique_label_database(seed).aligned_space()
-        for probe in list(space.labels) + ["", "~beyond"]:
-            rank = bisect_left(space.labels, probe)
-            assert space.mask_below(probe) == (1 << rank) - 1
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_usable_mask_at_matches_core_index(self, seed):
-        database = unique_label_database(seed)
-        space = database.aligned_space()
-        for tid, graph in enumerate(database):
-            view = space.views[tid]
-            core = graph.core_index()
-            for size in range(1, core.max_clique_upper_bound() + 2):
-                decoded = set(view.vertices_of(view.usable_mask_at(core, size)))
-                expected = (
-                    set(graph.vertices()) if size <= 1 else set(core.usable_at(size))
-                )
-                assert decoded == expected
-
-    def test_space_rebuilt_after_mutation(self):
-        database = unique_label_database(3)
-        first = database.aligned_space()
-        assert database.aligned_space() is first  # cached while fresh
-        graph = database[0]
-        new_vertex = max(graph.vertices()) + 1
-        graph.add_vertex(new_vertex, "ZZZ")
-        second = database.aligned_space()
-        assert second is not first
-        assert "ZZZ" in second.bit_of
-
-    def test_duplicate_label_anywhere_disables_space(self):
-        database = unique_label_database(4)
-        graph = database[0]
-        vertex = max(graph.vertices()) + 1
-        existing_label = next(iter(graph.labels().values()))
-        graph.add_vertex(vertex, existing_label)
-        assert build_label_space(list(database)) is None
-        assert database.aligned_space() is None
-
-    @settings(deadline=None)
-    @given(database=graph_databases())
-    def test_build_label_space_iff_unique_labels(self, database):
-        unique = all(g.bit_index().unique_labels for g in database) and len(database)
-        space = build_label_space(list(database))
-        assert (space is not None) == bool(unique)
-
-
 class TestClosureVariantsAgree:
     """The Lemma 4.4 scans agree with the hashed-set oracle's."""
 
@@ -205,19 +136,19 @@ class TestClosureVariantsAgree:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_aligned_variant_matches_set_variant(self, seed):
-        # The aligned scan runs inline in the store; hold it to the set
-        # oracle's store-level answer on every supported 2-clique
-        # prefix, for both
-        # strategies, with and without the tie set an extension plan
-        # seeds it from.
+        # On aligned (unique-label) data the store's per-graph-mask scan
+        # takes the unique-label shortcut; hold it to the set oracle's
+        # store-level answer on every supported 2-clique prefix, for
+        # both strategies, with and without the tie set an extension
+        # plan seeds it from.
         database = unique_label_database(seed)
-        assert database.aligned_space() is not None
+        assert all(graph.bit_index().unique_labels for graph in database)
         labels = sorted(database.label_supports())
         for first in labels:
             oracle_root = SetCliqueStore.for_label(database, None, first)
             for strategy in ("cached", "rescan"):
                 root = EmbeddingStore.for_label(database, None, first, strategy)
-                assert root.space is not None
+                assert type(root) is EmbeddingStore
                 for second in labels[labels.index(first):]:
                     oracle = oracle_root.extend(second, first)
                     if not oracle.support:

@@ -1,8 +1,8 @@
 """Differential testing of the bitset and slab mining kernels.
 
-The bitset kernel (including its aligned database-global label space,
-engaged automatically on unique-label databases) and the numpy slab
-kernel (word-sliced uint64 masks, forest-batched extension planning),
+The bitset kernel (per-graph int masks, on every database) and the
+numpy slab kernel (word-sliced uint64 masks, forest-batched extension
+planning, engaged on unique-label databases),
 each under both embedding strategies, must be *byte identical* to the
 recursive reference miner over the hashed-set store of
 :mod:`tests.oracles`: same closed-clique sets, same supports and
@@ -37,7 +37,7 @@ STRATEGIES = ("cached", "rescan")
 
 #: 50 seeded random databases spanning sparse to near-complete graphs,
 #: few to many labels (many labels → unique-per-graph labels are more
-#: likely, exercising the aligned bitset path).
+#: likely, exercising the slab path).
 RANDOM_CASES = [
     (seed, 3 + seed % 3, 6 + seed % 4, 0.3 + 0.06 * (seed % 10), 3 + seed % 5)
     for seed in range(50)
@@ -91,8 +91,8 @@ def unique_label_database(seed: int, n_graphs: int = 4) -> GraphDatabase:
     """Random database whose transactions carry unique per-vertex labels.
 
     Every graph samples a subset of a shared ticker-like alphabet, one
-    vertex per label — the shape that switches the bitset kernel into
-    its aligned database-global label space.
+    vertex per label — the aligned shape the slab kernel indexes, and
+    the per-graph masks' unique-label special case.
     """
     rng = random.Random(seed)
     alphabet = [f"T{i:02d}" for i in range(12)]
@@ -129,12 +129,13 @@ class TestRandomDatabases:
 
 
 class TestAlignedPath:
-    """Unique-label databases run the aligned global-label-space code."""
+    """Unique-label databases run the slab kernel, with the per-graph
+    masks of the bitset kernel as its reference."""
 
     @pytest.mark.parametrize("seed", range(12))
     def test_aligned_kernels_identical_and_match_oracle(self, seed):
         database = unique_label_database(seed)
-        assert database.aligned_space() is not None
+        assert database.slab_space() is not None
         min_sup = 2 if seed % 2 else 1
         reference = assert_all_identical(database, min_sup)
         oracle = bruteforce_closed_cliques(database, min_sup)
@@ -142,7 +143,7 @@ class TestAlignedPath:
 
     def test_duplicate_labels_disable_aligned_space(self):
         database = make_random_database(0, n_labels=2)
-        assert database.aligned_space() is None
+        assert database.slab_space() is None
 
 
 class TestMultiWordSlab:
@@ -154,7 +155,6 @@ class TestMultiWordSlab:
     @pytest.mark.parametrize("seed", (0, 3))
     def test_wide_databases_identical_and_match_oracle(self, seed):
         database = unique_label_database(seed, n_graphs=70)
-        assert database.aligned_space() is not None
         space = database.slab_space()
         assert space is not None and space.tx_words > 1
         reference = assert_all_identical(database, 8)
@@ -526,6 +526,24 @@ class TestStoreSurface:
                 for deeper in rng.sample(probes, 3):
                     grandchild = [store.extend(deeper, label) for store in child]
                     check(grandchild, (root, label, deeper))
+
+    @pytest.mark.parametrize("n_graphs", (4, 70), ids=("one-word", "multi-word"))
+    def test_zero_support_store_has_no_blocking_label(self, n_graphs):
+        # A prefix supported nowhere has no embedding to carry a Lemma
+        # 4.4 label, on either kernel, before and after its plan.
+        from repro.core.embeddings import EmbeddingStore
+
+        database = unique_label_database(0, n_graphs=n_graphs)
+        labels = sorted(database.label_supports())
+        probes = labels + ["~beyond"]
+        for slab in (True, False):
+            root = EmbeddingStore.for_label(database, None, "T05x", slab=slab)
+            child = EmbeddingStore.for_label(database, None, labels[0], slab=slab)
+            for store in (root, child.extend("T05x", labels[0])):
+                assert store.support == 0
+                assert [store.nonclosed_extension_label(p) for p in probes] == [None] * len(probes)
+                assert store.extension_plan(1) == ([], 0, False)
+                assert [store.nonclosed_extension_label(p) for p in probes] == [None] * len(probes)
 
 
 class TestNonDefaultConfigs:

@@ -343,8 +343,8 @@ class TestAlignedStoreOnSlab:
             assert np.array_equal(getattr(from_store, name), getattr(in_memory, name))
 
     def test_record_level_paths_decode_from_the_store(self, aligned_db, aligned_path):
-        # The slab's cold paths fall back to int masks; with no aligned
-        # space they use each transaction's own vertex bits.
+        # The slab's cold paths fall back to int masks over each
+        # transaction's own vertex bits.
         source = open_source(aligned_path)
         try:
             store_db = GraphDatabase(source=source)
@@ -353,7 +353,6 @@ class TestAlignedStoreOnSlab:
                 structural_redundancy_pruning=False,
                 nonclosed_prefix_pruning=False,
             )
-            assert store_db.aligned_space() is None
             assert sorted(
                 pattern.key() for pattern in ClanMiner(store_db, config).mine(3)
             ) == sorted(pattern.key() for pattern in ClanMiner(aligned_db, config).mine(3))

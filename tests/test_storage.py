@@ -12,6 +12,7 @@ import re
 import sqlite3
 
 import pytest
+from hypothesis import given, settings
 
 from repro.chem import ca_like_database
 from repro.core.api import MiningRequest, MiningResultEnvelope, execute_request
@@ -33,6 +34,9 @@ from repro.graphdb import storage
 from repro.graphdb.schema import decode_graph, encode_graph, parse_row
 from repro.io import gspan_format, json_format
 from repro.io.runlog import database_fingerprint
+
+from tests.strategies import graph_databases
+from tests.test_kernel_differential import unique_label_database
 
 
 def tricky_db() -> GraphDatabase:
@@ -169,10 +173,8 @@ class TestSqliteSource:
         )
 
     def test_no_aligned_or_slab_space(self, store):
-        # This store repeats labels, so it has no slab index; and it
-        # never builds the aligned views, which would materialise it.
+        # This store repeats labels, so it has no slab index.
         _, source = store
-        assert source.aligned_space() is None
         assert source.slab_space() is None
 
 
@@ -288,6 +290,38 @@ class TestInMemorySource:
         assert isinstance(view.source, SqliteGraphSource)
         assert view.label_supports() == db.label_supports()
         assert view.total_vertices() == db.total_vertices()
+
+    def test_slab_space_rebuilt_after_mutation(self):
+        database = unique_label_database(3)
+        first = database.slab_space()
+        assert database.slab_space() is first  # cached while fresh
+        graph = database[0]
+        graph.add_vertex(max(graph.vertices()) + 1, "ZZZ")
+        second = database.slab_space()
+        assert second is not first
+        assert "ZZZ" in second.bit_of
+        appended = Graph()
+        appended.add_vertex(0, "YYY")
+        database.add(appended)
+        third = database.slab_space()
+        assert third is not second
+        assert "YYY" in third.bit_of
+        assert third.n_transactions == len(database)
+
+    def test_duplicate_label_anywhere_disables_slab_space(self):
+        database = unique_label_database(4)
+        assert database.slab_space() is not None
+        graph = database[0]
+        existing_label = next(iter(graph.labels().values()))
+        graph.add_vertex(max(graph.vertices()) + 1, existing_label)
+        assert database.slab_space() is None
+
+    @settings(deadline=None)
+    @given(database=graph_databases())
+    def test_slab_space_iff_unique_labels(self, database):
+        # The builder also declines a database with no label at all.
+        unique = all(graph.bit_index().unique_labels for graph in database)
+        assert (database.slab_space() is not None) == (unique and bool(database.label_supports()))
 
 
 #: Damaged encodings for transaction 1 of a three-transaction store.
