@@ -51,9 +51,9 @@ class MinerConfig:
     kernel:
         ``"slab"`` (default) keeps candidate-extension sets in numpy
         unsigned-word slab arrays with vectorized popcount, transposed over
-        transactions; it needs unique per-vertex labels and the
-        ``cached`` strategy, and otherwise runs on the ``"bitset"``
-        int masks.  ``"bitset"`` intersects candidate-extension sets as
+        transactions; it needs unique per-vertex labels, the ``cached``
+        strategy and ``structural_redundancy_pruning``, and otherwise
+        runs on the ``"bitset"`` int masks.  ``"bitset"`` intersects candidate-extension sets as
         arbitrary-precision integer bitmasks — one ``&`` per
         intersection.  Both kernels produce identical results under
         every strategy and pruning combination.  ``"set"`` (the retired

@@ -45,8 +45,9 @@ Orthogonally to the strategy, two *kernels* implement the set algebra:
     transposed so one array row holds a label's supporting-transaction
     mask (:mod:`repro.core.slab_store`).  Engaged when the database has
     a slab index (unique per-vertex labels, resident or in a SQLite
-    store) and the strategy is ``cached``; otherwise the mine runs on
-    the ``bitset`` kernel's per-graph int masks.
+    store), the strategy is ``cached`` and structural redundancy
+    pruning is on; otherwise the mine runs on the ``bitset`` kernel's
+    per-graph int masks.
 
 Both kernels enumerate embeddings in identical order (ascending vertex
 id within each label group) and produce identical results.  The
@@ -136,8 +137,9 @@ class EmbeddingStore:
         otherwise it falls back to this int-mask store (byte-identical
         results either way).  ``context`` is the engine's
         per-mine-call scratch dict: it caches the database's slab space
-        across the call's roots, and the slab kernel shares its
-        level-batched forest through it.
+        across the call's roots, and with the call's ``roots`` and
+        ``abs_sup`` in it the slab kernel builds its level-batched
+        forest there and hands each root its level-0 row.
         """
         if strategy not in _STRATEGIES:
             raise MiningError(f"unknown embedding strategy {strategy!r}; use one of {_STRATEGIES}")
@@ -155,9 +157,7 @@ class EmbeddingStore:
             if slab_space is not None:
                 from .slab_store import SlabEmbeddingStore
 
-                return SlabEmbeddingStore.for_root(
-                    database, pseudo, label, slab_space, context
-                )
+                return SlabEmbeddingStore.for_root(slab_space, label, context)
         by_transaction: Dict[int, List[EmbeddingRecord]] = {}
         for tid, graph in enumerate(database):
             records: List[EmbeddingRecord] = []
@@ -361,49 +361,13 @@ class EmbeddingStore:
             return min(common)
         return None
 
-    def _child(
-        self,
-        by_transaction: Dict[int, List[EmbeddingRecord]],
-        reuse: Optional["EmbeddingStore"],
-    ) -> "EmbeddingStore":
-        """Wrap a child's records, recycling ``reuse`` when possible.
-
-        The engine's free list hands back stores whose subtree has
-        finished; refilling one in place skips the allocation and the
-        constructor's validation (sound: within one mine call the
-        database and strategy never change).
-        A ``reuse`` of a different concrete type is ignored.
-        """
-        if reuse is not None and type(reuse) is EmbeddingStore:
-            reuse.database = self.database
-            reuse.pseudo = self.pseudo
-            reuse.strategy = self.strategy
-            reuse.size = self.size + 1
-            reuse.by_transaction = by_transaction
-            reuse._ties = None
-            return reuse
-        return EmbeddingStore(
-            self.database,
-            self.pseudo,
-            self.strategy,
-            self.size + 1,
-            by_transaction,
-        )
-
-    def extend(
-        self,
-        label: Label,
-        last_label: Optional[Label],
-        reuse: Optional["EmbeddingStore"] = None,
-    ) -> "EmbeddingStore":
+    def extend(self, label: Label, last_label: Optional[Label]) -> "EmbeddingStore":
         """Embeddings of ``C ◇ label``.
 
         ``last_label`` is the last label of the current prefix (``None``
         for the empty prefix).  When the extension repeats the last
         label, only vertices with ids above the previous same-label
         vertex are taken, so each vertex set appears exactly once.
-        ``reuse`` optionally recycles a retired store object in place
-        of a fresh allocation (see :meth:`_child`).
 
         Restricting candidates to the extension label is ``mask &
         label_mask``; the same-label ascending-id discipline is a shift
@@ -439,7 +403,13 @@ class EmbeddingStore:
                     extended.append((vertices + (vertex,), new_cached))
             if extended:
                 by_transaction[tid] = extended
-        return self._child(by_transaction, reuse)
+        return EmbeddingStore(
+            self.database,
+            self.pseudo,
+            self.strategy,
+            self.size + 1,
+            by_transaction,
+        )
 
     def extend_unordered(self, label: Label) -> "EmbeddingStore":
         """Extension without the canonical ordering discipline.

@@ -94,10 +94,10 @@ class TaskStrategy:
     ``visit`` override therefore receives ``labels`` (canonical by
     construction — wrap with :meth:`CanonicalForm.wrap` at emission
     time) and must treat ``store`` as borrowed for the duration of the
-    call: the engine recycles child stores through a free list once
-    their subtree finishes, so a strategy may *read* the store (and
-    copy out ``transactions()``/``witnesses()``, which return fresh
-    objects) but must never retain a reference to it past the call.
+    call: a slab store pins its whole forest level, so a strategy may
+    *read* the store (and copy out ``transactions()``/``witnesses()``,
+    which return fresh objects) but must never retain a reference to
+    it past the call.
 
     :meth:`root_store` lets a strategy substitute the embedding store
     the DFS grows (quasi swaps in the feasibility-pruned store);
@@ -137,9 +137,12 @@ class TaskStrategy:
         Called with the engine's :class:`PseudoDatabase` (``None`` when
         low-degree pruning is off) at both mining and split-planning
         sites, so every execution path grows the same embeddings.
-        ``context`` is the per-mine-call scratch dict (kernels use it
-        to share batched state across the call's roots); ``None`` at
-        standalone sites like split planning.
+        ``context`` is the per-mine-call scratch dict: with the call's
+        ``roots`` and ``abs_sup`` in it, the slab kernel hands each
+        root its row of the call's level-batched forest.  The slab
+        store grows canonical extensions only, so the slab kernel asks
+        for it only under structural redundancy pruning; the pruning-off
+        ablation runs on int masks throughout.
         """
         config = engine.config
         return EmbeddingStore.for_label(
@@ -148,7 +151,7 @@ class TaskStrategy:
             label,
             config.embedding_strategy,
             context,
-            slab=config.kernel == SLAB,
+            slab=config.kernel == SLAB and config.structural_redundancy_pruning,
         )
 
     def prune_subtree(
@@ -304,7 +307,7 @@ class TopKStrategy(TaskStrategy):
         # a subtree that can only *match* the k-th size may still win.
         bound = len(labels) + store.multiplicity_bound(valid)
         if bound < self._heap.threshold():
-            stats.redundancy_skips += 1  # reuse the counter for bound cuts
+            stats.redundancy_skips += 1  # bound cuts share this counter
             return False
         return True
 
@@ -686,10 +689,10 @@ class MiningEngine:
         hooks' buffer is flushed and their prefix counters are settled;
         a caller that resets per-root hook state (``hooks.begin_root``)
         does so before asking for the next part.  What one call shares
-        across its roots is the per-call scratch: the store free list
-        and the slab kernel's level-batched forest, which a call per
-        root would rebuild every time.  The engine is prepared first,
-        so no part counts the label-support scan.
+        across its roots is the per-call scratch: the slab kernel's
+        level-batched forest, which a call per root would rebuild every
+        time.  The engine is prepared first, so no part counts the
+        label-support scan.
         """
         config = self.config
         if not config.structural_redundancy_pruning:
@@ -747,7 +750,11 @@ class MiningEngine:
         abs_sup = self.database.absolute_support(min_sup)
         if self._label_supports.get(root, 0) < abs_sup:
             return []
-        store = self.strategy.root_store(self, self._pseudo_database(), root)
+        # A one-root context: the slab kernel digests the root once, as
+        # the one row of a forest at this threshold.
+        store = self.strategy.root_store(
+            self, self._pseudo_database(), root, {"roots": (root,), "abs_sup": abs_sup}
+        )
         if config.max_embeddings is not None and store.embedding_count > config.max_embeddings:
             return []
         frequent_extensions, _, _ = store.extension_plan(abs_sup)
@@ -783,9 +790,7 @@ class MiningEngine:
 
         * prefixes travel as bare label tuples — ``CanonicalForm`` /
           ``CliquePattern`` / witnesses materialise only at emission;
-        * search frames are 4-slot lists recycled by stack depth, and
-          finished child stores return to ``pool`` for
-          ``extend(..., reuse=...)`` to refill in place;
+        * search frames are 4-slot lists recycled by stack depth;
         * strategy dispatch is resolved once per call — the built-in
           emission rules run inline, overridden hooks via pre-bound
           methods;
@@ -811,15 +816,13 @@ class MiningEngine:
         pseudo = self._pseudo_database()
         seen_forms: Set[Tuple[Label, ...]] = set()
         # Per-call scratch shared across this call's roots; the slab
-        # kernel hosts its level-batched forest here.  Created fresh per
-        # call so no work leaks between (or is reused by) separate calls.
-        context: dict = {"roots": roots}
-        # Child-store free list, shared across this call's roots: stores
-        # whose subtree finished are recycled through ``extend(...,
-        # reuse=...)`` instead of re-allocated per extension.  Exposed
-        # in the context so kernels can also refill root stores from it.
-        pool: list = []
-        context["store_pool"] = pool
+        # kernel builds its level-batched forest here from the roots and
+        # the threshold, and each root store is a row of its first
+        # level.  A split task's root node belongs to a sibling task, so
+        # its root gets no threshold and grows only the requested
+        # extensions, one by one.  Created fresh per call so no work
+        # leaks between separate calls.
+        context: dict = {"roots": roots, "abs_sup": abs_sup} if include_root else {}
 
         redundancy = config.structural_redundancy_pruning
         nonclosed_pruning = config.nonclosed_prefix_pruning
@@ -959,8 +962,6 @@ class MiningEngine:
                         n_prunes += 1
                         if sinks_armed:
                             hooks.pruned(labels, reason)
-                        if redundancy and len(pool) < 64:
-                            pool.append(store)
                         labels = store = None  # type: ignore[assignment]
                         continue
 
@@ -1005,16 +1006,12 @@ class MiningEngine:
 
                     # Lines 08-09: queue the frequent valid extensions.
                     if max_size is not None and size >= max_size:
-                        if redundancy and len(pool) < 64:
-                            pool.append(store)
                         labels = store = None  # type: ignore[assignment]
                         continue
                     n_infrequent += n_inf
                     if not inline_descend and not descend(
                         labels, store, frequent_extensions, stats
                     ):
-                        if redundancy and len(pool) < 64:
-                            pool.append(store)
                         labels = store = None  # type: ignore[assignment]
                         continue
                     extensions = frequent_extensions
@@ -1027,8 +1024,6 @@ class MiningEngine:
                             n_skips += skipped
                             extensions = extensions[skipped:]
                     if not extensions:
-                        if redundancy and len(pool) < 64:
-                            pool.append(store)
                         labels = store = None  # type: ignore[assignment]
                         continue
                     top += 1
@@ -1124,19 +1119,14 @@ class MiningEngine:
                 extensions = frame[2]
                 i = frame[3]
                 if i == len(extensions):
-                    done = frame[1]
                     frame[0] = frame[1] = frame[2] = None
                     top -= 1
-                    if redundancy and len(pool) < 64:
-                        pool.append(done)
                     continue
                 frame[3] = i + 1
                 label, ext_support = extensions[i]
                 parent_labels = frame[0]
                 if redundancy:
-                    store = frame[1].extend(
-                        label, parent_labels[-1], pool.pop() if pool else None
-                    )
+                    store = frame[1].extend(label, parent_labels[-1])
                     labels = parent_labels + (label,)
                 else:
                     store = frame[1].extend_unordered(label)
@@ -1181,8 +1171,3 @@ class MiningEngine:
                 # Aborted searches included: the sinks see every event
                 # the search produced before the error propagates.
                 hooks.flush()
-            # Slab root stores point back at the context that holds the
-            # pool: break the cycle so the call's stores and forest are
-            # freed by refcount now, not by a later gen-2 collection.
-            pool.clear()
-            context.clear()

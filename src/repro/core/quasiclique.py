@@ -385,20 +385,12 @@ class QuasiEmbeddingStore:
             "bound instead"
         )
 
-    def extend(
-        self,
-        label: Label,
-        last_label: Optional[Label],
-        reuse: Optional["QuasiEmbeddingStore"] = None,
-    ) -> "QuasiEmbeddingStore":
+    def extend(self, label: Label, last_label: Optional[Label]) -> "QuasiEmbeddingStore":
         """Feasible embeddings of ``C ◇ label``.
 
         Mirrors the clique store's canonical discipline: repeating the
         last label only accepts vertices above the previous same-label
         vertex, so each feasible vertex set appears exactly once.
-        ``reuse`` (the engine's store free list) is accepted for
-        interface parity but ignored — quasi stores carry per-embedding
-        record lists that are cheap relative to feasibility checking.
         """
         same_label_tail = last_label is not None and label == last_label
         by_transaction: Dict[int, list] = {}

@@ -1,11 +1,11 @@
 """The slab kernel's embedding store (``MinerConfig.kernel="slab"``).
 
 :class:`SlabEmbeddingStore` is the aligned-database fast path of the
-slab kernel: it mirrors :class:`repro.core.embeddings.EmbeddingStore`'s
-engine-facing surface while keeping the whole per-prefix state in the
-transposed slab layout of :mod:`repro.graphdb.slab` — a candidate slab
-``word[n_labels, tx_words]`` whose row ``α`` masks the transactions
-where label ``α`` extends the prefix.
+slab kernel: it mirrors the engine-facing surface of
+:class:`repro.core.embeddings.EmbeddingStore` while keeping each
+prefix's state in the transposed layout of :mod:`repro.graphdb.slab`:
+per extension label, the mask of transactions where that label extends
+the prefix (a candidate row).
 
 Why transposition is exact here: with unique per-vertex labels a prefix
 clique has exactly one embedding per supporting transaction (a label
@@ -14,12 +14,12 @@ and "per extension label, the supporting transactions" carry the same
 information, just batched along the axis numpy can vectorize.
 
 Only a few percent of a prefix's candidate rows are nonzero, so no
-store holds the dense slab.  Every store is a row of a
+store holds a dense slab.  Every store is a row of a
 :class:`_ForestLevel`, a batch of prefixes of one size that keeps each
-prefix's nonzero candidate rows as entries.  One growth routine
-(:meth:`_ForestLevel.grow`) builds every level from its parents'
-entries, and one digest routine (the level's constructor) gives every
-row its extension plan.
+prefix's nonzero candidate rows as entries, from the moment it is
+built.  One growth routine (:meth:`_ForestLevel.grow`) builds every
+level from its parents' entries, and one digest routine (the level's
+constructor) gives every row its extension plan.
 
 What makes the kernel fast is not the vectorized expressions alone but
 *where* they run.  numpy pays ~1µs of dispatch per call; a search tree
@@ -29,14 +29,16 @@ per-prefix questions from **level-synchronous forest batches**
 (:class:`_SlabForest`, one per mine call, hosted in the context dict
 the engine threads through ``root_store``):
 
-* each level holds every canonical frequent child of the previous one,
-  grown in one pass of gathers, ANDs and per-entry popcounts (levels
-  are built lazily, on the first ``extend`` out of the previous depth),
-* the engine always calls ``extension_plan(abs_sup)`` before anything
-  else on a store, and ``abs_sup`` is fixed for a mine call — so the
-  level batch also derives each prefix's *entire plan digest*
-  (frequent list, infrequent count, Lemma 4.3 verdict) with one
-  thresholded extraction over the entries,
+* the roots are the rows of level 0, built with the first root store
+  from the call's roots and its threshold ``abs_sup`` (both in the
+  context),
+* each further level holds every canonical frequent child of the
+  previous one, grown in one pass of gathers, ANDs and per-entry
+  popcounts (levels are built lazily, on the first ``extend`` out of
+  the previous depth),
+* ``abs_sup`` is fixed for a mine call, so the level batch also derives
+  each prefix's *entire plan digest* (frequent list, infrequent count,
+  Lemma 4.3 verdict) with one thresholded extraction over the entries,
 * under canonical prefix growth, the rank a prefix's Lemma 4.4 scan
   runs at is its own last bit — known at batch time — so the
   non-closed test for a *whole level* collapses into one chunked pass
@@ -46,10 +48,12 @@ the engine threads through ``root_store``):
   affected stores grow their own frequent children as one level
   instead (a per-parent batch), byte-identically.
 
-Stores outside a forest are rows of small levels built the same way:
-a root with no forest is the one row of a level read off its ``nbr``
-slice, a single off-plan extension is a one-pair growth, and a plan
-at another threshold digests the row again on its own.
+Stores outside a forest are rows of small levels built the same way: a
+root with no forest is the one row of a level read off its ``nbr``
+slice (digested at ``support + 1`` when no threshold is known, where
+nothing is frequent), a single off-plan extension is a one-pair
+growth, and a plan at another threshold digests the row again on its
+own.
 
 A tied label ``c`` satisfies ``cand[c] == tx`` by definition
 (``counts[c] == support`` and every row is a subset of ``tx``), and
@@ -60,28 +64,24 @@ pass it, so it gathers only a prefix's entries, clears the one at
 ``c``, and reduces each pair's flat words with one ``reduceat``, so no
 reduction runs over the short word axis.
 
-Everything the hot path does not need — witness tuples, per-embedding
-records, restriction, the unordered-extension ablation — materialises
-the equivalent int-mask records from the entries lazily and delegates
-to the bitset kernel, which keeps the byte-identity contract
-trivially.
+Witnesses and embeddings are read off the slab's (transaction, bit) →
+vertex matrix; the store keeps no per-embedding records.
 
 Construction goes through :meth:`repro.core.embeddings.EmbeddingStore.
 for_label`, which dispatches to this class only when the database has
-a transposed slab space and the strategy is ``cached``; otherwise the
-slab kernel falls back to int masks wholesale (identical results, no
-special cases downstream).
+a transposed slab space and the strategy is ``cached``; the engine asks
+for it only under structural redundancy pruning.  Otherwise the slab
+kernel runs on int masks wholesale (identical results, no special
+cases downstream).
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphdb.core_index import PseudoDatabase
-from ..graphdb.database import GraphDatabase
 from ..graphdb.slab import (
     TransposedSlabSpace,
     bit_position_array,
@@ -516,94 +516,52 @@ class _SlabForest:
 
 
 class SlabEmbeddingStore:
-    """Embeddings of one prefix clique, transposed into slab rows.
+    """Embeddings of one prefix clique: row ``_row`` of level ``_source``.
 
     API-compatible with the engine-facing surface of
-    :class:`~repro.core.embeddings.EmbeddingStore`; ``kernel`` reports
-    ``"slab"``.  Instances are created by ``EmbeddingStore.for_label``
-    (roots) and :meth:`extend` (children) — the constructor is
-    internal plumbing.
+    :class:`~repro.core.embeddings.EmbeddingStore`.  Instances are
+    created by ``EmbeddingStore.for_label`` (roots, via
+    :meth:`for_root`) and :meth:`extend` (children) — the constructor
+    is internal plumbing.  A store bound to the mine call's forest
+    (``_forest``) sits at its level ``size - 1``.
     """
 
     __slots__ = (
-        "database",
-        "pseudo",
-        "strategy",
-        "kernel",
         "size",
         "slab",
         "_tx",
         "_support",
         "_member_bits",
-        "_context",
         "_forest",
-        "_level",
         "_source",
         "_row",
         "_batch",
         "_tids",
         "_tid_array",
-        "_by_transaction",
     )
 
     def __init__(
         self,
         slab: TransposedSlabSpace,
-        database: GraphDatabase,
-        pseudo: Optional[PseudoDatabase],
         size: int,
         member_bits: Tuple[int, ...],
-        tx: np.ndarray,
-        support: int,
-        source: Optional[_ForestLevel] = None,
-        row: int = 0,
+        source: _ForestLevel,
+        row: int,
+        forest: Optional[_SlabForest] = None,
     ) -> None:
-        self.strategy = "cached"
-        self.kernel = "slab"
         self.slab = slab
-        self._refill(database, pseudo, size, member_bits, tx, support, source, row)
-
-    def _refill(
-        self,
-        database: GraphDatabase,
-        pseudo: Optional[PseudoDatabase],
-        size: int,
-        member_bits: Tuple[int, ...],
-        tx: np.ndarray,
-        support: int,
-        source: Optional[_ForestLevel] = None,
-        row: int = 0,
-    ) -> "SlabEmbeddingStore":
-        """Point this store at one prefix and clear every lazy cache.
-
-        The constructor's body, and how the engine's free list recycles
-        a retired store in place (:meth:`for_root`, :meth:`_child`):
-        sound within one mine call, whose database and slab never
-        change.
-        """
-        self.database = database
-        self.pseudo = pseudo
         self.size = size
         self._member_bits = member_bits
-        self._tx = tx
-        self._support = support
-        #: The engine's per-mine-call context dict (root stores only);
-        #: hosts the shared :class:`_SlabForest`.
-        self._context: Optional[dict] = None
-        #: This store's position in the mine call's forest: the forest
-        #: and its level (depth = size - 1), else ``None``.
-        self._forest: Optional[_SlabForest] = None
-        self._level: int = 0
-        #: The level holding this prefix's entries, and its row there;
-        #: ``None`` for a root until its first plan (or other question).
+        self._tx = source.tx[row]
+        self._support = source.supports[row]
+        self._forest = forest
+        #: The level holding this prefix's entries, and its row there.
         self._source = source
         self._row = row
         #: This store's own per-parent batch of children.
         self._batch: Optional[_ForestLevel] = None
         self._tids: Optional[Tuple[int, ...]] = None
         self._tid_array: Optional[np.ndarray] = None
-        self._by_transaction: Optional[Dict[int, list]] = None
-        return self
 
     # ------------------------------------------------------------------
     # Construction
@@ -611,37 +569,38 @@ class SlabEmbeddingStore:
     @classmethod
     def for_root(
         cls,
-        database: GraphDatabase,
-        pseudo: Optional[PseudoDatabase],
-        label: Label,
         slab: TransposedSlabSpace,
+        label: Label,
         context: Optional[dict] = None,
     ) -> "SlabEmbeddingStore":
-        """The 1-clique store of one label: two precomputed slab rows.
+        """The 1-clique store of one label, a level-0 row from the start.
 
-        ``context`` is the engine's per-mine-call dict; when present it
-        hosts the mine call's shared :class:`_SlabForest`, and its
-        ``store_pool`` free list may hand back a retired store to refill.
+        ``context`` is the engine's per-mine-call dict.  When it names
+        the call's ``roots`` and threshold ``abs_sup``, the first root
+        builds the call's :class:`_SlabForest` there and every root it
+        holds is handed its row.  A root outside the forest (an
+        infrequent or unrequested label), or one built without a
+        threshold, is the one row of its own level.
         """
         bit = slab.bit_of.get(label)
         if bit is None:
-            nowhere = _nowhere(slab, 1)
-            return cls(slab, database, pseudo, 1, (), nowhere.tx[0], 0, nowhere)
-        prefix = (
-            database,
-            pseudo,
-            1,
-            (bit,),
-            slab.presence[bit],
-            int(slab.label_tx_counts[bit]),
-        )
-        pool = context.get("store_pool") if context is not None else None
-        if pool and type(pool[-1]) is cls and pool[-1].slab is slab:
-            store = pool.pop()._refill(*prefix)
+            return cls(slab, 1, (), _nowhere(slab, 1), 0)
+        abs_sup = context.get("abs_sup") if context is not None else None
+        if abs_sup is None:
+            # Nothing is frequent above the support: no children batch
+            # until a plan names a threshold.
+            abs_sup = int(slab.label_tx_counts[bit]) + 1
         else:
-            store = cls(slab, *prefix)
-        store._context = context
-        return store
+            forest = context.get("slab_forest")
+            if forest is None:
+                bit_of = slab.bit_of
+                root_bits = [bit_of[root] for root in context["roots"] if root in bit_of]
+                forest = context["slab_forest"] = _SlabForest(slab, abs_sup, root_bits)
+            row = forest.root_index.get(bit)
+            if row is not None:
+                return cls(slab, 1, (bit,), forest.levels[0], row, forest)
+        level = _ForestLevel.roots(slab, np.array([bit], dtype=np.intp), abs_sup)
+        return cls(slab, 1, (bit,), level, 0)
 
     # ------------------------------------------------------------------
     # Basic accessors
@@ -705,14 +664,7 @@ class SlabEmbeddingStore:
     def _entries(self) -> Tuple[_ForestLevel, int, int, int]:
         """``(level, row, lo, hi)``: this prefix is row ``row`` of
         ``level``, and its nonzero candidate rows are entries ``lo:hi``
-        there.
-
-        A root asked before any plan is digested on its own at a
-        threshold above its support, where nothing is frequent, so it
-        batches no children until a plan names the threshold.
-        """
-        if self._source is None:
-            self._digest_alone(self._support + 1)
+        there."""
         level, row = self._source, self._row
         lo, hi = level.offsets[row : row + 2].tolist()
         return level, row, lo, hi
@@ -736,46 +688,14 @@ class SlabEmbeddingStore:
         ``(label, support)`` pairs in ascending label order, the
         infrequent-label count, and the Lemma 4.3 verdict.  The digest
         is this store's row of its level when the level was digested at
-        ``abs_sup`` — always so on the engine path; root stores bind to
-        their forest row here.  Otherwise the row is digested again on
-        its own.
+        ``abs_sup`` — always so on the engine path.  Otherwise the row
+        is digested again on its own, leaving the forest.
         """
         level = self._source
-        if level is None or level.abs_sup != abs_sup:
-            if self._context is None or not self._join_forest(abs_sup):
-                self._digest_alone(abs_sup)
-            level = self._source
+        if level.abs_sup != abs_sup:
+            level = self._source = level.alone(self._row, abs_sup)
+            self._forest, self._row, self._batch = None, 0, None
         return level.digests[self._row]
-
-    def _join_forest(self, abs_sup: int) -> bool:
-        """Bind this root to its row of the mine call's forest at
-        ``abs_sup``, building the forest on first ask; False when the
-        forest has no such root (an infrequent or unrequested label)."""
-        context = self._context
-        forest = context.get("slab_forest")
-        if forest is None or forest.abs_sup != abs_sup or forest.slab is not self.slab:
-            bit_of = self.slab.bit_of
-            root_bits = [bit_of[root] for root in context.get("roots", ()) if root in bit_of]
-            forest = context["slab_forest"] = _SlabForest(self.slab, abs_sup, root_bits)
-        row = forest.root_index.get(self._member_bits[0])
-        if row is None:
-            return False
-        self._forest, self._level, self._source, self._row = forest, 0, forest.levels[0], row
-        self._batch = None
-        return True
-
-    def _digest_alone(self, abs_sup: int) -> None:
-        """Re-bind this store as the one row of a level digested at
-        ``abs_sup``: its current row's entries, or a root's ``nbr``
-        slice."""
-        level = self._source
-        if level is None:
-            level = _ForestLevel.roots(
-                self.slab, np.array(self._member_bits, dtype=np.intp), abs_sup
-            )
-        else:
-            level = level.alone(self._row, abs_sup)
-        self._forest, self._source, self._row, self._batch = None, level, 0, None
 
     def nonclosed_extension_label(self, last_label: Label) -> Optional[Label]:
         """The Lemma 4.4 test, transposed.
@@ -798,13 +718,10 @@ class SlabEmbeddingStore:
             # Nothing sorts below the first label, and a prefix
             # supported nowhere has no embedding to carry one.
             return None
-        if self._source is None:
-            self._entries()
-        level, row = self._source, self._row
+        level, row, lo, hi = self._entries()
         if rank == self._member_bits[-1]:
             hit = level.blocking().get(row)
         else:
-            lo, hi = level.offsets[row : row + 2].tolist()
             hi = lo + int(np.searchsorted(level.entry_cols[lo:hi], rank))
             tied = lo + np.flatnonzero((level.entry_words[lo:hi] == self._tx).all(axis=1))
             hit = _first_blocking(
@@ -817,45 +734,7 @@ class SlabEmbeddingStore:
             ).get(row)
         return None if hit is None else slab.labels[hit]
 
-    def _child(
-        self,
-        member_bits: Tuple[int, ...],
-        source: _ForestLevel,
-        row: int,
-        reuse: Optional["SlabEmbeddingStore"],
-    ) -> "SlabEmbeddingStore":
-        """The child held by row ``row`` of ``source``, recycling ``reuse``
-        when possible.
-
-        The engine's free list hands back stores whose subtree has
-        finished; :meth:`_refill` re-points one in place, skipping the
-        allocation (the ``reuse.slab is self.slab`` check also rejects
-        foreign store types).
-        """
-        prefix = (
-            self.database,
-            self.pseudo,
-            self.size + 1,
-            member_bits,
-            source.tx[row],
-            source.supports[row],
-            source,
-            row,
-        )
-        if (
-            reuse is not None
-            and type(reuse) is SlabEmbeddingStore
-            and reuse.slab is self.slab
-        ):
-            return reuse._refill(*prefix)
-        return SlabEmbeddingStore(self.slab, *prefix)
-
-    def extend(
-        self,
-        label: Label,
-        last_label: Optional[Label] = None,
-        reuse: Optional["SlabEmbeddingStore"] = None,
-    ) -> "SlabEmbeddingStore":
+    def extend(self, label: Label, last_label: Optional[Label] = None) -> "SlabEmbeddingStore":
         """Embeddings of ``C ◇ label``: a row of a grown level.
 
         The same-label ordering discipline (``last_label``) is vacuous
@@ -865,34 +744,37 @@ class SlabEmbeddingStore:
         as rows of the next forest level (built for the whole frontier
         on first demand); saturated forests and stores outside one
         batch their frequent children from ``last_label`` on per
-        parent instead; other labels take a one-pair growth.  ``reuse``
-        optionally recycles a retired store object (see :meth:`_child`).
+        parent instead; other labels take a one-pair growth.
         """
         bit = self.slab.bit_of.get(label)
         forest = self._forest
+        depth = self.size - 1
         if forest is not None and bit is not None and bit >= self._member_bits[-1] and (
-            forest.levels[self._level].child_offsets is not None
-            or forest.ensure_children(self._level)
+            forest.levels[depth].child_offsets is not None or forest.ensure_children(depth)
         ):
-            level = forest.levels[self._level]
+            level = forest.levels[depth]
             lo = level.child_offsets[self._row]
             hi = level.child_offsets[self._row + 1]
             i = bisect_left(level.child_bits, bit, lo, hi)
             if i < hi and level.child_bits[i] == bit:
-                child = self._child(
-                    self._member_bits + (bit,), forest.levels[self._level + 1], i, reuse
+                return SlabEmbeddingStore(
+                    self.slab,
+                    self.size + 1,
+                    self._member_bits + (bit,),
+                    forest.levels[depth + 1],
+                    i,
+                    forest,
                 )
-                child._forest = forest
-                child._level = self._level + 1
-                return child
         elif bit is not None:
             batch = self._batch
             if batch is None:
                 batch = self._batch = self._batch_children(last_label)
             i = bisect_left(batch.bits, bit)
             if i < len(batch.bits) and batch.bits[i] == bit:
-                return self._child(self._member_bits + (bit,), batch, i, reuse)
-        return self._extend_single(bit, reuse)
+                return SlabEmbeddingStore(
+                    self.slab, self.size + 1, self._member_bits + (bit,), batch, i
+                )
+        return self._extend_single(bit)
 
     def _batch_children(self, last_label: Optional[Label]) -> _ForestLevel:
         """This prefix's frequent children from ``last_label`` on, as one
@@ -914,21 +796,21 @@ class SlabEmbeddingStore:
         picks = level.freq_entries[lo:hi]
         return level.grow(np.full(picks.size, row, dtype=np.intp), picks)
 
-    def _extend_single(
-        self, bit: Optional[int], reuse: Optional["SlabEmbeddingStore"]
-    ) -> "SlabEmbeddingStore":
+    def _extend_single(self, bit: Optional[int]) -> "SlabEmbeddingStore":
         """``C ◇ bit`` on its own: a one-pair growth from this row's
         entry at ``bit``, or a child supported nowhere when it has none
         (a label outside the slab, ``bit is None``, adds no member)."""
         level, row, lo, hi = self._entries()
-        if bit is None:
-            return self._child(self._member_bits, _nowhere(self.slab, level.abs_sup), 0, reuse)
-        at = lo + int(np.searchsorted(level.entry_cols[lo:hi], bit))
-        if at < hi and level.entry_cols[at] == bit:
-            child = level.grow(np.array([row], dtype=np.intp), np.array([at], dtype=np.intp))
-        else:
+        members = self._member_bits
+        child = None
+        if bit is not None:
+            members += (bit,)
+            at = lo + int(np.searchsorted(level.entry_cols[lo:hi], bit))
+            if at < hi and level.entry_cols[at] == bit:
+                child = level.grow(np.array([row], dtype=np.intp), np.array([at], dtype=np.intp))
+        if child is None:
             child = _nowhere(self.slab, level.abs_sup)
-        return self._child(self._member_bits + (bit,), child, 0, reuse)
+        return SlabEmbeddingStore(self.slab, self.size + 1, members, child, 0)
 
     # ------------------------------------------------------------------
     # Branch-and-bound support (top-k)
@@ -951,69 +833,8 @@ class SlabEmbeddingStore:
         bits = np.unpackbits(picked.view(np.uint8), axis=-1, bitorder="little")
         return int(bits.sum(axis=0, dtype=np.int64).max())
 
-    # ------------------------------------------------------------------
-    # Record-level surface (cold paths delegate to the int-mask kernel)
-    # ------------------------------------------------------------------
-    @property
-    def by_transaction(self) -> Dict[int, list]:
-        """Int-mask embedding records, materialised lazily.
-
-        One record per supporting transaction — the vertex tuple in
-        canonical label order plus the candidate mask over the
-        transaction's own vertex bits — exactly what the bitset kernel
-        would hold.
-        """
-        records = self._by_transaction
-        if records is None:
-            records = self._by_transaction = self._materialize_records()
-        return records
-
-    def _materialize_records(self) -> Dict[int, list]:
-        tids = self.transactions()
-        records: Dict[int, list] = {}
-        if not tids:
-            return records
-        vertex_of = self.slab.vertices
-        level, _, lo, hi = self._entries()
-        cols = level.entry_cols[lo:hi]
-        # Unpack the entries: column ``tid`` flags the candidate labels.
-        bits = np.unpackbits(level.entry_words[lo:hi].view(np.uint8), axis=-1, bitorder="little")
-        for tid, vertices in zip(tids, self._embedding_rows().tolist()):
-            candidates = cols[np.flatnonzero(bits[:, tid])].tolist()
-            mask = self.database[tid].bit_index().mask_of(vertex_of[tid, candidates].tolist())
-            records[tid] = [(tuple(vertices), mask)]
-        return records
-
-    def _candidates(self, tid: int, record) -> Set[int]:
-        """Kernel-independent candidate accessor (tests, top-k legacy)."""
-        return set(self.database[tid].bit_index().vertices_of(record[1]))
-
-    def _to_bitset_store(self):
-        """An equivalent ``EmbeddingStore`` on the bitset kernel."""
-        from .embeddings import EmbeddingStore
-
-        return EmbeddingStore(
-            self.database,
-            self.pseudo,
-            self.strategy,
-            self.size,
-            {tid: list(recs) for tid, recs in self.by_transaction.items()},
-        )
-
-    def extend_unordered(self, label: Label):
-        """Unordered extension (redundancy-pruning-off ablation only)."""
-        return self._to_bitset_store().extend_unordered(label)
-
-    def restrict_to(self, transaction_ids: Iterable[int]):
-        """Embeddings restricted to a subset of transactions (tests)."""
-        return self._to_bitset_store().restrict_to(transaction_ids)
-
     def __repr__(self) -> str:
-        return (
-            f"<SlabEmbeddingStore size={self.size} support={self._support} "
-            f"embeddings={self.embedding_count} strategy={self.strategy} "
-            f"kernel={self.kernel}>"
-        )
+        return f"<SlabEmbeddingStore size={self.size} support={self._support}>"
 
 
 __all__ = ["SlabEmbeddingStore"]

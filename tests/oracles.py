@@ -146,7 +146,7 @@ class SetCliqueStore:
                     return None
         return min(common) if common else None
 
-    def extend(self, label: Label, last_label: Optional[Label], reuse=None):
+    def extend(self, label: Label, last_label: Optional[Label]):
         """Embeddings of ``C ◇ label``; a repeated last label only takes
         vertices above the previous same-label vertex."""
         by_transaction: Dict[int, List[SetRecord]] = {}

@@ -138,9 +138,9 @@ class TestKernelDefault:
         roots = []
         for_root = SlabEmbeddingStore.for_root.__func__
 
-        def counting(cls, database, pseudo, label, *args, **kwargs):
+        def counting(cls, slab, label, *args, **kwargs):
             roots.append(label)
-            return for_root(cls, database, pseudo, label, *args, **kwargs)
+            return for_root(cls, slab, label, *args, **kwargs)
 
         monkeypatch.setattr(SlabEmbeddingStore, "for_root", classmethod(counting))
         def output():

@@ -178,3 +178,38 @@ class TestMineFreesItsStores:
             gc.garbage.clear()
             gc.enable()
         assert leaked == []
+
+    def test_slab_forest_is_freed_by_refcount(self):
+        # With the cyclic collector off, a slab mine and a drained root
+        # sweep must leave no slab store or forest alive: refcounting
+        # alone frees them when the call returns.
+        import gc
+
+        from repro.core.slab_store import SlabEmbeddingStore, _SlabForest
+        from repro.stockmarket import stock_market_database
+
+        market = stock_market_database(0.95, scale="tiny")
+        assert market.slab_space() is not None
+
+        def live():
+            return [
+                type(obj).__name__
+                for obj in gc.get_objects()
+                if isinstance(obj, (SlabEmbeddingStore, _SlabForest))
+            ]
+
+        miner = ClanMiner(market)
+        miner.prepare()
+        roots = market.frequent_labels(market.absolute_support(0.85))
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(miner.mine(0.85))
+            after_mine = live()
+            parts = list(miner.mine_roots(0.85, roots))
+            after_sweep = live()
+        finally:
+            gc.enable()
+        assert len(parts) == len(roots) > 1
+        assert after_mine == []
+        assert after_sweep == []

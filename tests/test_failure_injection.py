@@ -49,8 +49,8 @@ class TestMinerGuards:
         miner must crash rather than report wrong supports."""
         original = EmbeddingStore.extend
 
-        def corrupted(self, label, last_label, reuse=None):
-            store = original(self, label, last_label, reuse)
+        def corrupted(self, label, last_label):
+            store = original(self, label, last_label)
             if store.by_transaction:
                 # Drop one transaction's embeddings: support shrinks.
                 tid = next(iter(store.by_transaction))

@@ -461,7 +461,7 @@ class TestSparseForest:
 
 
 def _surface(store, probes, labels):
-    """Everything the engine, top-k and the cold paths read off a store,
+    """Everything the engine, top-k and result emission read off a store,
     asked in one fixed order: nonclosed probes before any plan, plans
     below, at and above the support, and the probes again after them."""
     last = store.support + 1
@@ -475,12 +475,6 @@ def _surface(store, probes, labels):
         seen.append(store.multiplicity_bound(valid))
     seen.append(sorted(store.witnesses().items()))
     seen.append(sorted(store.iter_embeddings()))
-    seen.append(
-        sorted(
-            (tid, [(record[0], store._candidates(tid, record)) for record in records])
-            for tid, records in store.by_transaction.items()
-        )
-    )
     return seen
 
 
@@ -557,8 +551,9 @@ class TestNonDefaultConfigs:
             {"nonclosed_prefix_pruning": False},
             {"low_degree_pruning": False},
             {"min_size": 2, "max_size": 3},
+            {"structural_redundancy_pruning": False, "nonclosed_prefix_pruning": False},
         ),
-        ids=("frequent", "no-nonclosed", "no-core", "size-window"),
+        ids=("frequent", "no-nonclosed", "no-core", "size-window", "no-redundancy"),
     )
     def test_ablation_configs_identical(self, seed, overrides):
         for database in (make_random_database(seed), unique_label_database(seed)):
@@ -567,6 +562,26 @@ class TestNonDefaultConfigs:
                 config = MinerConfig(kernel=kernel, **overrides)
                 result = ClanMiner(database, config).mine(2)
                 assert_matches_reference(result, reference, (kernel, database.name))
+
+    def test_redundancy_off_roots_run_on_int_masks(self):
+        # The slab store grows canonical extensions only, so the
+        # pruning-off ablation asks for int-mask roots on aligned data.
+        from repro.core.embeddings import EmbeddingStore
+        from repro.core.engine import MiningEngine
+
+        database = unique_label_database(3)
+        assert database.slab_space() is not None
+        label = sorted(database.label_supports())[0]
+        for redundancy, expected in (
+            (True, slab_store.SlabEmbeddingStore),
+            (False, EmbeddingStore),
+        ):
+            config = MinerConfig(
+                structural_redundancy_pruning=redundancy, nonclosed_prefix_pruning=False
+            )
+            assert config.kernel == SLAB
+            engine = MiningEngine(database, config)
+            assert type(engine.strategy.root_store(engine, None, label, {})) is expected
 
 
 class TestHypothesisDifferential:
