@@ -80,10 +80,10 @@ class GraphDatabase:
 
         Built by :func:`repro.graphdb.slab.build_slab_space` from the
         storage backend's feed of transactions — derived from resident
-        indexes in memory, parsed once per row without building a graph
-        for a SQLite store — and ``None`` whenever some transaction
-        repeats a label or the index would exceed the build-memory
-        ceiling.
+        indexes in memory; for a SQLite store, mapped from the index it
+        stored at import, or else parsed once per row without building
+        a graph — and ``None`` whenever some transaction repeats a
+        label or the index would exceed the build-memory ceiling.
         """
         return self._source.slab_space()
 

@@ -5,7 +5,15 @@ SqliteGraphSource` and every reader of a ``.sqlite`` graph store:
 
 * the SQL DDL (one row per transaction, mirroring the
   cliques/contents-as-tables shape of the graphstreams exemplar, with
-  the graph body in a single ``encoding`` column);
+  the graph body in a single ``encoding`` column, and the per-label
+  supports of those rows);
+* since version 2, the ``slab_index`` table: an aligned store's
+  transposed slab index (:mod:`repro.graphdb.slab`), built once at
+  import so opening the store maps it instead of parsing every row.
+  Keyed by :func:`rows_key` and checksummed; a store whose rows
+  changed since, or whose index is damaged or missing (every
+  version-1 store, which otherwise opens unchanged), builds the slab
+  from its rows as version 1 did;
 * a lossless JSON transaction encoding (:func:`encode_graph`) and its
   one reader (:func:`parse_row`, with :func:`decode_graph` on top) —
   labels are arbitrary strings, so the positional text format the
@@ -31,14 +39,19 @@ from ..exceptions import DatabaseError
 from .graph import Graph, Label
 
 #: Version stamped into the ``meta`` table; bump on any DDL or
-#: encoding change.
-SCHEMA_VERSION = 1
+#: encoding change.  Version 2 added ``slab_index``.
+SCHEMA_VERSION = 2
 
 #: The store layout.  ``tid`` is the authoritative transaction id
 #: (densely 0..n-1, assigned at append time); ``digest`` caches
 #: :func:`transaction_digest` so fingerprinting a store never decodes
 #: a graph; ``n_vertices``/``n_edges`` serve the Table-1 statistics
-#: without decoding either.
+#: without decoding either.  ``slab_index`` holds the aligned slab
+#: index: ``rows_key`` is :func:`rows_key` of the rows it indexes,
+#: ``labels`` the JSON list of its sorted alphabet, ``layout`` the JSON
+#: of :func:`repro.graphdb.slab.index_layout` (each array's name, dtype
+#: and shape), ``arrays`` those arrays' bytes end to end, and
+#: ``checksum`` the SHA-256 hex digest of ``arrays``.
 DDL = (
     """
     CREATE TABLE IF NOT EXISTS meta (
@@ -59,6 +72,15 @@ DDL = (
     CREATE TABLE IF NOT EXISTS label_supports (
         label   TEXT PRIMARY KEY,
         support INTEGER NOT NULL
+    )
+    """,
+    """
+    CREATE TABLE IF NOT EXISTS slab_index (
+        rows_key TEXT NOT NULL,
+        labels   TEXT NOT NULL,
+        layout   TEXT NOT NULL,
+        arrays   BLOB NOT NULL,
+        checksum TEXT NOT NULL
     )
     """,
 )
@@ -164,6 +186,22 @@ def transaction_digest(graph: Graph) -> str:
     backend holding it.
     """
     return hashlib.sha256(digest_preimage(graph)).hexdigest()
+
+
+def rows_key(rows: Iterable[Tuple[int, str]]) -> str:
+    """SHA-256 hex digest of a store's ``(tid, encoding)`` rows, in order.
+
+    What a stored slab index is valid for.  Not the fingerprint: that
+    folds the stored ``digest`` column, which an edit of ``encoding``
+    leaves alone, so only a key over the encodings themselves sees a
+    row changed under the index.
+    """
+    key = hashlib.sha256()
+    for tid, encoding in rows:
+        data = str(encoding).encode()
+        key.update(b"%d:%d:" % (tid, len(data)))
+        key.update(data)
+    return key.hexdigest()
 
 
 def fingerprint_digests(digests: Iterable[str]) -> str:

@@ -41,6 +41,7 @@ back to an 8-bit lookup table over the byte view on older numpy.
 from __future__ import annotations
 
 import functools
+import math
 from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -181,13 +182,87 @@ class _Ineligible(Exception):
     """A streamed transaction the transposed layout cannot hold."""
 
 
+def _tx_words(n_transactions: int) -> int:
+    """Words per transaction axis of a database of ``n_transactions``."""
+    word_bits = word_dtype(n_transactions).itemsize * 8
+    return max(1, (n_transactions + word_bits - 1) // word_bits)
+
+
+def _scatter(
+    feed: SlabFeed, labels: Tuple[Label, ...], n_tx: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(nbr, presence, vertices)`` of a :data:`SlabFeed` over ``n_tx``.
+
+    Consumes the feed one transaction word (up to 64 transactions) at
+    a time, so its working set is that word's rows; transactions of
+    one word that share a key are loaded and written together.  A
+    transaction with a repeated label or a vertex id outside ``int32``
+    raises :class:`_Ineligible`; a feed that skips or reorders a tid,
+    or names a label outside ``labels``, raises :class:`DatabaseError`.
+    """
+    bit_of = {label: bit for bit, label in enumerate(labels)}
+    n_labels = len(labels)
+    dtype = word_dtype(n_tx)
+    word_bits = dtype.itemsize * 8
+    tx_words = _tx_words(n_tx)
+    nbr = np.zeros((n_labels, n_labels, tx_words), dtype=dtype)
+    presence = np.zeros((n_labels, tx_words), dtype=dtype)
+    vertices = np.full((n_tx, n_labels), -1, dtype=np.int32)
+
+    def load(tid: int, loader: Callable[[], SlabRow]) -> tuple:
+        order, row_labels, ends = loader()
+        if order and (order[0] < _VERTEX_MIN or order[-1] > _VERTEX_MAX):
+            raise _Ineligible
+        try:
+            positions = [bit_of[label] for label in row_labels]
+        except KeyError as exc:
+            raise DatabaseError(
+                f"transaction {tid} has label {exc.args[0]!r} outside the alphabet"
+            ) from None
+        if len(set(positions)) < len(positions):
+            raise _Ineligible
+        return order, np.array(positions, dtype=np.intp), ends
+
+    def scatter(word: int, groups: Dict[Hashable, list]) -> None:
+        for (order, positions, ends), bits, tids in groups.values():
+            mask = dtype.type(bits)
+            presence[positions, word] |= mask
+            vertices[np.array(tids, dtype=np.intp)[:, None], positions] = order
+            a, b = (positions[np.asarray(end, dtype=np.intp)] for end in ends)
+            nbr[a, b, word] |= mask
+            nbr[b, a, word] |= mask
+
+    word = 0
+    groups: Dict[Hashable, list] = {}
+    expected = 0
+    for tid, key, loader in feed:
+        if tid != expected:
+            raise DatabaseError(f"transaction {expected} is missing (next: {tid})")
+        expected += 1
+        if tid // word_bits != word:
+            scatter(word, groups)
+            word = tid // word_bits
+            groups = {}
+        bit = 1 << (tid - word * word_bits)
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [load(tid, loader), bit, [tid]]
+        else:
+            group[1] |= bit
+            group[2].append(tid)
+    if expected != n_tx:
+        raise DatabaseError(f"transaction {expected} is missing (next: none)")
+    scatter(word, groups)
+    return nbr, presence, vertices
+
+
 class TransposedSlabSpace:
     """The transposed slab index of one aligned database snapshot.
 
-    Built from a :data:`SlabFeed` over transactions ``0..n-1`` in tid
-    order and the database's sorted label alphabet ``labels``; bit
-    ``b`` of the label axis stands for ``labels[b]`` (``bit_of``
-    inverts it) and bit ``t`` of the word axis for transaction ``t``:
+    Holds, for transactions ``0..n-1`` and the database's sorted label
+    alphabet ``labels``, three arrays; bit ``b`` of the label axis
+    stands for ``labels[b]`` (``bit_of`` inverts it) and bit ``t`` of
+    the word axis for transaction ``t``:
 
     * ``nbr`` — ``word[n_labels, n_labels, tx_words]``; bit ``t`` of
       ``nbr[b, a]`` set iff both labels are present in transaction
@@ -195,25 +270,20 @@ class TransposedSlabSpace:
       diagonal: a vertex is not its own neighbour),
     * ``presence`` — ``word[n_labels, tx_words]``; bit ``t`` of
       ``presence[b]`` set iff label ``b`` occurs in transaction ``t``,
-    * ``label_tx_counts`` — ``int64[n_labels]`` row popcounts of
-      ``presence`` (the per-label supports, precomputed so root stores
-      are O(1)),
     * ``vertices`` — ``int32[n_transactions, n_labels]``; cell
       ``(t, b)`` is the vertex carrying label bit ``b`` in transaction
       ``t``, ``-1`` where the label is absent.  Witnesses and
       embeddings are gathered from it with one fancy index.
 
-    ``word`` is :func:`word_dtype` of the transaction count.  The feed
-    needs no graph: the in-memory source derives each row from a
-    resident mask index (:func:`index_feed`), the SQLite store parses
-    it straight from the stored encoding.  The build consumes the feed
-    one transaction word (up to 64 transactions) at a time, so its
-    working set is that word's rows; transactions of one word that
-    share a key are loaded and written together.  A transaction with
-    a repeated label or a vertex id outside ``int32`` raises
-    :class:`_Ineligible`, which :func:`build_slab_space` turns into
-    ``None``; a feed that skips or reorders a tid, or names a label
-    outside ``labels``, raises :class:`DatabaseError`.
+    plus ``label_tx_counts``, the ``int64[n_labels]`` row popcounts of
+    ``presence`` (the per-label supports, precomputed so root stores
+    are O(1)).  ``word`` is :func:`word_dtype` of the transaction
+    count.  The one constructor takes the arrays, however they were
+    made: :func:`build_slab_space` scatters them from a
+    :data:`SlabFeed`, which needs no graph (the in-memory source
+    derives each row from a resident mask index, :func:`index_feed`),
+    and :func:`unpack_index` maps them read-only from a stored index.
+    Nothing writes to them after construction.
     """
 
     __slots__ = (
@@ -230,74 +300,20 @@ class TransposedSlabSpace:
 
     def __init__(
         self,
-        feed: SlabFeed,
         labels: Tuple[Label, ...],
-        n_transactions: int,
+        nbr: np.ndarray,
+        presence: np.ndarray,
+        vertices: np.ndarray,
     ) -> None:
-        bit_of = {label: bit for bit, label in enumerate(labels)}
-        n_labels = len(labels)
-        n_tx = n_transactions
-        dtype = word_dtype(n_tx)
-        word_bits = dtype.itemsize * 8
-        tx_words = max(1, (n_tx + word_bits - 1) // word_bits)
-        nbr = np.zeros((n_labels, n_labels, tx_words), dtype=dtype)
-        presence = np.zeros((n_labels, tx_words), dtype=dtype)
-        vertices = np.full((n_tx, n_labels), -1, dtype=np.int32)
-
-        def load(tid: int, loader: Callable[[], SlabRow]) -> tuple:
-            order, row_labels, ends = loader()
-            if order and (order[0] < _VERTEX_MIN or order[-1] > _VERTEX_MAX):
-                raise _Ineligible
-            try:
-                positions = [bit_of[label] for label in row_labels]
-            except KeyError as exc:
-                raise DatabaseError(
-                    f"transaction {tid} has label {exc.args[0]!r} outside the alphabet"
-                ) from None
-            if len(set(positions)) < len(positions):
-                raise _Ineligible
-            return order, np.array(positions, dtype=np.intp), ends
-
-        def scatter(word: int, groups: Dict[Hashable, list]) -> None:
-            for (order, positions, ends), bits, tids in groups.values():
-                mask = dtype.type(bits)
-                presence[positions, word] |= mask
-                vertices[np.array(tids, dtype=np.intp)[:, None], positions] = order
-                a, b = (positions[np.asarray(end, dtype=np.intp)] for end in ends)
-                nbr[a, b, word] |= mask
-                nbr[b, a, word] |= mask
-
-        word = 0
-        groups: Dict[Hashable, list] = {}
-        expected = 0
-        for tid, key, loader in feed:
-            if tid != expected:
-                raise DatabaseError(f"transaction {expected} is missing (next: {tid})")
-            expected += 1
-            if tid // word_bits != word:
-                scatter(word, groups)
-                word = tid // word_bits
-                groups = {}
-            bit = 1 << (tid - word * word_bits)
-            group = groups.get(key)
-            if group is None:
-                groups[key] = [load(tid, loader), bit, [tid]]
-            else:
-                group[1] |= bit
-                group[2].append(tid)
-        if expected != n_tx:
-            raise DatabaseError(f"transaction {expected} is missing (next: none)")
-        scatter(word, groups)
-
         self.nbr = nbr
         self.presence = presence
         self.vertices = vertices
         self.label_tx_counts = popcount_rows(presence)
         self.labels = labels
-        self.bit_of = bit_of
-        self.n_labels = n_labels
-        self.n_transactions = n_tx
-        self.tx_words = tx_words
+        self.bit_of = {label: bit for bit, label in enumerate(labels)}
+        self.n_labels = len(labels)
+        self.n_transactions = vertices.shape[0]
+        self.tx_words = presence.shape[-1]
 
     def __repr__(self) -> str:
         return (
@@ -327,11 +343,47 @@ def build_slab_space(
     n_labels = len(labels)
     if not n_labels or not n_transactions:
         return None
-    word_bytes = word_dtype(n_transactions).itemsize
-    tx_words = (n_transactions + 8 * word_bytes - 1) // (8 * word_bytes)
-    if n_labels * n_labels * tx_words * word_bytes > max_build_bytes:
+    nbr_words = n_labels * n_labels * _tx_words(n_transactions)
+    if nbr_words * word_dtype(n_transactions).itemsize > max_build_bytes:
         return None
     try:
-        return TransposedSlabSpace(feed, labels, n_transactions)
+        return TransposedSlabSpace(labels, *_scatter(feed, labels, n_transactions))
     except _Ineligible:
         return None
+
+
+def index_layout(n_labels: int, n_transactions: int) -> Tuple[Tuple[str, str, tuple], ...]:
+    """The arrays of a stored slab index: ``(name, dtype, shape)`` in blob order."""
+    dtype = word_dtype(n_transactions).str
+    tx_words = _tx_words(n_transactions)
+    return (
+        ("nbr", dtype, (n_labels, n_labels, tx_words)),
+        ("presence", dtype, (n_labels, tx_words)),
+        ("vertices", "<i4", (n_transactions, n_labels)),
+    )
+
+
+def pack_index(space: TransposedSlabSpace) -> bytes:
+    """The index's arrays as one blob, laid out by :func:`index_layout`."""
+    return b"".join(
+        np.ascontiguousarray(getattr(space, name), dtype=dtype).tobytes()
+        for name, dtype, _ in index_layout(space.n_labels, space.n_transactions)
+    )
+
+
+def unpack_index(
+    blob: bytes, labels: Tuple[Label, ...], n_transactions: int
+) -> Optional[TransposedSlabSpace]:
+    """The index :func:`pack_index` wrote, as read-only views of ``blob``.
+
+    ``None`` unless ``blob`` is exactly the layout's size.
+    """
+    arrays, at = [], 0
+    for _, dtype, shape in index_layout(len(labels), n_transactions):
+        count = math.prod(shape)
+        end = at + count * np.dtype(dtype).itemsize
+        if end > len(blob):
+            return None
+        arrays.append(np.frombuffer(blob, dtype, count, at).reshape(shape))
+        at = end
+    return TransposedSlabSpace(labels, *arrays) if at == len(blob) else None

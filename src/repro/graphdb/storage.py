@@ -20,10 +20,13 @@ Both backends feed the one transposed slab builder
 from its resident graphs' indexes, the SQLite store straight from its
 rows, read once and parsed (:func:`repro.graphdb.schema.parse_row`)
 into vertex ids, labels and edge positions without building any
-graph.  An aligned (unique-label) store therefore mines on the slab
-kernel with no graph built.  Every reader of a row
-validates it through that one parser, and a damaged row raises
-:class:`DatabaseError` naming the store and the transaction.
+graph.  The store runs that build once, at import, and keeps the
+index beside its rows, so opening it maps the stored arrays instead
+(:meth:`SqliteGraphSource.slab_space`).  An aligned (unique-label)
+store therefore mines on the slab kernel with no graph built.  Every
+reader of a row validates it through that one parser, and a damaged
+row raises :class:`DatabaseError` naming the store and the
+transaction.
 
 The seam is what makes out-of-core mining composable: the engine only
 ever sees a :class:`GraphDatabase`, and
@@ -35,6 +38,8 @@ from __future__ import annotations
 
 import contextlib
 import functools
+import hashlib
+import json
 import os
 import sqlite3
 from pathlib import Path
@@ -48,6 +53,7 @@ from .schema import (
     decode_graph,
     encode_graph,
     parse_row,
+    rows_key,
     transaction_digest,
 )
 
@@ -56,6 +62,15 @@ PathLike = Union[str, Path]
 # Sentinel: the slab space has not been computed yet (``None`` is a
 # valid cached answer, meaning "not available").
 _SPACE_UNSET = object()
+
+_INSERT_ROWS = (
+    "INSERT INTO graphs (tid, encoding, digest, n_vertices, n_edges) VALUES (?, ?, ?, ?, ?)"
+)
+_ADD_SUPPORTS = (
+    "INSERT INTO label_supports (label, support) VALUES (?, ?) "
+    "ON CONFLICT(label) DO UPDATE SET support = support + excluded.support"
+)
+_SELECT_ROWS = "SELECT tid, encoding FROM graphs ORDER BY tid"
 
 
 class GraphSource:
@@ -269,6 +284,11 @@ class SqliteGraphSource(GraphSource):
             raise DatabaseError(f"no graph store at {self.path!r}")
         if create:
             conn = self._connect()
+            graphs = conn.execute("SELECT 1 FROM sqlite_master WHERE name = 'graphs'")
+            held = graphs.fetchone() and len(self)
+            if held:
+                self.close()
+                raise DatabaseError(f"{self.path!r} already holds {held} transactions")
             for statement in DDL:
                 conn.execute(statement)
             conn.execute(
@@ -370,11 +390,11 @@ class SqliteGraphSource(GraphSource):
             yield self.get(tid)
 
     def append(self, graph: Graph) -> int:
+        """Persist a transaction, dropping any stored slab index with it."""
         conn = self._connect()
         tid = len(self)
         conn.execute(
-            "INSERT INTO graphs (tid, encoding, digest, n_vertices, n_edges) "
-            "VALUES (?, ?, ?, ?, ?)",
+            _INSERT_ROWS,
             (
                 tid,
                 encode_graph(graph),
@@ -384,10 +404,10 @@ class SqliteGraphSource(GraphSource):
             ),
         )
         conn.executemany(
-            "INSERT INTO label_supports (label, support) VALUES (?, 1) "
-            "ON CONFLICT(label) DO UPDATE SET support = support + 1",
-            [(label,) for label in sorted(graph.distinct_labels())],
+            _ADD_SUPPORTS, [(label, 1) for label in sorted(graph.distinct_labels())]
         )
+        with contextlib.suppress(sqlite3.OperationalError):  # a v1 store has none
+            conn.execute("DELETE FROM slab_index")
         conn.commit()
         self._len = tid + 1
         self._label_supports = None
@@ -414,36 +434,62 @@ class SqliteGraphSource(GraphSource):
             yield digest
 
     def slab_space(self):
-        """The store's transposed slab index, fed straight from its rows.
+        """The store's transposed slab index: stored, else built from rows.
 
-        Built once and cached until the next :meth:`append`.  The
-        alphabet comes from the ``label_supports`` column, and the
-        columns also decide alignment without reading a row: per-label
-        supports count each transaction's *distinct* labels, so they
-        sum to the stored vertex total exactly when no transaction
-        repeats a label.  An aligned store's rows are then read once,
-        in tid order and outside the batch cache, and each is parsed
-        (:func:`~repro.graphdb.schema.parse_row`) straight into the
-        builder's feed: no :class:`Graph` or mask index is built.
+        Cached until the next :meth:`append`.  The alphabet comes from
+        the ``label_supports`` column, and the columns also decide
+        alignment without reading a row: per-label supports count each
+        transaction's *distinct* labels, so they sum to the stored
+        vertex total exactly when no transaction repeats a label.  An
+        aligned store maps the ``slab_index`` :func:`import_graphs`
+        stored, read-only and parsing no row, if its ``rows_key``,
+        alphabet, layout and checksum all match.  Otherwise (a
+        version-1 or appended store, a damaged index, a changed row)
+        the rows are read once, in tid order and outside the batch
+        cache, and each is parsed (:func:`~repro.graphdb.schema.
+        parse_row`) into the builder's feed, building no :class:`Graph`;
+        a bad row raises :class:`DatabaseError`.  Either way the index
+        is the same, and opening never writes to the store.
         """
         slab = self._slab
         if slab is _SPACE_UNSET:
             slab = None
             supports = self.label_supports()
             if sum(supports.values()) == self.size_totals()[0]:
-                from .slab import build_slab_space
+                labels = tuple(sorted(supports))
+                slab = self._stored_slab(labels)
+                if slab is None:
+                    from .slab import build_slab_space
 
-                rows = self._connect().execute(
-                    "SELECT tid, encoding FROM graphs ORDER BY tid"
-                )
-                feed = (
-                    (tid, tid, functools.partial(parse_row, encoding, tid))
-                    for tid, encoding in rows
-                )
-                with self._corrupt_rows():
-                    slab = build_slab_space(feed, tuple(sorted(supports)), len(self))
+                    feed = (
+                        (tid, tid, functools.partial(parse_row, encoding, tid))
+                        for tid, encoding in self._connect().execute(_SELECT_ROWS)
+                    )
+                    with self._corrupt_rows():
+                        slab = build_slab_space(feed, labels, len(self))
             self._slab = slab
         return slab
+
+    def _stored_slab(self, labels: Tuple[Label, ...]):
+        """The valid stored slab index over ``labels``, or ``None``."""
+        from .slab import index_layout, unpack_index
+
+        conn = self._connect()
+        try:
+            ((key, stored_labels, layout, arrays, checksum),) = conn.execute(
+                "SELECT rows_key, labels, layout, arrays, checksum FROM slab_index"
+            ).fetchall()
+        except (sqlite3.OperationalError, ValueError):  # no table (v1), or not one row
+            return None
+        if (
+            stored_labels != json.dumps(labels)
+            or layout != json.dumps(index_layout(len(labels), len(self)))
+            or not isinstance(arrays, bytes)
+            or hashlib.sha256(arrays).hexdigest() != checksum
+            or rows_key(conn.execute(_SELECT_ROWS)) != key
+        ):
+            return None
+        return unpack_index(arrays, labels, len(self))
 
     @contextlib.contextmanager
     def _corrupt_rows(self) -> Iterator[None]:
@@ -472,11 +518,8 @@ def open_source(path: PathLike, **options) -> SqliteGraphSource:
 
 
 def create_store(path: PathLike, name: str = "", **options) -> SqliteGraphSource:
-    """Create a fresh SQLite graph store (fails if rows already exist)."""
-    source = SqliteGraphSource(path, name=name, create=True, **options)
-    if len(source) > 0:
-        raise DatabaseError(f"{path!r} already holds {len(source)} transactions")
-    return source
+    """Create a fresh SQLite graph store (fails, writing nothing, if rows exist)."""
+    return SqliteGraphSource(path, name=name, create=True, **options)
 
 
 def import_graphs(
@@ -491,6 +534,13 @@ def import_graphs(
     Consumes any iterator (the streaming ``iter_database`` readers in
     :mod:`repro.io` compose directly), holding at most ``commit_every``
     encoded rows in flight — importing never materialises the database.
+    Each batch of rows commits with its label supports, so an import
+    cut short (an exception from ``graphs``, a crash) leaves a valid
+    store of the graphs committed so far.  The final transaction also
+    writes the slab index of an aligned store
+    (:meth:`SqliteGraphSource.slab_space`), built from the stored rows
+    and keyed by them, so opening the store maps it instead of parsing
+    every row.
     """
     if commit_every < 1:
         raise DatabaseError(f"commit_every must be >= 1, got {commit_every}")
@@ -499,39 +549,50 @@ def import_graphs(
     tid = 0
     supports: Dict[Label, int] = {}
     rows = []
-    for graph in graphs:
-        rows.append(
-            (
-                tid,
-                encode_graph(graph),
-                transaction_digest(graph),
-                graph.vertex_count,
-                graph.edge_count,
+
+    def insert() -> None:
+        conn.executemany(_INSERT_ROWS, rows)
+        conn.executemany(_ADD_SUPPORTS, sorted(supports.items()))
+        rows.clear()
+        supports.clear()
+
+    try:
+        for graph in graphs:
+            rows.append(
+                (
+                    tid,
+                    encode_graph(graph),
+                    transaction_digest(graph),
+                    graph.vertex_count,
+                    graph.edge_count,
+                )
             )
-        )
-        for label in graph.distinct_labels():
-            supports[label] = supports.get(label, 0) + 1
-        tid += 1
-        if len(rows) >= commit_every:
-            conn.executemany(
-                "INSERT INTO graphs (tid, encoding, digest, n_vertices, n_edges) "
+            for label in graph.distinct_labels():
+                supports[label] = supports.get(label, 0) + 1
+            tid += 1
+            if len(rows) >= commit_every:
+                insert()
+                conn.commit()
+        insert()
+        source._len = tid
+        slab = source.slab_space()
+        if slab is not None:
+            from .slab import index_layout, pack_index
+
+            arrays = pack_index(slab)
+            conn.execute(
+                "INSERT INTO slab_index (rows_key, labels, layout, arrays, checksum) "
                 "VALUES (?, ?, ?, ?, ?)",
-                rows,
+                (
+                    rows_key(conn.execute(_SELECT_ROWS)),
+                    json.dumps(slab.labels),
+                    json.dumps(index_layout(slab.n_labels, slab.n_transactions)),
+                    arrays,
+                    hashlib.sha256(arrays).hexdigest(),
+                ),
             )
-            conn.commit()
-            rows = []
-    if rows:
-        conn.executemany(
-            "INSERT INTO graphs (tid, encoding, digest, n_vertices, n_edges) "
-            "VALUES (?, ?, ?, ?, ?)",
-            rows,
-        )
-    conn.executemany(
-        "INSERT INTO label_supports (label, support) VALUES (?, ?) "
-        "ON CONFLICT(label) DO UPDATE SET support = support + excluded.support",
-        sorted(supports.items()),
-    )
-    conn.commit()
-    source._len = tid
-    source._label_supports = None
+        conn.commit()
+    except BaseException:
+        source.close()  # drops the uncommitted batch
+        raise
     return source

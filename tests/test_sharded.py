@@ -9,6 +9,7 @@ shard-and-merge path — produces byte-identical canonical envelopes
 
 import dataclasses
 import gc
+import sqlite3
 import tempfile
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from repro.exceptions import MiningError
 from repro.graphdb import GraphDatabase, import_graphs, open_source, random_database
 from repro.graphdb import Graph
 from repro.graphdb import storage
-from repro.graphdb.schema import decode_graph, parse_row
+from repro.graphdb.schema import SCHEMA_VERSION, decode_graph, parse_row
 
 from .conftest import kernel_warning
 from .strategies import aligned_databases, aligned_graphs, graph_databases
@@ -292,10 +293,11 @@ class TestAlignedStoreOnSlab:
             for result in runs:
                 assert canonical(request, result) == expected
             # Quasi runs on int masks, so it keeps the shard passes.
-            # Every other task parses each row once into the slab feed
-            # and builds no Graph.
+            # Every other task maps the store's stored slab index: it
+            # parses no row and builds no Graph.  (A store without the
+            # index parses each row once: TestStoredSlabIndex.)
             if task != "quasi":
-                assert sorted(parsed) == list(range(len(source)))
+                assert parsed == []
                 assert decoded == []
         finally:
             source.close()
@@ -454,6 +456,121 @@ class TestSlabFeedParity:
         assert from_store.tx_words == in_memory.tx_words
         for name in ("nbr", "presence", "vertices", "label_tx_counts"):
             assert np.array_equal(getattr(from_store, name), getattr(in_memory, name))
+
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        graphs=st.lists(aligned_graphs(max_vertices=6), min_size=1, max_size=6),
+        data=st.data(),
+    )
+    def test_index_fed_slab_equals_memory_slab(self, graphs, data):
+        # A re-opened imported store maps the index it stored at import.
+        n_tx = data.draw(st.integers(1, 150), label="transactions")
+        picks = data.draw(
+            st.lists(st.integers(0, len(graphs) - 1), min_size=n_tx, max_size=n_tx),
+            label="picks",
+        )
+        database = GraphDatabase([graphs[pick] for pick in picks])
+        in_memory = database.slab_space()
+        with tempfile.TemporaryDirectory() as work:
+            path = Path(work) / "indexed.sqlite"
+            import_graphs(path, iter(database)).close()
+            source = open_source(path)
+            try:
+                from_store = source.slab_space()
+            finally:
+                source.close()
+        if in_memory is None:
+            assert from_store is None
+            return
+        assert_same_slab(from_store, in_memory)
+        # Mapped read-only from the stored index, not built from rows.
+        assert not any(
+            getattr(from_store, name).flags.writeable
+            for name in ("nbr", "presence", "vertices")
+        )
+
+
+def assert_same_slab(got, expected) -> None:
+    assert got.labels == expected.labels
+    assert got.tx_words == expected.tx_words
+    for name in ("nbr", "presence", "vertices", "label_tx_counts"):
+        assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+
+class TestStoredSlabIndex:
+    """Version-1 and appended stores build the slab from their rows."""
+
+    @pytest.fixture(scope="class")
+    def aligned_db(self) -> GraphDatabase:
+        return unique_label_database(4, n_graphs=30)
+
+    @pytest.fixture
+    def indexed_path(self, aligned_db, tmp_path):
+        path = tmp_path / "indexed.sqlite"
+        import_graphs(path, iter(aligned_db), name=aligned_db.name).close()
+        return path
+
+    @staticmethod
+    def _count(path, table) -> int:
+        conn = sqlite3.connect(path)
+        try:
+            return conn.execute(f"SELECT COUNT(*) FROM {table}").fetchone()[0]
+        finally:
+            conn.close()
+
+    def test_version_1_store_builds_from_rows_and_is_not_written(
+        self, aligned_db, indexed_path, monkeypatch
+    ):
+        # A version-1 store: no index table, schema_version 1.
+        conn = sqlite3.connect(indexed_path)
+        try:
+            conn.execute("DROP TABLE slab_index")
+            conn.execute("UPDATE meta SET value = '1' WHERE key = 'schema_version'")
+            conn.commit()
+            conn.execute("VACUUM")
+        finally:
+            conn.close()
+        before = indexed_path.read_bytes()
+        parsed = []
+        monkeypatch.setattr(storage, "parse_row", _counting(parsed, parse_row))
+        request = MiningRequest(min_sup=2)
+        expected = canonical(request, execute_request(aligned_db, request))
+        source = open_source(indexed_path)
+        try:
+            assert source.schema_version() == 1 < SCHEMA_VERSION
+            built = source.slab_space()
+            assert sorted(parsed) == list(range(len(aligned_db)))
+            assert built.nbr.flags.writeable
+            assert_same_slab(built, aligned_db.slab_space())
+            database = GraphDatabase(source=source)
+            assert canonical(request, execute_request(database, request)) == expected
+            assert canonical(request, mine_sharded(database, request, shards=4)) == expected
+        finally:
+            source.close()
+        assert indexed_path.read_bytes() == before
+
+    def test_append_drops_the_index(self, aligned_db, indexed_path):
+        request = MiningRequest(min_sup=2)
+        extra = Graph.from_edges({0: "T00", 1: "T03", 2: "NEW"}, [(0, 1), (1, 2), (0, 2)])
+        grown = GraphDatabase(list(aligned_db) + [extra])
+        assert self._count(indexed_path, "slab_index") == 1
+        source = open_source(indexed_path)
+        try:
+            assert not source.slab_space().nbr.flags.writeable
+            GraphDatabase(source=source).add(extra.copy())
+            # Committed with the row: another connection sees both.
+            assert self._count(indexed_path, "slab_index") == 0
+            assert self._count(indexed_path, "graphs") == len(grown)
+            rebuilt = source.slab_space()
+            assert rebuilt.nbr.flags.writeable
+            assert_same_slab(rebuilt, grown.slab_space())
+            got = execute_request(GraphDatabase(source=source), request)
+            assert canonical(request, got) == canonical(
+                request, execute_request(grown, request)
+            )
+        finally:
+            source.close()
 
 
 class TestAlignedStoreProperty:

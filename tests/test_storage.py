@@ -6,13 +6,21 @@ no-copy subset/replicate contract, and the streaming readers' parity
 with the eager parsers.
 """
 
+import hashlib
 import io
+import json
+import os
 import pickle
 import re
 import sqlite3
+import subprocess
+import sys
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
+
+import repro
 
 from repro.chem import ca_like_database
 from repro.core.api import MiningRequest, MiningResultEnvelope, execute_request
@@ -30,10 +38,11 @@ from repro.graphdb import (
     random_database,
     transaction_digest,
 )
-from repro.graphdb import storage
+from repro.graphdb import slab, storage
 from repro.graphdb.schema import decode_graph, encode_graph, parse_row
 from repro.io import gspan_format, json_format
 from repro.io.runlog import database_fingerprint
+from repro.stockmarket.datasets import stock_market_database
 
 from tests.strategies import graph_databases
 from tests.test_kernel_differential import unique_label_database
@@ -138,6 +147,15 @@ class TestSqliteSource:
         import_graphs(path, iter(db))
         with pytest.raises(DatabaseError):
             import_graphs(path, iter(db))
+
+    def test_create_over_populated_store_writes_nothing(self, tmp_path):
+        # Neither the name nor the schema version of the store changes.
+        path = tmp_path / "kept.sqlite"
+        import_graphs(path, iter(paper_example_database()), name="kept").close()
+        before = path.read_bytes()
+        with pytest.raises(DatabaseError, match="already holds 2 transactions"):
+            create_store(path, name="other")
+        assert path.read_bytes() == before
 
     def test_pickle_round_trip(self, store):
         db, source = store
@@ -334,6 +352,64 @@ CORRUPT_ROWS = {
 }
 
 
+def _set_index(conn, **columns) -> None:
+    assignments = ", ".join(f"{column} = ?" for column in columns)
+    conn.execute(f"UPDATE slab_index SET {assignments}", tuple(columns.values()))
+
+
+def _index_column(conn, column):
+    return conn.execute(f"SELECT {column} FROM slab_index").fetchone()[0]
+
+
+def _truncate(conn, rehash: bool) -> None:
+    arrays = _index_column(conn, "arrays")[:-1]
+    if rehash:  # a consistent checksum: only the size check catches it
+        _set_index(conn, arrays=arrays, checksum=hashlib.sha256(arrays).hexdigest())
+    else:
+        _set_index(conn, arrays=arrays)
+
+
+def _flip_byte(conn) -> None:
+    arrays = bytearray(_index_column(conn, "arrays"))
+    arrays[0] ^= 0xFF
+    _set_index(conn, arrays=bytes(arrays))
+
+
+def _edit_layout(conn, edit) -> None:
+    layout = json.loads(_index_column(conn, "layout"))
+    edit(layout)
+    _set_index(conn, layout=json.dumps(layout))
+
+
+def _swap_dims(layout) -> None:
+    layout[0][2] = layout[0][2][::-1]
+
+
+def _widen_words(layout) -> None:
+    layout[0][1] = layout[1][1] = "<u8"
+
+
+#: Damage to the stored slab index of the three-transaction store; each
+#: must fall back to building the slab from the rows.
+INDEX_DAMAGE = {
+    "truncated-blob": lambda conn: _truncate(conn, rehash=False),
+    "truncated-rehashed": lambda conn: _truncate(conn, rehash=True),
+    "flipped-byte": _flip_byte,
+    "dropped-table": lambda conn: conn.execute("DROP TABLE slab_index"),
+    "wrong-shape": lambda conn: _edit_layout(conn, _swap_dims),
+    "wrong-dtype": lambda conn: _edit_layout(conn, _widen_words),
+    "wrong-alphabet": lambda conn: _set_index(conn, labels=json.dumps(["a", "b", "d"])),
+    "two-index-rows": lambda conn: conn.execute(
+        "INSERT INTO slab_index SELECT * FROM slab_index"
+    ),
+    # A valid row edited under an intact index: the index is stale.
+    "edited-row": lambda conn: conn.execute(
+        "UPDATE graphs SET encoding = ? WHERE tid = 1", ('{"e":[],"v":[[0,"a"],[1,"b"]]}',)
+    ),
+}
+
+
+
 class TestCorruptRows:
     """A damaged row surfaces as a DatabaseError naming store and tid."""
 
@@ -407,5 +483,113 @@ class TestCorruptRows:
                 with pytest.raises(DatabaseError) as info:
                     read()
                 self._assert_names_row(source, info)
+        finally:
+            source.close()
+
+    @pytest.mark.parametrize("damage", sorted(INDEX_DAMAGE))
+    def test_index_damage_falls_back_to_the_rows(self, clean_path, tmp_path, damage):
+        path = tmp_path / f"{damage}.sqlite"
+        path.write_bytes(clean_path.read_bytes())
+        conn = sqlite3.connect(path)
+        try:
+            INDEX_DAMAGE[damage](conn)
+            conn.commit()
+        finally:
+            conn.close()
+        source = open_source(path)
+        try:
+            expected = GraphDatabase(list(source)).slab_space()
+            got = source.slab_space()
+        finally:
+            source.close()
+        # Built from the rows (writable arrays), not mapped from the index.
+        assert got.nbr.flags.writeable
+        assert got.labels == expected.labels and got.tx_words == expected.tx_words
+        for name in ("nbr", "presence", "vertices", "label_tx_counts"):
+            assert np.array_equal(getattr(got, name), getattr(expected, name))
+
+
+#: Graphs the interrupted imports below get through, and their batch.
+STOP_AFTER, COMMIT_EVERY = 6, 4
+
+_KILLED_IMPORT = """
+import os, sys
+from repro.graphdb import import_graphs
+from repro.stockmarket.datasets import stock_market_database
+
+def graphs():
+    for at, graph in enumerate(stock_market_database(0.95, scale="tiny", seed=7)):
+        if at == {stop}:
+            os._exit(9)
+        yield graph
+
+import_graphs(sys.argv[1], graphs(), commit_every={commit})
+"""
+
+
+class TestInterruptedImport:
+    """Every committed prefix of an import is a valid store."""
+
+    @staticmethod
+    def _assert_mines_like_memory(path, graphs):
+        request = MiningRequest(min_sup="85%")
+        source = open_source(path)
+        try:
+            prefix = GraphDatabase(graphs[: len(source)])
+            assert source.label_supports() == prefix.label_supports()
+            expected = execute_request(prefix, request)
+            assert len(expected) > 0
+            got = execute_request(GraphDatabase(source=source), request)
+            envelopes = [
+                MiningResultEnvelope.from_result(request, result).canonical_json()
+                for result in (got, expected)
+            ]
+            assert envelopes[0] == envelopes[1]
+            return len(source)
+        finally:
+            source.close()
+
+    def test_generator_error_leaves_the_committed_prefix(self, tmp_path):
+        graphs = list(stock_market_database(0.95, scale="tiny", seed=7))
+
+        def interrupted():
+            yield from graphs[:STOP_AFTER]
+            raise RuntimeError("interrupted")
+
+        path = tmp_path / "cut.sqlite"
+        with pytest.raises(RuntimeError, match="interrupted"):
+            import_graphs(path, interrupted(), commit_every=COMMIT_EVERY)
+        assert self._assert_mines_like_memory(path, graphs) == COMMIT_EVERY
+
+    def test_killed_process_leaves_the_committed_prefix(self, tmp_path):
+        graphs = list(stock_market_database(0.95, scale="tiny", seed=7))
+        path = tmp_path / "killed.sqlite"
+        script = _KILLED_IMPORT.format(stop=STOP_AFTER, commit=COMMIT_EVERY)
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run([sys.executable, "-c", script, str(path)], env=env)
+        assert done.returncode == 9
+        assert self._assert_mines_like_memory(path, graphs) == COMMIT_EVERY
+
+    def test_failure_before_the_index_write(self, tmp_path, monkeypatch):
+        # The last batch and the index commit together, so the store
+        # keeps the batches before it and builds its slab from rows.
+        graphs = list(stock_market_database(0.95, scale="tiny", seed=7))
+
+        def failing_pack(space):
+            raise RuntimeError("index write failed")
+
+        monkeypatch.setattr(slab, "pack_index", failing_pack)
+        path = tmp_path / "no-index.sqlite"
+        with pytest.raises(RuntimeError, match="index write failed"):
+            import_graphs(path, iter(graphs), commit_every=COMMIT_EVERY)
+        n_stored = self._assert_mines_like_memory(path, graphs)
+        assert n_stored == len(graphs) - len(graphs) % COMMIT_EVERY
+        source = open_source(path)
+        try:
+            built = source.slab_space()
+            expected = GraphDatabase(graphs[:n_stored]).slab_space()
+            assert built.nbr.flags.writeable
+            assert np.array_equal(built.nbr, expected.nbr)
         finally:
             source.close()
