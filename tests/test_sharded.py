@@ -457,7 +457,6 @@ class TestSlabFeedParity:
         for name in ("nbr", "presence", "vertices", "label_tx_counts"):
             assert np.array_equal(getattr(from_store, name), getattr(in_memory, name))
 
-
     @settings(max_examples=30, deadline=None)
     @given(
         graphs=st.lists(aligned_graphs(max_vertices=6), min_size=1, max_size=6),
