@@ -17,7 +17,9 @@ thresholds) and two Figure 7(b) style replicated cells; the numbers
 are written to ``BENCH_kernels.json`` at the repo root as the
 perf-trajectory baseline for future PRs.  Each round runs every cell
 on both kernels, alternating which kernel goes first, and each cell
-keeps its best round.
+keeps its best round.  A record is one draw of that best: the record
+says so beside its seconds, since on a shared host one tree's fig6a
+cell varies by tens of percent from run to run.
 
 Interpreting the workloads: fig6a@small has only 11 transactions
 per database, so per-node mask arithmetic is already cheap and the
@@ -180,6 +182,11 @@ def test_ablation_kernels(benchmark, market_databases, scale):
         },
         "bitset_seconds": timings[BITSET],
         "slab_seconds": timings[SLAB],
+        "seconds_note": "one draw per record: each cell is the best of "
+        f"{ROUNDS} rounds in one process.  On a shared 2-CPU host repeated "
+        "runs of one tree read the slab fig6a cell anywhere from 0.27 to "
+        "0.42 s, so two records can differ by 40% with no code change; "
+        "compare trees with an interleaved A/B run, not two records",
         "slab_speedup_vs_bitset": {
             workload: timings[BITSET][workload] / timings[SLAB][workload]
             for workload in timings[BITSET]

@@ -22,21 +22,26 @@ market databases):
   reference.
 
 Rounds alternate the modes (each round runs every mode once, in a
-seeded shuffled order), and each mode keeps its best round, so a slow
-stretch of the machine hits every mode alike.  The order is shuffled,
-not rotated: under rotation each mode always follows the same mode, and
-a sweep right after the slow bitset sweep read ~10% slower.  Each sweep
-starts from a full collection and runs with automatic GC paused, so no
-mode pays for another's garbage.  Rungs under ~2 µs per node are within
-run-to-run noise on a shared host.  Differences between adjacent rungs give the
-per-node overhead of each layer.  The headline number is enumerated
-nodes per second; the record lands in ``BENCH_floor.json`` at the repo
-root, and the CI smoke job gates on the nodes/sec bar at small scale.
+seeded shuffled order), so a slow stretch of the machine hits every
+mode alike.  The order is shuffled, not rotated: under rotation each
+mode always follows the same mode, and a sweep right after the slow
+bitset sweep read ~10% slower.  Each sweep starts from a full
+collection and runs with automatic GC paused, so no mode pays for
+another's garbage.  Differences between adjacent rungs give the
+per-node overhead of each layer.  Each rung is recorded twice: from
+every mode's best round (the headline figures), and as the median and
+quartiles of its per-round differences, each taken within one round.
+A rung whose quartile range spans zero is marked unresolved: it sits
+inside the host's noise, as rungs under ~2 µs per node often do on a
+shared host.  The headline number is enumerated nodes per second; the
+record lands in ``BENCH_floor.json`` at the repo root, and the CI smoke
+job gates on the nodes/sec bar at small scale.
 """
 
 import gc
 import json
 import random
+import statistics
 import time
 from pathlib import Path
 
@@ -49,7 +54,7 @@ from conftest import write_report
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SUPPORTS = (1.00, 0.95, 0.90, 0.85)
-ROUNDS = 5  # best-of, to shed scheduler noise
+ROUNDS = 9  # interleaved rounds: the best sheds scheduler noise, the rest give the spread
 
 #: Conservative CI bar (nodes/second, default mode, small scale) —
 #: roughly a third of what a developer laptop sustains, so it only
@@ -72,13 +77,13 @@ def sweep(market_databases, config, hooks_factory=None):
     return time.perf_counter() - started, nodes, keys
 
 
-def best_of(market_databases, modes):
-    """Each mode's best sweep over interleaved rounds.
+def interleaved(market_databases, modes):
+    """Every mode's sweep seconds, round by round.
 
     ``modes`` maps a name to ``(config, hooks_factory)``; returns
-    ``{name: (best seconds, nodes, keys)}``.
+    ``{name: (seconds per round, nodes, keys)}``.
     """
-    best = {}
+    runs = {}
     for round_index in range(ROUNDS):
         order = list(modes)
         random.Random(round_index).shuffle(order)
@@ -89,9 +94,35 @@ def best_of(market_databases, modes):
                 seconds, nodes, keys = sweep(market_databases, *modes[name])
             finally:
                 gc.enable()
-            if name not in best or seconds < best[name][0]:
-                best[name] = (seconds, nodes, keys)
-    return best
+            runs.setdefault(name, ([], nodes, keys))[0].append(seconds)
+    return runs
+
+
+#: Each rung of the ladder: the mode it times, and the mode below it
+#: (``None``: the rung is that mode's whole per-node cost).
+RUNGS = {
+    "enumeration": ("no_emission", None),
+    "emission": ("no_witnesses", "no_emission"),
+    "witnesses": ("default", "no_witnesses"),
+    "statistics_hooks": ("passive", "default"),
+    "armed_sink": ("armed", "default"),
+}
+
+
+def rung_spread(runs, mode, below, nodes):
+    """Median and quartiles of a rung's per-round per-node cost (µs).
+
+    Differences are taken within each round, where both modes shared a
+    stretch of the machine.  ``resolved`` is False when the quartile
+    range spans zero.
+    """
+    seconds = runs[mode][0]
+    if below is not None:
+        seconds = [a - b for a, b in zip(seconds, runs[below][0])]
+    q1, median, q3 = statistics.quantiles(
+        [per_node_us(value, nodes) for value in seconds], n=4, method="inclusive"
+    )
+    return {"median": median, "q1": q1, "q3": q3, "resolved": q1 > 0 or q3 < 0}
 
 
 def per_node_us(seconds, nodes):
@@ -103,7 +134,7 @@ def test_engine_floor(benchmark, market_databases, scale):
         lambda: sweep(market_databases, MinerConfig()), rounds=1, iterations=1
     )
 
-    best = best_of(
+    runs = interleaved(
         market_databases,
         {
             "default": (MinerConfig(), None),
@@ -120,37 +151,46 @@ def test_engine_floor(benchmark, market_databases, scale):
             "bitset": (MinerConfig(kernel=BITSET), None),
         },
     )
-    default_s, nodes, default_keys = best["default"]
-    no_wit_s, _, no_wit_keys = best["no_witnesses"]
-    no_emit_s, no_emit_nodes, no_emit_keys = best["no_emission"]
-    passive_s, _, passive_keys = best["passive"]
-    armed_s, _, armed_keys = best["armed"]
-    bitset_s, _, bitset_keys = best["bitset"]
+    best = {name: min(seconds) for name, (seconds, _, _) in runs.items()}
+    _, nodes, default_keys = runs["default"]
+    _, no_emit_nodes, no_emit_keys = runs["no_emission"]
 
     # The toggles must not change what is enumerated or found.
     assert no_emit_nodes == nodes
     assert all(not keys for keys in no_emit_keys)
-    assert no_wit_keys == default_keys
-    assert passive_keys == default_keys
-    assert armed_keys == default_keys
-    assert bitset_keys == default_keys
+    for name in ("no_witnesses", "passive", "armed", "bitset"):
+        assert runs[name][2] == default_keys, name
 
+    default_s = best["default"]
     nodes_per_second = nodes / default_s
-    enumeration_us = per_node_us(no_emit_s, nodes)
-    emission_us = per_node_us(no_wit_s - no_emit_s, nodes)
-    witnesses_us = per_node_us(default_s - no_wit_s, nodes)
-    statistics_hooks_us = per_node_us(passive_s - default_s, nodes)
-    armed_us = per_node_us(armed_s - default_s, nodes)
+    per_node = {
+        rung: per_node_us(best[mode] - (best[below] if below else 0.0), nodes)
+        for rung, (mode, below) in RUNGS.items()
+    }
+    spread = {
+        rung: rung_spread(runs, mode, below, nodes) for rung, (mode, below) in RUNGS.items()
+    }
+
+    def row(layer, mode, rung):
+        cost = spread[rung]
+        sign = "" if rung == "enumeration" else "+"
+        return [
+            layer,
+            f"{best[mode]:.3f}",
+            f"{per_node[rung]:{sign}.2f} µs",
+            f"{cost['median']:{sign}.2f} [{cost['q1']:.2f}, {cost['q3']:.2f}]",
+            "yes" if cost["resolved"] else "unresolved",
+        ]
 
     table = format_table(
-        ["layer", "seconds", "per node"],
+        ["layer", "best s", "per node (best)", "median [quartiles] µs", "resolved"],
         [
-            ["enumeration floor", f"{no_emit_s:.3f}", f"{enumeration_us:.2f} µs"],
-            ["+ pattern emission", f"{no_wit_s:.3f}", f"{emission_us:+.2f} µs"],
-            ["+ witness rows", f"{default_s:.3f}", f"{witnesses_us:+.2f} µs"],
-            ["+ passive hooks", f"{passive_s:.3f}", f"{statistics_hooks_us:+.2f} µs"],
-            ["+ armed ring sink", f"{armed_s:.3f}", f"{armed_us:+.2f} µs"],
-            ["default, bitset kernel", f"{bitset_s:.3f}", "-"],
+            row("enumeration floor", "no_emission", "enumeration"),
+            row("+ pattern emission", "no_witnesses", "emission"),
+            row("+ witness rows", "default", "witnesses"),
+            row("+ passive hooks", "passive", "statistics_hooks"),
+            row("+ armed ring sink", "armed", "armed_sink"),
+            ["default, bitset kernel", f"{best['bitset']:.3f}", "-", "-", "-"],
         ],
         title=(
             f"Engine floor: {nodes} nodes, {nodes_per_second:,.0f} nodes/s "
@@ -164,26 +204,23 @@ def test_engine_floor(benchmark, market_databases, scale):
         "scale": scale,
         "rounds": ROUNDS,
         "method": "modes interleaved per round in a seeded shuffled order, a "
-        "full collection before each sweep and GC paused inside it, best round "
-        "per mode",
+        "full collection before each sweep and GC paused inside it; per_node_us "
+        "from each mode's best round, per_node_us_rounds the median and "
+        "quartiles of each rung's within-round differences (unresolved when "
+        "the quartile range spans zero)",
         "kernel": MinerConfig().kernel,
         "hardware": hardware_context(),
         "workload": "fig6a sweep: 6 market databases x supports 100/95/90/85%",
         "nodes": nodes,
         "nodes_per_second": nodes_per_second,
         "default_seconds": default_s,
-        "no_witnesses_seconds": no_wit_s,
-        "no_emission_seconds": no_emit_s,
-        "hooks_passive_seconds": passive_s,
-        "hooks_armed_seconds": armed_s,
-        "bitset_seconds": bitset_s,
-        "per_node_us": {
-            "enumeration": enumeration_us,
-            "emission": emission_us,
-            "witnesses": witnesses_us,
-            "statistics_hooks": statistics_hooks_us,
-            "armed_sink": armed_us,
-        },
+        "no_witnesses_seconds": best["no_witnesses"],
+        "no_emission_seconds": best["no_emission"],
+        "hooks_passive_seconds": best["passive"],
+        "hooks_armed_seconds": best["armed"],
+        "bitset_seconds": best["bitset"],
+        "per_node_us": per_node,
+        "per_node_us_rounds": spread,
     }
     (REPO_ROOT / "BENCH_floor.json").write_text(
         json.dumps(record, indent=2) + "\n", encoding="utf-8"

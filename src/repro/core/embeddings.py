@@ -68,6 +68,7 @@ from ..graphdb.core_index import PseudoDatabase
 from ..graphdb.database import GraphDatabase
 from .canonical import Label
 from .closure import fully_connected_old_labels_mask
+from .slab_store import SlabEmbeddingStore
 
 #: One embedding: its vertex tuple (in canonical label order) and, in
 #: ``cached`` mode, its extension-vertex set as an ``int`` bitmask.
@@ -155,8 +156,6 @@ class EmbeddingStore:
                 if context is not None:
                     context["slab_space"] = slab_space
             if slab_space is not None:
-                from .slab_store import SlabEmbeddingStore
-
                 return SlabEmbeddingStore.for_root(slab_space, label, context)
         by_transaction: Dict[int, List[EmbeddingRecord]] = {}
         for tid, graph in enumerate(database):

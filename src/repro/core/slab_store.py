@@ -31,7 +31,8 @@ the engine threads through ``root_store``):
 
 * the roots are the rows of level 0, built with the first root store
   from the call's roots and its threshold ``abs_sup`` (both in the
-  context),
+  context) by one ragged gather of the slab's per-label nonzero
+  ``nbr`` rows (``nbr_cols``), never a dense scan of the alphabet,
 * each further level holds every canonical frequent child of the
   previous one, grown in one pass of gathers, ANDs and per-entry
   popcounts (levels are built lazily, on the first ``extend`` out of
@@ -43,7 +44,8 @@ the engine threads through ``root_store``):
   runs at is its own last bit — known at batch time — so the
   non-closed test for a *whole level* collapses into one chunked pass
   over the (prefix, tied label) pairs, resolved lazily on the first
-  store that asks,
+  store that asks into a row → blocking-label dict; every store's
+  engine-path test is then one lookup in it,
 * forests whose entries outgrow ``_FOREST_MAX_BYTES`` stop deepening;
   affected stores grow their own frequent children as one level
   instead (a per-parent batch), byte-identically.
@@ -55,17 +57,15 @@ nothing is frequent), a single off-plan extension is a one-pair
 growth, and a plan at another threshold digests the row again on its
 own.
 
-A tied label ``c`` satisfies ``cand[c] == tx`` by definition
-(``counts[c] == support`` and every row is a subset of ``tx``), and
-``c`` blocks iff ``cand & ~nbr[c]`` is zero outside row ``c`` — row
-``c`` itself always equals ``tx`` (the diagonal of ``nbr`` is zero).
-:func:`_first_blocking` is the one definition of that test: zero rows
-pass it, so it gathers only a prefix's entries, clears the one at
-``c``, and reduces each pair's flat words with one ``reduceat``, so no
-reduction runs over the short word axis.
+:func:`_first_blocking` is the one definition of the Lemma 4.4 test,
+for level batches and off-engine probes alike.
 
-Witnesses and embeddings are read off the slab's (transaction, bit) →
-vertex matrix; the store keeps no per-embedding records.
+Emission reads only the store's own row: its transactions are one
+``unpackbits`` of the row's little-endian ``tx`` bytes
+(:func:`~repro.graphdb.slab.bit_positions`), per emitted store, never
+per level (most rows never emit; a wide row holds hundreds of tids).
+Witnesses and embeddings are gathered at those tids from the slab's
+(transaction, bit) → vertex matrix; no per-embedding records are kept.
 
 Construction goes through :meth:`repro.core.embeddings.EmbeddingStore.
 for_label`, which dispatches to this class only when the database has
@@ -82,11 +82,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..graphdb.slab import (
-    TransposedSlabSpace,
-    bit_position_array,
-    popcount_rows,
-)
+from ..graphdb.slab import TransposedSlabSpace, bit_positions, popcount_rows
 from .canonical import Label
 from .pattern import WitnessRows
 
@@ -183,7 +179,7 @@ def _first_blocking(
         bad = nbr_rows.take(c_rep * n_labels + cols, axis=0)
         np.invert(bad, out=bad)
         bad &= entry_words.take(at, axis=0)
-        bad[cols == c_rep] = 0
+        bad *= (cols != c_rep)[:, None]
         if count.all():
             tops = np.maximum.reduceat(bad.reshape(-1), segments * tx_words)
         else:
@@ -192,14 +188,14 @@ def _first_blocking(
             some = np.flatnonzero(count)
             if some.size:
                 tops[some] = np.maximum.reduceat(bad.reshape(-1), segments[some] * tx_words)
-        hits = np.flatnonzero(tops == 0)
+        hits = (tops == 0).nonzero()[0]
         if hits.size:
             # Pairs are (row, c)-ascending and answered rows left the
             # batch, so a row's first hit carries its smallest blocking
-            # bit.
-            first_rows, first_at = np.unique(r[hits], return_index=True)
-            answers.update(zip(first_rows.tolist(), c[hits][first_at].tolist()))
-            answered[first_rows] = True
+            # bit: fed in reverse, it is the one the dict keeps.
+            hit_rows = r.take(hits)
+            answers.update(zip(hit_rows[::-1].tolist(), c.take(hits)[::-1].tolist()))
+            answered[hit_rows] = True
     return answers
 
 
@@ -271,30 +267,24 @@ class _ForestLevel:
         self.entry_words = words
         self.child_offsets: Optional[List[int]] = None
         self.child_bits: Optional[List[int]] = None
-        self.blocks: Optional[Dict[int, int]] = None
+        self.blocks: Optional[Dict[int, Label]] = None
         per_row = np.bincount(rows, minlength=n)
         offsets = self.offsets = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(per_row, out=offsets[1:])
 
-        freq = self.freq_entries = np.flatnonzero(counts >= abs_sup)
+        freq = self.freq_entries = (counts >= abs_sup).nonzero()[0]
         freq_rows = self.freq_rows = rows.take(freq)
         freq_cols = self.freq_cols = cols.take(freq)
-        labels = slab.labels
-        pairs = list(zip(map(labels.__getitem__, freq_cols.tolist()), counts.take(freq).tolist()))
-        ties = np.flatnonzero(counts == supports.take(rows))
+        pairs = list(zip(slab.label_array.take(freq_cols).tolist(), counts.take(freq).tolist()))
+        ties = (counts == supports.take(rows)).nonzero()[0]
         tie_rows = self.tie_rows = rows.take(ties)
         self.tie_cols = cols.take(ties)
         tied = np.zeros(n, dtype=bool)
         tied[tie_rows] = True
-
-        digests: List[tuple] = []
-        at = 0
-        for present, n_frequent, blocking in zip(
-            per_row.tolist(), np.bincount(freq_rows, minlength=n).tolist(), tied.tolist()
-        ):
-            digests.append((pairs[at : at + n_frequent], present - n_frequent, blocking))
-            at += n_frequent
-        self.digests = digests
+        n_frequent = np.bincount(freq_rows, minlength=n)
+        ends = np.cumsum(n_frequent)
+        frequent = map(pairs.__getitem__, map(slice, (ends - n_frequent).tolist(), ends.tolist()))
+        self.digests = list(zip(frequent, (per_row - n_frequent).tolist(), tied.tolist()))
 
     @classmethod
     def roots(
@@ -302,25 +292,25 @@ class _ForestLevel:
     ) -> "_ForestLevel":
         """The 1-cliques of label bits ``bits_np``, digested at ``abs_sup``.
 
-        A root's candidate slab is its ``nbr`` slice: one dense
-        popcount pass finds the nonzero rows.
+        A root's candidate slab is its ``nbr`` slice, whose nonzero
+        rows the slab lists per label (``nbr_cols``): one ragged gather.
         """
-        nbr = slab.nbr
-        n_labels = slab.n_labels
-        counts = popcount_rows(nbr[bits_np])
-        flat = np.flatnonzero(counts)
-        rows, cols = np.divmod(flat, n_labels)
-        words = nbr.reshape(-1, slab.tx_words).take(bits_np.take(rows) * n_labels + cols, axis=0)
+        starts = slab.nbr_offsets[bits_np]
+        lengths = slab.nbr_offsets[bits_np + 1] - starts
+        at, _ = _ragged(starts, lengths)
+        cols = slab.nbr_cols.take(at)
+        flat = np.repeat(bits_np * slab.n_labels, lengths) + cols
+        words = slab.nbr.reshape(-1, slab.tx_words).take(flat, axis=0)
         return cls(
             slab,
             bits_np,
             slab.presence[bits_np],
             slab.label_tx_counts[bits_np],
             abs_sup,
-            rows,
+            np.repeat(np.arange(bits_np.size), lengths),
             cols,
             words,
-            counts.reshape(-1).take(flat),
+            popcount_rows(words),
         )
 
     def grow(
@@ -360,7 +350,7 @@ class _ForestLevel:
             grown &= nbr_rows.take(child_bits.take(child) * n_labels + grown_cols, axis=0)
             grown &= tx.take(child, axis=0)
             counts = popcount_rows(grown)
-            keep = np.flatnonzero(counts)
+            keep = (counts != 0).nonzero()[0]
             kept += keep.size * row_bytes
             if budget is not None and kept > budget:
                 return None
@@ -392,8 +382,8 @@ class _ForestLevel:
             popcount_rows(words),
         )
 
-    def blocking(self) -> Dict[int, int]:
-        """Smallest Lemma 4.4 blocking bit per row, at each row's own rank.
+    def blocking(self) -> Dict[int, Label]:
+        """Smallest Lemma 4.4 blocking label per row, at each row's own rank.
 
         Under canonical growth a prefix's scan rank is its last bit, so
         the pairs are each row's tied labels below ``bits[row]``;
@@ -402,7 +392,7 @@ class _ForestLevel:
         blocks = self.blocks
         if blocks is None:
             mask = self.tie_cols < self.bits_np[self.tie_rows]
-            blocks = self.blocks = _first_blocking(
+            bits = _first_blocking(
                 self.tie_rows[mask],
                 self.tie_cols[mask],
                 self.offsets,
@@ -410,13 +400,15 @@ class _ForestLevel:
                 self.entry_words,
                 self.slab.nbr,
             )
+            blocks = self.blocks = {row: self.slab.labels[bit] for row, bit in bits.items()}
         return blocks
 
 
 def _nowhere(slab: TransposedSlabSpace, abs_sup: int) -> _ForestLevel:
     """A one-row level for a prefix supported in no transaction.
 
-    It has no entries, so its last bit (recorded as 0) is never read.
+    It has no entries, so its last bit (recorded as 0) only ever meets
+    the Lemma 4.4 lookup, which finds no blocking label there.
     """
     none = np.zeros(0, dtype=np.intp)
     tx = np.zeros((1, slab.tx_words), dtype=slab.presence.dtype)
@@ -529,8 +521,7 @@ class SlabEmbeddingStore:
     __slots__ = (
         "size",
         "slab",
-        "_tx",
-        "_support",
+        "embedding_count",
         "_member_bits",
         "_forest",
         "_source",
@@ -552,8 +543,8 @@ class SlabEmbeddingStore:
         self.slab = slab
         self.size = size
         self._member_bits = member_bits
-        self._tx = source.tx[row]
-        self._support = source.supports[row]
+        #: Total embeddings (= support: one embedding per transaction).
+        self.embedding_count = source.supports[row]
         self._forest = forest
         #: The level holding this prefix's entries, and its row there.
         self._source = source
@@ -608,12 +599,7 @@ class SlabEmbeddingStore:
     @property
     def support(self) -> int:
         """Number of transactions with at least one embedding."""
-        return self._support
-
-    @property
-    def embedding_count(self) -> int:
-        """Total embeddings (= support: one embedding per transaction)."""
-        return self._support
+        return self.embedding_count
 
     def transactions(self) -> Tuple[int, ...]:
         """Supporting transaction ids, sorted."""
@@ -626,7 +612,7 @@ class SlabEmbeddingStore:
         """:meth:`transactions` as an ``intp`` array."""
         positions = self._tid_array
         if positions is None:
-            positions = self._tid_array = bit_position_array(self._tx)
+            positions = self._tid_array = bit_positions(self._source.tx[self._row])
         return positions
 
     def _embedding_rows(self) -> np.ndarray:
@@ -703,35 +689,37 @@ class SlabEmbeddingStore:
         A label ``c`` blocks iff it is a candidate in *every*
         supporting transaction (``cand[c] == tx`` — automatic for tied
         labels) and no other candidate anywhere is non-adjacent to it
-        (``cand & ~nbr[c]`` is zero outside row ``c``).  At the
-        prefix's own rank the answer comes from the level holding it —
-        its forest level, its parent's per-parent batch, or its own
-        small level — resolved once for the whole level, so this is a
-        dict lookup; other ranks run the same test over the row's
-        entries equal to ``tx`` below the rank.
+        (``cand & ~nbr[c]`` is zero outside row ``c``).  At the row's
+        own last bit, where the engine asks, the answer is one lookup in
+        its level's blocking labels — forest level, per-parent batch or
+        own small level — resolved once per level; other ranks run the
+        same test over the row's entries equal to ``tx`` below the rank.
         """
+        level, row = self._source, self._row
         slab = self.slab
         rank = slab.bit_of.get(last_label)
+        if rank == level.bits[row]:
+            blocks = level.blocks
+            if blocks is None:
+                blocks = level.blocking()
+            return blocks.get(row)
         if rank is None:
             rank = bisect_left(slab.labels, last_label)
-        if rank == 0 or not self._support:
+        if rank == 0 or not self.embedding_count:
             # Nothing sorts below the first label, and a prefix
             # supported nowhere has no embedding to carry one.
             return None
-        level, row, lo, hi = self._entries()
-        if rank == self._member_bits[-1]:
-            hit = level.blocking().get(row)
-        else:
-            hi = lo + int(np.searchsorted(level.entry_cols[lo:hi], rank))
-            tied = lo + np.flatnonzero((level.entry_words[lo:hi] == self._tx).all(axis=1))
-            hit = _first_blocking(
-                np.full(tied.size, row, dtype=np.intp),
-                level.entry_cols[tied],
-                level.offsets,
-                level.entry_cols,
-                level.entry_words,
-                slab.nbr,
-            ).get(row)
+        lo, hi = level.offsets[row : row + 2].tolist()
+        hi = lo + int(np.searchsorted(level.entry_cols[lo:hi], rank))
+        tied = lo + np.flatnonzero((level.entry_words[lo:hi] == level.tx[row]).all(axis=1))
+        hit = _first_blocking(
+            np.full(tied.size, row, dtype=np.intp),
+            level.entry_cols[tied],
+            level.offsets,
+            level.entry_cols,
+            level.entry_words,
+            slab.nbr,
+        ).get(row)
         return None if hit is None else slab.labels[hit]
 
     def extend(self, label: Label, last_label: Optional[Label] = None) -> "SlabEmbeddingStore":
@@ -748,20 +736,22 @@ class SlabEmbeddingStore:
         """
         bit = self.slab.bit_of.get(label)
         forest = self._forest
-        depth = self.size - 1
-        if forest is not None and bit is not None and bit >= self._member_bits[-1] and (
-            forest.levels[depth].child_offsets is not None or forest.ensure_children(depth)
+        # A forest-bound store is a row of level ``size - 1``.
+        level = self._source
+        row = self._row
+        if forest is not None and bit is not None and bit >= level.bits[row] and (
+            level.child_offsets is not None or forest.ensure_children(self.size - 1)
         ):
-            level = forest.levels[depth]
-            lo = level.child_offsets[self._row]
-            hi = level.child_offsets[self._row + 1]
-            i = bisect_left(level.child_bits, bit, lo, hi)
-            if i < hi and level.child_bits[i] == bit:
+            offsets = level.child_offsets
+            hi = offsets[row + 1]
+            bits = level.child_bits
+            i = bisect_left(bits, bit, offsets[row], hi)
+            if i < hi and bits[i] == bit:
                 return SlabEmbeddingStore(
                     self.slab,
                     self.size + 1,
                     self._member_bits + (bit,),
-                    forest.levels[depth + 1],
+                    forest.levels[self.size],
                     i,
                     forest,
                 )
@@ -824,7 +814,7 @@ class SlabEmbeddingStore:
         """
         bit_of = self.slab.bit_of
         rows = [bit_of[label] for label in valid_labels if label in bit_of]
-        if not rows or not self._support:
+        if not rows or not self.embedding_count:
             return 0
         level, _, lo, hi = self._entries()
         valid = np.zeros(self.slab.n_labels, dtype=bool)
@@ -834,7 +824,7 @@ class SlabEmbeddingStore:
         return int(bits.sum(axis=0, dtype=np.int64).max())
 
     def __repr__(self) -> str:
-        return f"<SlabEmbeddingStore size={self.size} support={self._support}>"
+        return f"<SlabEmbeddingStore size={self.size} support={self.embedding_count}>"
 
 
 __all__ = ["SlabEmbeddingStore"]

@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import functools
 import math
-from typing import Callable, Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Hashable, Iterable, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -121,20 +121,16 @@ def int_from_words(words: np.ndarray) -> int:
     return int.from_bytes(np.ascontiguousarray(words, dtype=WORD_DTYPE).tobytes(), "little")
 
 
-def bit_position_array(words: np.ndarray) -> np.ndarray:
-    """Global set-bit positions of a word array, ascending, as ``intp``.
+def bit_positions(words: np.ndarray) -> np.ndarray:
+    """Set-bit positions of a contiguous slab word row, ascending, as ``intp``.
 
     Matches :func:`repro.graphdb.bitset.iter_bits` on the equivalent
-    int mask: position ``B*w + t`` for bit ``t`` of ``B``-bit word ``w``.
-    One little-endian byte view and one ``unpackbits`` per array.
+    int mask: position ``B*w + t`` for bit ``t`` of ``B``-bit word
+    ``w``.  Slab words are little-endian, so the row's bytes unpack in
+    little-endian bit order with no conversion: one ``unpackbits`` and
+    one ``nonzero`` per row.
     """
-    little = np.ascontiguousarray(words, dtype=words.dtype.newbyteorder("<"))
-    return np.flatnonzero(np.unpackbits(little.view(np.uint8), bitorder="little"))
-
-
-def bit_positions(words: np.ndarray) -> List[int]:
-    """:func:`bit_position_array` as a list of ints."""
-    return bit_position_array(words).tolist()
+    return np.unpackbits(words.view(np.uint8), bitorder="little").nonzero()[0]
 
 
 #: One transaction as the slab builder reads it: its vertex ids
@@ -275,15 +271,20 @@ class TransposedSlabSpace:
       ``t``, ``-1`` where the label is absent.  Witnesses and
       embeddings are gathered from it with one fancy index.
 
-    plus ``label_tx_counts``, the ``int64[n_labels]`` row popcounts of
-    ``presence`` (the per-label supports, precomputed so root stores
-    are O(1)).  ``word`` is :func:`word_dtype` of the transaction
-    count.  The one constructor takes the arrays, however they were
-    made: :func:`build_slab_space` scatters them from a
-    :data:`SlabFeed`, which needs no graph (the in-memory source
-    derives each row from a resident mask index, :func:`index_feed`),
-    and :func:`unpack_index` maps them read-only from a stored index.
-    Nothing writes to them after construction.
+    plus, derived at construction: ``label_tx_counts``, the
+    ``int64[n_labels]`` row popcounts of ``presence`` (the per-label
+    supports, so root stores are O(1)); ``label_array``, ``labels`` as
+    an object array (a batch of label bits becomes its labels in one
+    ``take``); and the nonzero rows of ``nbr`` per label, as CSR:
+    ``nbr_cols[nbr_offsets[b] : nbr_offsets[b + 1]]`` are the ``a``
+    with ``nbr[b, a]`` nonzero, ascending (a batch of roots gathers its
+    candidate rows without a dense scan).  ``word`` is
+    :func:`word_dtype` of the transaction count.  The one constructor
+    takes the arrays, however they were made: :func:`build_slab_space`
+    scatters them from a :data:`SlabFeed`, which needs no graph (the
+    in-memory source derives each row from a resident mask index,
+    :func:`index_feed`), and :func:`unpack_index` maps them read-only
+    from a stored index.  Nothing writes to them after construction.
     """
 
     __slots__ = (
@@ -295,6 +296,9 @@ class TransposedSlabSpace:
         "nbr",
         "presence",
         "label_tx_counts",
+        "label_array",
+        "nbr_cols",
+        "nbr_offsets",
         "vertices",
     )
 
@@ -310,10 +314,15 @@ class TransposedSlabSpace:
         self.vertices = vertices
         self.label_tx_counts = popcount_rows(presence)
         self.labels = labels
+        label_array = self.label_array = np.empty(len(labels), dtype=object)
+        for bit, label in enumerate(labels):
+            label_array[bit] = label  # one at a time: a tuple label stays one item
         self.bit_of = {label: bit for bit, label in enumerate(labels)}
         self.n_labels = len(labels)
         self.n_transactions = vertices.shape[0]
         self.tx_words = presence.shape[-1]
+        owners, self.nbr_cols = np.divmod(np.flatnonzero(nbr.any(axis=-1)), self.n_labels)
+        self.nbr_offsets = np.searchsorted(owners, np.arange(self.n_labels + 1))
 
     def __repr__(self) -> str:
         return (
