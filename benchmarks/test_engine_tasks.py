@@ -39,7 +39,7 @@ from pathlib import Path
 
 from repro.baselines.bruteforce import bruteforce_quasi_cliques
 from repro.bench import format_table, hardware_context
-from repro.core import MinerConfig, MiningCache, mine
+from repro.core import MinerConfig, MiningCache, MiningRequest, mine
 from repro.core.engine import engine_for_task
 
 from conftest import write_report
@@ -63,13 +63,14 @@ TASKS = (
 )
 
 
-def fig6a_task_sweep(market_databases, task, extra, **options):
+def fig6a_task_sweep(market_databases, task, extra, cache=None, **options):
     keys = []
     started = time.perf_counter()
     for theta in THETAS:
         database = market_databases[theta]
         for min_sup in SUPPORTS:
-            result = mine(database, min_sup, task=task, **extra, **options)
+            request = MiningRequest.from_options(min_sup, task=task, **extra, **options)
+            result = mine(database, request, cache=cache)
             keys.append(sorted(p.key() for p in result))
     return time.perf_counter() - started, keys
 

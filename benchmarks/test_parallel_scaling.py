@@ -11,13 +11,13 @@ splitting) at 1/2/4/8 workers.
 
 CI boxes may expose fewer cores than the modeled worker counts, so raw
 wall-clock cannot demonstrate scaling.  Instead the speedups are
-*modeled*: every schedulable task is timed serially, and a greedy
-list-scheduling simulation — the same heaviest-first pop and
-fair-share split rule the executor runs — computes each scheduler's
-makespan from the measured task times.  Real pool runs at 2 and 4
+*modeled*: a greedy list-scheduling simulation dispatches the
+executor's own plan (:func:`repro.core.executor.plan_tasks`: the same
+order and the same splits) over serially measured task times to
+compute each scheduler's makespan.  Real pool runs at 2 and 4
 processes (forced past the pool gate) still execute for the part
-machines can always check: byte-identical results and the executor's
-own straggler accounting.
+machines can always check: byte-identical results, the plan's split
+counts, and the executor's own straggler accounting.
 
 The ``gate`` section times, on fig7b ×64/×128/×256 (SM-0.95 replicated,
 85%) and the skewed hub, a serial mine, a forced ``processes=2`` pool
@@ -34,7 +34,6 @@ max-straggler ratios, split counts, gate timings) as the
 perf-trajectory record.
 """
 
-import heapq
 import json
 import random
 import statistics
@@ -51,7 +50,7 @@ from repro.core import (
     mine_closed_cliques,
 )
 from repro.core import executor as executor_module
-from repro.core.executor import DEFAULT_SPLIT_FACTOR, STATIC, STEALING
+from repro.core.executor import DEFAULT_SPLIT_FACTOR, STATIC, STEALING, plan_tasks
 from repro.graphdb import Graph, GraphDatabase
 from repro.stockmarket import stock_market_database
 
@@ -123,83 +122,65 @@ class TaskTimer:
         self.min_sup = min_sup
         self.abs_sup = database.absolute_support(min_sup)
         self.roots = tuple(database.frequent_labels(self.abs_sup))
-        self.root_seconds = {root: self._time_root(root) for root in self.roots}
-        self.estimates = estimate_root_costs(database, self.roots)
+        self.root_seconds = {root: self._time(root) for root in self.roots}
+        # The executor's estimates: the slab index when the database has one.
+        self.estimates = estimate_root_costs(
+            database, self.roots, database.slab_space()
+        )
+        self.split_seconds = {}
 
-    def _time_root(self, root):
+    def _time(self, root, **split):
         started = time.perf_counter()
-        self.miner.mine(self.min_sup, root_labels=(root,))
+        self.miner.mine(self.min_sup, root_labels=(root,), **split)
         return time.perf_counter() - started
 
-    def split(self, root, estimate):
-        """Measured level-2 subtasks of one root, or None if unsplittable."""
-        plan = self.miner.root_extension_plan(self.abs_sup, root)
-        if len(plan) < 2:
-            return None
-        total_support = sum(sup for _label, sup in plan) or 1
-        subtasks = []
-        for index, (label, sup) in enumerate(plan):
-            started = time.perf_counter()
-            self.miner.mine(
-                self.min_sup,
-                root_labels=(root,),
-                first_extensions=(label,),
-                include_root=index == 0,
+    def extension_plan(self, root):
+        return self.miner.root_extension_plan(self.abs_sup, root)
+
+    def seconds(self, task):
+        """Measured serial seconds of one planned task."""
+        root = task.roots[0]
+        if task.first_extensions is None:
+            return self.root_seconds[root]
+        key = (root, task.first_extensions)
+        if key not in self.split_seconds:
+            self.split_seconds[key] = self._time(
+                root,
+                first_extensions=task.first_extensions,
+                include_root=task.include_root,
             )
-            seconds = time.perf_counter() - started
-            subtasks.append((estimate * sup / total_support, seconds))
-        return subtasks
+        return self.split_seconds[key]
 
 
 def simulate(timer, processes, scheduler):
-    """Greedy list-scheduling over measured task times.
+    """Greedy list-scheduling of the executor's plan over measured task times.
 
-    Mirrors the executor's policy: static pops one whole root per task
-    in canonical order and never splits; stealing pops whole roots
-    heaviest-first (by the
-    static cost estimate) and splits a popped root into its measured
-    level-2 subtasks when its estimate exceeds the fair share of the
-    remaining estimated work — the executor's own split rule at
-    :data:`DEFAULT_SPLIT_FACTOR`.  Each dispatched task goes to the
+    The dispatch order and the splits are :func:`plan_tasks`', called
+    as the executor's pool calls it at :data:`DEFAULT_SPLIT_FACTOR`;
+    only the task seconds are measured here.  Each task goes to the
     earliest-free worker.  Returns makespan, straggler ratio, splits.
     """
     if scheduler == STATIC:
-        pending = [
-            (0.0, index, timer.estimates[root], timer.root_seconds[root], None)
-            for index, root in enumerate(timer.roots)
-        ]
+        plan = plan_tasks(
+            timer.roots, dict.fromkeys(timer.roots, 1.0), processes, DEFAULT_SPLIT_FACTOR
+        )
     else:
-        pending = [
-            (-timer.estimates[root], index, timer.estimates[root],
-             timer.root_seconds[root], root)
-            for index, root in enumerate(timer.roots)
-        ]
-    heapq.heapify(pending)
-    tiebreak = len(pending)
+        plan = plan_tasks(
+            timer.roots,
+            timer.estimates,
+            processes,
+            DEFAULT_SPLIT_FACTOR,
+            timer.extension_plan,
+        )
     busy = [0.0] * processes
-    splits = 0
-    while pending:
-        _, _, estimate, seconds, root = heapq.heappop(pending)
-        remaining = sum(entry[2] for entry in pending) + estimate
-        if (
-            scheduler == STEALING
-            and root is not None
-            and estimate > DEFAULT_SPLIT_FACTOR * (remaining / processes)
-        ):
-            subtasks = timer.split(root, estimate)
-            if subtasks is not None:
-                splits += 1
-                for sub_estimate, sub_seconds in subtasks:
-                    tiebreak += 1
-                    heapq.heappush(
-                        pending,
-                        (-sub_estimate, tiebreak, sub_estimate, sub_seconds, None),
-                    )
-                continue
+    for task in plan:
         worker = min(range(processes), key=lambda index: busy[index])
-        busy[worker] += seconds
+        busy[worker] += timer.seconds(task)
     total = sum(busy)
     straggler = max(busy) / (total / processes) if total > 0 else 1.0
+    splits = sum(
+        1 for task in plan if task.first_extensions is not None and task.include_root
+    )
     return max(busy), straggler, splits
 
 
@@ -335,8 +316,9 @@ def test_work_stealing_beats_static_on_skewed_roots(benchmark, scale):
 
     # Real pool runs, forced past the gate: machines may expose fewer
     # cores than workers, so these verify the invariants
-    # (byte-identical results) and record the executor's own straggler
-    # accounting rather than wall-clock scaling.
+    # (byte-identical results, the modeled plan's splits) and record
+    # the executor's own straggler accounting rather than wall-clock
+    # scaling.
     real = {}
     for processes in REAL_WORKER_COUNTS:
         row = {}
@@ -348,6 +330,7 @@ def test_work_stealing_beats_static_on_skewed_roots(benchmark, scale):
                 report = ex.last_report
             assert sorted(p.key() for p in result) == serial_keys
             assert result.statistics.snapshot() == serial.statistics.snapshot()
+            assert report.splits == modeled[processes][scheduler]["splits"]
             row[scheduler] = {
                 "elapsed_seconds": result.elapsed_seconds,
                 "cpu_seconds": report.cpu_seconds,
@@ -430,7 +413,10 @@ def test_work_stealing_beats_static_on_skewed_roots(benchmark, scale):
         # elapsed_seconds cannot show scaling, only correctness and
         # straggler accounting).
         "speedup_semantics": {
-            "modeled": "greedy list-scheduling simulation over measured task times",
+            "modeled": (
+                "greedy list-scheduling of the executor's plan_tasks plan "
+                "over measured task times"
+            ),
             "real": "actual process-pool wall clock on the recorded hardware",
         },
         "modeled": {str(w): modeled[w] for w in WORKER_COUNTS},

@@ -48,7 +48,7 @@ from .core import (
 from .exceptions import ReproError
 from .graphdb import Graph, GraphDatabase, paper_example_database
 
-__version__ = "1.2.0"
+__version__ = "1.4.0"
 
 __all__ = [
     "CanonicalForm",

@@ -141,7 +141,7 @@ def build_parser() -> argparse.ArgumentParser:
                            "starts only when it is predicted to pay")
     mine.add_argument("--scheduler", default="stealing",
                       choices=("stealing", "static"),
-                      help="parallel root scheduler: adaptive work-stealing "
+                      help="parallel root scheduler: a heaviest-first plan "
                            "with cost-guided splitting (default) or static "
                            "one task per root in canonical order; results "
                            "are identical")

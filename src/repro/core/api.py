@@ -21,10 +21,9 @@ caller now shares:
   checkpoint.
 * :func:`mine` — the façade.  ``mine(database, request)`` is the
   primary signature; ``mine(database, 2)`` stays as warning-free sugar
-  for a default request, and the legacy keyword sprawl
-  (``task=...``, ``kernel=...``, ``processes=...``, …) still works via
-  the :meth:`MiningRequest.from_options` builder but emits a
-  ``DeprecationWarning``.
+  for a default request; the legacy keyword sprawl (``task=...``,
+  ``kernel=...``, ``processes=...``, …) raises a ``MiningError`` that
+  spells the equivalent request.
 * :func:`execute_request` — the dispatcher underneath :func:`mine`,
   the CLI, and the service: a session, the serial engine, or one
   executor call for cached and/or pooled runs.
@@ -51,9 +50,9 @@ callers can attach a cancellation handler before calling
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
-import warnings
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional, Sequence, Tuple, Union
 
@@ -527,8 +526,8 @@ class MiningResultEnvelope:
 # ----------------------------------------------------------------------
 _UNSET: Any = object()
 
-#: Legacy keyword options accepted (with a DeprecationWarning) by
-#: :func:`mine`; each maps onto a :class:`MiningRequest` field or a
+#: Legacy keyword options that :func:`mine` rejects with a
+#: ``MiningRequest(...)`` recipe; each maps onto a request field or a
 #: :meth:`MiningRequest.from_options` shorthand.
 _LEGACY_OPTIONS = (
     "task",
@@ -569,11 +568,10 @@ def mine(
 
     The second argument may also be a bare support threshold —
     ``mine(database, 2)`` / ``mine(database, min_sup=2)`` — which is
-    warning-free sugar for ``MiningRequest(min_sup=2)``.  Passing the
-    legacy keyword options (``task=``, ``kernel=``, ``processes=``,
-    ``deadline=``, …) still works via
-    :meth:`MiningRequest.from_options` but emits a
-    ``DeprecationWarning``; construct the request instead.
+    warning-free sugar for ``MiningRequest(min_sup=2)``.  The legacy
+    keyword options (``task=``, ``kernel=``, ``processes=``,
+    ``deadline=``, …) raise :class:`~repro.exceptions.MiningError`
+    whose message spells the equivalent ``MiningRequest(...)``.
 
     Runtime arguments stay keywords on this call because they are not
     serializable run descriptions:
@@ -618,15 +616,18 @@ def mine(
             raise TypeError(
                 f"mine() got unexpected keyword arguments {sorted(unknown)}"
             )
-        if options:
-            warnings.warn(
-                "passing mining options as keywords to repro.mine() is "
-                "deprecated; construct a repro.MiningRequest (or use "
-                "MiningRequest.from_options) and call mine(database, request)",
-                DeprecationWarning,
-                stacklevel=2,
-            )
         request = MiningRequest.from_options(request, **options)
+        if options:
+            arguments = [f"min_sup={request.min_sup!r}"] + [
+                f"{spec.name}={getattr(request, spec.name)!r}"
+                for spec in dataclasses.fields(request)[1:]
+                if getattr(request, spec.name) != spec.default
+            ]
+            raise MiningError(
+                "repro.mine() no longer takes mining options as keywords; "
+                "pass a request instead: mine(database, "
+                f"MiningRequest({', '.join(arguments)}))"
+            )
     return execute_request(
         database,
         request,

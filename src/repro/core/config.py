@@ -69,8 +69,8 @@ class MinerConfig:
     Notes
     -----
     Execution-layer knobs — ``processes`` and the parallel
-    ``scheduler`` (``"stealing"`` work queue with cost-guided root
-    splitting vs ``"static"`` one task per root in canonical order) —
+    ``scheduler`` (``"stealing"``, a heaviest-first plan with
+    cost-guided root splitting, vs ``"static"`` canonical order) —
     are deliberately *not* config fields: they cannot change the mined
     result, only wall-clock, so they live on the call sites instead
     (:func:`repro.mine`, :class:`~repro.core.session.MiningSession`,

@@ -10,23 +10,21 @@ entry or mines the root — inline, in the parent (each run of uncached
 roots in one :meth:`~repro.core.engine.MiningEngine.mine_roots` sweep,
 consumed one root at a time; live
 :class:`~repro.core.session.SearchHooks` ride the sweep and keep
-per-prefix budgets and cancellation), or on a work-stealing pool.
+per-prefix budgets and cancellation), or on a worker pool.
 ``processes=N`` is an upper bound: a ``processes > 1`` run mines
 inline first and starts the pool only once inline mining has spent
 :data:`POOL_START_SECONDS` and the measured rate predicts a larger
 saving on the remaining roots (:class:`_PoolGate`).  The pool has:
 
-* a **work queue of tasks** (initially one whole subtree per frequent
-  root) that idle workers pull from, heaviest first, one task at a
-  time;
-* **cost-guided splitting** — each root gets a static cost estimate
-  from label support × candidate-degree statistics
-  (:func:`estimate_root_costs`), refined by live per-task timings fed
-  back through the result channel; when a queued root's (calibrated)
-  cost exceeds a fair share of the remaining work, the parent
-  re-enqueues it as its independent level-2 subtrees
+* **one precomputed plan** (:func:`plan_tasks`) — each root gets a
+  static cost estimate from label support × candidate-degree
+  statistics (:func:`estimate_root_costs`); the plan pops them
+  heaviest first and replaces a root whose cost exceeds a fair share
+  of the work not yet planned by its independent level-2 subtrees
   (``first_extensions`` tasks of :meth:`ClanMiner.mine`), which the
-  root-partitioning property makes exact one level down;
+  root-partitioning property makes exact one level down.  The pool
+  submits the plan in order, keeping ``processes + 2`` tasks in
+  flight, and reassembles each root from its tasks;
 * **shared index warm-up** — on a run's first cache miss the parent
   builds the label supports, the
   :class:`~repro.graphdb.core_index.PseudoDatabase`, and the per-graph
@@ -52,6 +50,8 @@ match.
 
 from __future__ import annotations
 
+import collections
+import functools
 import heapq
 import itertools
 import multiprocessing
@@ -86,15 +86,16 @@ __all__ = [
     "estimate_root_costs",
     "mine_closed_cliques_parallel",
     "partition_roots",
+    "plan_tasks",
 ]
 
-#: Scheduler names: canonical-order submission vs the adaptive queue.
+#: Scheduler names: canonical order, or heaviest first with splitting.
 STATIC = "static"
 STEALING = "stealing"
 SCHEDULERS = (STATIC, STEALING)
 
 #: Split when a task's cost exceeds this multiple of the fair share
-#: (remaining work / processes).  At 1.0 a task splits exactly when it
+#: (work not yet planned / processes).  At 1.0 a task splits exactly when it
 #: alone would dominate a perfectly balanced schedule — so small,
 #: even workloads never split, while one hub root always does.
 DEFAULT_SPLIT_FACTOR = 1.0
@@ -153,8 +154,8 @@ def estimate_root_costs(
     contributes its embedding (1), one candidate per forward neighbour
     (f), and a quadratic term for the intersections among them
     (f²/2).  The absolute scale is irrelevant; only the ratios steer
-    the heaviest-first ordering and the split decision, and live
-    per-task timings recalibrate them as results arrive.
+    the heaviest-first ordering and the split decision
+    (:func:`plan_tasks`).
 
     Given the database's transposed ``slab`` index, the same numbers
     come from its adjacency rows instead, without touching a graph (an
@@ -218,9 +219,9 @@ class MiningTask:
         pattern, its statistics, its events, and the Lemma 4.4 check.
         Exactly one task per root carries ``True``.
     ``cost``
-        The scheduler's current cost estimate (arbitrary units).
+        The static cost estimate (arbitrary units).
     ``seq``
-        Position in the root's task plan; replay order key.
+        Position among the root's split tasks; replay order key.
     """
 
     roots: Tuple[Label, ...]
@@ -233,6 +234,59 @@ class MiningTask:
     def splittable(self) -> bool:
         """Whole single-root subtrees can split; split tasks cannot."""
         return len(self.roots) == 1 and self.first_extensions is None
+
+
+def plan_tasks(
+    roots: Sequence[Label],
+    estimates: Dict[Label, float],
+    processes: int,
+    split_factor: float,
+    root_extension_plan: Optional[Callable[[Label], Sequence[Tuple[Label, int]]]] = None,
+) -> List[MiningTask]:
+    """The pool's whole schedule, planned once from static cost estimates.
+
+    Pops tasks heaviest first (ties in ``roots`` order).  A popped whole
+    root splits when its estimate exceeds ``split_factor`` × (the
+    estimates not yet planned, its own included) / ``processes`` and
+    ``root_extension_plan(root)`` names at least two level-2
+    extensions: one subtask per extension, costed ``cost × sup /
+    total``, goes back on the heap.  Every other pop is appended to the
+    plan, the order the pool submits in.  Without
+    ``root_extension_plan`` nothing splits; with equal estimates that
+    is the static schedule, canonical order.
+    """
+    heap = [
+        (-estimates[root], index, MiningTask(roots=(root,), cost=estimates[root]))
+        for index, root in enumerate(roots)
+    ]
+    heapq.heapify(heap)
+    tiebreak = itertools.count(len(heap))
+    # Subtasks' costs sum to their root's, so a split leaves this as is.
+    unplanned = sum(estimates[root] for root in roots)
+    plan: List[MiningTask] = []
+    while heap:
+        _, _, task = heapq.heappop(heap)
+        if (
+            root_extension_plan is not None
+            and task.splittable
+            and task.cost > split_factor * unplanned / processes
+        ):
+            extensions = root_extension_plan(task.roots[0])
+            if len(extensions) >= 2:
+                total_support = sum(sup for _label, sup in extensions)
+                for index, (label, sup) in enumerate(extensions):
+                    subtask = MiningTask(
+                        roots=task.roots,
+                        first_extensions=(label,),
+                        include_root=index == 0,
+                        cost=task.cost * sup / total_support,
+                        seq=index,
+                    )
+                    heapq.heappush(heap, (-subtask.cost, next(tiebreak), subtask))
+                continue
+        unplanned -= task.cost
+        plan.append(task)
+    return plan
 
 
 @dataclass
@@ -376,17 +430,16 @@ def _init_executor_worker(
 
 
 def _execute_task(
-    payload: Tuple[int, int, MiningTask, int, bool],
-) -> Tuple[int, MiningTask, MiningResult, Tuple[MiningEvent, ...], float, int]:
+    payload: Tuple[int, MiningTask, int, bool],
+) -> Tuple[MiningTask, MiningResult, Tuple[MiningEvent, ...], float, int]:
     """Run one :class:`MiningTask` in a worker; the result channel.
 
     Returns the task, its :class:`MiningResult`, the event substream
     (recorded through private hooks sampling every ``sample_every``-th
-    prefix, when capturing), the measured mining seconds (the live
-    feedback that recalibrates cost estimates), and the worker pid
-    (straggler accounting).
+    prefix, when capturing), the measured mining seconds and the worker
+    pid (straggler accounting).
     """
-    generation, abs_sup, task, sample_every, capture = payload
+    abs_sup, task, sample_every, capture = payload
     started = time.perf_counter()
     hooks = recorder = None
     if capture:
@@ -401,7 +454,7 @@ def _execute_task(
     )
     events = tuple(recorder.events) if recorder is not None else ()
     elapsed = time.perf_counter() - started
-    return generation, task, part, events, elapsed, os.getpid()
+    return task, part, events, elapsed, os.getpid()
 
 
 def _replay_substreams(
@@ -461,11 +514,11 @@ class MiningExecutor:
         (the branch-and-bound state is root-wide), but distribute across
         workers like any other.
     scheduler:
-        ``"stealing"`` (default): one task per root, pulled heaviest
+        ``"stealing"`` (default): one task per root, submitted heaviest
         first, heavy roots split into level-2 subtrees when they
-        dominate the remaining queue.  ``"static"``: one task per root
-        submitted in canonical order with no splitting, kept as the
-        comparison baseline.
+        dominate the work not yet planned (:func:`plan_tasks`).
+        ``"static"``: one task per root submitted in canonical order
+        with no splitting, kept as the comparison baseline.
     split_factor:
         Split threshold multiplier over the fair share
         (:data:`DEFAULT_SPLIT_FACTOR`); ``0.0`` splits every splittable
@@ -541,7 +594,6 @@ class MiningExecutor:
         self._digest: Optional[str] = None
         self._token = next(_TOKENS)
         self._pool: Optional[Any] = None
-        self._generation = 0
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------
@@ -842,170 +894,67 @@ class MiningExecutor:
     ) -> Iterator[Tuple[MiningResult, Tuple[MiningEvent, ...]]]:
         """Mine ``roots`` on the pool; yield ``(result, events)`` in order.
 
-        ``estimates`` are the roots' static costs when the caller has
-        them already (the pool gate's).
+        The pool runs :func:`plan_tasks`' plan, submitted in plan order
+        with ``processes + 2`` tasks in flight, so no worker idles
+        between arrivals.  ``estimates`` are the roots' static costs
+        when the caller has them already (the pool gate's).
         """
         pool = self._ensure_pool()
-        self._generation += 1
-        generation = self._generation
+        extension_plan = None
+        if self.scheduler == STEALING:
+            estimates = estimates or self._estimates(roots)
+            extension_plan = functools.partial(self._miner.root_extension_plan, abs_sup)
+        else:
+            estimates = dict.fromkeys(roots, 1.0)
+        tasks = plan_tasks(roots, estimates, self.processes, self.split_factor, extension_plan)
+        task_counts = collections.Counter(task.roots[0] for task in tasks)
+        report.splits = sum(1 for count in task_counts.values() if count > 1)
         arrivals: "queue.Queue[Any]" = queue.Queue()
-
-        if self.scheduler != STEALING:
-            estimates = {root: 1.0 for root in roots}
-        elif estimates is None:
-            estimates = self._estimates(roots)
-        #: root -> its task plan, in replay (seq) order.  A plan grows
-        #: from one whole-subtree task to the split tasks at most once.
-        plan: Dict[Label, List[MiningTask]] = {
-            root: [MiningTask(roots=(root,), cost=estimates[root])] for root in roots
-        }
         finished: Dict[Label, Dict[int, Tuple[MiningResult, Tuple[MiningEvent, ...]]]] = {
             root: {} for root in roots
         }
-
-        # Pending tasks: a heap ordered heaviest-first under stealing,
-        # submission order under static (priority = arrival counter).
-        tiebreak = itertools.count()
-        pending: List[Tuple[float, int, MiningTask]] = []
-        #: Every task not yet completed (queued or in flight), keyed by
-        #: (root, seq) — the basis of the remaining-work sum the split
-        #: threshold compares against.
-        outstanding: Dict[Tuple[Label, int], MiningTask] = {}
-
-        def push(task: MiningTask) -> None:
-            if self.scheduler == STEALING:
-                priority = -task.cost
-            else:
-                priority = 0.0
-            outstanding[(task.roots[0], task.seq)] = task
-            heapq.heappush(pending, (priority, next(tiebreak), task))
-
+        submitted = in_flight = 0
         for root in roots:
-            push(plan[root][0])
-
-        # Live calibration: measured worker seconds per estimated cost
-        # unit, globally and per root.  A root whose completed split
-        # tasks run slower than the global rate inflates its remaining
-        # siblings' costs — the "timings fed back through the result
-        # channel" refinement — which in turn raises the remaining-work
-        # sum and so sharpens later split decisions.
-        measured_total = 0.0
-        estimated_total = 0.0
-        root_measured: Dict[Label, float] = {}
-        root_estimated: Dict[Label, float] = {}
-
-        def calibrated(task: MiningTask) -> float:
-            root = task.roots[0]
-            if (
-                root_estimated.get(root, 0.0) > 0.0
-                and root_measured.get(root, 0.0) > 0.0
-                and measured_total > 0.0
-            ):
-                scale = root_measured[root] / root_estimated[root]
-                baseline = measured_total / estimated_total
-                if baseline > 0.0:
-                    return task.cost * scale / baseline
-            return task.cost
-
-        def remaining_work() -> float:
-            return sum(calibrated(task) for task in outstanding.values())
-
-        def try_split(task: MiningTask) -> Optional[List[MiningTask]]:
-            extensions = self._miner.root_extension_plan(abs_sup, task.roots[0])
-            if len(extensions) < 2:
-                return None
-            total_support = sum(sup for _label, sup in extensions) or 1
-            subtasks = []
-            for index, (label, sup) in enumerate(extensions):
-                subtasks.append(
-                    MiningTask(
-                        roots=task.roots,
-                        first_extensions=(label,),
-                        include_root=index == 0,
-                        cost=task.cost * sup / total_support,
-                        seq=index,
+            while len(finished[root]) < task_counts[root]:
+                while submitted < len(tasks) and in_flight < self.processes + 2:
+                    task = tasks[submitted]
+                    task_sample = sample_every
+                    if capture_events and task_counts[task.roots[0]] > 1:
+                        # Split tasks record every prefix; the parent
+                        # re-derives the sampling during replay.
+                        task_sample = 1 if sample_every else 0
+                    pool.apply_async(
+                        _execute_task,
+                        ((abs_sup, task, task_sample, capture_events),),
+                        callback=arrivals.put,
+                        error_callback=arrivals.put,
                     )
-                )
-            return subtasks
-
-        def submit(task: MiningTask) -> None:
-            task_sample = sample_every
-            if capture_events and len(plan[task.roots[0]]) > 1:
-                # Split tasks record every prefix; the parent re-derives
-                # the sampling during canonical-order replay.
-                task_sample = 1 if sample_every else 0
-            pool.apply_async(
-                _execute_task,
-                ((generation, abs_sup, task, task_sample, capture_events),),
-                callback=arrivals.put,
-                error_callback=arrivals.put,
-            )
-
-        # Keep slightly more tasks in flight than workers so nobody
-        # idles between arrivals, but not so many that queue residents
-        # lose their chance to split.
-        high_water = self.processes + 2
-        in_flight = 0
-
-        for next_root in roots:
-            # Block until every task of the front root has arrived,
-            # keeping the queue fed meanwhile.
-            while len(finished[next_root]) < len(plan[next_root]):
-                while pending and in_flight < high_water:
-                    _, _, task = heapq.heappop(pending)
-                    if (
-                        self.scheduler == STEALING
-                        and task.splittable
-                        and calibrated(task)
-                        > self.split_factor * (remaining_work() / self.processes)
-                    ):
-                        subtasks = try_split(task)
-                        if subtasks is not None:
-                            report.splits += 1
-                            plan[task.roots[0]] = subtasks
-                            del outstanding[(task.roots[0], task.seq)]
-                            for subtask in subtasks:
-                                push(subtask)
-                            continue
-                    submit(task)
+                    submitted += 1
                     in_flight += 1
-
                 arrival = arrivals.get()
                 if isinstance(arrival, BaseException):
                     raise MiningError(f"parallel worker failed: {arrival}") from arrival
-                task_generation, done, part, events, seconds, pid = arrival
-                if task_generation != generation:  # pragma: no cover - stale run
-                    continue
+                done, part, events, seconds, pid = arrival
                 in_flight -= 1
-                root = done.roots[0]
-                del outstanding[(root, done.seq)]
-                measured_total += seconds
-                estimated_total += done.cost
-                root_measured[root] = root_measured.get(root, 0.0) + seconds
-                root_estimated[root] = root_estimated.get(root, 0.0) + done.cost
                 report.record(pid, seconds)
-                finished[root][done.seq] = (part, events)
-
-            yield self._merge_root(
-                plan[next_root], finished[next_root], sample_every, capture_events
-            )
+                finished[done.roots[0]][done.seq] = (part, events)
+            yield self._merge_root(finished.pop(root), sample_every, capture_events)
 
     def _merge_root(
         self,
-        tasks: List[MiningTask],
         done: Dict[int, Tuple[MiningResult, Tuple[MiningEvent, ...]]],
         sample_every: int,
         capture_events: bool,
     ) -> Tuple[MiningResult, Tuple[MiningEvent, ...]]:
-        """Fold one root's task results back into the serial shape."""
-        if len(tasks) == 1:
+        """Fold one root's task results, keyed by ``seq``, into the serial shape."""
+        if len(done) == 1:
             return done[0]
-        parts = [done[task.seq][0] for task in tasks]
+        ordered = [done[seq] for seq in range(len(done))]
         merged = MiningResult(
-            min_sup=parts[0].min_sup, closed_only=self.config.closed_only
+            min_sup=ordered[0][0].min_sup, closed_only=self.config.closed_only
         )
         collected: List[Any] = []
-        for part in parts:
+        for part, _events in ordered:
             merged.statistics.merge(part.statistics)
             collected.extend(part)
         # Within one root, task order ≡ extension order ≡ canonical
@@ -1013,12 +962,10 @@ class MiningExecutor:
         # an independent safety net under the split's disjointness.
         for pattern in sorted(collected, key=lambda p: p.form.labels):
             merged.add(pattern)
-        merged.elapsed_seconds = sum(part.elapsed_seconds for part in parts)
+        merged.elapsed_seconds = sum(part.elapsed_seconds for part, _ in ordered)
         events: Tuple[MiningEvent, ...] = ()
         if capture_events:
-            events = _replay_substreams(
-                [done[task.seq][1] for task in tasks], sample_every
-            )
+            events = _replay_substreams([events for _, events in ordered], sample_every)
         return merged, events
 
 

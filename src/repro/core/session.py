@@ -754,8 +754,8 @@ class MiningSession:
         root granularity on pool-mined roots.  Either way the result's
         statistics equal the serial engine's, launcher work included.
     scheduler:
-        ``"stealing"`` (default) pulls one root at a time, heaviest
-        first, splitting dominant roots into their level-2 subtrees;
+        ``"stealing"`` (default) submits roots heaviest first,
+        splitting dominant roots into their level-2 subtrees;
         ``"static"`` submits roots in canonical order with no
         splitting (the legacy behaviour).  Either way the stream and
         result are identical — the knob only changes wall-clock.

@@ -7,11 +7,12 @@ mines each shard independently for candidate forms at a shard-local
 threshold.  The *counting* pass walks the candidate trie over each
 shard again and sums the per-shard supports, transactions, and
 witnesses into exact global ones before the task's merge rule decides
-what is reported.  Both passes run on a process pool when
-``processes > 1``.  The result is byte-identical to the serial
-engine's patterns (see ``tests/test_sharded.py`` and the exactness
-note in ``docs/ALGORITHM.md``) while no stage ever needs more than one
-shard of transactions resident — which is what makes mining directly
+what is reported.  When ``processes > 1``, both passes run on one
+process pool, whose workers receive the database once, at start.
+The result is byte-identical to the serial engine's patterns (see
+``tests/test_sharded.py`` and the exactness note in
+``docs/ALGORITHM.md``) while no stage ever needs more than one shard
+of transactions resident — which is what makes mining directly
 from a :class:`~repro.graphdb.storage.SqliteGraphSource` practical.
 Databases the slab index can hold whole skip both passes and mine on
 the serial engine (:func:`mine_sharded`).
@@ -38,7 +39,10 @@ argument specialised to label-multiset clique patterns:
 
 from __future__ import annotations
 
+import contextlib
 import gc
+import multiprocessing
+import multiprocessing.pool
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -171,23 +175,46 @@ def _candidate_config(resolved: MinerConfig, task: str) -> MinerConfig:
     )
 
 
-def _map_shards(fn, jobs: Sequence[tuple], processes: int) -> Iterator:
-    """``fn(*job)`` for every job, yielded in job order.
+#: The database a shard pool's workers mine, installed once per worker.
+_WORKER_STATE: Dict[str, GraphDatabase] = {}
 
-    Runs on a process pool when ``processes > 1`` and there is more
-    than one job (``fn`` must be module-level to be picklable);
-    otherwise serially, in the calling process.
+
+def _init_shard_worker(database: GraphDatabase) -> None:
+    _WORKER_STATE["database"] = database
+
+
+def _run_shard_job(job: tuple):
+    fn, args = job
+    return fn(_WORKER_STATE["database"], *args)
+
+
+def _run_shards(
+    database: GraphDatabase,
+    pool: Optional[multiprocessing.pool.Pool],
+    fn,
+    jobs: Sequence[tuple],
+) -> Iterator:
+    """``fn(database, *job)`` for every job, yielded in job order.
+
+    On ``pool``'s workers, which hold the database since they started,
+    so a job carries only its own arguments (``fn`` must be
+    module-level to be picklable); without a pool, in the calling
+    process.  A pool replaces a worker that dies but loses its job, so
+    a changed worker set raises instead of waiting forever.
     """
-    if processes > 1 and len(jobs) > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(processes, len(jobs))) as pool:
-            futures = [pool.submit(fn, *job) for job in jobs]
-            for future in futures:
-                yield future.result()
+    if pool is None:
+        yield from (fn(database, *job) for job in jobs)
         return
-    for job in jobs:
-        yield fn(*job)
+    workers = {process.pid for process in pool._pool}
+    results = pool.imap(_run_shard_job, [(fn, job) for job in jobs])
+    for _job in jobs:
+        while True:
+            try:
+                yield results.next(timeout=1.0)
+                break
+            except multiprocessing.TimeoutError:
+                if {process.pid for process in pool._pool} != workers:
+                    raise MiningError("a shard worker process died") from None
 
 
 def _shard_candidates(
@@ -224,12 +251,11 @@ def _collect_candidates(
     task: str,
     config: MinerConfig,
     gamma: Optional[float],
-    processes: int,
+    pool: Optional[multiprocessing.pool.Pool],
 ) -> Tuple[set, MinerStatistics]:
     n_transactions = len(database)
     jobs = [
         (
-            database,
             lo,
             hi,
             local_threshold(global_sup, hi - lo, n_transactions),
@@ -241,7 +267,7 @@ def _collect_candidates(
     ]
     stats = MinerStatistics()
     forms: set = set()
-    for shard_forms, shard_stats in _map_shards(_shard_candidates, jobs, processes):
+    for shard_forms, shard_stats in _run_shards(database, pool, _shard_candidates, jobs):
         forms.update(shard_forms)
         stats.merge(shard_stats)
     return forms, stats
@@ -356,7 +382,7 @@ def _count_candidates(
     resolved: MinerConfig,
     task: str,
     gamma: Optional[float],
-    processes: int,
+    pool: Optional[multiprocessing.pool.Pool],
 ) -> Dict[Form, _Counted]:
     """Exact global (support, transactions, witnesses) per candidate.
 
@@ -369,8 +395,8 @@ def _count_candidates(
     counted: Dict[Form, _Counted] = {}
     if not forms:
         return counted
-    jobs = [(database, lo, hi, forms, resolved, task, gamma) for lo, hi in bounds]
-    for shard_counted in _map_shards(_shard_counts, jobs, processes):
+    jobs = [(lo, hi, forms, resolved, task, gamma) for lo, hi in bounds]
+    for shard_counted in _run_shards(database, pool, _shard_counts, jobs):
         for labels, (support, tids, witnesses) in shard_counted.items():
             known = counted.get(labels)
             if known is None:
@@ -472,7 +498,10 @@ def mine_sharded(
     counting pass counts every candidate in each shard and sums the
     per-shard counts.  Statistics are then honest *aggregates* of the
     per-shard candidate mines, not a replay of the serial counters.
-    ``request.processes > 1`` runs both passes on a process pool.
+    ``request.processes > 1`` runs both passes on one process pool per
+    call; its workers receive the database once, through the pool
+    initializer, and each shard job carries only its range and
+    arguments.
     """
     if request.budget is not None or request.sample_every:
         raise MiningError(
@@ -491,18 +520,26 @@ def mine_sharded(
     ):
         return execute_request(database, request)
     started = time.perf_counter()
-    forms, stats = _collect_candidates(
-        database,
-        bounds,
-        global_sup,
-        task,
-        _candidate_config(resolved, task),
-        request.gamma,
-        request.processes,
-    )
-    counted = _count_candidates(
-        database, bounds, forms, resolved, task, request.gamma, request.processes
-    )
+    workers = contextlib.nullcontext()
+    if request.processes > 1 and len(bounds) > 1:
+        workers = multiprocessing.get_context().Pool(
+            min(request.processes, len(bounds)),
+            initializer=_init_shard_worker,
+            initargs=(database,),
+        )
+    with workers as pool:
+        forms, stats = _collect_candidates(
+            database,
+            bounds,
+            global_sup,
+            task,
+            _candidate_config(resolved, task),
+            request.gamma,
+            pool,
+        )
+        counted = _count_candidates(
+            database, bounds, forms, resolved, task, request.gamma, pool
+        )
     patterns = _merge_candidates(counted, global_sup, resolved, task, request.k)
     result = MiningResult(
         min_sup=global_sup,

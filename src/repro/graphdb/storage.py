@@ -63,6 +63,11 @@ PathLike = Union[str, Path]
 # valid cached answer, meaning "not available").
 _SPACE_UNSET = object()
 
+# Connections a fork-started child inherited open.  They are kept here,
+# never used and never closed, because SQLite forbids touching a
+# connection across ``fork()``; the child opens its own.
+_FORKED_CONNECTIONS: List[sqlite3.Connection] = []
+
 _INSERT_ROWS = (
     "INSERT INTO graphs (tid, encoding, digest, n_vertices, n_edges) VALUES (?, ?, ?, ?, ?)"
 )
@@ -242,7 +247,9 @@ class SqliteGraphSource(GraphSource):
     The connection is opened lazily and dropped on pickling, so a
     source (and any :class:`GraphDatabase` view over it) can cross a
     process boundary to worker pools; each process reopens its own
-    connection on first use.
+    connection on first use.  A fork-started child that inherits an
+    open connection opens its own too: SQLite forbids using a
+    connection across ``fork()``.
     """
 
     __slots__ = (
@@ -251,6 +258,7 @@ class SqliteGraphSource(GraphSource):
         "batch_size",
         "max_batches",
         "_conn",
+        "_pid",
         "_len",
         "_label_supports",
         "_batches",
@@ -306,13 +314,16 @@ class SqliteGraphSource(GraphSource):
     # -- connection management -----------------------------------------
     def _connect(self) -> sqlite3.Connection:
         conn = self._conn
-        if conn is None:
+        if conn is None or self._pid != os.getpid():
+            if conn is not None:
+                _FORKED_CONNECTIONS.append(conn)
             conn = self._conn = sqlite3.connect(self.path)
+            self._pid = os.getpid()
         return conn
 
     def close(self) -> None:
         if self._conn is not None:
-            self._conn.close()
+            self._connect().close()  # never a fork-inherited connection
             self._conn = None
 
     def __getstate__(self):

@@ -2,7 +2,7 @@
 
 The request is the wire format: ``from_json(to_json(r)) == r`` for
 every valid request, the legacy keyword spelling of :func:`repro.mine`
-is a deprecated veneer over :meth:`MiningRequest.from_options`, and the
+raises with the equivalent request spelled out, and the
 result envelope's canonical bytes are run-independent.  The CI
 ``service-contract`` job runs this file (with ``tests/test_service.py``)
 under ``-W error::DeprecationWarning``.
@@ -10,11 +10,14 @@ under ``-W error::DeprecationWarning``.
 
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro import (
     MinerConfig,
     MiningBudget,
@@ -117,11 +120,12 @@ class TestRequestRoundTrip:
 
 
 class TestLegacyBuilder:
-    def test_kwargs_spelling_warns(self, paper_db):
-        with pytest.warns(DeprecationWarning, match="MiningRequest"):
-            legacy = mine(paper_db, 2, min_size=2)
-        modern = mine(paper_db, MiningRequest.from_options(2, min_size=2))
-        assert sorted(p.key() for p in legacy) == sorted(p.key() for p in modern)
+    def test_kwargs_spelling_raises_with_a_recipe(self, paper_db):
+        # Stage 2: the message spells a request that runs as written.
+        with pytest.raises(MiningError, match=r"MiningRequest\(") as raised:
+            mine(paper_db, 2, task="quasi", max_size=4)
+        call = re.search(r"mine\(database, (.*)\)$", str(raised.value)).group(1)
+        assert eval(call) == MiningRequest.from_options(2, task="quasi", max_size=4)
 
     def test_request_spelling_is_warning_free(self, paper_db, recwarn):
         mine(paper_db, MiningRequest(min_sup=2))
@@ -224,3 +228,14 @@ class TestRequestSemantics:
         text = MiningRequest(min_sup=2).to_json()
         payload = json.loads(text)
         assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+
+
+class TestVersionStrings:
+    def test_package_metadata_and_changelog_agree(self):
+        tomllib = pytest.importorskip("tomllib")
+        root = Path(__file__).resolve().parent.parent
+        with open(root / "pyproject.toml", "rb") as handle:
+            declared = tomllib.load(handle)["project"]["version"]
+        changelog = (root / "CHANGELOG.md").read_text(encoding="utf-8")
+        released = re.search(r"^## (\d+\.\d+\.\d+) ", changelog, re.MULTILINE).group(1)
+        assert declared == repro.__version__ == released

@@ -8,6 +8,8 @@ estimates, reports, the persistent pool) is scheduling policy, which
 may only change wall-clock.
 """
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,10 +24,12 @@ from repro.core.executor import (
     MiningTask,
     _replay_substreams,
     estimate_root_costs,
+    plan_tasks,
 )
 from repro.core.engine import engine_for_task, finalize_patterns
 from repro.core.session import PatternEmitted, PrefixVisited, RingBufferSink, SearchHooks
 from repro.exceptions import MiningError
+from repro.graphdb import Graph, GraphDatabase
 from tests.conftest import make_random_database
 
 
@@ -83,6 +87,94 @@ class TestExecutorReport:
 
     def test_empty_report_defaults_to_balanced(self):
         assert ExecutorReport(scheduler=STEALING, processes=2).max_straggler_ratio == 1.0
+
+
+# ======================================================================
+# The pool's precomputed plan
+# ======================================================================
+class TestPlanTasks:
+    ROOTS = ("a", "b", "c", "d")
+    ESTIMATES = {"a": 8.0, "b": 1.0, "c": 4.0, "d": 2.0}
+    EXTENSIONS = {"a": [("b", 3), ("c", 1)], "b": [], "c": [("d", 2), ("e", 2)], "d": [("e", 1)]}
+
+    def plan(self, processes, split_factor):
+        return plan_tasks(
+            self.ROOTS, self.ESTIMATES, processes, split_factor, self.EXTENSIONS.get
+        )
+
+    def test_heaviest_first(self):
+        plan = self.plan(2, float("inf"))
+        assert [task.roots for task in plan] == [("a",), ("c",), ("d",), ("b",)]
+        assert [task.cost for task in plan] == [8.0, 4.0, 2.0, 1.0]
+
+    def test_zero_split_factor_splits_every_splittable_root(self):
+        plan = self.plan(2, 0.0)
+        # 'b' has no extensions and 'd' one: they stay whole.  Equal
+        # costs pop in push order.
+        assert [(task.roots, task.first_extensions) for task in plan] == [
+            (("a",), ("b",)),
+            (("d",), None),
+            (("a",), ("c",)),
+            (("c",), ("d",)),
+            (("c",), ("e",)),
+            (("b",), None),
+        ]
+        split = [task for task in plan if task.first_extensions is not None]
+        assert [(task.cost, task.seq, task.include_root) for task in split] == [
+            (6.0, 0, True),
+            (2.0, 1, False),
+            (2.0, 0, True),
+            (2.0, 1, False),
+        ]
+
+    def test_fair_share_rule(self):
+        # At 2 processes 'a' (8) exceeds half of the 15 units unplanned
+        # and splits; 'c' (4) then stays under half of the 9 left.
+        plan = self.plan(2, DEFAULT_SPLIT_FACTOR)
+        assert [(task.roots, task.first_extensions) for task in plan] == [
+            (("a",), ("b",)),
+            (("c",), None),
+            (("d",), None),
+            (("a",), ("c",)),
+            (("b",), None),
+        ]
+
+    def test_static_keeps_canonical_order_and_never_splits(self):
+        plan = plan_tasks(self.ROOTS, dict.fromkeys(self.ROOTS, 1.0), 2, 0.0)
+        assert plan == [MiningTask(roots=(root,)) for root in self.ROOTS]
+
+    def test_static_executor_makes_no_splits(self, paper_db):
+        with MiningExecutor(
+            paper_db, processes=2, scheduler=STATIC, split_factor=0.0
+        ) as executor:
+            executor.mine(2)
+            report = executor.last_report
+        assert report.splits == 0
+        assert report.tasks == report.roots
+
+
+def skewed_hub_database(n_graphs=4, seed=7):
+    """Dense low-alphabet hubs ('a' most copied) plus a sparse tail."""
+    copies = (4, 2, 2, 2, 2, 2)
+    database = GraphDatabase(name="skewed-hub")
+    for gid in range(n_graphs):
+        rng = random.Random(seed * 1000 + gid)
+        labels = {}
+        for label, count in zip("abcdef", copies):
+            for _ in range(count):
+                labels[len(labels)] = label
+        hub = list(labels)
+        for label in "ghij":
+            labels[len(labels)] = label
+        edges = [(u, v) for u in hub for v in hub if u < v and rng.random() < 0.65]
+        edges += [
+            (u, v)
+            for v in range(len(hub), len(labels))
+            for u in range(v)
+            if rng.random() < 0.12
+        ]
+        database.add(Graph.from_edges(labels, edges, graph_id=gid))
+    return database
 
 
 # ======================================================================
@@ -224,6 +316,32 @@ class TestMiningExecutor:
         assert result.statistics.snapshot() == serial.statistics.snapshot()
         assert report.splits >= 1
         assert report.tasks > report.roots
+
+    def test_pool_runs_the_plan(self):
+        # Two forced-pool runs split and submit exactly what the
+        # precomputed plan says, whatever the workers' timings.
+        db = skewed_hub_database()
+        roots = tuple(db.frequent_labels(2))
+        miner = ClanMiner(db).prepare()
+        plan = plan_tasks(
+            roots,
+            estimate_root_costs(db, roots, db.slab_space()),
+            4,
+            DEFAULT_SPLIT_FACTOR,
+            lambda root: miner.root_extension_plan(2, root),
+        )
+        planned_splits = sum(
+            1 for task in plan if task.first_extensions is not None and task.include_root
+        )
+        reports = []
+        for _ in range(2):
+            with MiningExecutor(db, processes=4) as executor:
+                result = executor.mine(2)
+                reports.append(executor.last_report)
+            assert keys(result) == keys(mine_closed_cliques(db, 2))
+        assert planned_splits >= 1
+        for report in reports:
+            assert (report.splits, report.tasks) == (planned_splits, len(plan))
 
     def test_database_scans_match_serial(self, paper_db):
         # Satellite regression: the warmed workers never rescan label

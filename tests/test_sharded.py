@@ -9,8 +9,12 @@ shard-and-merge path — produces byte-identical canonical envelopes
 
 import dataclasses
 import gc
+import multiprocessing
+import multiprocessing.pool
+import os
 import sqlite3
 import tempfile
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.api import MiningRequest, MiningResultEnvelope, execute_request
 from repro.core.config import MinerConfig
 from repro.core.embeddings import EmbeddingStore
+from repro.core import sharding
 from repro.core.miner import ClanMiner
 from repro.core.sharding import (
     local_threshold,
@@ -187,6 +192,69 @@ class TestDifferentialSuite:
         )
         # Compared under one request: the envelope echoes ``processes``.
         assert canonical(request, pooled) == canonical(request, serial)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="counts initializer calls through fork-inherited patches",
+    )
+    def test_one_pool_serves_both_passes(self, sqlite_db, tmp_path, monkeypatch):
+        # One pool start per call, one initializer call per worker: the
+        # database reaches each worker once, not with every shard job.
+        starts = []
+
+        class CountingPool(multiprocessing.pool.Pool):
+            def __init__(self, *args, **kwargs):
+                starts.append(args)
+                super().__init__(*args, **kwargs)
+
+        log = tmp_path / "initializers.log"
+        initializer = sharding._init_shard_worker
+
+        def logged_initializer(database):
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()}\n")
+            initializer(database)
+
+        monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
+        monkeypatch.setattr(sharding, "_init_shard_worker", logged_initializer)
+        request = MiningRequest(min_sup=2, kernel="bitset")
+        pooled = mine_sharded(
+            sqlite_db, dataclasses.replace(request, processes=2), shards=4
+        )
+        assert len(starts) == 1
+        pids = log.read_text(encoding="utf-8").split()
+        assert len(pids) == len(set(pids)) == 2
+        serial = mine_sharded(sqlite_db, request, shards=4)
+        assert canonical(request, pooled) == canonical(request, serial)
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="kills a worker through a fork-inherited patch",
+    )
+    def test_a_dead_worker_raises(self, seeded_db, monkeypatch):
+        # A pool replaces a dead worker but never reruns its job.
+        shard = sharding._shard
+
+        def dying(database, lo, hi):
+            if lo == 0:
+                os._exit(1)
+            return shard(database, lo, hi)
+
+        monkeypatch.setattr(sharding, "_shard", dying)
+        request = MiningRequest(min_sup=2, kernel="bitset", processes=2)
+        raised = []
+
+        def run():
+            try:
+                mine_sharded(seeded_db, request, shards=4)
+            except MiningError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert raised and "died" in str(raised[0])
 
     def test_counting_pass_leaves_no_cyclic_garbage(self, seeded_db):
         # Shards must be freed as soon as they are counted; garbage in

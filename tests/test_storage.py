@@ -9,6 +9,7 @@ with the eager parsers.
 import hashlib
 import io
 import json
+import multiprocessing
 import os
 import pickle
 import re
@@ -24,6 +25,7 @@ import repro
 
 from repro.chem import ca_like_database
 from repro.core.api import MiningRequest, MiningResultEnvelope, execute_request
+from repro.core.executor import MiningExecutor
 from repro.exceptions import DatabaseError
 from repro.graphdb import (
     Graph,
@@ -194,6 +196,61 @@ class TestSqliteSource:
         # This store repeats labels, so it has no slab index.
         _, source = store
         assert source.slab_space() is None
+
+
+class TestForkedConnections:
+    """SQLite forbids using a connection across ``fork()``."""
+
+    def test_a_forked_child_opens_its_own_connection(self, tmp_path, monkeypatch):
+        path = tmp_path / "db.sqlite"
+        db = random_database(6, 6, 0.4, 3, seed=9)
+        import_graphs(path, iter(db))
+        source = open_source(path)
+        inherited = source._connect()
+        monkeypatch.setattr(storage.os, "getpid", lambda: -1)  # as in a child
+        own = source._connect()
+        assert own is not inherited
+        assert source._connect() is own
+        assert source.get(2) == db[2]
+        source.close()
+        monkeypatch.undo()
+        # The child neither used nor closed the parent's connection.
+        assert inherited.execute("SELECT COUNT(*) FROM graphs").fetchone() == (6,)
+        inherited.close()
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="logs connections through fork-inherited patches",
+    )
+    def test_pool_workers_never_use_the_parents_connection(
+        self, tmp_path, monkeypatch
+    ):
+        # A forced two-worker pool over a store without a slab index,
+        # decoding one transaction per batch, reads rows in its workers.
+        path = tmp_path / "db.sqlite"
+        db = random_database(25, 8, 0.4, 3, seed=9)
+        import_graphs(path, iter(db))
+        source = open_source(path, batch_size=1, max_batches=1)
+        parent = source._connect()
+        log = tmp_path / "connections.log"
+        connect = SqliteGraphSource._connect
+
+        def logged_connect(self):
+            conn = connect(self)
+            with open(log, "a", encoding="utf-8") as handle:
+                handle.write(f"{os.getpid()} {id(conn)}\n")
+            return conn
+
+        monkeypatch.setattr(SqliteGraphSource, "_connect", logged_connect)
+        with MiningExecutor(GraphDatabase(source=source), processes=2) as executor:
+            result = executor.mine(2)
+            assert executor.last_report.pool_started
+        calls = [line.split() for line in log.read_text(encoding="utf-8").splitlines()]
+        in_workers = {int(conn) for pid, conn in calls if int(pid) != os.getpid()}
+        assert in_workers
+        assert id(parent) not in in_workers
+        assert [p.key() for p in result] == [p.key() for p in repro.mine(db, 2)]
+        source.close()
 
 
 class TestFingerprintPortability:
