@@ -14,7 +14,9 @@ per-prefix budgets and cancellation), or on a worker pool.
 ``processes=N`` is an upper bound: a ``processes > 1`` run mines
 inline first and starts the pool only once inline mining has spent
 :data:`POOL_START_SECONDS` and the measured rate predicts a larger
-saving on the remaining roots (:class:`_PoolGate`).  The pool has:
+saving on the remaining roots (:class:`_PoolGate`).  The pool is the
+library's only one (:func:`~repro.core.sharding.mine_sharded` runs its
+shard passes on it through :meth:`MiningExecutor.run_jobs`); it has:
 
 * **one precomputed plan** (:func:`plan_tasks`) — each root gets a
   static cost estimate from label support × candidate-degree
@@ -23,20 +25,24 @@ saving on the remaining roots (:class:`_PoolGate`).  The pool has:
   of the work not yet planned by its independent level-2 subtrees
   (``first_extensions`` tasks of :meth:`ClanMiner.mine`), which the
   root-partitioning property makes exact one level down.  The pool
-  submits the plan in order, keeping ``processes + 2`` tasks in
-  flight, and reassembles each root from its tasks;
+  takes the plan whole and reassembles each root from its tasks;
 * **shared index warm-up** — on a run's first cache miss the parent
   builds the label supports, the
   :class:`~repro.graphdb.core_index.PseudoDatabase`, and the per-graph
   bitset masks once (:meth:`ClanMiner.prepare`) *before* creating the
   pool, so under the ``fork`` start method every worker inherits the
   finished indexes copy-on-write instead of rebuilding them; under
-  ``spawn`` the workers rebuild from the pickled database (the
-  initargs double as the fallback payload).  A fully cached run builds
-  no index at all;
+  ``spawn`` a worker rebuilds the engine from the pickled initargs and
+  prepares it on its first root task.  A fully cached run builds no
+  index at all;
 * a **persistent pool**: the executor keeps its workers alive across
   :meth:`mine` calls, so repeated mining of the same database (support
-  sweeps, benchmark loops) pays process start-up once.
+  sweeps, benchmark loops) pays process start-up once.  A run abandoned
+  mid-pool (a budget trips, a cancel, the consumer stops) drops it, so
+  its queued tasks never delay the next run;
+* **one result loop**: workers run every job as ``fn(engine, *args)``;
+  a job that raises or a worker that dies (the pool replaces it but
+  never reruns its job) raises :class:`~repro.exceptions.MiningError`.
 
 Correctness contract: for every scheduler and any interleaving, the
 merged :class:`MiningResult` — patterns, order, and statistics — is
@@ -51,12 +57,12 @@ match.
 from __future__ import annotations
 
 import collections
+import contextlib
 import functools
 import heapq
 import itertools
 import multiprocessing
 import os
-import queue
 import time
 import warnings
 from dataclasses import dataclass, field, replace
@@ -64,7 +70,7 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tupl
 
 import numpy as np
 
-from ..exceptions import MiningError
+from ..exceptions import MiningError, ReproError
 from ..graphdb.database import GraphDatabase
 from .cache import CachedRoot, MiningCache
 from .canonical import Label
@@ -329,10 +335,8 @@ class ExecutorReport:
         """
         if not self.worker_busy_seconds or self.cpu_seconds <= 0.0:
             return 1.0
-        fair = self.cpu_seconds / self.processes
-        if fair <= 0.0:
-            return 1.0
-        return max(self.worker_busy_seconds.values()) / fair
+        busiest = max(self.worker_busy_seconds.values())
+        return busiest * self.processes / self.cpu_seconds
 
 
 class _PoolGate:
@@ -403,13 +407,12 @@ class _PoolGate:
 # ----------------------------------------------------------------------
 # Task execution (inline and in workers)
 # ----------------------------------------------------------------------
-#: Parent-side registry of prepared engines, set *before* the pool is
-#: created so fork-started workers inherit the entry (and the already
-#: built indexes behind it) copy-on-write.
+#: Parent-side registry of engines, set *before* the pool is created so
+#: fork-started workers inherit the entry (and its indexes) copy-on-write.
 _PARENT_MINERS: Dict[int, MiningEngine] = {}
 _TOKENS = itertools.count(1)
 
-#: Worker-side state, installed by the pool initializer.
+#: Worker-side state: the initializer's engine, and whether it is prepared.
 _WORKER_STATE: Dict[str, Any] = {}
 
 
@@ -424,28 +427,42 @@ def _init_executor_worker(
     miner = _PARENT_MINERS.get(token)
     if miner is None:
         # spawn/forkserver start methods: no inherited parent state, so
-        # rebuild (and warm) the engine from the pickled initargs.
-        miner = engine_for_task(database, config, task, k, gamma).prepare()
-    _WORKER_STATE["miner"] = miner
+        # rebuild the engine from the pickled initargs, unprepared.
+        miner = engine_for_task(database, config, task, k, gamma)
+    _WORKER_STATE.update(miner=miner, prepared=False)
+
+
+def _run_job(job: Tuple[Callable[..., Any], tuple]) -> Any:
+    """The worker-side trampoline: ``fn(engine, *args)``."""
+    fn, args = job
+    return fn(_WORKER_STATE["miner"], *args)
+
+
+def _live_workers(pool: Any) -> frozenset:
+    """Pids of ``pool``'s live workers; a death or replacement changes it."""
+    return frozenset(process.pid for process in pool._pool if process.is_alive())
 
 
 def _execute_task(
-    payload: Tuple[int, MiningTask, int, bool],
+    engine: MiningEngine, abs_sup: int, task: MiningTask, sample_every: int, capture: bool
 ) -> Tuple[MiningTask, MiningResult, Tuple[MiningEvent, ...], float, int]:
     """Run one :class:`MiningTask` in a worker; the result channel.
 
     Returns the task, its :class:`MiningResult`, the event substream
     (recorded through private hooks sampling every ``sample_every``-th
     prefix, when capturing), the measured mining seconds and the worker
-    pid (straggler accounting).
+    pid (straggler accounting).  A worker's first task prepares the
+    engine, so no task's statistics count the label-support scan.
     """
-    abs_sup, task, sample_every, capture = payload
+    if not _WORKER_STATE["prepared"]:
+        engine.prepare()
+        _WORKER_STATE["prepared"] = True
     started = time.perf_counter()
     hooks = recorder = None
     if capture:
         recorder = _ListSink()
         hooks = SearchHooks(sinks=(recorder,), sample_every=sample_every)
-    part = _WORKER_STATE["miner"].mine(
+    part = engine.mine(
         abs_sup,
         root_labels=task.roots,
         hooks=hooks,
@@ -531,9 +548,10 @@ class MiningExecutor:
         answer are replayed instead of mined, and every root
         :meth:`iter_roots` mines is stored back.
 
-    The pool is created lazily when the gate first hands it roots and
-    survives across :meth:`mine` calls; :meth:`close` (or the context
-    manager) tears it down.  Like the engine, the executor snapshots
+    The pool is created lazily when the gate first hands it roots (or
+    :meth:`run_jobs` its first jobs) and survives across :meth:`mine`
+    calls; a run abandoned mid-pool drops it, and :meth:`close` (or the
+    context manager) tears it down.  Like the engine, the executor snapshots
     the database (indexes, cache fingerprint) at first use.  After each
     run, :attr:`last_report` holds an :class:`ExecutorReport` with
     task/split counts, per-worker busy time, the roots mined inline,
@@ -594,6 +612,8 @@ class MiningExecutor:
         self._digest: Optional[str] = None
         self._token = next(_TOKENS)
         self._pool: Optional[Any] = None
+        #: Whether a run has results still due from the pool.
+        self._pool_busy = False
         self._closed = False
 
     # -- lifecycle ------------------------------------------------------
@@ -609,10 +629,14 @@ class MiningExecutor:
             return
         self._closed = True
         _PARENT_MINERS.pop(self._token, None)
+        self._drop_pool()
+
+    def _drop_pool(self) -> None:
         if self._pool is not None:
             self._pool.terminate()
             self._pool.join()
             self._pool = None
+        self._pool_busy = False
 
     def _prepare(self) -> None:
         # Shared index warm-up, once: before the pool forks, so workers
@@ -623,6 +647,9 @@ class MiningExecutor:
             self._prepared = True
 
     def _ensure_pool(self) -> Any:
+        if self._pool_busy:
+            # An earlier run left jobs queued: they must not delay this one.
+            self._drop_pool()
         if self._pool is None:
             # Registered before Pool() so the forked children see it.
             _PARENT_MINERS[self._token] = self._miner
@@ -640,6 +667,54 @@ class MiningExecutor:
                 ),
             )
         return self._pool
+
+    def run_jobs(self, fn: Callable[..., Any], jobs: Sequence[tuple]) -> Iterator[Any]:
+        """``fn(engine, *job)`` for every job, yielded in job order.
+
+        ``engine`` is this executor's :class:`MiningEngine` (and holds
+        the database).  With ``processes > 1`` the jobs run on the pool,
+        whose workers received the engine at start, so a job carries
+        only its arguments (``fn`` must be module-level to pickle).
+        """
+        if self.processes == 1:
+            return (fn(self._miner, *job) for job in jobs)
+        return self._pool_results([(fn, job) for job in jobs], ordered=True)
+
+    def _pool_results(
+        self, jobs: Sequence[Tuple[Callable[..., Any], tuple]], ordered: bool
+    ) -> Iterator[Any]:
+        """Submit every ``(fn, args)`` job at once; yield the results.
+
+        In job order when ``ordered``, else as they arrive.  A job that
+        raises or a dead worker raises :class:`MiningError`; a run
+        stopped before its last result drops the pool.
+        """
+        pool = self._ensure_pool()
+        workers = _live_workers(pool)
+        submit = pool.imap if ordered else pool.imap_unordered
+        results = submit(_run_job, jobs)
+        pending = len(jobs)
+        self._pool_busy = pending > 0
+        try:
+            while pending:
+                try:
+                    # Wake once a second to check that no worker died.
+                    result = results.next(timeout=1.0)
+                except multiprocessing.TimeoutError:
+                    if _live_workers(pool) != workers:
+                        raise MiningError("a pool worker process died") from None
+                    continue
+                except ReproError:
+                    raise
+                except Exception as error:
+                    raise MiningError(f"parallel worker failed: {error}") from error
+                pending -= 1
+                if not pending and self._pool is pool:
+                    self._pool_busy = False
+                yield result
+        finally:
+            if pending and self._pool is pool:
+                self._drop_pool()
 
     # -- the drained entry point ---------------------------------------
     def mine(self, min_sup: float) -> MiningResult:
@@ -706,7 +781,8 @@ class MiningExecutor:
         substreams replayed in canonical task order first, which is
         what preserves the serial==parallel byte-identity contract.
         The consumer may stop iterating at any root boundary (budgets,
-        cancellation); in-flight work is then simply abandoned.
+        cancellation); a pooled run then drops its pool, so the tasks
+        it left queued never delay the next run.
 
         ``hooks`` is a live :class:`~repro.core.session.SearchHooks`
         (the session's); it decides what the run records.  With hooks,
@@ -734,7 +810,9 @@ class MiningExecutor:
         and their sinks see events as they happen (yielded only when a
         cache records them).  Cached and pool-mined roots replay their
         substreams to the sinks and advance the run-wide counters, so
-        budgets count them too.
+        budgets count them too.  Before each pool-mined root the hooks'
+        one stop rule (:meth:`~repro.core.session.SearchHooks.check`)
+        runs, as it would at that root's first prefix inline.
         """
         if self._closed:
             raise MiningError("this MiningExecutor is closed; create a new one")
@@ -829,6 +907,8 @@ class MiningExecutor:
                         if gate is not None:
                             gate.record((root,), part.elapsed_seconds)
                     else:
+                        if hooks is not None:
+                            hooks.check()
                         part, events = next(pooled)
                         replayed = True
                 if replayed and hooks is not None:
@@ -843,6 +923,8 @@ class MiningExecutor:
         finally:
             if sweep is not None:
                 sweep.close()
+            if pooled is not None:
+                pooled.close()
             if recorder is not None:
                 hooks.sinks = live_sinks
 
@@ -894,12 +976,11 @@ class MiningExecutor:
     ) -> Iterator[Tuple[MiningResult, Tuple[MiningEvent, ...]]]:
         """Mine ``roots`` on the pool; yield ``(result, events)`` in order.
 
-        The pool runs :func:`plan_tasks`' plan, submitted in plan order
-        with ``processes + 2`` tasks in flight, so no worker idles
-        between arrivals.  ``estimates`` are the roots' static costs
-        when the caller has them already (the pool gate's).
+        The pool runs :func:`plan_tasks`' plan, submitted whole, and each
+        root is reassembled once all of its tasks have arrived.
+        ``estimates`` are the roots' static costs when the caller has
+        them already (the pool gate's).
         """
-        pool = self._ensure_pool()
         extension_plan = None
         if self.scheduler == STEALING:
             estimates = estimates or self._estimates(roots)
@@ -909,36 +990,22 @@ class MiningExecutor:
         tasks = plan_tasks(roots, estimates, self.processes, self.split_factor, extension_plan)
         task_counts = collections.Counter(task.roots[0] for task in tasks)
         report.splits = sum(1 for count in task_counts.values() if count > 1)
-        arrivals: "queue.Queue[Any]" = queue.Queue()
-        finished: Dict[Label, Dict[int, Tuple[MiningResult, Tuple[MiningEvent, ...]]]] = {
-            root: {} for root in roots
-        }
-        submitted = in_flight = 0
-        for root in roots:
-            while len(finished[root]) < task_counts[root]:
-                while submitted < len(tasks) and in_flight < self.processes + 2:
-                    task = tasks[submitted]
-                    task_sample = sample_every
-                    if capture_events and task_counts[task.roots[0]] > 1:
-                        # Split tasks record every prefix; the parent
-                        # re-derives the sampling during replay.
-                        task_sample = 1 if sample_every else 0
-                    pool.apply_async(
-                        _execute_task,
-                        ((abs_sup, task, task_sample, capture_events),),
-                        callback=arrivals.put,
-                        error_callback=arrivals.put,
-                    )
-                    submitted += 1
-                    in_flight += 1
-                arrival = arrivals.get()
-                if isinstance(arrival, BaseException):
-                    raise MiningError(f"parallel worker failed: {arrival}") from arrival
-                done, part, events, seconds, pid = arrival
-                in_flight -= 1
-                report.record(pid, seconds)
-                finished[done.roots[0]][done.seq] = (part, events)
-            yield self._merge_root(finished.pop(root), sample_every, capture_events)
+        jobs = []
+        for task in tasks:
+            task_sample = sample_every
+            if capture_events and task_counts[task.roots[0]] > 1:
+                # Split tasks record every prefix; the parent re-derives
+                # the sampling during replay.
+                task_sample = 1 if sample_every else 0
+            jobs.append((_execute_task, (abs_sup, task, task_sample, capture_events)))
+        finished: Dict[Label, Dict[int, Any]] = {root: {} for root in roots}
+        with contextlib.closing(self._pool_results(jobs, ordered=False)) as arrivals:
+            for root in roots:
+                while len(finished[root]) < task_counts[root]:
+                    done, part, events, seconds, pid = next(arrivals)
+                    report.record(pid, seconds)
+                    finished[done.roots[0]][done.seq] = (part, events)
+                yield self._merge_root(finished.pop(root), sample_every, capture_events)
 
     def _merge_root(
         self,

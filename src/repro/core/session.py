@@ -540,24 +540,9 @@ class SearchHooks:
         at subtree boundaries instead, so dormant instrumentation pays
         nothing per node.
         """
+        self.check()
         self.total_prefixes += 1
         self.root_prefixes += 1
-        budget = self.budget
-        if budget is not None:
-            if self.deadline_at is not None and time.monotonic() >= self.deadline_at:
-                raise SearchAborted("deadline")
-            if (
-                budget.max_expanded_prefixes is not None
-                and self.total_prefixes > budget.max_expanded_prefixes
-            ):
-                raise SearchAborted("max_prefixes")
-            if (
-                budget.max_patterns is not None
-                and self.total_patterns >= budget.max_patterns
-            ):
-                raise SearchAborted("max_patterns")
-        if self.token is not None and self.token.cancelled:
-            raise SearchAborted("cancelled")
         if self.sample_every and self.root_prefixes % self.sample_every == 0:
             self._dispatch(
                 PrefixVisited(
@@ -567,6 +552,29 @@ class SearchHooks:
                     ordinal=self.root_prefixes,
                 )
             )
+
+    def check(self) -> None:
+        """The one stop rule: before each expanded prefix and each pooled root.
+
+        Raises :class:`SearchAborted` once a budget trips or the run is
+        cancelled; a run that completed every root is never truncated.
+        """
+        budget = self.budget
+        if budget is not None:
+            if self.deadline_at is not None and time.monotonic() >= self.deadline_at:
+                raise SearchAborted("deadline")
+            if (
+                budget.max_expanded_prefixes is not None
+                and self.total_prefixes >= budget.max_expanded_prefixes
+            ):
+                raise SearchAborted("max_prefixes")
+            if (
+                budget.max_patterns is not None
+                and self.total_patterns >= budget.max_patterns
+            ):
+                raise SearchAborted("max_patterns")
+        if self.token is not None and self.token.cancelled:
+            raise SearchAborted("cancelled")
 
     def pattern(self, pattern: CliquePattern) -> None:
         self.total_patterns += 1
@@ -750,8 +758,9 @@ class MiningSession:
         :class:`repro.core.executor.MiningExecutor` pool; workers send
         each root's event substream back, and the runner replays them
         in canonical root order, so the observable stream matches the
-        serial one byte for byte.  Budgets and cancellation act at
-        root granularity on pool-mined roots.  Either way the result's
+        serial one byte for byte.  Budgets and cancellation stop
+        pool-mined roots at root granularity, by the inline stop rule
+        (:meth:`SearchHooks.check`).  Either way the result's
         statistics equal the serial engine's, launcher work included.
     scheduler:
         ``"stealing"`` (default) submits roots heaviest first,
@@ -937,12 +946,7 @@ class MiningSession:
                 runs = executor.iter_roots(self.abs_sup, pending, hooks)
                 for index, (root, part, _events) in enumerate(runs):
                     self._finish_root(root, index, len(pending), part)
-                    more = index + 1 < len(pending)
-                    if executor.last_report.pool_started:
-                        reason = self._pool_stop_reason(hooks, more)
-                        if reason is not None:
-                            break
-                    if more:
+                    if index + 1 < len(pending):
                         self._publish(
                             RootStarted(
                                 root=pending[index + 1],
@@ -968,30 +972,6 @@ class MiningSession:
                 sink.close()
         self.result = result
         return result
-
-    def _pool_stop_reason(self, hooks: SearchHooks, more: bool) -> Optional[str]:
-        """Budget and cancellation checks at a pool root boundary.
-
-        Pool workers run without the session's hooks, so budgets act at
-        root granularity there; inline runs check every prefix instead.
-        """
-        if self.token.cancelled:
-            return "cancelled"
-        budget = self.budget
-        if budget is None:
-            return None
-        if hooks.deadline_at is not None and time.monotonic() >= hooks.deadline_at:
-            return "deadline"
-        if not more:
-            return None
-        if budget.max_patterns is not None and hooks.total_patterns >= budget.max_patterns:
-            return "max_patterns"
-        if (
-            budget.max_expanded_prefixes is not None
-            and hooks.total_prefixes >= budget.max_expanded_prefixes
-        ):
-            return "max_prefixes"
-        return None
 
     def _finish_root(
         self, root: Label, index: int, n_pending: int, part: MiningResult

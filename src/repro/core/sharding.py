@@ -7,8 +7,12 @@ mines each shard independently for candidate forms at a shard-local
 threshold.  The *counting* pass walks the candidate trie over each
 shard again and sums the per-shard supports, transactions, and
 witnesses into exact global ones before the task's merge rule decides
-what is reported.  When ``processes > 1``, both passes run on one
-process pool, whose workers receive the database once, at start.
+what is reported.  Both passes run their shard jobs through one
+:class:`~repro.core.executor.MiningExecutor`: inline at ``processes=1``,
+else on the executor's pool, whose workers receive the database once,
+at start.  The whole pass is submitted at once, and a worker that dies
+or a job that raises fails the mine with
+:class:`~repro.exceptions.MiningError` instead of hanging it.
 The result is byte-identical to the serial engine's patterns (see
 ``tests/test_sharded.py`` and the exactness note in
 ``docs/ALGORITHM.md``) while no stage ever needs more than one shard
@@ -39,10 +43,7 @@ argument specialised to label-multiset clique patterns:
 
 from __future__ import annotations
 
-import contextlib
 import gc
-import multiprocessing
-import multiprocessing.pool
 import time
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
@@ -53,6 +54,7 @@ from .api import MiningRequest, execute_request
 from .config import MinerConfig
 from .embeddings import CACHED, SLAB, EmbeddingStore
 from .engine import MiningEngine, engine_for_task, finalize_patterns
+from .executor import MiningExecutor
 from .pattern import CliquePattern, make_pattern
 from .quasiclique import QuasiEmbeddingStore, QuasiTaskStrategy
 from .results import MiningResult
@@ -175,50 +177,8 @@ def _candidate_config(resolved: MinerConfig, task: str) -> MinerConfig:
     )
 
 
-#: The database a shard pool's workers mine, installed once per worker.
-_WORKER_STATE: Dict[str, GraphDatabase] = {}
-
-
-def _init_shard_worker(database: GraphDatabase) -> None:
-    _WORKER_STATE["database"] = database
-
-
-def _run_shard_job(job: tuple):
-    fn, args = job
-    return fn(_WORKER_STATE["database"], *args)
-
-
-def _run_shards(
-    database: GraphDatabase,
-    pool: Optional[multiprocessing.pool.Pool],
-    fn,
-    jobs: Sequence[tuple],
-) -> Iterator:
-    """``fn(database, *job)`` for every job, yielded in job order.
-
-    On ``pool``'s workers, which hold the database since they started,
-    so a job carries only its own arguments (``fn`` must be
-    module-level to be picklable); without a pool, in the calling
-    process.  A pool replaces a worker that dies but loses its job, so
-    a changed worker set raises instead of waiting forever.
-    """
-    if pool is None:
-        yield from (fn(database, *job) for job in jobs)
-        return
-    workers = {process.pid for process in pool._pool}
-    results = pool.imap(_run_shard_job, [(fn, job) for job in jobs])
-    for _job in jobs:
-        while True:
-            try:
-                yield results.next(timeout=1.0)
-                break
-            except multiprocessing.TimeoutError:
-                if {process.pid for process in pool._pool} != workers:
-                    raise MiningError("a shard worker process died") from None
-
-
 def _shard_candidates(
-    database: GraphDatabase,
+    engine: MiningEngine,
     lo: int,
     hi: int,
     local_sup: int,
@@ -227,15 +187,15 @@ def _shard_candidates(
     gamma: Optional[float],
 ) -> Tuple[Tuple[Form, ...], MinerStatistics]:
     """Mine one shard's candidate forms."""
-    shard = _shard(database, lo, hi)
+    shard = _shard(engine.database, lo, hi)
     if task == "quasi":
-        engine = MiningEngine(
+        shard_engine = MiningEngine(
             shard, config, strategy=QuasiTaskStrategy(gamma, closed=False)
         )
     else:
-        engine = engine_for_task(shard, config, "frequent")
-    result = engine.mine(local_sup)
-    del shard, engine
+        shard_engine = engine_for_task(shard, config, "frequent")
+    result = shard_engine.mine(local_sup)
+    del shard, shard_engine
     # Engine state forms reference cycles; waiting for the cyclic
     # collector would let several shards' worth pile up (here or in a
     # pool worker), defeating the bounded residency this path exists
@@ -245,29 +205,21 @@ def _shard_candidates(
 
 
 def _collect_candidates(
-    database: GraphDatabase,
+    executor: MiningExecutor,
     bounds: Sequence[Tuple[int, int]],
     global_sup: int,
     task: str,
     config: MinerConfig,
     gamma: Optional[float],
-    pool: Optional[multiprocessing.pool.Pool],
 ) -> Tuple[set, MinerStatistics]:
-    n_transactions = len(database)
+    n = len(executor.database)
     jobs = [
-        (
-            lo,
-            hi,
-            local_threshold(global_sup, hi - lo, n_transactions),
-            task,
-            config,
-            gamma,
-        )
+        (lo, hi, local_threshold(global_sup, hi - lo, n), task, config, gamma)
         for lo, hi in bounds
     ]
     stats = MinerStatistics()
     forms: set = set()
-    for shard_forms, shard_stats in _run_shards(database, pool, _shard_candidates, jobs):
+    for shard_forms, shard_stats in executor.run_jobs(_shard_candidates, jobs):
         forms.update(shard_forms)
         stats.merge(shard_stats)
     return forms, stats
@@ -304,7 +256,7 @@ def _descend(labels: Form, store, node: Dict, forms: set, record) -> None:
 
 
 def _shard_counts(
-    database: GraphDatabase,
+    engine: MiningEngine,
     lo: int,
     hi: int,
     forms: set,
@@ -325,7 +277,7 @@ def _shard_counts(
     them).  Candidates whose prefix has no embedding in the shard are
     absent: they count 0 here.
     """
-    shard = _shard(database, lo, hi)
+    shard = _shard(engine.database, lo, hi)
     trie = _form_trie(forms)
     collect = resolved.collect_witnesses
     report_max = resolved.max_size
@@ -376,13 +328,12 @@ def _shard_counts(
 
 
 def _count_candidates(
-    database: GraphDatabase,
+    executor: MiningExecutor,
     bounds: Sequence[Tuple[int, int]],
     forms: set,
     resolved: MinerConfig,
     task: str,
     gamma: Optional[float],
-    pool: Optional[multiprocessing.pool.Pool],
 ) -> Dict[Form, _Counted]:
     """Exact global (support, transactions, witnesses) per candidate.
 
@@ -396,7 +347,7 @@ def _count_candidates(
     if not forms:
         return counted
     jobs = [(lo, hi, forms, resolved, task, gamma) for lo, hi in bounds]
-    for shard_counted in _run_shards(database, pool, _shard_counts, jobs):
+    for shard_counted in executor.run_jobs(_shard_counts, jobs):
         for labels, (support, tids, witnesses) in shard_counted.items():
             known = counted.get(labels)
             if known is None:
@@ -498,10 +449,13 @@ def mine_sharded(
     counting pass counts every candidate in each shard and sums the
     per-shard counts.  Statistics are then honest *aggregates* of the
     per-shard candidate mines, not a replay of the serial counters.
-    ``request.processes > 1`` runs both passes on one process pool per
-    call; its workers receive the database once, through the pool
-    initializer, and each shard job carries only its range and
-    arguments.
+    ``request.processes > 1`` runs both passes on one executor pool per
+    call (:meth:`~repro.core.executor.MiningExecutor.run_jobs`): its
+    workers receive the database once, through the pool initializer,
+    and each shard job carries only its range and arguments.  Each pass
+    is submitted whole; a dead worker raises
+    :class:`~repro.exceptions.MiningError`, and leaving the call (an
+    error included) drops the pool.
     """
     if request.budget is not None or request.sample_every:
         raise MiningError(
@@ -520,25 +474,18 @@ def mine_sharded(
     ):
         return execute_request(database, request)
     started = time.perf_counter()
-    workers = contextlib.nullcontext()
-    if request.processes > 1 and len(bounds) > 1:
-        workers = multiprocessing.get_context().Pool(
-            min(request.processes, len(bounds)),
-            initializer=_init_shard_worker,
-            initargs=(database,),
-        )
-    with workers as pool:
+    processes = max(1, min(request.processes, len(bounds)))
+    with MiningExecutor(database, processes=processes) as executor:
         forms, stats = _collect_candidates(
-            database,
+            executor,
             bounds,
             global_sup,
             task,
             _candidate_config(resolved, task),
             request.gamma,
-            pool,
         )
         counted = _count_candidates(
-            database, bounds, forms, resolved, task, request.gamma, pool
+            executor, bounds, forms, resolved, task, request.gamma
         )
     patterns = _merge_candidates(counted, global_sup, resolved, task, request.k)
     result = MiningResult(

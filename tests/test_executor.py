@@ -8,13 +8,18 @@ estimates, reports, the persistent pool) is scheduling policy, which
 may only change wall-clock.
 """
 
+import multiprocessing
+import os
 import random
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import ClanMiner, MinerConfig, MiningResult, mine_closed_cliques
+from repro.core import executor as executor_module
 from repro.core.executor import (
     DEFAULT_SPLIT_FACTOR,
     STATIC,
@@ -22,14 +27,15 @@ from repro.core.executor import (
     ExecutorReport,
     MiningExecutor,
     MiningTask,
+    _execute_task,
     _replay_substreams,
     estimate_root_costs,
     plan_tasks,
 )
-from repro.core.engine import engine_for_task, finalize_patterns
+from repro.core.engine import MiningEngine, engine_for_task, finalize_patterns
 from repro.core.session import PatternEmitted, PrefixVisited, RingBufferSink, SearchHooks
 from repro.exceptions import MiningError
-from repro.graphdb import Graph, GraphDatabase
+from repro.graphdb import Graph, GraphDatabase, random_database
 from tests.conftest import make_random_database
 
 
@@ -425,6 +431,106 @@ class TestMiningExecutor:
 
     def test_default_split_factor_is_fair_share(self):
         assert DEFAULT_SPLIT_FACTOR == 1.0
+
+
+# ======================================================================
+# Pool faults and abandoned runs
+# ======================================================================
+def _slow_unless_root_a(engine, abs_sup, task, *args):
+    """A pool task that holds back every root but ``a`` for a second."""
+    if task.roots != ("a",):
+        time.sleep(1.0)
+    return _execute_task(engine, abs_sup, task, *args)
+
+
+class TestPoolLifecycle:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="kills a worker through a fork-inherited patch",
+    )
+    def test_a_dead_worker_raises(self, monkeypatch):
+        # The pool replaces a dead worker but never reruns its task.
+        parent = os.getpid()
+        mine = MiningEngine.mine
+
+        def dying(engine, *args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return mine(engine, *args, **kwargs)
+
+        monkeypatch.setattr(MiningEngine, "mine", dying)
+        database = random_database(20, 8, 0.4, 3, seed=9)
+        raised = []
+
+        def run():
+            try:
+                with MiningExecutor(database, processes=2) as executor:
+                    executor.mine(2)
+            except MiningError as exc:
+                raised.append(exc)
+
+        thread = threading.Thread(target=run, daemon=True)
+        thread.start()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        assert raised and "died" in str(raised[0])
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="slows workers through a fork-inherited patch",
+    )
+    def test_abandoned_run_drops_its_pool(self, monkeypatch):
+        database = random_database(20, 8, 0.4, 3, seed=9)
+        serial = mine_closed_cliques(database, 2)
+        roots = tuple(database.frequent_labels(2))
+        assert roots[0] == "a"
+        monkeypatch.setattr(executor_module, "_execute_task", _slow_unless_root_a)
+        with MiningExecutor(database, processes=2, scheduler=STATIC) as executor:
+            runs = executor.iter_roots(2, roots)
+            next(runs)
+            assert executor.last_report.pool_started
+            runs.close()
+            assert executor._pool is None
+            # A run left suspended mid-pool: the next one starts afresh
+            # instead of queueing behind its tasks.
+            runs = executor.iter_roots(2, roots)
+            next(runs)
+            stale = executor._pool
+            result = executor.mine(2)
+            assert executor._pool is not stale
+            runs.close()
+            assert executor._pool is not None
+        assert keys(result) == keys(serial)
+        assert result.statistics.snapshot() == serial.statistics.snapshot()
+
+    def test_spawned_worker_prepares_on_its_first_root_task(self, paper_db, monkeypatch):
+        # Without an inherited engine the initializer builds no index, so
+        # a shard job builds none of the whole database's; the first
+        # root task prepares, keeping per-root statistics serial.
+        scans, builds = [], []
+        label_supports, bit_index = GraphDatabase.label_supports, Graph.bit_index
+
+        def counting_scan(database):
+            scans.append(database)
+            return label_supports(database)
+
+        def counting_build(graph):
+            builds.append(graph)
+            return bit_index(graph)
+
+        monkeypatch.setattr(executor_module, "_PARENT_MINERS", {})
+        monkeypatch.setattr(executor_module, "_WORKER_STATE", {})
+        monkeypatch.setattr(GraphDatabase, "label_supports", counting_scan)
+        monkeypatch.setattr(Graph, "bit_index", counting_build)
+        executor_module._init_executor_worker(1, paper_db, MinerConfig())
+        assert scans == [] and builds == []
+        task = MiningTask(roots=("a",))
+        _, part, _, _, _ = executor_module._run_job(
+            (executor_module._execute_task, (2, task, 0, False))
+        )
+        assert scans == [paper_db]
+        serial = engine_for_task(paper_db, None).prepare().mine(2, root_labels=("a",))
+        assert part.statistics.snapshot() == serial.statistics.snapshot()
 
 
 # ======================================================================

@@ -12,16 +12,22 @@ pin the contracts the service README promises:
   still converges to the same canonical bytes;
 * the per-tenant queue is fair (a second tenant's first job is not
   starved by the first tenant's backlog);
-* the shared cache warms across tenants.
+* the shared cache warms across tenants;
+* a pool worker that dies fails its job, and the server goes on.
 """
 
 import http.client
 import json
+import multiprocessing
+import os
+import threading
 import time
 
 import pytest
 
 from repro import MiningRequest, MiningResultEnvelope, mine
+from repro.core import executor as executor_module
+from repro.core.engine import MiningEngine
 from repro.graphdb import paper_example_database
 from repro.graphdb.generators import random_database
 from repro.service import DEFAULT_TENANT, FairJobQueue, MiningService
@@ -412,5 +418,45 @@ class TestRecovery:
         status, payload = http_json(addr2, "GET", f"/v1/jobs/{job_id}")
         assert status == 200 and payload["state"] == "done"
         served = envelope_of(wait_result(addr2, job_id))
+        local = MiningResultEnvelope.from_result(request, mine(database, request))
+        assert served.canonical_json() == local.canonical_json()
+
+
+class TestPoolFaults:
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="kills a worker through a fork-inherited patch",
+    )
+    def test_dead_pool_worker_fails_the_job_and_serving_goes_on(
+        self, service_factory, monkeypatch
+    ):
+        monkeypatch.setattr(executor_module, "POOL_START_SECONDS", 0.0)
+        parent = os.getpid()
+        engine_mine = MiningEngine.mine
+
+        def dying(engine, *args, **kwargs):
+            if os.getpid() != parent:
+                os._exit(1)
+            return engine_mine(engine, *args, **kwargs)
+
+        monkeypatch.setattr(MiningEngine, "mine", dying)
+        database = paper_example_database()
+        svc, addr = service_factory(database)
+        job_id = submit(addr, MiningRequest(min_sup=2, processes=2))
+        ended = {}
+
+        def wait():
+            ended.update(wait_state(addr, job_id, {"done", "failed", "cancelled"}, 60))
+
+        waiter = threading.Thread(target=wait, daemon=True)
+        waiter.start()
+        waiter.join(timeout=60)
+        assert not waiter.is_alive()
+        # The MiningError's own message: the typed branch, not a
+        # generic "ExceptionName: ..." failure.
+        assert ended["state"] == "failed"
+        assert ended["error"] == "a pool worker process died"
+        request = MiningRequest(min_sup=2)
+        served = envelope_of(wait_result(addr, submit(addr, request)))
         local = MiningResultEnvelope.from_result(request, mine(database, request))
         assert served.canonical_json() == local.canonical_json()

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MiningRequest, mine
+from repro import MiningRequest, MiningResultEnvelope, mine
 from repro.core import (
     CallbackSink,
     ClanMiner,
@@ -392,6 +392,30 @@ class TestBudgets:
         assert len(partial.completed_roots) >= 1
         reference = ClanMiner(dense_db).mine(3, root_labels=partial.completed_roots)
         assert keys(partial) == keys(reference)
+
+    def test_cancel_on_the_last_root_is_not_truncated(self, dense_db):
+        # Pool root boundaries stop by the inline rule: a run that
+        # completed every root is never truncated, so the canonical
+        # envelopes of the serial and the pooled session are identical.
+        request = MiningRequest(min_sup=3)
+        envelopes = []
+        for processes in (1, 2):
+            session = MiningSession.from_request(
+                dense_db, dataclasses.replace(request, processes=processes)
+            )
+
+            def cancel_on_last_root(event, session=session):
+                if isinstance(event, RootFinished) and event.index + 1 == event.n_pending:
+                    session.cancel()
+
+            session.sinks = (CallbackSink(cancel_on_last_root),)
+            result = session.run()
+            assert not result.truncated
+            assert session._executor.last_report.pool_started == (processes > 1)
+            envelopes.append(
+                MiningResultEnvelope.from_result(request, result).canonical_json()
+            )
+        assert envelopes[0] == envelopes[1]
 
     def test_parallel_budget_acts_at_root_granularity(self, dense_db):
         partial = MiningSession(

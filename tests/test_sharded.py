@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from repro.core.api import MiningRequest, MiningResultEnvelope, execute_request
 from repro.core.config import MinerConfig
 from repro.core.embeddings import EmbeddingStore
+from repro.core import executor as executor_module
 from repro.core import sharding
 from repro.core.miner import ClanMiner
 from repro.core.sharding import (
@@ -208,15 +209,15 @@ class TestDifferentialSuite:
                 super().__init__(*args, **kwargs)
 
         log = tmp_path / "initializers.log"
-        initializer = sharding._init_shard_worker
+        initializer = executor_module._init_executor_worker
 
-        def logged_initializer(database):
+        def logged_initializer(*args):
             with open(log, "a", encoding="utf-8") as handle:
                 handle.write(f"{os.getpid()}\n")
-            initializer(database)
+            initializer(*args)
 
         monkeypatch.setattr(multiprocessing.pool, "Pool", CountingPool)
-        monkeypatch.setattr(sharding, "_init_shard_worker", logged_initializer)
+        monkeypatch.setattr(executor_module, "_init_executor_worker", logged_initializer)
         request = MiningRequest(min_sup=2, kernel="bitset")
         pooled = mine_sharded(
             sqlite_db, dataclasses.replace(request, processes=2), shards=4
