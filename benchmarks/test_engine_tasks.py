@@ -19,8 +19,8 @@ the ``bitset`` int-mask kernel:
 
 Each task's headline ``speedup`` is the *measured* ratio for the
 engine shape the refactor unlocked for it: ``maximal`` rides the
-default slab kernel (``mine(task="maximal")``), ``topk`` rides the
-cache (``mine(task="topk", cache=...)``).  Results
+default slab kernel (``MiningRequest(task="maximal")``), ``topk`` rides the
+cache (``MiningRequest(task="topk")`` with ``cache=...``).  Results
 must be byte-identical on every path; the timings are written to
 ``BENCH_engine.json`` at the repo root as the perf-trajectory record.
 

@@ -1,23 +1,28 @@
-"""Extension benchmark — static scheduling vs the work-stealing executor.
+"""Extension benchmark — a static schedule vs the work-stealing executor.
 
 Not a paper figure: the paper predates multi-core ubiquity.  CLAN's DFS
 subtrees are independent under structural redundancy pruning, so root
 labels partition the work — but *unevenly*: on dense databases the
 lowest-alphabet "hub" roots own most of the search, and a static
 schedule's makespan degenerates to the heaviest root.  This benchmark
-builds a deliberately skewed hub database, then compares the static
-scheduler against the work-stealing executor (cost-guided root
-splitting) at 1/2/4/8 workers.
+builds a deliberately skewed hub database, then compares a static
+schedule (one root per task, canonical order, no splitting) against
+the work-stealing executor (cost-guided root splitting) at 1/2/4/8
+workers.
 
 CI boxes may expose fewer cores than the modeled worker counts, so raw
 wall-clock cannot demonstrate scaling.  Instead the speedups are
 *modeled*: a greedy list-scheduling simulation dispatches the
 executor's own plan (:func:`repro.core.executor.plan_tasks`: the same
 order and the same splits) over serially measured task times to
-compute each scheduler's makespan.  Real pool runs at 2 and 4
-processes (forced past the pool gate) still execute for the part
-machines can always check: byte-identical results, the plan's split
-counts, and the executor's own straggler accounting.
+compute each schedule's makespan; the static schedule is
+:func:`plan_tasks` with equal costs and no extension plan.  Real pool
+runs at 2 and 4 processes (forced past the pool gate, a new executor
+per mine) still execute for the part machines can always check:
+byte-identical results, the plan's split counts, and the executor's
+own straggler accounting.  Each real cell is the median and quartiles
+of :data:`REAL_ROUNDS` mines, the two worker counts alternating, so a
+one-off stall cannot decide a cell.
 
 The ``gate`` section times, on fig7b ×64/×128/×256 (SM-0.95 replicated,
 85%) and the skewed hub, a serial mine, a forced ``processes=2`` pool
@@ -59,6 +64,8 @@ from conftest import write_report
 REPO_ROOT = Path(__file__).resolve().parent.parent
 WORKER_COUNTS = (1, 2, 4, 8)
 REAL_WORKER_COUNTS = (2, 4)
+#: Forced-pool mines per real cell (alternating worker counts).
+REAL_ROUNDS = 11
 MIN_SUP = 3
 
 #: Scale knobs: graphs, hub label count, copies of each hub label (the
@@ -201,6 +208,12 @@ class forced_pool:
         executor_module.POOL_START_SECONDS = self.saved
 
 
+def _spread(values):
+    """Median and quartiles of repeated measurements."""
+    q1, median, q3 = statistics.quantiles(values, n=4)
+    return {"median": median, "q1": q1, "q3": q3}
+
+
 def _median_mine(database, request, repeats):
     seconds, result = [], None
     for _ in range(repeats):
@@ -318,27 +331,32 @@ def test_work_stealing_beats_static_on_skewed_roots(benchmark, scale):
     # cores than workers, so these verify the invariants
     # (byte-identical results, the modeled plan's splits) and record
     # the executor's own straggler accounting rather than wall-clock
-    # scaling.
-    real = {}
-    for processes in REAL_WORKER_COUNTS:
-        row = {}
-        for scheduler in (STATIC, STEALING):
-            with forced_pool(), MiningExecutor(
-                db, processes=processes, scheduler=scheduler
-            ) as ex:
+    # scaling.  The worker counts alternate, round by round.
+    runs = {processes: [] for processes in REAL_WORKER_COUNTS}
+    for _ in range(REAL_ROUNDS):
+        for processes in REAL_WORKER_COUNTS:
+            with forced_pool(), MiningExecutor(db, processes=processes) as ex:
                 result = ex.mine(MIN_SUP)
                 report = ex.last_report
             assert sorted(p.key() for p in result) == serial_keys
             assert result.statistics.snapshot() == serial.statistics.snapshot()
-            assert report.splits == modeled[processes][scheduler]["splits"]
-            row[scheduler] = {
-                "elapsed_seconds": result.elapsed_seconds,
-                "cpu_seconds": report.cpu_seconds,
-                "tasks": report.tasks,
-                "splits": report.splits,
-                "max_straggler_ratio": report.max_straggler_ratio,
+            assert report.splits == modeled[processes][STEALING]["splits"]
+            runs[processes].append((result.elapsed_seconds, report))
+    real = {}
+    for processes, samples in runs.items():
+        reports = [report for _, report in samples]
+        real[processes] = {
+            STEALING: {
+                "rounds": REAL_ROUNDS,
+                "elapsed_seconds": _spread([seconds for seconds, _ in samples]),
+                "cpu_seconds": _spread([report.cpu_seconds for report in reports]),
+                "tasks": reports[0].tasks,
+                "splits": reports[0].splits,
+                "max_straggler_ratio": _spread(
+                    [report.max_straggler_ratio for report in reports]
+                ),
             }
-        real[processes] = row
+        }
 
     rows = []
     for processes in WORKER_COUNTS:
@@ -415,9 +433,14 @@ def test_work_stealing_beats_static_on_skewed_roots(benchmark, scale):
         "speedup_semantics": {
             "modeled": (
                 "greedy list-scheduling of the executor's plan_tasks plan "
-                "over measured task times"
+                "(static: equal costs, no extension plan) over measured "
+                "task times"
             ),
-            "real": "actual process-pool wall clock on the recorded hardware",
+            "real": (
+                "actual process-pool wall clock on the recorded hardware: "
+                f"median and quartiles of {REAL_ROUNDS} forced-pool mines "
+                "per cell, a new executor per mine, worker counts alternating"
+            ),
         },
         "modeled": {str(w): modeled[w] for w in WORKER_COUNTS},
         "real": {str(w): real[w] for w in REAL_WORKER_COUNTS},

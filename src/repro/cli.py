@@ -59,8 +59,8 @@ EXIT_USAGE = 2
 EXIT_MINING = 3
 EXIT_TRUNCATED = 4
 
-#: ``--kernel`` choices; ``set`` is the deprecated spelling of
-#: ``bitset`` (it warns and runs the int masks).
+#: ``--kernel`` choices; ``set`` is the retired spelling of ``bitset``
+#: (it exits with :data:`EXIT_MINING` and a hint naming ``bitset``).
 KERNEL_CHOICES = ("bitset", "slab", "set")
 
 
@@ -142,14 +142,14 @@ def build_parser() -> argparse.ArgumentParser:
     mine.add_argument("--scheduler", default="stealing",
                       choices=("stealing", "static"),
                       help="parallel root scheduler: a heaviest-first plan "
-                           "with cost-guided splitting (default) or static "
-                           "one task per root in canonical order; results "
-                           "are identical")
+                           "with cost-guided splitting; 'static' is "
+                           "deprecated, warns and runs the same plan "
+                           "(identical results)")
     mine.add_argument("--kernel", default=None, choices=KERNEL_CHOICES,
                       help="candidate-intersection kernel: numpy slabs "
                            "(default; int masks where labels repeat) or "
-                           "integer bitmasks ('set' is a deprecated alias "
-                           "of 'bitset')")
+                           "integer bitmasks ('set' is retired and exits "
+                           "with a hint to use 'bitset')")
     mine.add_argument("--require", default=None, metavar="L1,L2",
                       help="only report cliques containing all these labels")
     mine.add_argument("--allow", default=None, metavar="L1,L2",

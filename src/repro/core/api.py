@@ -20,10 +20,8 @@ caller now shares:
   run was in-process, over HTTP, cold, warm, or resumed from a
   checkpoint.
 * :func:`mine` — the façade.  ``mine(database, request)`` is the
-  primary signature; ``mine(database, 2)`` stays as warning-free sugar
-  for a default request; the legacy keyword sprawl (``task=...``,
-  ``kernel=...``, ``processes=...``, …) raises a ``MiningError`` that
-  spells the equivalent request.
+  primary signature; ``mine(database, 2)`` stays as sugar for a
+  default request.
 * :func:`execute_request` — the dispatcher underneath :func:`mine`,
   the CLI, and the service: a session, the serial engine, or one
   executor call for cached and/or pooled runs.
@@ -50,7 +48,6 @@ callers can attach a cancellation handler before calling
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass, field
@@ -129,6 +126,8 @@ class MiningRequest:
         Worker-pool execution (results are identical; only wall-clock
         differs).  Part of the request so a service job can ask for a
         pool, but excluded from cache keys and checkpoints.
+        ``scheduler="static"`` is deprecated: it warns and is stored as
+        ``"stealing"``, the only plan the pool runs.
     budget:
         A :class:`~repro.core.session.MiningBudget` — the per-job SLO.
         Any budget routes the run through a session; the result may
@@ -163,12 +162,11 @@ class MiningRequest:
             raise MiningError(
                 f"unknown task {self.task!r}; expected one of {MINING_TASKS}"
             )
-        from .executor import SCHEDULERS
+        from .executor import _resolve_scheduler
 
-        if self.scheduler not in SCHEDULERS:
-            raise MiningError(
-                f"unknown scheduler {self.scheduler!r}; use one of {SCHEDULERS}"
-            )
+        # The deprecated "static" spelling warns once, here, and is
+        # stored as the scheduler it runs.
+        object.__setattr__(self, "scheduler", _resolve_scheduler(self.scheduler, 4))
         parse_support(self.min_sup)  # raises on malformed specs
         if self.processes < 1:
             raise MiningError(f"processes must be >= 1, got {self.processes}")
@@ -204,12 +202,8 @@ class MiningRequest:
             object.__setattr__(self, "budget", None)
         # Validate the config merge eagerly: contradictions (task vs
         # closed_only, maximal vs max_size, window conflicts, unknown
-        # kernels) surface at construction, not at execution.  A
-        # deprecated kernel spelling is stored as the kernel it runs,
-        # so it warns once, here.
-        resolved = self.resolved_config()
-        if self.kernel is not None and self.kernel != resolved.kernel:
-            object.__setattr__(self, "kernel", resolved.kernel)
+        # or retired kernels) surface at construction, not at execution.
+        self.resolved_config()
 
     # -- builders ------------------------------------------------------
     @classmethod
@@ -526,39 +520,17 @@ class MiningResultEnvelope:
 # ----------------------------------------------------------------------
 _UNSET: Any = object()
 
-#: Legacy keyword options that :func:`mine` rejects with a
-#: ``MiningRequest(...)`` recipe; each maps onto a request field or a
-#: :meth:`MiningRequest.from_options` shorthand.
-_LEGACY_OPTIONS = (
-    "task",
-    "min_size",
-    "max_size",
-    "k",
-    "gamma",
-    "config",
-    "kernel",
-    "collect_witnesses",
-    "processes",
-    "scheduler",
-    "budget",
-    "deadline",
-    "max_patterns",
-    "max_expanded_prefixes",
-    "sample_every",
-    "use_cache",
-)
-
 
 def mine(
     database: GraphDatabase,
     request: Union[MiningRequest, int, float, str] = _UNSET,
     *,
+    min_sup: Union[int, float, str] = _UNSET,
     stream: bool = False,
     sinks: Sequence[EventSink] = (),
     resume_from: Optional[MiningCheckpoint] = None,
     cache: Optional[MiningCache] = None,
     root_labels: Optional[Tuple[Label, ...]] = None,
-    **options: Any,
 ) -> Union[MiningResult, MiningSession]:
     """Mine clique patterns from a graph transaction database.
 
@@ -568,10 +540,8 @@ def mine(
 
     The second argument may also be a bare support threshold —
     ``mine(database, 2)`` / ``mine(database, min_sup=2)`` — which is
-    warning-free sugar for ``MiningRequest(min_sup=2)``.  The legacy
-    keyword options (``task=``, ``kernel=``, ``processes=``,
-    ``deadline=``, …) raise :class:`~repro.exceptions.MiningError`
-    whose message spells the equivalent ``MiningRequest(...)``.
+    sugar for ``MiningRequest(min_sup=2)``.  Every other mining option
+    lives on the request.
 
     Runtime arguments stay keywords on this call because they are not
     serializable run descriptions:
@@ -597,37 +567,14 @@ def mine(
     Returns a :class:`MiningResult`, or a :class:`MiningSession` when
     ``stream=True``.
     """
-    min_sup_kw = options.pop("min_sup", _UNSET)
     if request is _UNSET:
-        request = min_sup_kw if min_sup_kw is not _UNSET else 2
-    elif min_sup_kw is not _UNSET:
+        request = 2 if min_sup is _UNSET else min_sup
+    elif min_sup is not _UNSET:
         raise TypeError(
             "mine() got both a positional request/min_sup and a min_sup keyword"
         )
-    if isinstance(request, MiningRequest):
-        if options:
-            raise MiningError(
-                f"mine(request=...) cannot be combined with the legacy keyword "
-                f"options {sorted(options)}; set them on the MiningRequest"
-            )
-    else:
-        unknown = set(options) - set(_LEGACY_OPTIONS)
-        if unknown:
-            raise TypeError(
-                f"mine() got unexpected keyword arguments {sorted(unknown)}"
-            )
-        request = MiningRequest.from_options(request, **options)
-        if options:
-            arguments = [f"min_sup={request.min_sup!r}"] + [
-                f"{spec.name}={getattr(request, spec.name)!r}"
-                for spec in dataclasses.fields(request)[1:]
-                if getattr(request, spec.name) != spec.default
-            ]
-            raise MiningError(
-                "repro.mine() no longer takes mining options as keywords; "
-                "pass a request instead: mine(database, "
-                f"MiningRequest({', '.join(arguments)}))"
-            )
+    if not isinstance(request, MiningRequest):
+        request = MiningRequest(min_sup=request)
     return execute_request(
         database,
         request,

@@ -7,15 +7,14 @@ can assert that no pruning changes the mined result set.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Optional
 
 from ..exceptions import MiningError
 from .embeddings import BITSET, CACHED, RESCAN, SLAB
 
-#: The retired hashed-``set`` kernel's name.  Deprecated: still
-#: accepted, it warns and runs :data:`BITSET` (identical results).
+#: The retired hashed-``set`` kernel's name.  Passing it raises
+#: :class:`MiningError` naming :data:`BITSET` (identical results).
 SET = "set"
 
 
@@ -57,8 +56,8 @@ class MinerConfig:
         arbitrary-precision integer bitmasks — one ``&`` per
         intersection.  Both kernels produce identical results under
         every strategy and pruning combination.  ``"set"`` (the retired
-        hashed-``set`` kernel) is deprecated: it emits a
-        ``DeprecationWarning`` and the field becomes ``"bitset"``.
+        hashed-``set`` kernel) raises :class:`MiningError` naming
+        ``"bitset"``, which returns identical results.
     collect_witnesses:
         Record one witness embedding per supporting transaction in each
         reported pattern.
@@ -70,9 +69,10 @@ class MinerConfig:
     -----
     Execution-layer knobs — ``processes`` and the parallel
     ``scheduler`` (``"stealing"``, a heaviest-first plan with
-    cost-guided root splitting, vs ``"static"`` canonical order) —
-    are deliberately *not* config fields: they cannot change the mined
-    result, only wall-clock, so they live on the call sites instead
+    cost-guided root splitting; ``"static"`` is its deprecated
+    spelling) — are deliberately *not* config fields: they cannot
+    change the mined result, only wall-clock, so they live on the call
+    sites instead
     (:func:`repro.mine`, :class:`~repro.core.session.MiningSession`,
     :class:`~repro.core.executor.MiningExecutor`, ``clan mine
     --processes/--scheduler``) and stay out of checkpoints' config
@@ -104,13 +104,10 @@ class MinerConfig:
                 f"got {self.embedding_strategy!r}"
             )
         if self.kernel == SET:
-            warnings.warn(
-                "kernel='set' is deprecated; use kernel='bitset' (identical "
-                "results)",
-                DeprecationWarning,
-                stacklevel=3,
+            raise MiningError(
+                "kernel='set' was retired; use kernel='bitset', which "
+                "returns identical results: MinerConfig(kernel='bitset')"
             )
-            object.__setattr__(self, "kernel", BITSET)
         if self.kernel not in (BITSET, SLAB):
             raise MiningError(
                 f"kernel must be {BITSET!r} or {SLAB!r}, got {self.kernel!r}"

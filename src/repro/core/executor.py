@@ -66,7 +66,7 @@ import os
 import time
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, NoReturn, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -78,7 +78,7 @@ from .config import MinerConfig
 from .embeddings import SLAB
 from .engine import MiningEngine, engine_digest, engine_for_task, finalize_patterns
 from .results import MiningResult
-from .session import MiningEvent, PrefixVisited, SearchHooks, _ListSink
+from .session import MiningEvent, PrefixVisited, RingBufferSink, SearchHooks
 from .statistics import MinerStatistics
 
 __all__ = [
@@ -95,7 +95,9 @@ __all__ = [
     "plan_tasks",
 ]
 
-#: Scheduler names: canonical order, or heaviest first with splitting.
+#: Scheduler names.  The pool runs one plan, heaviest first with
+#: splitting (:data:`STEALING`); :data:`STATIC` is its deprecated
+#: spelling, which warns and runs that plan.
 STATIC = "static"
 STEALING = "stealing"
 SCHEDULERS = (STATIC, STEALING)
@@ -116,25 +118,36 @@ DEFAULT_SPLIT_FACTOR = 1.0
 POOL_START_SECONDS = 0.6
 
 
-def partition_roots(labels: Sequence[Label], chunks: int) -> List[Tuple[Label, ...]]:
-    """Deprecated: split root labels into round-robin chunks.
+def _resolve_scheduler(scheduler: str, stacklevel: int) -> str:
+    """Validate a scheduler name and return the one the pool runs.
 
-    No scheduler uses chunks any more (both submit one task per root),
-    so this warns (stage 1 of the CONTRIBUTING.md deprecation policy)
-    and then returns the chunks as before.
+    ``"static"`` is deprecated (stage 1 of the CONTRIBUTING.md policy):
+    it warns, ``stacklevel`` frames up, and runs the stealing plan,
+    whose results are identical.
     """
-    warnings.warn(
-        "partition_roots is deprecated: the executor schedules one task "
-        "per root and nothing reads root chunks",
-        DeprecationWarning,
-        stacklevel=2,
+    if scheduler not in SCHEDULERS:
+        raise MiningError(f"unknown scheduler {scheduler!r}; use one of {SCHEDULERS}")
+    if scheduler == STATIC:
+        warnings.warn(
+            "scheduler='static' is deprecated and runs the default "
+            "'stealing' plan (identical results); drop the argument",
+            DeprecationWarning,
+            stacklevel=stacklevel,
+        )
+    return STEALING
+
+
+def partition_roots(*args: Any, **kwargs: Any) -> NoReturn:
+    """Retired: raises :class:`MiningError` with the equivalent expression.
+
+    Nothing schedules root chunks any more (the pool submits one task
+    per root); the name stays importable until the next release.
+    """
+    raise MiningError(
+        "partition_roots no longer runs: nothing in the library reads "
+        "root chunks.  For round-robin chunks of a label list, use "
+        "[tuple(labels[i::chunks]) for i in range(min(chunks, len(labels)))]"
     )
-    if chunks < 1:
-        raise MiningError("need at least one chunk")
-    buckets: List[List[Label]] = [[] for _ in range(min(chunks, max(1, len(labels))))]
-    for index, label in enumerate(labels):
-        buckets[index % len(buckets)].append(label)
-    return [tuple(bucket) for bucket in buckets if bucket]
 
 
 #: Ceiling on one chunk of :func:`estimate_root_costs`' unpacked slab rows.
@@ -460,7 +473,7 @@ def _execute_task(
     started = time.perf_counter()
     hooks = recorder = None
     if capture:
-        recorder = _ListSink()
+        recorder = RingBufferSink(capacity=None)
         hooks = SearchHooks(sinks=(recorder,), sample_every=sample_every)
     part = engine.mine(
         abs_sup,
@@ -534,15 +547,14 @@ class MiningExecutor:
         ``"stealing"`` (default): one task per root, submitted heaviest
         first, heavy roots split into level-2 subtrees when they
         dominate the work not yet planned (:func:`plan_tasks`).
-        ``"static"``: one task per root submitted in canonical order
-        with no splitting, kept as the comparison baseline.
+        ``"static"`` is deprecated: it warns and runs the same plan.
     split_factor:
         Split threshold multiplier over the fair share
         (:data:`DEFAULT_SPLIT_FACTOR`); ``0.0`` splits every splittable
         root (used by the equivalence tests), large values never split.
     chunks_per_process:
-        Deprecated and ignored (passing it warns): the static scheduler
-        submits one task per root.
+        Retired: passing it raises :class:`MiningError` (the pool
+        submits one task per root); drop the argument.
     cache:
         Optional :class:`~repro.core.cache.MiningCache`.  Roots it can
         answer are replayed instead of mined, and every root
@@ -571,10 +583,7 @@ class MiningExecutor:
         k: Optional[int] = None,
         gamma: Optional[float] = None,
     ) -> None:
-        if scheduler not in SCHEDULERS:
-            raise MiningError(
-                f"unknown scheduler {scheduler!r}; use one of {SCHEDULERS}"
-            )
+        scheduler = _resolve_scheduler(scheduler, 3)
         if processes is None:
             processes = multiprocessing.cpu_count()
         if processes < 1:
@@ -582,11 +591,10 @@ class MiningExecutor:
         if split_factor < 0:
             raise MiningError(f"split_factor must be >= 0, got {split_factor}")
         if chunks_per_process is not None:
-            warnings.warn(
-                "MiningExecutor(chunks_per_process=...) is deprecated and "
-                "ignored: the static scheduler submits one task per root",
-                DeprecationWarning,
-                stacklevel=2,
+            raise MiningError(
+                "MiningExecutor(chunks_per_process=...) is no longer accepted: "
+                "the pool submits one task per root.  Drop the argument: "
+                "MiningExecutor(database, config, processes=N)"
             )
         if task is None:
             task = "closed" if config is None or config.closed_only else "frequent"
@@ -810,9 +818,11 @@ class MiningExecutor:
         and their sinks see events as they happen (yielded only when a
         cache records them).  Cached and pool-mined roots replay their
         substreams to the sinks and advance the run-wide counters, so
-        budgets count them too.  Before each pool-mined root the hooks'
-        one stop rule (:meth:`~repro.core.session.SearchHooks.check`)
-        runs, as it would at that root's first prefix inline.
+        budgets count them too.  Before each cached or pool-mined root
+        the hooks' one stop rule
+        (:meth:`~repro.core.session.SearchHooks.check`) runs, as it
+        would at that root's first prefix inline; a replay itself is
+        never interrupted.
         """
         if self._closed:
             raise MiningError("this MiningExecutor is closed; create a new one")
@@ -854,7 +864,7 @@ class MiningExecutor:
         # events, whether mined live or replayed.
         recorder = None
         if capture and self.cache is not None:
-            recorder = _ListSink()
+            recorder = RingBufferSink(capacity=None)
             live_sinks = hooks.sinks
             hooks.sinks = live_sinks + (recorder,)
         # Where each run of uncached roots ends (exclusive).
@@ -878,6 +888,8 @@ class MiningExecutor:
                 entry = cached.get(root)
                 replayed = entry is not None
                 if replayed:
+                    if hooks is not None:
+                        hooks.check()
                     part = entry.result(self.config.closed_only)
                     events = entry.events if capture else ()
                 else:
@@ -981,13 +993,13 @@ class MiningExecutor:
         ``estimates`` are the roots' static costs when the caller has
         them already (the pool gate's).
         """
-        extension_plan = None
-        if self.scheduler == STEALING:
-            estimates = estimates or self._estimates(roots)
-            extension_plan = functools.partial(self._miner.root_extension_plan, abs_sup)
-        else:
-            estimates = dict.fromkeys(roots, 1.0)
-        tasks = plan_tasks(roots, estimates, self.processes, self.split_factor, extension_plan)
+        tasks = plan_tasks(
+            roots,
+            estimates or self._estimates(roots),
+            self.processes,
+            self.split_factor,
+            functools.partial(self._miner.root_extension_plan, abs_sup),
+        )
         task_counts = collections.Counter(task.roots[0] for task in tasks)
         report.splits = sum(1 for count in task_counts.values() if count > 1)
         jobs = []
@@ -1037,38 +1049,15 @@ class MiningExecutor:
 
 
 # ----------------------------------------------------------------------
-# Deprecated one-call wrapper (formerly repro.core.parallel)
+# Retired one-call wrapper (formerly repro.core.parallel)
 # ----------------------------------------------------------------------
-def mine_closed_cliques_parallel(
-    database: GraphDatabase,
-    min_sup: float,
-    processes: Optional[int] = None,
-    config: Optional[MinerConfig] = None,
-    chunks_per_process: int = 4,
-    scheduler: str = STEALING,
-) -> MiningResult:
-    """Deprecated: use ``repro.mine(db, MiningRequest(min_sup=...,
-    config=..., processes=N))``.
+def mine_closed_cliques_parallel(*args: Any, **kwargs: Any) -> NoReturn:
+    """Retired: raises :class:`MiningError` with the equivalent request.
 
-    Stage 1 of the CONTRIBUTING.md deprecation policy: warns, then runs
-    exactly that request (``processes=None`` means the CPU count;
-    ``chunks_per_process`` is ignored).
+    The name stays importable until the next release.
     """
-    warnings.warn(
-        "mine_closed_cliques_parallel is deprecated; use "
-        "repro.mine(db, MiningRequest(min_sup=..., config=..., processes=N))",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from .api import MiningRequest, mine
-
-    return mine(
-        database,
-        MiningRequest(
-            min_sup=min_sup,
-            task="frequent" if config is not None and not config.closed_only else "closed",
-            config=config,
-            processes=multiprocessing.cpu_count() if processes is None else processes,
-            scheduler=scheduler,
-        ),
+    raise MiningError(
+        "mine_closed_cliques_parallel no longer runs; mine through the "
+        "typed request instead: repro.mine(database, repro.MiningRequest("
+        "min_sup=min_sup, config=config, processes=processes))"
     )

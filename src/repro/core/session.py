@@ -381,19 +381,6 @@ class ProgressSink(EventSink):
             )
 
 
-class _ListSink(EventSink):
-    """Unbounded in-order event recorder (worker-side replay buffer)."""
-
-    def __init__(self) -> None:
-        self.events: List[MiningEvent] = []
-
-    def emit(self, event: MiningEvent) -> None:
-        self.events.append(event)
-
-    def emit_batch(self, events: Sequence[MiningEvent]) -> None:
-        self.events.extend(events)
-
-
 # ----------------------------------------------------------------------
 # Budgets and cancellation
 # ----------------------------------------------------------------------
@@ -764,10 +751,8 @@ class MiningSession:
         statistics equal the serial engine's, launcher work included.
     scheduler:
         ``"stealing"`` (default) submits roots heaviest first,
-        splitting dominant roots into their level-2 subtrees;
-        ``"static"`` submits roots in canonical order with no
-        splitting (the legacy behaviour).  Either way the stream and
-        result are identical — the knob only changes wall-clock.
+        splitting dominant roots into their level-2 subtrees.
+        ``"static"`` is deprecated: it warns and runs the same plan.
     split_factor:
         Optional override of the stealing scheduler's split threshold
         (see :data:`repro.core.executor.DEFAULT_SPLIT_FACTOR`); the
@@ -785,10 +770,10 @@ class MiningSession:
         mines is stored back.  A fully cached run starts no pool and
         builds no index.  Sessions never use the sweep tier: their
         events and per-root statistics cannot be derived by
-        filtering.  Budgets see replayed roots at root granularity: a
-        replay expands no prefixes and is never interrupted, but its
-        pattern/prefix counts still advance the budget counters, so
-        roots mined afterwards respect the budget.
+        filtering.  Budgets and cancellation see replayed roots at
+        root granularity: the stop rule runs before each replay, a
+        replay expands no prefixes and is never interrupted, and its
+        pattern/prefix counts advance the budget counters.
     """
 
     def __init__(
@@ -837,7 +822,7 @@ class MiningSession:
         self.sinks = tuple(sinks)
         self.sample_every = sample_every
         self.processes = processes
-        self.scheduler = scheduler
+        self.scheduler = self._executor.scheduler
         self.split_factor = split_factor
         self.cache = cache
         self.token = CancellationToken()

@@ -2,12 +2,13 @@
 
 from __future__ import annotations
 
-import contextlib
 import random
+from typing import Callable
 
 import pytest
 
-from repro.core import executor
+from repro.core import MinerConfig, executor
+from repro.exceptions import MiningError
 from repro.graphdb import Graph, GraphDatabase, paper_example_database
 from repro.graphdb.generators import default_label_alphabet, random_transaction
 
@@ -67,9 +68,17 @@ def make_random_database(
     return database
 
 
-def kernel_warning(kernel: str):
-    """Expect the stage-1 warning when ``kernel`` is the deprecated
-    ``"set"`` spelling (which runs the bitset kernel); else a no-op."""
-    if kernel == "set":
-        return pytest.warns(DeprecationWarning, match="bitset")
-    return contextlib.nullcontext()
+def retired_kernel(
+    kernel: str, build: Callable[[str], object] = lambda kernel: MinerConfig(kernel=kernel)
+) -> bool:
+    """Whether ``kernel`` is the retired ``"set"`` spelling.
+
+    For it (stage 2 of the deprecation policy) assert that ``build(kernel)``
+    raises a :class:`MiningError` whose recipe names ``"bitset"``; the
+    caller's leg then stops instead of mining.
+    """
+    if kernel != "set":
+        return False
+    with pytest.raises(MiningError, match=r"MinerConfig\(kernel='bitset'\)"):
+        build(kernel)
+    return True

@@ -1,8 +1,8 @@
 """Contract tests for the typed MiningRequest / MiningResult API.
 
 The request is the wire format: ``from_json(to_json(r)) == r`` for
-every valid request, the legacy keyword spelling of :func:`repro.mine`
-raises with the equivalent request spelled out, and the
+every valid request, :func:`repro.mine` takes no mining options as
+keywords (Python's own ``TypeError``), and the
 result envelope's canonical bytes are run-independent.  The CI
 ``service-contract`` job runs this file (with ``tests/test_service.py``)
 under ``-W error::DeprecationWarning``.
@@ -38,7 +38,7 @@ REQUEST_CASES = [
     MiningRequest(min_sup=2, task="quasi", gamma=0.75, min_size=2, max_size=5),
     MiningRequest(min_sup=2, config=MinerConfig(min_size=2, max_size=4)),
     MiningRequest(min_sup=2, kernel="bitset", collect_witnesses=False),
-    MiningRequest(min_sup=2, processes=3, scheduler="static"),
+    MiningRequest(min_sup=2, processes=3, scheduler="stealing"),
     MiningRequest(
         min_sup=2,
         budget=MiningBudget(deadline_seconds=5.0, max_patterns=100),
@@ -121,11 +121,15 @@ class TestRequestRoundTrip:
 
 class TestLegacyBuilder:
     def test_kwargs_spelling_raises_with_a_recipe(self, paper_db):
-        # Stage 2: the message spells a request that runs as written.
-        with pytest.raises(MiningError, match=r"MiningRequest\(") as raised:
-            mine(paper_db, 2, task="quasi", max_size=4)
-        call = re.search(r"mine\(database, (.*)\)$", str(raised.value)).group(1)
-        assert eval(call) == MiningRequest.from_options(2, task="quasi", max_size=4)
+        # Stage 3: the keyword options are gone from the signature, so
+        # Python itself rejects them; only the min_sup sugar remains.
+        with pytest.raises(TypeError, match="task"):
+            mine(paper_db, 2, task="maximal")
+        with pytest.raises(TypeError, match="max_size"):
+            mine(paper_db, min_sup=2, max_size=4)
+        assert [p.key() for p in mine(paper_db, min_sup=2)] == [
+            p.key() for p in mine(paper_db, MiningRequest(min_sup=2))
+        ]
 
     def test_request_spelling_is_warning_free(self, paper_db, recwarn):
         mine(paper_db, MiningRequest(min_sup=2))

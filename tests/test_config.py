@@ -1,5 +1,7 @@
 """Unit tests for MinerConfig validation and ablation helpers."""
 
+import re
+
 import pytest
 
 from repro.core import CACHED, RESCAN, ClanMiner, MinerConfig
@@ -70,13 +72,16 @@ class TestHelpers:
 
 
 class TestSetKernelDeprecated:
-    """Stage 1 of the deprecation policy for ``kernel="set"``.
+    """Stage 2 of the deprecation policy for ``kernel="set"``.
 
     The hashed-set kernel now lives only in ``tests/oracles.py``.  Every
-    public spelling of it still works: it warns (naming ``"bitset"``)
-    and runs the bitset kernel, so patterns and statistics equal a
-    bitset mine's.
+    public spelling of it raises a :class:`MiningError` whose message
+    carries a copy-pasteable ``MinerConfig(kernel='bitset')``, and that
+    recipe mines exactly what a bitset config mines.  ``SET`` stays
+    importable.
     """
+
+    RECIPE = r"MinerConfig\(kernel='bitset'\)"
 
     @staticmethod
     def bitset_mine(database, min_sup=2):
@@ -89,49 +94,46 @@ class TestSetKernelDeprecated:
         assert result.statistics.snapshot() == expected.statistics.snapshot()
 
     def test_config_warns_and_becomes_bitset(self, paper_db):
-        with pytest.warns(DeprecationWarning, match="bitset"):
-            config = MinerConfig(kernel="set")
+        from repro.core import SET
+
+        with pytest.raises(MiningError, match=self.RECIPE) as raised:
+            MinerConfig(kernel=SET)
+        recipe = re.search(self.RECIPE, str(raised.value)).group(0)
+        config = eval(recipe)
         assert config == MinerConfig(kernel="bitset")
-        assert config.to_dict()["kernel"] == "bitset"
         self.assert_same(ClanMiner(paper_db, config).mine(2), self.bitset_mine(paper_db))
 
-    def test_with_kernel_warns(self, paper_db):
-        with pytest.warns(DeprecationWarning, match="bitset"):
-            config = MinerConfig(min_size=2).with_kernel("set")
-        assert config == MinerConfig(min_size=2, kernel="bitset")
+    def test_with_kernel_warns(self):
+        with pytest.raises(MiningError, match=self.RECIPE):
+            MinerConfig(min_size=2).with_kernel("set")
 
     def test_unknown_kernel_still_raises(self):
         with pytest.raises(MiningError, match="kernel"):
             MinerConfig(kernel="hashed")
 
-    def test_mining_request_warns_once(self, paper_db):
-        import warnings
+    def test_mining_request_warns_once(self, recwarn):
+        from repro import MiningRequest
 
-        from repro import MiningRequest, mine
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            request = MiningRequest(min_sup=2, kernel="set")
-        assert [w.category for w in caught] == [DeprecationWarning]
-        assert "bitset" in str(caught[0].message)
-        assert request.kernel == "bitset"
-        expected = mine(paper_db, MiningRequest(min_sup=2, kernel="bitset"))
-        self.assert_same(mine(paper_db, request), expected)
+        with pytest.raises(MiningError, match=self.RECIPE):
+            MiningRequest(min_sup=2, kernel="set")
+        assert not recwarn.list
 
     def test_saved_config_and_request_load(self):
         from repro import MiningRequest
 
         payload = MinerConfig(min_size=2, kernel="bitset").to_dict()
         payload["kernel"] = "set"
-        with pytest.warns(DeprecationWarning, match="bitset"):
-            loaded = MinerConfig.from_dict(payload)
-        assert loaded == MinerConfig(min_size=2, kernel="bitset")
+        with pytest.raises(MiningError, match=self.RECIPE):
+            MinerConfig.from_dict(payload)
         request = MiningRequest(min_sup=2, kernel="bitset").to_dict()
         request["kernel"] = "set"
-        with pytest.warns(DeprecationWarning, match="bitset"):
-            assert MiningRequest.from_dict(request).kernel == "bitset"
+        with pytest.raises(MiningError, match=self.RECIPE):
+            MiningRequest.from_dict(request)
 
     def test_checkpoint_saved_with_set_resumes(self, tmp_path):
+        # Resume compares every config field but the kernel, so a
+        # checkpoint whose saved config says "set" resumes under the
+        # recipe's bitset config.
         from repro.core import MiningBudget, MiningSession
         from repro.io.runlog import open_checkpoint, save_checkpoint
         from tests.conftest import make_random_database
@@ -148,28 +150,23 @@ class TestSetKernelDeprecated:
         path = tmp_path / "ckpt.json"
         save_checkpoint(type(checkpoint).from_dict(payload), path)
         reopened = open_checkpoint(path)
-        with pytest.warns(DeprecationWarning, match="bitset"):
-            saved = MinerConfig.from_dict(reopened.config)
-        final = MiningSession(database, 1, config=saved, resume_from=reopened).run()
+        with pytest.raises(MiningError, match=self.RECIPE):
+            MinerConfig.from_dict(reopened.config)
+        final = MiningSession(database, 1, config=config, resume_from=reopened).run()
         assert not final.truncated
         self.assert_same(final, self.bitset_mine(database, 1))
 
     def test_cli_mine_kernel_set(self, tmp_path, capsys):
-        from repro.cli import main
+        from repro.cli import EXIT_MINING, main
         from repro.graphdb import paper_example_database
         from repro.io import gspan_format
 
         path = tmp_path / "example.tve"
         gspan_format.save_database(paper_example_database(), path)
         args = ["mine", str(path), "--min-sup", "2", "--stats", "--kernel"]
-
-        def patterns_and_counters(captured):
-            # --stats writes the counters to stderr after a timed header.
-            return captured.out, captured.err.splitlines()[1:]
-
         assert main(args + ["bitset"]) == 0
-        expected = patterns_and_counters(capsys.readouterr())
-        assert expected[1] and expected[1][0].startswith("# prefixes=")
-        with pytest.warns(DeprecationWarning, match="bitset"):
-            assert main(args + ["set"]) == 0
-        assert patterns_and_counters(capsys.readouterr()) == expected
+        capsys.readouterr()
+        assert main(args + ["set"]) == EXIT_MINING == 3
+        captured = capsys.readouterr()
+        assert not captured.out
+        assert re.search(self.RECIPE, captured.err)

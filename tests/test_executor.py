@@ -11,6 +11,7 @@ may only change wall-clock.
 import multiprocessing
 import os
 import random
+import re
 import threading
 import time
 
@@ -150,13 +151,22 @@ class TestPlanTasks:
         assert plan == [MiningTask(roots=(root,)) for root in self.ROOTS]
 
     def test_static_executor_makes_no_splits(self, paper_db):
-        with MiningExecutor(
-            paper_db, processes=2, scheduler=STATIC, split_factor=0.0
-        ) as executor:
-            executor.mine(2)
-            report = executor.last_report
-        assert report.splits == 0
-        assert report.tasks == report.roots
+        # The deprecated static spelling has no plan of its own any
+        # more: it warns and runs the stealing plan, splits included.
+        with pytest.warns(DeprecationWarning, match="static"):
+            static = MiningExecutor(
+                paper_db, processes=2, scheduler=STATIC, split_factor=0.0
+            )
+        with static:
+            result = static.mine(2)
+            report = static.last_report
+        with MiningExecutor(paper_db, processes=2, split_factor=0.0) as executor:
+            expected = executor.mine(2)
+            expected_report = executor.last_report
+        assert static.scheduler == report.scheduler == STEALING
+        assert (report.splits, report.tasks) == (expected_report.splits, expected_report.tasks)
+        assert keys(result) == keys(expected)
+        assert result.statistics.snapshot() == expected.statistics.snapshot()
 
 
 def skewed_hub_database(n_graphs=4, seed=7):
@@ -296,8 +306,12 @@ class TestMiningExecutor:
         assert result.statistics.snapshot() == serial.statistics.snapshot()
 
     def test_chunks_per_process_warns_and_is_ignored(self, paper_db):
-        with pytest.warns(DeprecationWarning, match="chunks_per_process"):
-            executor = MiningExecutor(paper_db, processes=1, chunks_per_process=4)
+        # Stage 2: the argument raises; the recipe drops it.
+        with pytest.raises(MiningError, match="chunks_per_process") as raised:
+            MiningExecutor(paper_db, processes=1, chunks_per_process=4)
+        recipe = re.search(r"argument: (.*)$", str(raised.value)).group(1)
+        executor = eval(recipe, {"MiningExecutor": MiningExecutor, "database": paper_db,
+                                 "config": None, "N": 1})
         with executor:
             result = executor.mine(2)
         serial = mine_closed_cliques(paper_db, 2)
@@ -306,7 +320,10 @@ class TestMiningExecutor:
 
     def test_static_matches_serial(self, paper_db):
         serial = mine_closed_cliques(paper_db, 2)
-        with MiningExecutor(paper_db, processes=2, scheduler=STATIC) as executor:
+        with pytest.warns(DeprecationWarning, match="static") as record:
+            executor = MiningExecutor(paper_db, processes=2, scheduler=STATIC)
+        assert record[0].filename == __file__  # blames the caller
+        with executor:
             result = executor.mine(2)
         assert keys(result) == keys(serial)
         assert result.statistics.snapshot() == serial.statistics.snapshot()
@@ -485,7 +502,9 @@ class TestPoolLifecycle:
         roots = tuple(database.frequent_labels(2))
         assert roots[0] == "a"
         monkeypatch.setattr(executor_module, "_execute_task", _slow_unless_root_a)
-        with MiningExecutor(database, processes=2, scheduler=STATIC) as executor:
+        with pytest.warns(DeprecationWarning, match="static"):
+            executor = MiningExecutor(database, processes=2, scheduler=STATIC)
+        with executor:
             runs = executor.iter_roots(2, roots)
             next(runs)
             assert executor.last_report.pool_started

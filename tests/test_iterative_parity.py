@@ -12,9 +12,9 @@ frozen statistics snapshot — under both kernels, plus the legs the
 reference cannot express (hook dispatch modes, checkpoint/resume
 mid-root).
 
-``KERNELS`` also carries ``"set"``, the deprecated spelling of
-``"bitset"`` (stage 1 of the CONTRIBUTING.md deprecation policy): its
-legs assert the warning and the identical result.
+``KERNELS`` also carries ``"set"``, the retired spelling of
+``"bitset"`` (stage 2 of the CONTRIBUTING.md deprecation policy): its
+legs assert that building the config raises with the recipe.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from repro.core.embeddings import EmbeddingStore
 from repro.core.engine import engine_for_task
 from repro.core.session import SearchHooks
 
-from tests.conftest import kernel_warning, make_random_database
+from tests.conftest import make_random_database, retired_kernel
 from tests.oracles import reference_mine
 from tests.strategies import graph_databases
 
@@ -76,10 +76,9 @@ def signature(result):
 
 
 def config_for(task, kernel, **overrides):
-    with kernel_warning(kernel):
-        if task == "frequent":
-            return MinerConfig.all_frequent(kernel=kernel, **overrides)
-        return MinerConfig(kernel=kernel, **overrides)
+    if task == "frequent":
+        return MinerConfig.all_frequent(kernel=kernel, **overrides)
+    return MinerConfig(kernel=kernel, **overrides)
 
 
 class TestRecursiveReference:
@@ -89,6 +88,8 @@ class TestRecursiveReference:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("task", ("closed", "frequent", "maximal"))
     def test_patterns_and_snapshot_match(self, case, kernel, task):
+        if retired_kernel(kernel, lambda kernel: config_for(task, kernel)):
+            return
         database = database_for(case)
         min_sup = 2 if case[0] % 2 else 1
         reference = reference_mine(database, min_sup, config_for(task, BITSET), task)
@@ -117,6 +118,8 @@ class TestRecursiveReference:
         # The lazy loop has branch-heavy ablation paths (the seen-forms
         # dedup, the size window, witness skipping); each must shadow
         # the reference exactly.
+        if retired_kernel(kernel, lambda kernel: config_for("closed", kernel, **overrides)):
+            return
         database = database_for(CASES[2])
         reference = reference_mine(
             database, 1, config_for("closed", BITSET, **overrides), "closed"
@@ -171,10 +174,11 @@ class TestHookDispatchParity:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("task,extra", TASKS, ids=[t for t, _ in TASKS])
     def test_hook_modes_identical(self, kernel, task, extra):
+        if retired_kernel(kernel, lambda kernel: config_for(task, kernel)):
+            return
         database = database_for(CASES[1])
         if task == "quasi":
-            with kernel_warning(kernel):
-                config = MinerConfig(kernel=kernel, min_size=2, max_size=4)
+            config = MinerConfig(kernel=kernel, min_size=2, max_size=4)
         else:
             config = config_for(task, kernel)
 
@@ -211,6 +215,8 @@ class TestCheckpointResumeMidRoot:
 
     @pytest.mark.parametrize("kernel", KERNELS)
     def test_closed_resume_completes_identically(self, kernel):
+        if retired_kernel(kernel):
+            return
         database = database_for(CASES[3])
         config = config_for("closed", kernel)
         full = ClanMiner(database, config).mine(1)

@@ -1,10 +1,13 @@
 """Tests for parallel mining over DFS roots."""
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import MiningRequest, mine
+import repro
+from repro import MiningRequest, MiningResultEnvelope, mine
 from repro.core import (
     ClanMiner,
     MinerConfig,
@@ -18,27 +21,29 @@ from tests.conftest import make_random_database
 
 
 class TestRootPartitioning:
-    """``partition_roots`` is deprecated (stage 1): it warns, then
-    returns the round-robin chunks as before."""
+    """``partition_roots`` is at stage 2 of the deprecation policy: it
+    raises, and its message carries an expression that computes the
+    round-robin chunks it used to return."""
+
+    @staticmethod
+    def recipe(labels, chunks):
+        with pytest.raises(MiningError, match="partition_roots") as raised:
+            partition_roots(labels, chunks)
+        expression = re.search(r"use (\[tuple.*\])$", str(raised.value)).group(1)
+        return eval(expression, {"labels": labels, "chunks": chunks})
 
     def test_round_robin(self):
-        with pytest.warns(DeprecationWarning, match="partition_roots"):
-            chunks = partition_roots(list("abcdef"), 2)
-        assert chunks == [("a", "c", "e"), ("b", "d", "f")]
+        assert self.recipe(list("abcdef"), 2) == [("a", "c", "e"), ("b", "d", "f")]
 
     def test_more_chunks_than_labels(self):
-        with pytest.warns(DeprecationWarning, match="partition_roots"):
-            chunks = partition_roots(["a", "b"], 5)
-        assert chunks == [("a",), ("b",)]
+        assert self.recipe(["a", "b"], 5) == [("a",), ("b",)]
 
     def test_empty_labels(self):
-        with pytest.warns(DeprecationWarning, match="partition_roots"):
-            assert partition_roots([], 3) == []
+        assert self.recipe([], 3) == []
 
     def test_invalid_chunks(self):
-        with pytest.warns(DeprecationWarning, match="partition_roots"):
-            with pytest.raises(MiningError):
-                partition_roots(["a"], 0)
+        with pytest.raises(MiningError):
+            partition_roots(["a"], 0)
 
 
 class TestRootRestrictedMining:
@@ -75,8 +80,12 @@ class TestParallelMining:
         assert sorted(p.key() for p in result) == ["abcd:2", "bde:2"]
 
     def test_legacy_wrapper_warns_and_matches_the_request(self, paper_db):
-        with pytest.warns(DeprecationWarning, match="MiningRequest"):
-            legacy = mine_closed_cliques_parallel(paper_db, 2, processes=2)
+        # Stage 2: the wrapper raises; its recipe mines like the request.
+        with pytest.raises(MiningError, match="MiningRequest") as raised:
+            mine_closed_cliques_parallel(paper_db, 2, processes=2)
+        recipe = re.search(r"instead: (.*)$", str(raised.value)).group(1)
+        scope = {"repro": repro, "database": paper_db, "min_sup": 2, "config": None}
+        legacy = eval(recipe, {**scope, "processes": 2})
         assert [p.key() for p in legacy] == [p.key() for p in pooled(paper_db)]
         assert legacy.statistics.snapshot() == pooled(paper_db).statistics.snapshot()
 
@@ -122,10 +131,22 @@ class TestParallelMining:
 
     @pytest.mark.parametrize("scheduler", ["static", "stealing"])
     def test_schedulers_match_serial(self, paper_db, scheduler):
-        result = pooled(paper_db, scheduler=scheduler)
+        if scheduler == "static":
+            # Deprecated (stage 1): warns, and is the stealing request.
+            with pytest.warns(DeprecationWarning, match="static"):
+                request = MiningRequest(min_sup=2, processes=2, scheduler=scheduler)
+            assert request == MiningRequest(min_sup=2, processes=2)
+        else:
+            request = MiningRequest(min_sup=2, processes=2, scheduler=scheduler)
+        result = mine(paper_db, request)
         serial = mine_closed_cliques(paper_db, 2)
         assert sorted(p.key() for p in result) == sorted(p.key() for p in serial)
         assert result.statistics.snapshot() == serial.statistics.snapshot()
+        stealing = MiningRequest(min_sup=2, processes=2)
+        assert MiningResultEnvelope.from_result(request, result).canonical_json() == (
+            MiningResultEnvelope.from_result(stealing, mine(paper_db, stealing))
+            .canonical_json()
+        )
 
     def test_unknown_scheduler_rejected(self, paper_db):
         with pytest.raises(MiningError, match="scheduler"):

@@ -91,11 +91,15 @@ class TestQuickstartSnippets:
         from repro import MiningExecutor, MiningRequest, mine, paper_example_database
 
         database = paper_example_database()
-        stealing = mine(database, MiningRequest(min_sup=2, processes=2))
-        static = mine(
-            database, MiningRequest(min_sup=2, processes=2, scheduler="static")
-        )
-        assert [p.key() for p in stealing] == [p.key() for p in static]
+        serial = mine(database, MiningRequest(min_sup=2))
+        parallel = mine(database, MiningRequest(min_sup=2, processes=2))
+        assert [p.key() for p in serial] == [p.key() for p in parallel]
+        # The prose's deprecated "static" spelling: it warns, and the
+        # request it builds is the stealing one, so the results match.
+        with pytest.warns(DeprecationWarning, match="static"):
+            static = MiningRequest(min_sup=2, processes=2, scheduler="static")
+        assert static == MiningRequest(min_sup=2, processes=2)
+        assert [p.key() for p in mine(database, static)] == [p.key() for p in parallel]
         with MiningExecutor(database, processes=2) as executor:
             sizes = {min_sup: len(executor.mine(min_sup)) for min_sup in (2, 1)}
             report = executor.last_report

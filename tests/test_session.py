@@ -213,17 +213,22 @@ class TestEventStream:
         ]
 
     def test_static_scheduler_stream_identical_to_serial(self, dense_db):
+        # "static" is deprecated (stage 1): it warns and runs the plan.
         serial, static = RingBufferSink(capacity=None), RingBufferSink(capacity=None)
         r1 = MiningSession(dense_db, 3, sinks=(serial,), sample_every=7).run()
-        r2 = MiningSession(
-            dense_db,
-            3,
-            sinks=(static,),
-            sample_every=7,
-            processes=2,
-            scheduler="static",
-        ).run()
+        with pytest.warns(DeprecationWarning, match="static"):
+            session = MiningSession(
+                dense_db,
+                3,
+                sinks=(static,),
+                sample_every=7,
+                processes=2,
+                scheduler="static",
+            )
+        assert session.scheduler == "stealing"
+        r2 = session.run()
         assert keys(r1) == keys(r2)
+        assert r1.statistics.snapshot() == r2.statistics.snapshot()
         assert list(serial.events) == list(static.events)
 
     def test_forced_split_stream_identical_to_serial(self, dense_db):
@@ -378,6 +383,31 @@ class TestBudgets:
         assert partial.truncated
         assert partial.completed_roots == ()
         assert len(partial) == 0
+
+    def test_warm_cache_keeps_cancel_and_budgets(self):
+        # The stop rule runs before every cache-replayed root, so a warm
+        # cache cannot turn a cancelled or over-budget run into a
+        # complete one; a replay itself is never interrupted.
+        database = random_database(12, 14, 0.45, 6, seed=3)
+        cache = MiningCache()
+
+        def run(request, cancel=False):
+            session = mine(database, request, stream=True, cache=cache)
+            if cancel:
+                session.cancel()
+            result = session.run()
+            reading = (result.truncated, len(session.completed_roots), len(result))
+            envelope = MiningResultEnvelope.from_result(request, result)
+            return reading, envelope.canonical_json()
+
+        request = MiningRequest(min_sup=3)
+        cold_cancelled = run(request, cancel=True)
+        assert cold_cancelled[0] == (True, 0, 0)
+        assert run(request)[0] == (False, 6, 66)  # warms every root
+        assert run(request, cancel=True) == cold_cancelled
+        capped = MiningRequest(min_sup=3, budget=MiningBudget(max_patterns=1))
+        truncated, roots, _ = run(capped)[0]
+        assert truncated and 1 <= roots < 6
 
     def test_cancel_mid_run_from_callback(self, dense_db):
         session = MiningSession(dense_db, 3)

@@ -100,8 +100,8 @@ def reference_run(database, request, cached_roots):
     """The session protocol with one ``engine.mine`` call per root.
 
     Cached roots are mined under private hooks and their substreams
-    replayed into the live ones, exactly as a cache entry would be.
-    Returns (events, result, completed patterns by root).
+    replayed into the live ones, exactly as a cache entry would be,
+    once the stop rule has passed before them.  Returns (events, result, completed patterns by root).
     """
     config = request.resolved_config()
     engine = engine_for_task(database, config, request.task, request.k, request.gamma)
@@ -133,6 +133,7 @@ def reference_run(database, request, cached_roots):
             ring.emit(RootStarted(root=root, index=index, n_pending=len(roots)))
             hooks.begin_root(root)
             if root in cached_roots:
+                hooks.check()
                 part, events = recorded_root(engine, abs_sup, root, request.sample_every)
                 hooks.replay(events, len(part), part.statistics.prefixes_visited)
             else:

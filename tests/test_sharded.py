@@ -40,7 +40,7 @@ from repro.graphdb import Graph
 from repro.graphdb import storage
 from repro.graphdb.schema import SCHEMA_VERSION, decode_graph, parse_row
 
-from .conftest import kernel_warning
+from .conftest import retired_kernel
 from .strategies import aligned_databases, aligned_graphs, graph_databases
 from .test_kernel_differential import unique_label_database
 
@@ -51,7 +51,7 @@ TASKS = [
     ("topk", {"k": 5, "max_size": 6}),
     ("quasi", {"gamma": 0.8, "max_size": 5, "min_size": 2}),
 ]
-#: ``"set"`` is the deprecated spelling of ``"bitset"`` (it warns).
+#: ``"set"`` is the retired spelling of ``"bitset"`` (it raises).
 KERNELS = ["set", "bitset", "slab"]
 
 
@@ -133,8 +133,12 @@ class TestDifferentialSuite:
     @pytest.mark.parametrize("kernel", KERNELS)
     @pytest.mark.parametrize("task,options", TASKS, ids=[t for t, _ in TASKS])
     def test_sharded_merge_matches_serial(self, seeded_db, task, options, kernel):
-        with kernel_warning(kernel):
-            request = MiningRequest.from_options(2, task=task, kernel=kernel, **options)
+        if retired_kernel(
+            kernel,
+            lambda kernel: MiningRequest.from_options(2, task=task, kernel=kernel, **options),
+        ):
+            return
+        request = MiningRequest.from_options(2, task=task, kernel=kernel, **options)
         serial = canonical(request, execute_request(seeded_db, request))
         sharded = canonical(request, mine_sharded(seeded_db, request, shards=4))
         assert sharded == serial

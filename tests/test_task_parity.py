@@ -8,7 +8,7 @@ outputs are *byte-identical* across:
 
 * the serial engine (``repro.mine``, ``processes=1``),
 * the work-stealing process pool (``processes>1, scheduler=stealing``),
-* the static pool (``scheduler=static``),
+* the deprecated ``scheduler=static`` spelling (warns, runs the same plan),
 * a warm :class:`MiningCache` (exact-replay tier),
 * a :class:`MiningSession` (event-streaming control plane),
 
@@ -118,7 +118,7 @@ def database_for(case):
 
 
 class TestPathParity:
-    """Serial == stealing pool == static pool == warm cache == session."""
+    """Serial == stealing pool == static spelling == warm cache == session."""
 
     @pytest.mark.parametrize("case", CASES)
     @pytest.mark.parametrize("task,extra", TASKS, ids=("maximal", "topk", "quasi"))
@@ -137,10 +137,10 @@ class TestPathParity:
         assert full_signature(stealing) == reference
         assert comparable_snapshot(stealing) == ref_snapshot
 
-        static = mine(
-            database,
-            rq(min_sup, task=task, processes=2, scheduler="static", **extra),
-        )
+        # The deprecated static spelling warns and runs the same plan.
+        with pytest.warns(DeprecationWarning, match="static"):
+            static_request = rq(min_sup, task=task, processes=2, scheduler="static", **extra)
+        static = mine(database, static_request)
         assert full_signature(static) == reference
         assert comparable_snapshot(static) == ref_snapshot
 

@@ -98,15 +98,16 @@ def test_mining_invariant_under_vertex_permutation(
     bitset kernel's vertex → bit mapping, which must be stable under
     relabeling (bit order follows sorted vertex ids, so a permutation
     reorders bits but never changes label masks or adjacency masks).
-    ``"set"`` is the deprecated spelling of ``"bitset"``: it must warn.
+    ``"set"`` is the retired spelling of ``"bitset"``: it must raise.
     """
     from repro.core import ClanMiner, MinerConfig
     from repro.graphdb import permute_vertex_ids
-    from tests.conftest import kernel_warning
+    from tests.conftest import retired_kernel
     from tests.test_kernel_differential import unique_label_database
 
-    with kernel_warning(kernel):
-        config = MinerConfig(kernel=kernel)
+    if retired_kernel(kernel):
+        return
+    config = MinerConfig(kernel=kernel)
     for db in (make_random_database(seed), unique_label_database(seed % 100)):
         permuted = permute_vertex_ids(db, seed=permutation_seed)
         base = ClanMiner(db, config).mine(min_sup)
